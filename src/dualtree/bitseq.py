@@ -4,14 +4,24 @@ Positions are 1-based throughout. Bits are packed into 64-bit words with
 per-word cumulative counts, so ``rank`` costs one popcount and ``select`` a
 binary search over the cumulative table plus one in-word scan. The tables are
 derived from the bits alone; rebuilding a sequence always reproduces them.
+Construction runs in bulk steps: the bits become one big integer, which is
+cut into words, and the cumulative counts come from ``accumulate``.
 """
 
+import re
+import struct
 from bisect import bisect_left
+from itertools import accumulate
+from operator import sub
 
 from .errors import NotFoundError, RangeError
 
 WORD = 64
 _MASKS = [(1 << (r + 1)) - 1 for r in range(WORD)]
+
+_NOT_A_BIT = re.compile(r"[^01()]")
+_CHAR_TO_DIGIT = str.maketrans("()", "10")
+_BYTE_TO_DIGIT = bytes.maketrans(b"\0\1", b"01")
 
 
 class BitSeq:
@@ -21,32 +31,18 @@ class BitSeq:
 
     def __init__(self, bits):
         if isinstance(bits, BitSeq):
-            bits = list(bits.iter_bits())
+            text = bits.to_text()
         elif isinstance(bits, str):
-            bits = [_bit_of_char(c, i) for i, c in enumerate(bits, start=1)]
+            text = _text_of_chars(bits)
         else:
-            bits = list(bits)
-        for i, b in enumerate(bits, start=1):
-            if b not in (0, 1):
-                raise RangeError(f"bit at position {i} is {b!r}, expected 0 or 1")
-        self.n = len(bits)
+            text = _text_of_symbols(bits)
+        self.n = len(text)
         nwords = (self.n + WORD - 1) // WORD
-        words = [0] * nwords
-        for i, b in enumerate(bits):
-            if b:
-                words[i // WORD] |= 1 << (i % WORD)
-        self._words = words
-        cum1 = [0] * (nwords + 1)
-        cum0 = [0] * (nwords + 1)
-        remaining = self.n
-        for w, word in enumerate(words):
-            valid = WORD if remaining >= WORD else remaining
-            ones = word.bit_count()
-            cum1[w + 1] = cum1[w] + ones
-            cum0[w + 1] = cum0[w] + (valid - ones)
-            remaining -= valid
-        self._cum1 = cum1
-        self._cum0 = cum0
+        packed = (int(text[::-1], 2) if text else 0).to_bytes(8 * nwords, "little")
+        self._words = list(struct.unpack(f"<{nwords}Q", packed))
+        self._cum1 = list(accumulate(map(int.bit_count, self._words), initial=0))
+        self._cum0 = list(map(sub, range(0, WORD * nwords + 1, WORD), self._cum1))
+        self._cum0[-1] = self.n - self._cum1[-1]
 
     def __len__(self):
         return self.n
@@ -56,8 +52,14 @@ class BitSeq:
         return (self._words[(x - 1) // WORD] >> ((x - 1) % WORD)) & 1
 
     def iter_bits(self):
-        for x in range(self.n):
-            yield (self._words[x // WORD] >> (x % WORD)) & 1
+        return map(int, self.to_text())
+
+    def to_text(self) -> str:
+        """The bits as a string of '0'/'1', position 1 first."""
+        if not self.n:
+            return ""
+        big = int.from_bytes(struct.pack(f"<{len(self._words)}Q", *self._words), "little")
+        return format(big, f"0{self.n}b")[::-1]
 
     def count(self, s: int) -> int:
         """Total number of symbol ``s`` in the sequence."""
@@ -103,9 +105,23 @@ class BitSeq:
         return hash((self.n, tuple(self._words)))
 
 
-def _bit_of_char(c: str, pos: int) -> int:
-    if c in "(1":
-        return 1
-    if c in ")0":
-        return 0
-    raise RangeError(f"character {c!r} at position {pos} is not a bit or parenthesis")
+def _text_of_chars(s: str) -> str:
+    bad = _NOT_A_BIT.search(s)
+    if bad:
+        raise RangeError(f"character {bad.group()!r} at position {bad.start() + 1} is not a bit or parenthesis")
+    return s.translate(_CHAR_TO_DIGIT)
+
+
+def _text_of_symbols(bits) -> str:
+    if not isinstance(bits, (bytes, bytearray)):
+        bits = list(bits)
+    try:
+        raw = bytes(bits)
+    except (TypeError, ValueError):
+        raw = None
+    if raw is None or raw.translate(None, b"\0\1"):
+        for i, b in enumerate(bits, start=1):
+            if b not in (0, 1):
+                raise RangeError(f"bit at position {i} is {b!r}, expected 0 or 1")
+        raw = bytes(1 if b else 0 for b in bits)  # 0/1 given as floats
+    return raw.translate(_BYTE_TO_DIGIT).decode("ascii")

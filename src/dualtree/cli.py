@@ -21,8 +21,17 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_QUERY_ERROR = 3
 
-RMQ_ENGINES = ("checked", "direct", "ancestor", "scan")
-MLIQ_ENGINES = ("naive", "weighted", "brute")
+RMQ_ENGINES = rmq.ENGINES
+MLIQ_SOLVERS = {"naive": mliq.mliq_naive, "weighted": mliq.mliq_weighted, "brute": mliq.mliq_bruteforce}
+MLIQ_ENGINES = tuple(MLIQ_SOLVERS)
+
+
+def _solve_mliq(engine, index, a, b, strict, counters):
+    """Run one MLIQ solver; the brute-force oracle counts no primitives."""
+    solver = MLIQ_SOLVERS[engine]
+    if engine == "brute":
+        return solver(index, a, b, strict=strict)
+    return solver(index, a, b, strict=strict, counters=counters)
 
 
 def _default_seed():
@@ -109,8 +118,7 @@ def cmd_build(args):
 
 
 def _load_any(path):
-    kind, _ = index_io._read_blob(path)
-    if kind == index_io.KIND_ARRAY:
+    if index_io.read_kind(path) == index_io.KIND_ARRAY:
         return "array", index_io.load_array_index(path)
     return "intervals", index_io.load_interval_index(path)
 
@@ -131,11 +139,7 @@ def cmd_query(args):
         engine = args.engine or "naive"
         if engine not in MLIQ_ENGINES:
             raise ContractError(f"unknown mliq engine {engine!r}; expected one of {MLIQ_ENGINES}")
-        solver = {"naive": mliq.mliq_naive, "weighted": mliq.mliq_weighted, "brute": mliq.mliq_bruteforce}[engine]
-        if engine == "brute":
-            answer = solver(index, args.left, args.right, strict=args.strict)
-        else:
-            answer = solver(index, args.left, args.right, strict=args.strict, counters=counters)
+        answer = _solve_mliq(engine, index, args.left, args.right, args.strict, counters)
     text_answer = "None" if answer is None else str(answer)
     if args.output == "jsonl":
         record = {"answer": answer}
@@ -224,12 +228,7 @@ def cmd_bench(args):
             if e not in MLIQ_ENGINES:
                 raise ContractError(f"unknown mliq engine {e!r}")
         queries = _mliq_workload(index, seed, args.queries)
-        solvers = {"naive": mliq.mliq_naive, "weighted": mliq.mliq_weighted, "brute": mliq.mliq_bruteforce}
-
-        def runner(e, q, c):
-            if e == "brute":
-                return solvers[e](index, q[0], q[1], strict=args.strict)
-            return solvers[e](index, q[0], q[1], strict=args.strict, counters=c)
+        runner = lambda e, q, c: _solve_mliq(e, index, q[0], q[1], args.strict, c)
 
     cols = ["engine", "queries", "qps", "answers_sha256", "mean_rank", "mean_select",
             "mean_rmq", "mean_open", "mean_close", "mean_bpselect"]

@@ -21,6 +21,8 @@ from .tree import OrdinalTree
 BP = "bp"
 DFUDS = "dfuds"
 
+_FLIP_DIGITS = str.maketrans("01", "10")
+
 
 @dataclass(frozen=True)
 class NodeParenMap:
@@ -145,11 +147,7 @@ def dfuds_decode(p) -> OrdinalTree:
 
 def mirror(p: ParenSeq) -> ParenSeq:
     """Reverse the sequence and flip every parenthesis."""
-    return ParenSeq(mirror_bits(list(p.base.iter_bits())))
-
-
-def mirror_bits(bits):
-    return [1 - b for b in reversed(bits)]
+    return ParenSeq(p.base.to_text()[::-1].translate(_FLIP_DIGITS))
 
 
 def mirror_string(s: str) -> str:

@@ -3,20 +3,26 @@
 Blob layout (everything little-endian):
 
     magic   4 bytes  b"DTR1"
-    version u16      1
+    version u16      2
     kind    u16      1 = array index, 2 = interval index
     count   u32      number of sections
     section tag (4 ascii bytes), u64 payload length, payload
 
 Array sections: VALS (u64 n + i64 values), BITS (u64 bit length + packed
-words), RK64 (u64 word-level cumulative one-counts), EMIN (u64 block size +
-i64 per-block excess minima), PMAP (u64 parent per position, 0 = root).
+words of the heap's DFUDS), RK64 (u64 word-level cumulative one-counts),
+EMIN (u64 block size + i64 per-block excess minima).
 Interval indexes carry INTA/INTB (endpoints) plus the same derived sections
 for the length heap and WOPN/WCLS weighted-position tables.
 
+Version 1 blobs also load. Their array blobs carry one more section, PMAP
+(u64 parent per position, 0 = root); it is a function of BITS, which is
+compared, so it is skipped.
+
 Loading rebuilds the structures from the raw inputs and verifies the stored
 sampled tables match the rebuilt ones bit for bit, so a loaded index answers
-exactly like a freshly built one.
+exactly like a freshly built one. A blob that is truncated, corrupt or
+missing a section raises ParseError. Values and endpoints must be signed
+64-bit integers; others raise ValidationError when read or saved.
 """
 
 import struct
@@ -24,14 +30,17 @@ import struct
 from .errors import ParseError, ValidationError
 from .minheap import build_minheap
 from .mliq import build_intervals
-from .parens import CLOSE_WEIGHTS, OPEN_WEIGHTS
+from .parens import _BLOCK, CLOSE_WEIGHTS, OPEN_WEIGHTS
 
 MAGIC = b"DTR1"
-VERSION = 1
+VERSION = 2
+READABLE_VERSIONS = (1, 2)
 KIND_ARRAY = 1
 KIND_INTERVALS = 2
 
-_BLOCK = 64  # parens excess-block size, mirrored here for the EMIN section
+_HEADER = struct.Struct("<4sHHI")
+_I64_MIN = -(1 << 63)
+_I64_MAX = (1 << 63) - 1
 
 
 # -- input files ---------------------------------------------------------------
@@ -43,9 +52,11 @@ def read_array_text(path):
         for lineno, line in enumerate(fh, start=1):
             for tok in line.split():
                 try:
-                    values.append(int(tok))
+                    v = int(tok)
                 except ValueError:
                     raise ValidationError(f"{path}:{lineno}: not an integer: {tok!r}") from None
+                _check_i64(v, f"{path}:{lineno}")
+                values.append(v)
     if not values:
         raise ValidationError(f"{path}: empty array file")
     return values
@@ -75,7 +86,7 @@ def read_array_binary(path):
 def write_array_binary(path, values):
     with open(path, "wb") as fh:
         fh.write(struct.pack("<Q", len(values)))
-        fh.write(struct.pack(f"<{len(values)}q", *values))
+        fh.write(_pack_i64s(values))
 
 
 def read_intervals_text(path):
@@ -93,6 +104,7 @@ def read_intervals_text(path):
                 raise ValidationError(f"{path}:{lineno}: not integers: {line.strip()!r}") from None
             if a < 0 or b < 0:
                 raise ValidationError(f"{path}:{lineno}: endpoints must be non-negative")
+            _check_i64(b, f"{path}:{lineno}")
             if a > b:
                 raise ValidationError(f"{path}:{lineno}: left endpoint {a} exceeds right endpoint {b}")
             if pairs and a <= pairs[-1][0]:
@@ -105,23 +117,33 @@ def read_intervals_text(path):
     return pairs
 
 
+def _check_i64(v, where):
+    if not _I64_MIN <= v <= _I64_MAX:
+        raise ValidationError(f"{where}: value {v} outside the signed 64-bit range")
+
+
 # -- section plumbing ------------------------------------------------------------
 
 
 def _pack_i64s(values):
-    return struct.pack(f"<{len(values)}q", *values)
+    try:
+        return struct.pack(f"<{len(values)}q", *values)
+    except struct.error:
+        for v in values:
+            if not isinstance(v, int):
+                raise ValidationError(f"cannot save {v!r}: blobs hold signed 64-bit integers") from None
+            _check_i64(v, "cannot save")
+        raise
 
 
-def _unpack_i64s(payload):
+def _unpack_i64s(path, tag, payload):
+    if len(payload) % 8:
+        raise ParseError(f"{path}: {tag} section length {len(payload)} is not a multiple of 8")
     return list(struct.unpack(f"<{len(payload) // 8}q", payload))
 
 
 def _pack_u64s(values):
     return struct.pack(f"<{len(values)}Q", *values)
-
-
-def _unpack_u64s(payload):
-    return list(struct.unpack(f"<{len(payload) // 8}Q", payload))
 
 
 def _bits_section(parenseq):
@@ -146,8 +168,10 @@ def _weight_section(parenseq, side):
     return b"".join(out)
 
 
-def _unpack_weights(payload):
-    (count,) = struct.unpack_from("<Q", payload, 0)
+def _unpack_weights(path, tag, payload):
+    count = len(payload) // 16
+    if len(payload) != 8 + 16 * count or struct.unpack_from("<Q", payload, 0)[0] != count:
+        raise ParseError(f"{path}: {tag} section of {len(payload)} bytes is not a weight table")
     weights = {}
     off = 8
     for _ in range(count):
@@ -167,20 +191,41 @@ def _write_blob(path, kind, sections):
             fh.write(payload)
 
 
+def read_kind(path):
+    """The kind of the blob at ``path``, from its header alone."""
+    with open(path, "rb") as fh:
+        return _parse_header(path, fh.read(_HEADER.size))[0]
+
+
+def _parse_header(path, data):
+    if data[:4] != MAGIC:
+        raise ParseError(f"{path}: bad magic {data[:4]!r}, expected {MAGIC!r}")
+    if len(data) < _HEADER.size:
+        raise ParseError(f"{path}: truncated header ({len(data)} bytes)")
+    _, version, kind, count = _HEADER.unpack_from(data)
+    if version not in READABLE_VERSIONS:
+        raise ParseError(f"{path}: unsupported version {version}")
+    if kind not in (KIND_ARRAY, KIND_INTERVALS):
+        raise ParseError(f"{path}: unknown index kind {kind}")
+    return kind, count
+
+
 def _read_blob(path):
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != MAGIC:
-        raise ParseError(f"{path}: bad magic {data[:4]!r}, expected {MAGIC!r}")
-    version, kind, count = struct.unpack_from("<HHI", data, 4)
-    if version != VERSION:
-        raise ParseError(f"{path}: unsupported version {version}")
+    kind, count = _parse_header(path, data)
     sections = {}
-    off = 12
+    off = _HEADER.size
     for _ in range(count):
-        tag = data[off : off + 4].decode("ascii")
+        if len(data) - off < 12:
+            raise ParseError(f"{path}: truncated section header at byte {off}")
+        tag = data[off : off + 4].decode("ascii", errors="replace")
         (length,) = struct.unpack_from("<Q", data, off + 4)
         off += 12
+        if length > len(data) - off:
+            raise ParseError(f"{path}: section {tag!r} promises {length} bytes, {len(data) - off} remain")
+        if tag in sections:
+            raise ParseError(f"{path}: section {tag!r} appears twice")
         sections[tag] = data[off : off + length]
         off += length
     if off != len(data):
@@ -188,17 +233,22 @@ def _read_blob(path):
     return kind, sections
 
 
+def _section(path, sections, tag):
+    try:
+        return sections[tag]
+    except KeyError:
+        raise ParseError(f"{path}: missing section {tag}") from None
+
+
 # -- array indexes -----------------------------------------------------------------
 
 
 def save_array_index(path, h):
-    parents = [0 if h.tree.parent(i) is None else h.tree.parent(i) for i in range(1, h.n + 1)]
     sections = [
         ("VALS", struct.pack("<Q", h.n) + _pack_i64s(h.values)),
         ("BITS", _bits_section(h.dfuds)),
         ("RK64", _rank_section(h.dfuds)),
         ("EMIN", _emin_section(h.dfuds)),
-        ("PMAP", _pack_u64s(parents)),
     ]
     _write_blob(path, KIND_ARRAY, sections)
     return stats_for(h.dfuds, extra_values=h.n)
@@ -208,17 +258,17 @@ def load_array_index(path):
     kind, sections = _read_blob(path)
     if kind != KIND_ARRAY:
         raise ParseError(f"{path}: blob holds an interval index, not an array index")
-    payload = sections["VALS"]
+    payload = _section(path, sections, "VALS")
+    if len(payload) < 8:
+        raise ParseError(f"{path}: VALS section too short for its length prefix")
     (n,) = struct.unpack_from("<Q", payload, 0)
-    values = _unpack_i64s(payload[8:])
+    values = _unpack_i64s(path, "VALS", payload[8:])
     if len(values) != n:
         raise ParseError(f"{path}: VALS section promises {n} values, holds {len(values)}")
+    if not values:
+        raise ParseError(f"{path}: VALS section holds no values")
     h = build_minheap(values)
     _verify_derived(path, h.dfuds, sections)
-    parents = _unpack_u64s(sections["PMAP"])
-    rebuilt = [0 if h.tree.parent(i) is None else h.tree.parent(i) for i in range(1, h.n + 1)]
-    if parents != rebuilt:
-        raise ParseError(f"{path}: stored parent map does not match the rebuilt heap")
     return h
 
 
@@ -243,14 +293,16 @@ def load_interval_index(path):
     kind, sections = _read_blob(path)
     if kind != KIND_INTERVALS:
         raise ParseError(f"{path}: blob holds an array index, not an interval index")
-    a = _unpack_i64s(sections["INTA"])
-    b = _unpack_i64s(sections["INTB"])
+    a = _unpack_i64s(path, "INTA", _section(path, sections, "INTA"))
+    b = _unpack_i64s(path, "INTB", _section(path, sections, "INTB"))
+    if len(a) != len(b):
+        raise ParseError(f"{path}: {len(a)} left endpoints but {len(b)} right endpoints")
     s = build_intervals(list(zip(a, b)))
     _verify_derived(path, s.heap.dfuds, sections)
-    stored_open = _unpack_weights(sections["WOPN"])
+    stored_open = _unpack_weights(path, "WOPN", _section(path, sections, "WOPN"))
     if stored_open != _cum_to_weights(s.bp_open, OPEN_WEIGHTS):
         raise ParseError(f"{path}: stored open weights do not match the rebuilt index")
-    stored_close = _unpack_weights(sections["WCLS"])
+    stored_close = _unpack_weights(path, "WCLS", _section(path, sections, "WCLS"))
     if stored_close != _cum_to_weights(s.bp_close, CLOSE_WEIGHTS):
         raise ParseError(f"{path}: stored close weights do not match the rebuilt index")
     return s
@@ -267,11 +319,11 @@ def _cum_to_weights(parenseq, side):
 
 
 def _verify_derived(path, parenseq, sections):
-    if sections["BITS"] != _bits_section(parenseq):
+    if _section(path, sections, "BITS") != _bits_section(parenseq):
         raise ParseError(f"{path}: stored bits do not match the rebuilt structure")
-    if sections["RK64"] != _rank_section(parenseq):
+    if _section(path, sections, "RK64") != _rank_section(parenseq):
         raise ParseError(f"{path}: stored rank table does not match the rebuilt structure")
-    if sections["EMIN"] != _emin_section(parenseq):
+    if _section(path, sections, "EMIN") != _emin_section(parenseq):
         raise ParseError(f"{path}: stored excess minima do not match the rebuilt structure")
 
 

@@ -7,36 +7,62 @@ what lets parenthesis positions stand in for array indices.
 
 Ties attach to the *rightmost* qualifying predecessor (non-strict rule), so
 every range-minimum engine over the heap reports the leftmost minimum.
+
+Because preorder is array order, the DFUDS of the heap is fixed by the node
+degrees alone, and one stack pass over the array counts them (Fischer & Heun,
+SIAM J. Comput. 40(2), 2011). The index stores that bit sequence and nothing
+else besides the values; the explicit tree is decoded from it on first use.
 """
 
-from . import codec, duality
+from itertools import accumulate
+
+from . import duality
 from .errors import ContractError
+from .parens import ParenSeq
 from .tree import OrdinalTree
 
 ROOT_LABEL = 0
 
 
 class MinHeapIndex:
-    """An array together with its heap tree and query-ready DFUDS structure.
+    """An array together with the DFUDS of its heap tree.
 
     The single stored bit sequence is the DFUDS of the heap tree, which is
-    simultaneously the BP of its reversed dual; all engines share it.
+    simultaneously the BP of its reversed dual; all engines share it. Node
+    labels are array positions with the root 0, so a node's depth-first rank
+    is its label plus one and the engines need no explicit tree.
     """
 
-    __slots__ = ("values", "tree", "dfuds", "dfuds_map")
+    __slots__ = ("values", "dfuds", "_tree")
 
-    def __init__(self, values, tree, dfuds, dfuds_map):
+    root = ROOT_LABEL
+
+    def __init__(self, values, dfuds):
         self.values = values
-        self.tree = tree
         self.dfuds = dfuds
-        self.dfuds_map = dfuds_map
+        self._tree = None
 
     @property
     def n(self):
         return len(self.values)
 
+    @property
+    def tree(self):
+        """The heap as an OrdinalTree, decoded from the DFUDS on first use."""
+        if self._tree is None:
+            self._tree = _decode_heap(self.dfuds)
+        return self._tree
+
     def value(self, i):
         return self.values[i - 1]
+
+    def dft(self, v):
+        """Depth-first rank of node v."""
+        return v + 1
+
+    def node_at(self, rank):
+        """Node of depth-first rank ``rank``."""
+        return rank - 1
 
     def node_of(self, i):
         """Tree node for array position i (labels are the positions)."""
@@ -55,18 +81,40 @@ def build_minheap(values) -> MinHeapIndex:
     values = list(values)
     if not values:
         raise ContractError("array must hold at least one element")
-    children = {ROOT_LABEL: []}
-    spine = []  # (position, value) rightmost path, values increasing
+    degree = [0] * (len(values) + 1)
+    spine_pos = []  # rightmost path, values non-decreasing
+    spine_val = []
     for pos, val in enumerate(values, start=1):
-        while spine and spine[-1][1] > val:
-            spine.pop()
-        parent = spine[-1][0] if spine else ROOT_LABEL
-        children.setdefault(parent, []).append(pos)
-        children.setdefault(pos, [])
-        spine.append((pos, val))
-    tree = OrdinalTree.from_children(ROOT_LABEL, {v: tuple(k) for v, k in children.items()})
-    dfuds, dfuds_map = codec.dfuds_encode(tree)
-    return MinHeapIndex(values, tree, dfuds, dfuds_map)
+        while spine_val and spine_val[-1] > val:
+            spine_val.pop()
+            spine_pos.pop()
+        degree[spine_pos[-1] if spine_pos else ROOT_LABEL] += 1
+        spine_pos.append(pos)
+        spine_val.append(val)
+    # per node in preorder: one opener per child, then a close
+    bits = "1" + "0".join(map("1".__mul__, degree)) + "0"
+    return MinHeapIndex(values, ParenSeq(bits))
+
+
+def _decode_heap(dfuds):
+    """The heap tree from its DFUDS. The degree blocks come in preorder; a
+    stack that holds each node once per child still to attach gives the
+    parents. The decoded maps are well formed by construction, so the checks
+    of ``OrdinalTree.from_children`` are skipped."""
+    degrees = list(map(len, dfuds.base.to_text()[1:-1].split("0")))
+    nodes = range(len(degrees))
+    parent = [ROOT_LABEL] * len(degrees)
+    waiting = []
+    for v, d in zip(nodes, degrees):
+        if v:
+            parent[v] = waiting.pop()
+        if d:
+            waiting += [v] * d
+    # a stable sort by parent groups the children and keeps them in preorder
+    by_parent = sorted(nodes[1:], key=parent.__getitem__)
+    ends = list(accumulate(degrees, initial=0))
+    kids = map(tuple, map(by_parent.__getitem__, map(slice, ends, ends[1:])))
+    return OrdinalTree(ROOT_LABEL, dict(zip(nodes, kids)), dict(zip(nodes[1:], parent[1:])))
 
 
 def reversal_dual_check(values) -> bool:

@@ -205,14 +205,13 @@ def mliq_weighted(s, a, b, strict=False, counters=None):
     i_max = cnt_a
 
     budget_b = sentinel - b - 1 if strict else sentinel - b
-    q, cnt_b = s.bp_close.bpselect_with_count(CLOSE_WEIGHTS, budget_b)
+    _q, cnt_b = s.bp_close.bpselect_with_count(CLOSE_WEIGHTS, budget_b)
     c.bpselect += 1
     i_min = max(1, n + 1 - cnt_b)
-    _v = 2 * n - q + 3  # mirror image of q in the forward BP, one past the boundary open
 
     if i_min > i_max:
         return None
-    node = pda_fast(s.heap.tree, s.heap.dfuds, s.heap.node_of(i_min), s.heap.node_of(i_max), c)
+    node = pda_fast(s.heap, s.heap.dfuds, s.heap.node_of(i_min), s.heap.node_of(i_max), c)
     return s.heap.index_of(node)
 
 

@@ -10,7 +10,9 @@ within a block the query falls back to a direct scan. Adjacent excess values
 differ by exactly one, which the forward/backward matching searches exploit.
 """
 
+from array import array
 from bisect import bisect_right
+from itertools import accumulate, islice
 
 from .bitseq import BitSeq
 from .errors import ContractError, RangeError, ValidationError
@@ -26,6 +28,9 @@ CLOSE_WEIGHTS = "close-weights"
 
 _BLOCK = 64
 
+_STEPS = bytes.maketrans(b"01", b"\xff\x01")  # '0' -> -1, '1' -> +1 as signed bytes
+_DIGIT_TO_PAREN = str.maketrans("10", "()")
+
 
 class ParenSeq:
     """Immutable balanced parenthesis sequence with query support."""
@@ -35,15 +40,13 @@ class ParenSeq:
     def __init__(self, bits, open_weights=None, close_weights=None):
         self.base = bits if isinstance(bits, BitSeq) else BitSeq(bits)
         self.n = self.base.n
-        exc = [0] * (self.n + 1)
-        run = 0
-        for x, b in enumerate(self.base.iter_bits(), start=1):
-            run += 1 if b else -1
-            if run < 0:
-                raise ValidationError(f"unbalanced sequence: excess drops below zero at position {x}")
-            exc[x] = run
-        if run != 0:
-            raise ValidationError(f"unbalanced sequence: {run} unmatched opening parentheses")
+        steps = array("b", self.base.to_text().encode("ascii").translate(_STEPS))
+        exc = list(accumulate(steps, initial=0))
+        if min(exc) < 0:
+            # steps are +-1, so the first negative excess is the first -1
+            raise ValidationError(f"unbalanced sequence: excess drops below zero at position {exc.index(-1)}")
+        if exc[-1] != 0:
+            raise ValidationError(f"unbalanced sequence: {exc[-1]} unmatched opening parentheses")
         self._exc = exc
         self._build_blocks()
         self._weights = {
@@ -56,32 +59,18 @@ class ParenSeq:
     def _build_blocks(self):
         exc = self._exc
         nblocks = (self.n + _BLOCK - 1) // _BLOCK
-        bmin = [0] * nblocks
-        bmax = [0] * nblocks
-        for k in range(nblocks):
-            lo = k * _BLOCK + 1
-            hi = min(lo + _BLOCK, self.n + 1)
-            chunk = exc[lo:hi]
-            bmin[k] = min(chunk)
-            bmax[k] = max(chunk)
-        self._bmin = bmin
-        self._bmax = bmax
+        chunks = [exc[lo : lo + _BLOCK] for lo in range(1, self.n + 1, _BLOCK)]
+        self._bmin = bmin = list(map(min, chunks))
+        self._bmax = list(map(max, chunks))
         # table[j][k] = (min value, leftmost block, rightmost block) over blocks [k, k + 2^j)
         table = [[(v, k, k) for k, v in enumerate(bmin)]]
         span = 1
         while 2 * span <= nblocks:
             prev = table[-1]
-            row = []
-            for k in range(nblocks - 2 * span + 1):
-                lv, ll, lr = prev[k]
-                rv, rl, rr = prev[k + span]
-                if lv < rv:
-                    row.append((lv, ll, lr))
-                elif rv < lv:
-                    row.append((rv, rl, rr))
-                else:
-                    row.append((lv, ll, rr))
-            table.append(row)
+            table.append([
+                lt if lt[0] < rt[0] else rt if rt[0] < lt[0] else (lt[0], lt[1], rt[2])
+                for lt, rt in zip(prev, islice(prev, span, None))
+            ])
             span *= 2
         self._table = table
 
@@ -121,7 +110,7 @@ class ParenSeq:
         return self.base.select(i, s)
 
     def to_string(self) -> str:
-        return "".join("()"[1 - b] for b in self.base.iter_bits())
+        return self.base.to_text().translate(_DIGIT_TO_PAREN)
 
     def excess(self, x: int) -> int:
         """rank_1(x) - rank_0(x); the depth profile of the sequence."""

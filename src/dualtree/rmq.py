@@ -8,8 +8,8 @@ the one stored DFUDS bit sequence:
   open/rank test that detects whether position i itself is the minimum.
 * ``direct`` — range-min over the excess from the i-th close; one rank
   finishes the query.
-* ``ancestor`` — maps positions to tree nodes, takes their primal-dual
-  ancestor, maps back.
+* ``ancestor`` — maps positions to heap nodes, takes their primal-dual
+  ancestor, maps back; node ranks are arithmetic, so no tree is decoded.
 * ``scan`` — linear scan of the values; the oracle the others are held to.
 
 Every primitive touched on the query path is tallied in an OpCounters so
@@ -88,8 +88,9 @@ def rmq_direct(h, i, j, counters=None):
 def pda_fast(tree, dfuds, v1, v2, counters=None):
     """Primal-dual ancestor through the DFUDS excess profile of any tree.
 
-    Consumes 2 select + 1 rmq + 1 rank. Must agree with the definitional
-    walk and with the rightmost minimum-depth node of the range.
+    ``tree`` needs only ``root``, ``dft`` and ``node_at``: an OrdinalTree or
+    a MinHeapIndex. Consumes 2 select + 1 rmq + 1 rank. Must agree with the
+    definitional walk and with the rightmost minimum-depth node of the range.
     """
     c = counters if counters is not None else OpCounters()
     if v1 == tree.root or v2 == tree.root:
@@ -108,9 +109,10 @@ def pda_fast(tree, dfuds, v1, v2, counters=None):
 
 
 def rmq_ancestor(h, i, j, counters=None):
-    """Map indices to heap nodes, take the primal-dual ancestor, map back."""
+    """Map indices to heap nodes, take the primal-dual ancestor, map back.
+    The heap answers ``pda_fast``'s tree questions by arithmetic."""
     _check_range(h, i, j)
-    v = pda_fast(h.tree, h.dfuds, h.node_of(i), h.node_of(j), counters)
+    v = pda_fast(h, h.dfuds, h.node_of(i), h.node_of(j), counters)
     return h.index_of(v)
 
 

@@ -122,3 +122,37 @@ def test_rebuild_reproduces_answers():
     assert b1 == b2
     for x in range(1, 5_001, 97):
         assert b1.rank(x, 1) == b2.rank(x, 1)
+
+
+def test_every_input_form_gives_the_same_sequence():
+    want = BitSeq([1, 0, 1, 1, 0, 0, 1])
+    assert BitSeq("1011001") == want
+    assert BitSeq("()(())(") == want
+    assert BitSeq(bytearray([1, 0, 1, 1, 0, 0, 1])) == want
+    assert BitSeq(bytes([1, 0, 1, 1, 0, 0, 1])) == want
+    assert BitSeq((b for b in [1, 0, 1, 1, 0, 0, 1])) == want
+    assert BitSeq([True, False, True, True, False, False, True]) == want
+    assert BitSeq([1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0]) == want
+    assert BitSeq(want) == want
+    assert want.to_text() == "1011001"
+    assert list(want.iter_bits()) == [1, 0, 1, 1, 0, 0, 1]
+
+
+def test_empty_and_word_boundaries():
+    assert len(BitSeq("")) == 0 and BitSeq([]).count(1) == 0 and BitSeq("").to_text() == ""
+    for n in (63, 64, 65, 128, 129):
+        bits = [(k * 7) % 3 == 0 for k in range(n)]
+        b = BitSeq([int(x) for x in bits])
+        assert b.count(1) == sum(bits) and b.count(0) == n - sum(bits)
+        assert b.to_text() == "".join("1" if x else "0" for x in bits)
+
+
+def test_rejection_names_the_first_bad_position():
+    with pytest.raises(RangeError, match=r"bit at position 3 is 2, expected 0 or 1"):
+        BitSeq([0, 1, 2, 5])
+    with pytest.raises(RangeError, match=r"bit at position 2 is -1, expected 0 or 1"):
+        BitSeq([1, -1, 0])
+    with pytest.raises(RangeError, match=r"bit at position 1 is '1', expected 0 or 1"):
+        BitSeq(["1", 0])
+    with pytest.raises(RangeError, match=r"character 'x' at position 3 is not a bit or parenthesis"):
+        BitSeq("01x0y")

@@ -184,3 +184,22 @@ def test_console_script_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "build" in proc.stdout and "verify" in proc.stdout
+
+
+def test_build_rejects_values_outside_signed_64_bits(tmp_path, capsys):
+    src = tmp_path / "big.txt"
+    idx = tmp_path / "big.idx"
+    for text in ("1 9223372036854775808 3\n", "-9223372036854775809\n"):
+        src.write_text(text)
+        code, _, err = run_cli(capsys, "build", "array", str(src), "-o", str(idx))
+        assert code == 2 and "signed 64-bit" in err and ":1:" in err
+    assert not idx.exists()
+    src.write_text("9223372036854775807 -9223372036854775808\n")
+    code, _, _ = run_cli(capsys, "build", "array", str(src), "-o", str(idx))
+    assert code == 0
+    code, out, _ = run_cli(capsys, "query", str(idx), "rmq", "1", "2")
+    assert code == 0 and out.strip() == "2"
+    iv = tmp_path / "iv.txt"
+    iv.write_text("0 9223372036854775808\n")
+    code, _, err = run_cli(capsys, "build", "intervals", str(iv), "-o", str(idx))
+    assert code == 2 and "signed 64-bit" in err

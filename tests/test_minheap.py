@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from dualtree import codec
 from dualtree.errors import ContractError
 from dualtree.minheap import ROOT_LABEL, build_minheap, reversal_dual_check
 from dualtree.randgen import random_array, random_distinct_array
@@ -95,3 +96,59 @@ def test_node_index_maps():
         h.node_of(9)
     with pytest.raises(ContractError):
         h.index_of(ROOT_LABEL)
+
+
+def heap_by_children(values):
+    """The heap built the original way: an explicit children dict from the
+    spine pass, then OrdinalTree.from_children. The oracle for the fast build."""
+    children = {ROOT_LABEL: []}
+    spine = []
+    for pos, val in enumerate(values, start=1):
+        while spine and spine[-1][1] > val:
+            spine.pop()
+        parent = spine[-1][0] if spine else ROOT_LABEL
+        children.setdefault(parent, []).append(pos)
+        children.setdefault(pos, [])
+        spine.append((pos, val))
+    return OrdinalTree.from_children(ROOT_LABEL, {v: tuple(k) for v, k in children.items()})
+
+
+def oracle_arrays():
+    rng = random.Random(0x0DF5)
+    yield [1, 2, 3, 4, 5, 6, 7]
+    yield [7, 6, 5, 4, 3, 2, 1]
+    yield [4] * 9
+    yield [1]
+    yield FIX_A
+    for _ in range(40):
+        yield random_array(rng, rng.randint(1, 300), span=rng.choice([2, 5, 50]))
+    yield [rng.uniform(-1, 1) for _ in range(200)]
+    yield [rng.choice(["fig", "kiwi", "lime", "pear", "plum"]) for _ in range(150)]
+
+
+def test_fast_dfuds_matches_the_encoded_tree():
+    for values in oracle_arrays():
+        h = build_minheap(values)
+        oracle = heap_by_children(values)
+        assert h.dfuds == codec.dfuds_encode(oracle)[0]
+        assert h.dfuds == codec.dfuds_encode(h.tree)[0]
+        assert h.tree == oracle
+        assert h.tree.parent_map() == oracle.parent_map()
+        assert list(h.tree.nodes()) == list(oracle.nodes())
+
+
+def test_tree_is_decoded_once_on_demand():
+    h = build_minheap(FIX_A)
+    assert h._tree is None
+    t = h.tree
+    assert h.tree is t
+    assert [h.tree.depth(v) for v in t.nodes()] == [heap_by_children(FIX_A).depth(v) for v in t.nodes()]
+
+
+def test_heap_answers_tree_rank_questions():
+    h = build_minheap(FIX_A)
+    t = heap_by_children(FIX_A)
+    assert h.root == t.root
+    for v in t.nodes():
+        assert h.dft(v) == t.dft(v)
+        assert h.node_at(t.dft(v)) == v

@@ -191,3 +191,27 @@ def test_excess_profile_steps_by_one(bits):
         assert cur >= 0
         prev = cur
     assert p.excess(len(bits)) == 0
+
+
+def test_unbalanced_messages_name_the_fault():
+    with pytest.raises(ValidationError, match=r"excess drops below zero at position 3"):
+        ParenSeq("())(")
+    with pytest.raises(ValidationError, match=r"excess drops below zero at position 1"):
+        ParenSeq(")(")
+    with pytest.raises(ValidationError, match=r"2 unmatched opening parentheses"):
+        ParenSeq("((()")
+
+
+def test_block_tables_match_a_direct_scan():
+    rng = random.Random(0xB10C)
+    for pairs in (1, 31, 32, 33, 500, 2000):
+        bits = random_balanced(rng, pairs)
+        p = ParenSeq(bits)
+        exc = [0]
+        for b in bits:
+            exc.append(exc[-1] + (1 if b else -1))
+        assert p._exc == exc
+        blocks = [exc[lo : lo + 64] for lo in range(1, len(bits) + 1, 64)]
+        assert p._bmin == [min(c) for c in blocks]
+        assert p._bmax == [max(c) for c in blocks]
+        assert p.to_string() == "".join("(" if b else ")" for b in bits)

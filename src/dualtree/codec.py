@@ -21,7 +21,7 @@ from .tree import OrdinalTree
 BP = "bp"
 DFUDS = "dfuds"
 
-_FLIP_DIGITS = str.maketrans("01", "10")
+_FLIP = str.maketrans("()01", ")(10")
 
 
 @dataclass(frozen=True)
@@ -147,12 +147,15 @@ def dfuds_decode(p) -> OrdinalTree:
 
 def mirror(p: ParenSeq) -> ParenSeq:
     """Reverse the sequence and flip every parenthesis."""
-    return ParenSeq(p.base.to_text()[::-1].translate(_FLIP_DIGITS))
+    return ParenSeq(p.base.to_text()[::-1].translate(_FLIP))
 
 
 def mirror_string(s: str) -> str:
-    flip = {"(": ")", ")": "(", "1": "0", "0": "1"}
-    return "".join(flip[c] for c in reversed(s))
+    """``mirror`` on a parenthesis or 0/1 string, kept as text."""
+    for x, c in enumerate(s, start=1):
+        if c not in "()01":
+            raise ParseError(f"unexpected character {c!r}", x)
+    return s[::-1].translate(_FLIP)
 
 
 def tree_to_text(t: OrdinalTree) -> str:

@@ -1,10 +1,14 @@
 """Tree duality: the dual, reversed and reversed-dual constructions, the
 primal-dual ancestor, and the joining algebra used to decompose duals.
 
-The dual exchanges parent/sibling and left/right roles. It is built twice —
-once from the local attachment rules, once from the right-neighbour
-characterization (parent in the dual = first node after the subtree) — and
-the two results are cross-checked on every call.
+The dual exchanges parent/sibling and left/right roles. The dual parent of a
+non-root node is the first node after its subtree in depth-first order (the
+root when none follows), and dual siblings come in descending depth-first
+order. ``dual`` and ``reversed_dual`` read this off the primal's preorder
+and subtree sizes in one linear pass. Two independent constructions stay as
+oracles: ``_dual_by_rules`` (the local attachment rules, whose certificate
+``dual_certified`` returns) and ``_dual_by_right_neighbour``; the verify
+identities suite and the tests check that all three agree.
 """
 
 from dataclasses import dataclass
@@ -28,14 +32,36 @@ class DualityCertificate:
 
 def dual(t: OrdinalTree) -> OrdinalTree:
     """The dual tree; same node set, parenthood and sibling order exchanged."""
-    return dual_certified(t).transformed
+    return _dual_pass(t, descending=True)
+
+
+def reversed_dual(t: OrdinalTree) -> OrdinalTree:
+    """reverse(dual(t)): the tree whose BP encoding equals DFUDS of t."""
+    return _dual_pass(t, descending=False)
+
+
+def _dual_pass(t, descending):
+    # Node k of the preorder (0-based) has its dual parent at k + size; past
+    # the end it is the root. Appending in descending preorder gives the
+    # dual's child lists, in ascending preorder the reversed dual's.
+    order = t._by_dft
+    size = t._size
+    n = len(order)
+    at = order + [t.root]
+    parent = {}
+    kids = {v: [] for v in order}
+    for k in range(n - 1, 0, -1) if descending else range(1, n):
+        v = order[k]
+        p = parent[v] = at[k + size[v]]
+        kids[p].append(v)
+    # well formed by construction, so from_children's checks are skipped
+    return OrdinalTree(t.root, {v: tuple(c) for v, c in kids.items()}, parent)
 
 
 def dual_certified(t: OrdinalTree) -> DualityCertificate:
+    """The dual built from the local attachment rules, with the rule that
+    attached each non-root node."""
     by_rules, rules = _dual_by_rules(t)
-    by_parents = _dual_by_right_neighbour(t)
-    if by_rules != by_parents:
-        raise AssertionError("rule-based and right-neighbour duals disagree; duality is broken")
     return DualityCertificate(t, by_rules, rules)
 
 
@@ -101,13 +127,8 @@ def dual_parent(t: OrdinalTree, v) -> object:
 
 def reverse(t: OrdinalTree) -> OrdinalTree:
     """Same parents, every child list reversed."""
-    children = {v: tuple(reversed(t.children(v))) for v in t.nodes()}
-    return OrdinalTree.from_children(t.root, children)
-
-
-def reversed_dual(t: OrdinalTree) -> OrdinalTree:
-    """reverse(dual(t)): the tree whose BP encoding equals DFUDS of t."""
-    return reverse(dual(t))
+    children = {v: kids[::-1] for v, kids in t._children.items()}
+    return OrdinalTree(t.root, children, t._parent)
 
 
 def dual_of_reversed(t: OrdinalTree) -> OrdinalTree:

@@ -4,8 +4,11 @@ OrdinalTree is the ground truth every parenthesis structure is checked
 against. Labels are opaque hashable values preserved by all transformations;
 two trees are equal when root, parent map and child orders coincide.
 Depth-first (preorder) numbers, depths and subtree sizes are computed once at
-construction, so navigation and range queries are table lookups.
+construction, so navigation and range queries are table lookups (an
+immediate left sibling is a bisection over its parent's children).
 """
+
+from bisect import bisect_left
 
 from .errors import ContractError, ValidationError
 
@@ -172,11 +175,14 @@ class OrdinalTree:
             p = self._parent.get(v)
             if p is None:
                 return None
+            if kind == IRS:
+                # the node after v's subtree is v's right sibling when it has one
+                w = self.first_right(v)
+                return w if w is not None and self._parent[w] == p else None
+            # siblings are in ascending depth-first order
             sibs = self._children[p]
-            k = sibs.index(v)
-            if kind == ILS:
-                return sibs[k - 1] if k else None
-            return sibs[k + 1] if k + 1 < len(sibs) else None
+            k = bisect_left(sibs, self._dft[v], key=self._dft.__getitem__)
+            return sibs[k - 1] if k else None
         raise ContractError(f"unknown navigation kind {kind!r}; expected one of {_NAV_KINDS}")
 
     def first_right(self, v):

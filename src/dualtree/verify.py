@@ -76,12 +76,13 @@ def suite_identities(seed, trees=1000, max_size=200):
 
 
 def _check_duality(s, t, rng):
+    d = duality.dual(t)
     cert = duality.dual_certified(t)
-    d = cert.transformed
     s.check("dual_involution", duality.dual(d) == t, f"n={t.n_nodes}")
+    # the one-pass dual against both oracle constructions
     s.check(
         "dual_rule_vs_right_neighbour",
-        all(d.parent(v) == duality.dual_parent(t, v) for v in t.nodes() if v != t.root),
+        cert.transformed == d == duality._dual_by_right_neighbour(t),
         f"n={t.n_nodes}",
     )
 
@@ -176,8 +177,9 @@ def _check_encodings(s, t, d):
     s.check("bp_equals_mirrored_dual_dfuds", codec.mirror(dfd) == bp, f"n={t.n_nodes}")
     bpr, _ = codec.bp_encode(duality.reverse(t))
     s.check("bp_of_reverse_is_mirror", bpr == codec.mirror(bp), f"n={t.n_nodes}")
-    hat, _ = codec.bp_encode(duality.reverse(d))
-    s.check("dfuds_equals_bp_of_reversed_dual", hat == df, f"n={t.n_nodes}")
+    rd = duality.reversed_dual(t)
+    hat, _ = codec.bp_encode(rd)
+    s.check("dfuds_equals_bp_of_reversed_dual", hat == df and rd == duality.reverse(d), f"n={t.n_nodes}")
 
     shape = _shape_of(t)
     s.check("bp_roundtrip", _shape_of(codec.bp_decode(bp)) == shape, f"n={t.n_nodes}")

@@ -2,6 +2,7 @@ import json
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +142,13 @@ def test_verify_small_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "join", "--seed", "7", "--trees", "30", "--max-size", "40")
     assert code == 0
     assert "RESULT: pass" in out
+
+
+def test_verify_all_matches_the_committed_report(capsys):
+    # the report of `dualtree verify all --seed 42` must stay byte-identical
+    code, out, _ = run_cli(capsys, "verify", "all", "--seed", "42")
+    assert code == 0
+    assert out == (Path(__file__).parent / "data" / "verify_all_seed42.txt").read_text()
 
 
 def test_verify_claim_prints_counterexample(capsys):

@@ -93,6 +93,16 @@ def test_mirror_examples():
         assert codec.mirror(codec.mirror(b)) == b
 
 
+def test_mirror_string_digits_and_bad_characters():
+    assert codec.mirror_string("1100") == "1100"
+    assert codec.mirror_string("110") == "100"
+    assert codec.mirror_string("") == ""
+    for text, at in (("((x)", 3), (" ()", 1), ("()2", 3)):
+        with pytest.raises(ParseError) as err:
+            codec.mirror_string(text)
+        assert err.value.position == at
+
+
 def test_main_identity_random():
     rng = random.Random(0xD1A1)
     for _ in range(60):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualtree import duality
 from dualtree.errors import ContractError
@@ -8,6 +9,14 @@ from dualtree.randgen import random_tree
 from dualtree.tree import OrdinalTree
 
 from conftest import FIX_HAT_CHILDREN, FIX_TSTAR_CHILDREN, ROOT
+
+
+def star(leaves):
+    return OrdinalTree.from_children(0, {0: tuple(range(1, leaves + 1)), **{v: () for v in range(1, leaves + 1)}})
+
+
+def relabel(t, name):
+    return OrdinalTree.from_children(name(t.root), {name(v): tuple(map(name, t.children(v))) for v in t.nodes()})
 
 
 def chain(*labels):
@@ -206,3 +215,67 @@ def test_dual_involution_random():
     for _ in range(60):
         t = random_tree(rng, rng.randint(1, 120))
         assert duality.dual(duality.dual(t)) == t
+
+
+@st.composite
+def trees(draw):
+    shape = draw(st.sampled_from(["random", "star", "chain", "single"]))
+    n = draw(st.integers(2, 150))
+    if shape == "random":
+        t = random_tree(random.Random(draw(st.integers(0, 2**32))), n)
+    elif shape == "star":
+        t = star(n - 1)
+    elif shape == "chain":
+        t = chain(*range(n))
+    else:
+        t = OrdinalTree.from_children(0, {0: ()})
+    if draw(st.booleans()):
+        t = relabel(t, lambda v: f"n{v}")
+    return t
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=trees())
+def test_one_pass_dual_matches_both_oracles(t):
+    d = duality.dual(t)
+    by_rules, _ = duality._dual_by_rules(t)
+    assert d == by_rules == duality._dual_by_right_neighbour(t)
+    assert d.parent_map() == by_rules.parent_map()
+    rd = duality.reversed_dual(t)
+    assert rd == duality.reverse(d) and rd.parent_map() == d.parent_map()
+    assert duality.dual(d) == t
+
+
+def test_dual_builds_without_navigate_or_validation(monkeypatch):
+    # the dual of a star is a chain and the dual of a chain is a star
+    wide, deep = star(5000), chain(*range(5001))
+    cases = [(t, duality._dual_by_right_neighbour(t)) for t in (wide, deep)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the one-pass dual must not call this")
+
+    monkeypatch.setattr(OrdinalTree, "navigate", refuse)
+    monkeypatch.setattr(OrdinalTree, "from_children", refuse)
+    for t, want in cases:
+        d = duality.dual(t)
+        assert d == want
+        assert duality.reversed_dual(t) == duality.reverse(d)
+    assert duality.dual(wide).children(2) == (1,)
+    assert duality.dual(deep).children(0) == tuple(range(5000, 0, -1))
+    assert duality.reversed_dual(deep).children(0) == tuple(range(1, 5001))
+
+
+def test_sibling_navigation_matches_list_index():
+    rng = random.Random(17)
+    wide = [star(3000), relabel(star(500), str)]
+    shapes = wide + [relabel(random_tree(rng, rng.randint(1, 200)), lambda v: ("x", v)) for _ in range(30)]
+    for t in shapes:
+        for v in t.nodes():
+            p = t.parent(v)
+            if p is None:
+                assert t.navigate(v, "ils") is None and t.navigate(v, "irs") is None
+                continue
+            sibs = list(t.children(p))
+            k = sibs.index(v)
+            assert t.navigate(v, "ils") == (sibs[k - 1] if k else None)
+            assert t.navigate(v, "irs") == (sibs[k + 1] if k + 1 < len(sibs) else None)

@@ -12,6 +12,7 @@ node of depth-first rank i+1) and the leading opening parenthesis for the
 root.
 """
 
+import re
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -22,6 +23,7 @@ BP = "bp"
 DFUDS = "dfuds"
 
 _FLIP = str.maketrans("()01", ")(10")
+_NOT_PAREN = re.compile(r"[^()01]")
 
 
 @dataclass(frozen=True)
@@ -152,9 +154,9 @@ def mirror(p: ParenSeq) -> ParenSeq:
 
 def mirror_string(s: str) -> str:
     """``mirror`` on a parenthesis or 0/1 string, kept as text."""
-    for x, c in enumerate(s, start=1):
-        if c not in "()01":
-            raise ParseError(f"unexpected character {c!r}", x)
+    bad = _NOT_PAREN.search(s)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}", bad.start() + 1)
     return s[::-1].translate(_FLIP)
 
 

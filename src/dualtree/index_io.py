@@ -12,20 +12,24 @@ Array sections: VALS (u64 n + i64 values), BITS (u64 bit length + packed
 words of the heap's DFUDS), RK64 (u64 word-level cumulative one-counts),
 EMIN (u64 block size + i64 per-block excess minima).
 Interval indexes carry INTA/INTB (endpoints) plus the same derived sections
-for the length heap and WOPN/WCLS weighted-position tables.
+for the length heap and WOPN/WCLS weighted-position tables (u64 count, then
+u64 position and i64 weight per entry). The weighted BPs behind WOPN/WCLS
+are read off the length heap's DFUDS, and the reversed BP is its mirror, so
+a rebuild makes no tree.
 
 Version 1 blobs also load. Their array blobs carry one more section, PMAP
 (u64 parent per position, 0 = root); it is a function of BITS, which is
 compared, so it is skipped.
 
-Loading rebuilds the structures from the raw inputs and verifies the stored
-sampled tables match the rebuilt ones bit for bit, so a loaded index answers
-exactly like a freshly built one. A blob that is truncated, corrupt or
-missing a section raises ParseError. Values and endpoints must be signed
+Loading rebuilds the structures from the raw inputs and verifies that every
+stored derived section matches the rebuilt one byte for byte, so a loaded
+index answers exactly like a freshly built one. A blob that is truncated,
+corrupt or missing a section raises ParseError. Values and endpoints must be signed
 64-bit integers; others raise ValidationError when read or saved.
 """
 
 import struct
+from operator import sub
 
 from .errors import ParseError, ValidationError
 from .minheap import build_minheap
@@ -158,27 +162,12 @@ def _emin_section(parenseq):
     return struct.pack("<Q", _BLOCK) + _pack_i64s(parenseq._bmin)
 
 
-def _weight_section(parenseq, side):
-    positions, cum = parenseq._weight_tables(side)
-    out = [struct.pack("<Q", len(positions))]
-    prev = 0
-    for pos, c in zip(positions, cum):
-        out.append(struct.pack("<Qq", pos, c - prev))
-        prev = c
-    return b"".join(out)
-
-
-def _unpack_weights(path, tag, payload):
-    count = len(payload) // 16
-    if len(payload) != 8 + 16 * count or struct.unpack_from("<Q", payload, 0)[0] != count:
-        raise ParseError(f"{path}: {tag} section of {len(payload)} bytes is not a weight table")
-    weights = {}
-    off = 8
-    for _ in range(count):
-        pos, w = struct.unpack_from("<Qq", payload, off)
-        weights[pos] = w
-        off += 16
-    return weights
+def _weight_section(weighted, side):
+    positions, cum = weighted._weight_tables(side)
+    entries = [0] * (2 * len(positions))
+    entries[0::2] = positions
+    entries[1::2] = map(sub, cum, [0] + cum)
+    return struct.pack(f"<Q{'Qq' * len(positions)}", len(positions), *entries)
 
 
 def _write_blob(path, kind, sections):
@@ -299,23 +288,11 @@ def load_interval_index(path):
         raise ParseError(f"{path}: {len(a)} left endpoints but {len(b)} right endpoints")
     s = build_intervals(list(zip(a, b)))
     _verify_derived(path, s.heap.dfuds, sections)
-    stored_open = _unpack_weights(path, "WOPN", _section(path, sections, "WOPN"))
-    if stored_open != _cum_to_weights(s.bp_open, OPEN_WEIGHTS):
+    if _section(path, sections, "WOPN") != _weight_section(s.bp_open, OPEN_WEIGHTS):
         raise ParseError(f"{path}: stored open weights do not match the rebuilt index")
-    stored_close = _unpack_weights(path, "WCLS", _section(path, sections, "WCLS"))
-    if stored_close != _cum_to_weights(s.bp_close, CLOSE_WEIGHTS):
+    if _section(path, sections, "WCLS") != _weight_section(s.bp_close, CLOSE_WEIGHTS):
         raise ParseError(f"{path}: stored close weights do not match the rebuilt index")
     return s
-
-
-def _cum_to_weights(parenseq, side):
-    positions, cum = parenseq._weight_tables(side)
-    out = {}
-    prev = 0
-    for pos, c in zip(positions, cum):
-        out[pos] = c - prev
-        prev = c
-    return out
 
 
 def _verify_derived(path, parenseq, sections):

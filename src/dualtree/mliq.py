@@ -15,6 +15,12 @@ interval lengths. Two query paths are provided:
   end sentinel, so the affordable-prefix count pins the least index whose
   right endpoint reaches b.
 
+Both weighted BPs are read off the length heap's DFUDS in linear bulk steps:
+the closing runs of the heap's BP are the degrees of its dual, since
+BP(T) = mirror(DFUDS(T*)), and the BP of the reversed heap is the mirror of
+the heap's BP. Neither the heap tree nor its reversal is built, and the
+weights sit on plain bit sequences without excess tables.
+
 Containment conventions: CLOSED (default) answers with intervals satisfying
 a_i <= a <= b <= b_i; STRICT requires a_i < a and b_i > b. On integer
 endpoints the two differ only by a unit shift of the query; both are exposed
@@ -22,12 +28,13 @@ and both are held to the brute-force oracle.
 """
 
 from bisect import bisect_right
+from operator import sub
 
-from . import codec, duality
+from . import codec
 from .bitseq import BitSeq
 from .errors import ContractError, RangeError, ValidationError
 from .minheap import build_minheap
-from .parens import CLOSE_WEIGHTS, OPEN_WEIGHTS, ParenSeq
+from .parens import CLOSE_WEIGHTS, OPEN_WEIGHTS, WeightedBits
 from .rmq import OpCounters, pda_fast, rmq_direct
 
 # Endpoint membership domains larger than this use a sorted position list
@@ -41,7 +48,7 @@ class EndpointBitmap:
     __slots__ = ("values", "_dense")
 
     def __init__(self, values, domain_max):
-        self.values = list(values)
+        self.values = values
         if domain_max + 1 <= DENSE_DOMAIN_LIMIT:
             bits = bytearray(domain_max + 1)
             for v in self.values:
@@ -105,55 +112,46 @@ def build_intervals(pairs) -> IntervalSet:
     if not a:
         raise ValidationError("interval family must not be empty")
 
-    n = len(a)
-    lengths = [b[k] - a[k] + 1 for k in range(n)]
+    lengths = [bi - ai + 1 for ai, bi in zip(a, b)]
     heap = build_minheap(lengths)
 
     bitmap_a = EndpointBitmap(a, b[-1])
     bitmap_b = EndpointBitmap(b, b[-1])
-
-    # Forward BP: the (i+1)-th opening parenthesis is interval i; its weight
-    # is the left-endpoint gap, so the open-weight prefix there equals a_i.
-    bp_bits, bp_map = codec.bp_encode(heap.tree)
-    open_positions = sorted(bp_map.open_pos.values())
-    open_weights = {}
-    prev = 0
-    for i in range(1, n + 1):
-        open_weights[open_positions[i]] = a[i - 1] - prev
-        prev = a[i - 1]
-    bp_open = _reweigh(bp_bits, open_weights=open_weights)
-
-    # Reversed BP: its i-th closing parenthesis is interval n+1-i, so close
-    # weights are the right-endpoint gaps reversed, with sentinel b_n + 1.
-    rev_bits, _ = codec.bp_encode(duality.reverse(heap.tree))
-    gaps = [b[0]] + [b[k] - b[k - 1] for k in range(1, n)] + [1]
-    close_positions = [rev_bits.select(i, 0) for i in range(1, n + 2)]
-    close_weights = {close_positions[i]: gaps[n + 1 - (i + 1)] for i in range(n + 1)}
-    bp_close = _reweigh(rev_bits, close_weights=close_weights)
-
-    s = IntervalSet(a, b, lengths, heap, bitmap_a, bitmap_b, bp_open, bp_close)
-    _verify_weight_prefixes(s)
-    return s
+    bp_open, bp_close = _weighted_bps(heap.dfuds, a, b)
+    return IntervalSet(a, b, lengths, heap, bitmap_a, bitmap_b, bp_open, bp_close)
 
 
-def _reweigh(p, open_weights=None, close_weights=None):
-    return ParenSeq(p.base, open_weights=open_weights, close_weights=close_weights)
+def _weighted_bps(dfuds, a, b):
+    """The BP of the length heap weighted with the left-endpoint gaps, and
+    the BP of its reversal weighted with the right-endpoint gaps.
 
+    The DFUDS lists the degrees in preorder; a stack that holds each node's
+    depth once per child still to attach gives every depth. In BP the node
+    of preorder index v opens at 2v + 1 - depth(v), after depth(v-1) + 1 -
+    depth(v) closers (its dual degree), and depth(n) + 1 closers end the
+    sequence. The reversed heap's BP is the mirror of the heap's, so its
+    i-th closer sits at N + 1 minus the heap's (n+2-i)-th opener.
+    """
+    degrees = map(len, dfuds.base.to_text()[1:-1].split("0"))
+    depths = []
+    waiting = [0]
+    for d in degrees:
+        depth = waiting.pop()
+        depths.append(depth)
+        waiting += [depth + 1] * d
+    bp_text = "1".join(["0" * (up + 1 - down) for up, down in zip([-1] + depths, depths + [0])])
+    n_bits = len(bp_text)
+    opens = list(map(sub, range(1, n_bits, 2), depths))
 
-def _verify_weight_prefixes(s):
-    n = s.n
-    opens = [s.bp_open.select(i, 1) for i in range(1, n + 2)]
-    for i in range(1, n + 1):
-        got = s.bp_open.weight_prefix(OPEN_WEIGHTS, opens[i])
-        if got != s.a[i - 1]:
-            raise AssertionError(f"open-weight prefix at opening {i + 1} is {got}, expected {s.a[i - 1]}")
-    sentinel = s.b[-1] + 1
-    closes = [s.bp_close.select(i, 0) for i in range(1, n + 2)]
-    for i in range(1, n + 2):
-        got = s.bp_close.weight_prefix(CLOSE_WEIGHTS, closes[i - 1])
-        expect = sentinel - (s.b[n - i] if i <= n else 0)
-        if got != expect:
-            raise AssertionError(f"close-weight prefix at closing {i} is {got}, expected {expect}")
+    # The (i+1)-th opener is interval i; its weight is the left-endpoint gap,
+    # so the open-weight prefix there equals a_i.
+    bp_open = WeightedBits(bp_text, open_weights=dict(zip(opens[1:], map(sub, a, [0] + a))))
+    # The reversed BP's i-th closer is interval n+1-i, so the close weights
+    # are the right-endpoint gaps reversed, behind the gap to sentinel b_n + 1.
+    gaps = list(map(sub, b, [0] + b)) + [1]
+    closes = [n_bits + 1 - pos for pos in reversed(opens)]
+    bp_close = WeightedBits(codec.mirror_string(bp_text), close_weights=dict(zip(closes, reversed(gaps))))
+    return bp_open, bp_close
 
 
 STRICT = "strict"

@@ -1,9 +1,10 @@
 """Balanced-parenthesis sequences.
 
 A ParenSeq wraps a balanced BitSeq (1 = opening, 0 = closing) and adds the
-excess profile, matching (open/close), range-minimum queries over the excess
-array with an explicit leftmost/rightmost tiebreak, and weighted prefix
-select over per-side parenthesis weights (``bpselect``).
+excess profile, matching (open/close) and range-minimum queries over the
+excess array with an explicit leftmost/rightmost tiebreak. A WeightedBits
+wraps a plain BitSeq and adds weighted prefix select over per-side
+parenthesis weights (``bpselect``); it builds no excess tables.
 
 The excess RMQ uses fixed-size block minima plus a sparse table over blocks;
 within a block the query falls back to a direct scan. Adjacent excess values
@@ -12,7 +13,7 @@ differ by exactly one, which the forward/backward matching searches exploit.
 
 from array import array
 from bisect import bisect_right
-from itertools import accumulate, islice
+from itertools import accumulate, compress, islice, repeat
 
 from .bitseq import BitSeq
 from .errors import ContractError, RangeError, ValidationError
@@ -35,9 +36,9 @@ _DIGIT_TO_PAREN = str.maketrans("10", "()")
 class ParenSeq:
     """Immutable balanced parenthesis sequence with query support."""
 
-    __slots__ = ("base", "n", "_exc", "_bmin", "_bmax", "_table", "_weights")
+    __slots__ = ("base", "n", "_exc", "_bmin", "_bmax", "_table")
 
-    def __init__(self, bits, open_weights=None, close_weights=None):
+    def __init__(self, bits):
         self.base = bits if isinstance(bits, BitSeq) else BitSeq(bits)
         self.n = self.base.n
         steps = array("b", self.base.to_text().encode("ascii").translate(_STEPS))
@@ -49,10 +50,6 @@ class ParenSeq:
             raise ValidationError(f"unbalanced sequence: {exc[-1]} unmatched opening parentheses")
         self._exc = exc
         self._build_blocks()
-        self._weights = {
-            OPEN_WEIGHTS: self._prepare_weights(open_weights, OPEN),
-            CLOSE_WEIGHTS: self._prepare_weights(close_weights, CLOSE),
-        }
 
     # -- construction helpers -------------------------------------------------
 
@@ -73,27 +70,6 @@ class ParenSeq:
             ])
             span *= 2
         self._table = table
-
-    def _prepare_weights(self, weights, symbol):
-        if weights is None:
-            return None
-        positions = sorted(weights)
-        cum = []
-        total = 0
-        for pos in positions:
-            w = weights[pos]
-            if not isinstance(w, int) or w < 0:
-                raise ValidationError(f"weight at position {pos} must be a non-negative integer, got {w!r}")
-            if not 1 <= pos <= self.n:
-                raise ValidationError(f"weighted position {pos} outside 1..{self.n}")
-            if w and self.base.bit(pos) != symbol:
-                raise ValidationError(
-                    f"nonzero weight at position {pos} does not sit on a "
-                    f"{'opening' if symbol else 'closing'} parenthesis"
-                )
-            total += w
-            cum.append(total)
-        return positions, cum
 
     # -- basic queries ---------------------------------------------------------
 
@@ -222,14 +198,41 @@ class ParenSeq:
             return rv, (rl if left else rr)
         return lv, (ll if left else rr)
 
-    # -- weighted prefix select --------------------------------------------------
+    def __eq__(self, other):
+        return isinstance(other, ParenSeq) and self.base == other.base
 
-    def has_weights(self, side: str) -> bool:
-        return self._weights.get(side) is not None
+    def __hash__(self):
+        return hash(self.base)
 
-    def total_weight(self, side: str) -> int:
-        positions, cum = self._weight_tables(side)
-        return cum[-1] if cum else 0
+    def __repr__(self):
+        s = self.to_string()
+        if len(s) > 40:
+            s = s[:37] + "..."
+        return f"ParenSeq({s})"
+
+
+class WeightedBits:
+    """Bit sequence with non-negative weights on some positions of each side.
+
+    Weights on the ``OPEN_WEIGHTS`` side may be nonzero only on ones (opening
+    parentheses), those on the ``CLOSE_WEIGHTS`` side only on zeros. Each
+    side is given as a mapping from 1-based position to weight and is held
+    as its sorted positions with their cumulative weights.
+    """
+
+    __slots__ = ("base", "n", "_weights")
+
+    def __init__(self, bits, open_weights=None, close_weights=None):
+        self.base = bits if isinstance(bits, BitSeq) else BitSeq(bits)
+        self.n = self.base.n
+        text = self.base.to_text()
+        self._weights = {
+            OPEN_WEIGHTS: _weight_table(open_weights, OPEN, text),
+            CLOSE_WEIGHTS: _weight_table(close_weights, CLOSE, text),
+        }
+
+    def select(self, i: int, s: int) -> int:
+        return self.base.select(i, s)
 
     def weight_prefix(self, side: str, x: int) -> int:
         """Sum of side-weights at positions <= x (x may be 0..n)."""
@@ -265,14 +268,25 @@ class ParenSeq:
             raise ContractError(f"no {side} attached to this sequence")
         return tables
 
-    def __eq__(self, other):
-        return isinstance(other, ParenSeq) and self.base == other.base
 
-    def __hash__(self):
-        return hash(self.base)
-
-    def __repr__(self):
-        s = self.to_string()
-        if len(s) > 40:
-            s = s[:37] + "..."
-        return f"ParenSeq({s})"
+def _weight_table(weights, symbol, text):
+    """(sorted positions, cumulative weights) of one side, each rule checked
+    in bulk against the bit text; a breach names its first position."""
+    if weights is None:
+        return None
+    positions = sorted(weights)
+    values = list(map(weights.__getitem__, positions))
+    if not all(map(isinstance, values, repeat(int))) or min(values, default=0) < 0:
+        pos = next(p for p, w in zip(positions, values) if not isinstance(w, int) or w < 0)
+        raise ValidationError(f"weight at position {pos} must be a non-negative integer, got {weights[pos]!r}")
+    for pos in positions[:1] + positions[-1:]:
+        if not 1 <= pos <= len(text):
+            raise ValidationError(f"weighted position {pos} outside 1..{len(text)}")
+    nonzero = list(compress(positions, values))
+    marks = "".join([text[pos - 1] for pos in nonzero])
+    if "10"[symbol] in marks:
+        raise ValidationError(
+            f"nonzero weight at position {nonzero[marks.index('10'[symbol])]} does not sit on a "
+            f"{'opening' if symbol else 'closing'} parenthesis"
+        )
+    return positions, list(accumulate(values))

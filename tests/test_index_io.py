@@ -1,3 +1,4 @@
+import hashlib
 import random
 import struct
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from dualtree import cli, index_io, mliq, rmq
 from dualtree.errors import ParseError, ValidationError
 from dualtree.minheap import build_minheap
-from dualtree.randgen import random_array
+from dualtree.randgen import random_array, random_intervals
 
 from conftest import FIX_A, FIX_INTERVALS
 
@@ -104,6 +105,37 @@ def test_rmq_round_trip_never_decodes_the_tree(tmp_path):
         for index in (h, loaded):
             assert rmq.range_min_index(index, 3, 31, engine=engine) == rmq.rmq_scan(h, 3, 31)
     assert h._tree is None and loaded._tree is None
+
+
+def test_interval_blob_bytes_are_unchanged(tmp_path):
+    # sha256 of the blobs written when the weighted BPs come from the decoded
+    # heap tree (tree_construction in test_mliq.py); the DFUDS construction
+    # must write the same bytes
+    families = {
+        "860ec2c9d6ddf7d09fd3a9415c5c073e1e774c97155abcec5d4d66acea66e2a7": FIX_INTERVALS,
+        "59d7fe88787366e3ac459e8b1968c0add2405a5d1d810ccb1a00195f31e7ccdf": random_intervals(random.Random(0xB10B), 600),
+    }
+    for digest, pairs in families.items():
+        data = blob_bytes(tmp_path, mliq.build_intervals, index_io.save_interval_index, pairs)
+        assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("tag, side", [("WOPN", "open"), ("WCLS", "close")])
+def test_interval_load_compares_the_weight_tables(tmp_path, tag, side):
+    path = tmp_path / "iv.idx"
+    s = mliq.build_intervals(FIX_INTERVALS)
+    index_io.save_interval_index(str(path), s)
+    _, sections = index_io._read_blob(str(path))
+    good = sections[tag]
+    count = len(good) // 16
+    for bad in (good[:-1], good + bytes(16), good[:-8] + struct.pack("<q", 99), struct.pack("<Q", count + 1) + good[8:]):
+        sections[tag] = bad
+        write_blob(path, index_io.VERSION, index_io.KIND_INTERVALS, list(sections.items()))
+        with pytest.raises(ParseError, match=f"stored {side} weights do not match the rebuilt index"):
+            index_io.load_interval_index(str(path))
+    sections[tag] = good
+    write_blob(path, index_io.VERSION, index_io.KIND_INTERVALS, list(sections.items()))
+    assert index_io.load_interval_index(str(path)).a == s.a
 
 
 # -- corrupted blobs: exit 2 or a correct index, never a traceback ---------------

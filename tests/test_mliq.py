@@ -1,10 +1,13 @@
 import random
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dualtree import mliq
+from dualtree import codec, duality, index_io, minheap, mliq
+from dualtree.bitseq import BitSeq
 from dualtree.errors import ContractError, RangeError, ValidationError
-from dualtree.parens import OPEN_WEIGHTS
+from dualtree.parens import CLOSE_WEIGHTS, OPEN_WEIGHTS
 from dualtree.randgen import random_intervals
 from dualtree.rmq import OpCounters
 
@@ -148,3 +151,91 @@ def test_dense_and_sparse_bitmaps_agree():
     assert sparse.bits() is None and dense.bits() is not None
     for v in range(-2, 20):
         assert dense.rank_leq(v) == sparse.rank_leq(v)
+
+
+def test_endpoint_bitmaps_hold_the_endpoint_lists(fam):
+    assert fam.bitmap_a.values is fam.a and fam.bitmap_b.values is fam.b
+
+
+# -- the weighted BPs read off the DFUDS against the tree construction -----------
+
+
+def tree_construction(fam):
+    """The weighted BPs as built from the decoded heap tree: BP-encode the heap
+    and its reversal, place the endpoint gaps by select. Returns both bit
+    sequences with their (positions, cumulative weights) tables."""
+    n = fam.n
+    bp, bp_map = codec.bp_encode(fam.heap.tree)
+    rev, _ = codec.bp_encode(duality.reverse(fam.heap.tree))
+    opens = sorted(bp_map.open_pos.values())[1:]
+    open_gaps = [fam.a[0]] + [fam.a[i] - fam.a[i - 1] for i in range(1, n)]
+    closes = [rev.select(i, 0) for i in range(1, n + 2)]
+    close_gaps = [1] + [fam.b[i] - fam.b[i - 1] for i in range(n - 1, 0, -1)] + [fam.b[0]]
+    return (bp.base, (opens, list(accumulate(open_gaps))),
+            rev.base, (closes, list(accumulate(close_gaps))))
+
+
+def check_weighted_bps(pairs):
+    fam = mliq.build_intervals(pairs)
+    got = (fam.bp_open.base, fam.bp_open._weight_tables(OPEN_WEIGHTS),
+           fam.bp_close.base, fam.bp_close._weight_tables(CLOSE_WEIGHTS))
+    assert got == tree_construction(fam)
+    # the open-weight prefix at the (i+1)-th opener is a_i; the close-weight
+    # prefix at the i-th closer is the sentinel b_n + 1 minus b_{n+1-i}
+    n = fam.n
+    for i in range(1, n + 1):
+        assert fam.bp_open.weight_prefix(OPEN_WEIGHTS, fam.bp_open.select(i + 1, 1)) == fam.a[i - 1]
+    sentinel = fam.b[-1] + 1
+    for i in range(1, n + 2):
+        expect = sentinel - (fam.b[n - i] if i <= n else 0)
+        assert fam.bp_close.weight_prefix(CLOSE_WEIGHTS, fam.bp_close.select(i, 0)) == expect
+
+
+@st.composite
+def families(draw):
+    n = draw(st.integers(1, 60))
+    a = list(accumulate(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)), initial=draw(st.integers(0, 3))))[1:]
+    extra = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    b = []
+    for ai, e in zip(a, extra):
+        b.append(max(ai, b[-1] + 1 if b else 0) + e)
+    return list(zip(a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(families())
+def test_weighted_bps_match_the_tree_construction(pairs):
+    check_weighted_bps(pairs)
+
+
+@pytest.mark.parametrize("shape", ["single", "increasing", "decreasing", "equal", "random"])
+def test_weighted_bps_match_the_tree_construction_on_shapes(shape):
+    n = 300
+    pairs = {
+        "single": [(4, 9)],
+        "increasing": [(i, 3 * i) for i in range(1, n + 1)],
+        "decreasing": [(2 * i, 2 * n + i) for i in range(1, n + 1)],
+        "equal": [(i, i + 4) for i in range(n)],
+        "random": random_intervals(random.Random(0xD0D), 2000),
+    }[shape]
+    lengths = [b - a + 1 for a, b in pairs]
+    if shape == "increasing":
+        assert lengths == sorted(set(lengths))
+    if shape == "decreasing":
+        assert lengths == sorted(set(lengths), reverse=True)
+    check_weighted_bps(pairs)
+
+
+def test_build_and_load_make_no_tree(tmp_path, monkeypatch):
+    pairs = random_intervals(random.Random(0x7EE), 3000)
+    path = str(tmp_path / "iv.idx")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the interval index must be read off the DFUDS")
+
+    for owner, name in ((codec, "bp_encode"), (duality, "reverse"), (BitSeq, "select"), (minheap, "_decode_heap")):
+        monkeypatch.setattr(owner, name, refuse)
+    fam = mliq.build_intervals(pairs)
+    index_io.save_interval_index(path, fam)
+    loaded = index_io.load_interval_index(path)
+    assert fam.heap._tree is None and loaded.heap._tree is None

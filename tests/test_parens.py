@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dualtree.errors import ContractError, RangeError, ValidationError
-from dualtree.parens import CLOSE_WEIGHTS, LEFTMOST, OPEN_WEIGHTS, RIGHTMOST, ParenSeq
+from dualtree.parens import CLOSE_WEIGHTS, LEFTMOST, OPEN_WEIGHTS, RIGHTMOST, ParenSeq, WeightedBits
 
 from conftest import FIX_BP, FIX_DFUDS
 
@@ -131,54 +131,75 @@ def test_rmq_excess_against_oracle():
 
 
 def test_bpselect_prefix_examples():
-    p = ParenSeq("(()(()))", open_weights={2: 2, 4: 3})
+    p = WeightedBits("(()(()))", open_weights={2: 2, 4: 3})
     assert p.bpselect(OPEN_WEIGHTS, 2) == 3  # largest position before the weight-3 open
     assert p.bpselect(OPEN_WEIGHTS, 5) == 8  # total weight affordable -> n
     assert p.bpselect(OPEN_WEIGHTS, 0) == 1  # first weighted position is 2
-    p2 = ParenSeq("()", close_weights={2: 1})
+    assert p.bpselect_with_count(OPEN_WEIGHTS, 4) == (3, 1)
+    assert p.bpselect_with_count(OPEN_WEIGHTS, 5) == (8, 2)
+    assert [p.weight_prefix(OPEN_WEIGHTS, x) for x in range(9)] == [0, 0, 2, 2, 5, 5, 5, 5, 5]
+    assert p.select(3, 1) == 4 and p.select(1, 0) == 3
+    p2 = WeightedBits("()", close_weights={2: 1})
     assert p2.bpselect(CLOSE_WEIGHTS, 0) == 1
+    assert p2.bpselect_with_count(CLOSE_WEIGHTS, 1) == (2, 1)
 
 
 def test_bpselect_requires_weights_and_budget():
-    p = ParenSeq("()")
-    with pytest.raises(ContractError):
+    p = WeightedBits("()")
+    with pytest.raises(ContractError, match="no open-weights attached"):
         p.bpselect(OPEN_WEIGHTS, 1)
-    p = ParenSeq("()", open_weights={1: 1})
-    with pytest.raises(ContractError):
+    p = WeightedBits("()", open_weights={1: 1})
+    with pytest.raises(ContractError, match="budget must be non-negative, got -1"):
         p.bpselect(OPEN_WEIGHTS, -1)
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="unknown weight side 'sideways'"):
         p.bpselect("sideways", 0)
+    with pytest.raises(ContractError, match="no close-weights attached"):
+        p.bpselect_with_count(CLOSE_WEIGHTS, 0)
+    with pytest.raises(RangeError, match=r"position 3 outside 0\.\.2"):
+        p.weight_prefix(OPEN_WEIGHTS, 3)
 
 
 def test_weights_validated_against_symbols():
-    with pytest.raises(ValidationError):
-        ParenSeq("()", open_weights={2: 1})  # position 2 closes
-    with pytest.raises(ValidationError):
-        ParenSeq("()", close_weights={1: 3})
-    with pytest.raises(ValidationError):
-        ParenSeq("()", open_weights={1: -2})
-    with pytest.raises(ValidationError):
-        ParenSeq("()", open_weights={5: 1})
-    ParenSeq("()", open_weights={1: 0}, close_weights={2: 0})  # zero weights anywhere
+    with pytest.raises(ValidationError, match="nonzero weight at position 2 does not sit on a opening parenthesis"):
+        WeightedBits("()", open_weights={2: 1})  # position 2 closes
+    with pytest.raises(ValidationError, match="nonzero weight at position 1 does not sit on a closing parenthesis"):
+        WeightedBits("()", close_weights={1: 3})
+    with pytest.raises(ValidationError, match="weight at position 1 must be a non-negative integer, got -2"):
+        WeightedBits("()", open_weights={1: -2})
+    with pytest.raises(ValidationError, match="weight at position 1 must be a non-negative integer, got 1.5"):
+        WeightedBits("()", open_weights={1: 1.5})
+    with pytest.raises(ValidationError, match=r"weighted position 5 outside 1\.\.2"):
+        WeightedBits("()", open_weights={5: 1})
+    with pytest.raises(ValidationError, match=r"weighted position 0 outside 1\.\.2"):
+        WeightedBits("()", close_weights={0: 0})
+    # each rule reports its first breach in position order
+    with pytest.raises(ValidationError, match="nonzero weight at position 3 "):
+        WeightedBits("(()())", open_weights={5: 1, 1: 1, 3: 2, 4: 1})
+    with pytest.raises(ValidationError, match="weight at position 2 must be"):
+        WeightedBits("(()())", open_weights={4: -1, 1: 1, 2: "2"})
+    WeightedBits("()", open_weights={1: 0}, close_weights={2: 0})  # zero weights anywhere
+    WeightedBits(")(", open_weights={2: 1}, close_weights={1: 1})  # plain bits need no balance
 
 
 def test_bpselect_against_scan_and_monotone():
     rng = random.Random(0xBEEF)
     bits = random_balanced(rng, 200)
     n = len(bits)
-    weights = {x: rng.randint(0, 4) for x, b in enumerate(bits, start=1) if b}
-    p = ParenSeq(bits, open_weights=weights)
-    prefix = [0] * (n + 1)
-    for x in range(1, n + 1):
-        prefix[x] = prefix[x - 1] + weights.get(x, 0)
-    total = prefix[n]
-    last = 0
-    for budget in range(total + 2):
-        expect = max(q for q in range(n + 1) if prefix[q] <= budget)
-        got = p.bpselect(OPEN_WEIGHTS, budget)
-        assert got == expect
-        assert got >= last
-        last = got
+    for side, symbol, keyword in ((OPEN_WEIGHTS, 1, "open_weights"), (CLOSE_WEIGHTS, 0, "close_weights")):
+        weights = {x: rng.randint(0, 4) for x, b in enumerate(bits, start=1) if b == symbol}
+        p = WeightedBits(bits, **{keyword: weights})
+        prefix = [0] * (n + 1)
+        for x in range(1, n + 1):
+            prefix[x] = prefix[x - 1] + weights.get(x, 0)
+        assert [p.weight_prefix(side, x) for x in range(n + 1)] == prefix
+        total = prefix[n]
+        last = 0
+        for budget in range(total + 2):
+            expect = max(q for q in range(n + 1) if prefix[q] <= budget)
+            got = p.bpselect(side, budget)
+            assert got == expect
+            assert got >= last
+            last = got
 
 
 @given(balanced_strategy)

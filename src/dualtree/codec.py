@@ -5,18 +5,30 @@ leaving it. DFUDS writes, per node in depth-first order, one opening
 parenthesis per child followed by a single closing one, with an extra
 opening parenthesis up front to balance the sequence.
 
+Both encodings are fixed by tables an OrdinalTree already holds, so the
+encoders write them in bulk from the preorder: BP from the depths (before
+each opener come depth(prev) + 1 - depth(v) closers, and depth(last) + 1
+closers end the text), DFUDS from the degrees. The decoders read the text in
+one pass and hand maps that are well formed by construction straight to the
+OrdinalTree constructor.
+
 Node anchors: in BP a node owns its opening/closing pair. In DFUDS a node is
 anchored at the parenthesis preceding its block of child openers — a closing
 parenthesis for every non-root node (the i-th closing parenthesis is the
 node of depth-first rank i+1) and the leading opening parenthesis for the
-root.
+root. The NodeParenMap an encoder returns reads these positions off the
+tree's tables on first access: a BP open is 2·dft − depth − 1, its close is
+open + 2·size − 1, and the DFUDS closes are the prefix sums of degree + 1,
+starting at 1.
 """
 
 import re
-from dataclasses import dataclass
+from array import array
+from itertools import accumulate, islice
+from operator import sub
 
 from .errors import ParseError
-from .parens import ParenSeq
+from .parens import _DIGIT_TO_PAREN, _STEPS, ParenSeq
 from .tree import OrdinalTree
 
 BP = "bp"
@@ -24,127 +36,91 @@ DFUDS = "dfuds"
 
 _FLIP = str.maketrans("()01", ")(10")
 _NOT_PAREN = re.compile(r"[^()01]")
+_PAREN_TO_DIGIT = str.maketrans("()", "10")
 
 
-@dataclass(frozen=True)
 class NodeParenMap:
-    """Positions of each node's parentheses and its depth-first rank."""
+    """Positions of each node's parentheses and its depth-first rank.
 
-    kind: str
-    dft: dict  # label -> 1-based depth-first rank
-    open_pos: dict | None  # BP only: label -> opening position
-    close_pos: dict  # BP: label -> closing position; DFUDS: non-root label -> anchor close
+    ``dft`` maps label -> 1-based depth-first rank; ``open_pos`` (BP only,
+    None for DFUDS) label -> opening position; ``close_pos`` label -> closing
+    position in BP, non-root label -> anchor close in DFUDS. Each table is
+    built from the tree on first access.
+    """
+
+    __slots__ = ("kind", "_tree", "_dft", "_open", "_close")
+
+    def __init__(self, kind, tree):
+        self.kind = kind
+        self._tree = tree
+        self._dft = self._open = self._close = None
+
+    @property
+    def dft(self):
+        if self._dft is None:
+            self._dft = dict(self._tree._dft)
+        return self._dft
+
+    @property
+    def open_pos(self):
+        if self.kind != BP:
+            return None
+        if self._open is None:
+            t = self._tree
+            depths = map(t._depth.__getitem__, t._by_dft)
+            self._open = dict(zip(t._by_dft, map(sub, range(1, 2 * t.n_nodes, 2), depths)))
+        return self._open
+
+    @property
+    def close_pos(self):
+        if self._close is None:
+            t = self._tree
+            if self.kind == BP:
+                size = t._size
+                self._close = {v: x + 2 * size[v] - 1 for v, x in self.open_pos.items()}
+            else:
+                blocks = (len(t._children[v]) + 1 for v in t._by_dft)
+                closes = islice(accumulate(blocks, initial=1), 1, None)
+                self._close = dict(zip(islice(t._by_dft, 1, None), closes))
+        return self._close
 
     def anchor(self, v):
         """The position identified with node v."""
         if self.kind == BP:
             return self.open_pos[v]
-        return 1 if self.dft[v] == 1 else self.close_pos[v]
+        return 1 if v == self._tree.root else self.close_pos[v]
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, NodeParenMap)
+            and (self.kind, self.dft, self.open_pos, self.close_pos)
+            == (other.kind, other.dft, other.open_pos, other.close_pos)
+        )
+
+    __hash__ = None
 
 
 def bp_encode(t: OrdinalTree):
     """Balanced-parenthesis encoding; length is twice the node count."""
-    bits = []
-    open_pos = {}
-    close_pos = {}
-    dft = {}
-    stack = [(t.root, False)]
-    while stack:
-        v, leaving = stack.pop()
-        if leaving:
-            bits.append(0)
-            close_pos[v] = len(bits)
-            continue
-        bits.append(1)
-        open_pos[v] = len(bits)
-        dft[v] = len(dft) + 1
-        stack.append((v, True))
-        for c in reversed(t.children(v)):
-            stack.append((c, False))
-    return ParenSeq(bits), NodeParenMap(BP, dft, open_pos, close_pos)
+    return ParenSeq(_bp_text(t)), NodeParenMap(BP, t)
 
 
 def dfuds_encode(t: OrdinalTree):
     """Unary-degree encoding; leading opener, then per node d opens + one close."""
-    bits = [1]
-    close_pos = {}
-    dft = {}
-    stack = [t.root]
-    while stack:
-        v = stack.pop()
-        dft[v] = len(dft) + 1
-        if dft[v] > 1:
-            close_pos[v] = len(bits)  # the close ending the previous block
-        bits.extend([1] * len(t.children(v)))
-        bits.append(0)
-        for c in reversed(t.children(v)):
-            stack.append(c)
-    return ParenSeq(bits), NodeParenMap(DFUDS, dft, None, close_pos)
+    degrees = map(len, map(t._children.__getitem__, t._by_dft))
+    return ParenSeq(_dfuds_of_degrees(degrees)), NodeParenMap(DFUDS, t)
 
 
 def bp_decode(p) -> OrdinalTree:
     """Inverse of bp_encode up to relabeling; labels are depth-first ranks."""
-    bits = _as_bits(p)
-    children = {}
-    stack = []
-    count = 0
-    for x, b in enumerate(bits, start=1):
-        if b:
-            count += 1
-            children[count] = []
-            if stack:
-                children[stack[-1]].append(count)
-            elif count > 1:
-                raise ParseError("second tree starts after the first closed", x)
-            stack.append(count)
-        else:
-            if not stack:
-                raise ParseError("closing parenthesis without a match", x)
-            stack.pop()
-    if stack:
-        raise ParseError(f"{len(stack)} opening parentheses left unmatched", len(bits))
-    if count == 0:
-        raise ParseError("empty sequence", 1)
-    return OrdinalTree.from_children(1, {v: tuple(k) for v, k in children.items()})
+    text = _digits(p)
+    _check_bp(text)
+    return _bp_tree(text, _labels(1, text.count("1")))
 
 
 def dfuds_decode(p) -> OrdinalTree:
     """Inverse of dfuds_encode up to relabeling; labels are depth-first ranks."""
-    bits = _as_bits(p)
-    if not bits:
-        raise ParseError("empty sequence", 1)
-    if bits[0] != 1:
-        raise ParseError("must start with the balancing opening parenthesis", 1)
-    children = {}
-    pending = []  # (node, remaining children), top has remaining > 0
-    x = 1
-    node = 0
-    total = len(bits)
-    while x < total:
-        node += 1
-        if node > 1:
-            if not pending:
-                raise ParseError("block starts after all children were attached", x + 1)
-            parent = pending[-1][0]
-            children[parent].append(node)
-            pending[-1][1] -= 1
-            if pending[-1][1] == 0:
-                pending.pop()
-        degree = 0
-        while x < total and bits[x] == 1:
-            degree += 1
-            x += 1
-        if x == total:
-            raise ParseError("degree block not terminated by a closing parenthesis", x)
-        x += 1  # consume the close
-        children[node] = []
-        if degree:
-            pending.append([node, degree])
-    if pending:
-        raise ParseError("children promised but sequence ended", total)
-    if node == 0:
-        raise ParseError("no nodes encoded", 1)
-    return OrdinalTree.from_children(1, {v: tuple(k) for v, k in children.items()})
+    return _dfuds_tree(_digits(p), 1)
 
 
 def mirror(p: ParenSeq) -> ParenSeq:
@@ -154,17 +130,14 @@ def mirror(p: ParenSeq) -> ParenSeq:
 
 def mirror_string(s: str) -> str:
     """``mirror`` on a parenthesis or 0/1 string, kept as text."""
-    bad = _NOT_PAREN.search(s)
-    if bad:
-        raise ParseError(f"unexpected character {bad.group()!r}", bad.start() + 1)
+    _check_chars(s)
     return s[::-1].translate(_FLIP)
 
 
 def tree_to_text(t: OrdinalTree) -> str:
     """Two-line text form: BP string, then node labels in depth-first order."""
-    p, _ = bp_encode(t)
-    labels = " ".join(str(v) for v in t.nodes())
-    return p.to_string() + "\n" + labels + "\n"
+    labels = " ".join(map(str, t._by_dft))
+    return _bp_text(t).translate(_DIGIT_TO_PAREN) + "\n" + labels + "\n"
 
 
 def tree_from_text(text: str) -> OrdinalTree:
@@ -173,30 +146,141 @@ def tree_from_text(text: str) -> OrdinalTree:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError("no parenthesis line", 1)
-    t = bp_decode(lines[0].strip())
+    bits = _digits(lines[0].strip())
+    _check_bp(bits)
+    n = bits.count("1")
     if len(lines) == 1:
-        return t
+        return _bp_tree(bits, _labels(1, n))
     labels = lines[1].split()
-    if len(labels) != t.n_nodes:
-        raise ParseError(f"label line has {len(labels)} entries for {t.n_nodes} nodes")
-    relabel = dict(zip(t.nodes(), labels))
-    if len(set(labels)) != len(labels):
-        raise ParseError("labels are not unique")
-    children = {relabel[v]: tuple(relabel[c] for c in t.children(v)) for v in t.nodes()}
-    return OrdinalTree.from_children(relabel[t.root], children)
+    if len(labels) != n:
+        raise ParseError(f"label line has {len(labels)} entries for {n} nodes")
+    return _bp_tree(bits, labels)
 
 
-def _as_bits(p):
+# -- text of the encodings -------------------------------------------------------
+
+
+def _bp_text(t):
+    return _bp_of_depths(list(map(t._depth.__getitem__, t._by_dft)))
+
+
+def _bp_of_depths(depths):
+    """BP as 0/1 text of the tree whose preorder depths are ``depths``."""
+    return "1".join(["0" * (up + 1 - down) for up, down in zip([-1] + depths, depths + [0])])
+
+
+def _dfuds_of_degrees(degrees):
+    """DFUDS as 0/1 text of the tree whose preorder degrees are ``degrees``."""
+    return "1" + "0".join(map("1".__mul__, degrees)) + "0"
+
+
+# -- decoding --------------------------------------------------------------------
+
+
+def _labels(first, n):
+    """The n labels from ``first`` on, as one list, so that every map of the
+    decoded tree shares the same int objects."""
+    return list(range(first, first + n))
+
+
+def _check_chars(s):
+    bad = _NOT_PAREN.search(s)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}", bad.start() + 1)
+
+
+def _digits(p):
+    """The sequence as 0/1 text, from a ParenSeq, a string of parentheses or
+    digits, or an iterable of 0/1 entries."""
     if isinstance(p, ParenSeq):
-        return list(p.base.iter_bits())
+        return p.base.to_text()
     if isinstance(p, str):
-        out = []
-        for x, c in enumerate(p, start=1):
-            if c in "(1":
-                out.append(1)
-            elif c in ")0":
-                out.append(0)
-            else:
-                raise ParseError(f"unexpected character {c!r}", x)
-        return out
-    return list(p)
+        _check_chars(p)
+        return p.translate(_PAREN_TO_DIGIT)
+    bits = list(p)
+    for x, b in enumerate(bits, start=1):
+        if b not in (0, 1):
+            raise ParseError(f"unexpected bit {b!r}", x)
+    return "".join(["1" if b else "0" for b in bits])
+
+
+def _check_bp(text):
+    """ParseError at the first position where ``text`` stops being the BP of
+    one tree: its excess must stay positive until the last position, where
+    it reaches zero."""
+    if not text:
+        raise ParseError("empty sequence", 1)
+    if text[0] == "0":
+        raise ParseError("closing parenthesis without a match", 1)
+    exc = list(accumulate(array("b", text.encode("ascii").translate(_STEPS))))
+    try:
+        closed = exc.index(0)  # the root's closer, 0-based
+    except ValueError:
+        raise ParseError(f"{exc[-1]} opening parentheses left unmatched", len(text)) from None
+    if closed + 1 < len(text):
+        if text[closed + 1] == "1":
+            raise ParseError("second tree starts after the first closed", closed + 2)
+        raise ParseError("closing parenthesis without a match", closed + 2)
+
+
+def _bp_tree(text, labels):
+    """The tree of a checked BP text whose nodes in preorder are ``labels``.
+
+    The closers in front of each opener pop the stack of open nodes, after
+    which the opener's parent is on top.
+    """
+    root = labels[0]
+    kids = {v: [] for v in labels}
+    if len(kids) != len(labels):
+        raise ParseError("labels are not unique")
+    parent = {}
+    stack = [root]
+    closers = map(len, text.split("1"))
+    for v, k in zip(islice(labels, 1, None), islice(closers, 1, None)):
+        if k:
+            del stack[-k:]
+        parent[v] = p = stack[-1]
+        kids[p].append(v)
+        stack.append(v)
+    return OrdinalTree(root, dict(zip(kids, map(tuple, kids.values()))), parent)
+
+
+def _dfuds_tree(text, first):
+    """The tree of a DFUDS text whose nodes in preorder are labelled
+    ``first``, ``first + 1``, ...
+
+    The degree blocks come in preorder; a stack that holds each node once
+    per child still to attach gives the parents, and a stable sort by parent
+    groups the children in preorder.
+    """
+    if not text:
+        raise ParseError("empty sequence", 1)
+    if text[0] != "1":
+        raise ParseError("must start with the balancing opening parenthesis", 1)
+    blocks = text[1:].split("0")
+    tail = blocks.pop()  # openers after the last closer: an unterminated block
+    degrees = list(map(len, blocks))
+    if not degrees:
+        if tail:
+            raise ParseError("degree block not terminated by a closing parenthesis", len(text))
+        raise ParseError("no nodes encoded", 1)
+    labels = _labels(first, len(degrees))
+    parent = {}
+    waiting = [first] * degrees[0]
+    for v, d in zip(islice(labels, 1, None), islice(degrees, 1, None)):
+        if not waiting:
+            k = v - first
+            raise ParseError("block starts after all children were attached", 2 + k + sum(degrees[:k]))
+        parent[v] = waiting.pop()
+        if d:
+            waiting += [v] * d
+    if tail:
+        if not waiting:
+            raise ParseError("block starts after all children were attached", len(text) - len(tail) + 1)
+        raise ParseError("degree block not terminated by a closing parenthesis", len(text))
+    if waiting:
+        raise ParseError("children promised but sequence ended", len(text))
+    by_parent = sorted(parent, key=parent.__getitem__)
+    ends = list(accumulate(degrees, initial=0))
+    kids = map(tuple, map(by_parent.__getitem__, map(slice, ends, ends[1:])))
+    return OrdinalTree(first, dict(zip(labels, kids)), parent)

@@ -14,9 +14,7 @@ SIAM J. Comput. 40(2), 2011). The index stores that bit sequence and nothing
 else besides the values; the explicit tree is decoded from it on first use.
 """
 
-from itertools import accumulate
-
-from . import duality
+from . import codec, duality
 from .errors import ContractError
 from .parens import ParenSeq
 from .tree import OrdinalTree
@@ -91,30 +89,13 @@ def build_minheap(values) -> MinHeapIndex:
         degree[spine_pos[-1] if spine_pos else ROOT_LABEL] += 1
         spine_pos.append(pos)
         spine_val.append(val)
-    # per node in preorder: one opener per child, then a close
-    bits = "1" + "0".join(map("1".__mul__, degree)) + "0"
-    return MinHeapIndex(values, ParenSeq(bits))
+    return MinHeapIndex(values, ParenSeq(codec._dfuds_of_degrees(degree)))
 
 
 def _decode_heap(dfuds):
-    """The heap tree from its DFUDS. The degree blocks come in preorder; a
-    stack that holds each node once per child still to attach gives the
-    parents. The decoded maps are well formed by construction, so the checks
-    of ``OrdinalTree.from_children`` are skipped."""
-    degrees = list(map(len, dfuds.base.to_text()[1:-1].split("0")))
-    nodes = range(len(degrees))
-    parent = [ROOT_LABEL] * len(degrees)
-    waiting = []
-    for v, d in zip(nodes, degrees):
-        if v:
-            parent[v] = waiting.pop()
-        if d:
-            waiting += [v] * d
-    # a stable sort by parent groups the children and keeps them in preorder
-    by_parent = sorted(nodes[1:], key=parent.__getitem__)
-    ends = list(accumulate(degrees, initial=0))
-    kids = map(tuple, map(by_parent.__getitem__, map(slice, ends, ends[1:])))
-    return OrdinalTree(ROOT_LABEL, dict(zip(nodes, kids)), dict(zip(nodes[1:], parent[1:])))
+    """The heap tree from its DFUDS, by the DFUDS decoder of ``codec`` with
+    the array positions as labels."""
+    return codec._dfuds_tree(dfuds.base.to_text(), ROOT_LABEL)
 
 
 def reversal_dual_check(values) -> bool:

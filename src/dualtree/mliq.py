@@ -139,7 +139,7 @@ def _weighted_bps(dfuds, a, b):
         depth = waiting.pop()
         depths.append(depth)
         waiting += [depth + 1] * d
-    bp_text = "1".join(["0" * (up + 1 - down) for up, down in zip([-1] + depths, depths + [0])])
+    bp_text = codec._bp_of_depths(depths)
     n_bits = len(bp_text)
     opens = list(map(sub, range(1, n_bits, 2), depths))
 

@@ -5,8 +5,12 @@ parenthesis strings were derived independently by hand from the definitions
 and are frozen here; encoder/decoder tests must reproduce them byte for byte.
 """
 
-import pytest
+import random
 
+import pytest
+from hypothesis import strategies as st
+
+from dualtree.randgen import random_tree
 from dualtree.tree import OrdinalTree
 
 FIX_A = [2, 7, 8, 1, 6, 4, 3, 5]
@@ -24,6 +28,39 @@ FIX_DFUDS_TSTAR = "(((())()())((())))"
 FIX_INTERVALS = [(1, 4), (3, 6), (5, 9), (8, 10)]
 
 CRITERION_LINES = []
+
+
+def star(leaves):
+    return OrdinalTree.from_children(0, {0: tuple(range(1, leaves + 1)), **{v: () for v in range(1, leaves + 1)}})
+
+
+def relabel(t, name):
+    return OrdinalTree.from_children(name(t.root), {name(v): tuple(map(name, t.children(v))) for v in t.nodes()})
+
+
+def chain(*labels):
+    children = {labels[k]: (labels[k + 1],) for k in range(len(labels) - 1)}
+    children[labels[-1]] = ()
+    return OrdinalTree.from_children(labels[0], children)
+
+
+@st.composite
+def trees(draw):
+    """Random trees, stars, chains and a single node, half of them with
+    string labels."""
+    shape = draw(st.sampled_from(["random", "star", "chain", "single"]))
+    n = draw(st.integers(2, 150))
+    if shape == "random":
+        t = random_tree(random.Random(draw(st.integers(0, 2**32))), n)
+    elif shape == "star":
+        t = star(n - 1)
+    elif shape == "chain":
+        t = chain(*range(n))
+    else:
+        t = OrdinalTree.from_children(0, {0: ()})
+    if draw(st.booleans()):
+        t = relabel(t, lambda v: f"n{v}")
+    return t
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualtree import codec, duality
 from dualtree.errors import ParseError
@@ -8,7 +9,7 @@ from dualtree.parens import ParenSeq
 from dualtree.randgen import random_tree
 from dualtree.tree import OrdinalTree
 
-from conftest import FIX_BP, FIX_DFUDS, FIX_DFUDS_TSTAR, ROOT
+from conftest import FIX_BP, FIX_DFUDS, FIX_DFUDS_TSTAR, ROOT, relabel, trees
 
 
 def shape(t):
@@ -152,3 +153,282 @@ def test_tree_text_roundtrip(fix_t):
         codec.tree_from_text("(())\nx\n")
     with pytest.raises(ParseError):
         codec.tree_from_text("(())\nx x\n")
+
+
+def test_decoders_reject_bits_other_than_zero_and_one():
+    for decode, bits, at in ((codec.bp_decode, [1, 2, 0, 0], 2), (codec.dfuds_decode, [1, 7, 0, 0], 2),
+                             (codec.bp_decode, [1, 0, -1], 3), (codec.dfuds_decode, [1, 0.5, 0], 2),
+                             (codec.bp_decode, [1, "1", 0, 0], 2)):
+        with pytest.raises(ParseError) as err:
+            decode(bits)
+        assert err.value.position == at
+        assert str(err.value) == f"unexpected bit {bits[at - 1]!r} (position {at})"
+    assert shape(codec.bp_decode([True, 1, 0, False])) == {1: (2,), 2: ()}
+    assert shape(codec.dfuds_decode([1, 1.0, 0, 0])) == {1: (2,), 2: ()}
+
+
+# -- the per-node stack codecs the bulk ones replaced, kept as the oracle ----------
+
+
+def oracle_bp_encode(t):
+    """(ParenSeq, dft, open_pos, close_pos) by a stack walk of the tree."""
+    bits, dft, open_pos, close_pos = [], {}, {}, {}
+    stack = [(t.root, False)]
+    while stack:
+        v, leaving = stack.pop()
+        if leaving:
+            bits.append(0)
+            close_pos[v] = len(bits)
+            continue
+        bits.append(1)
+        open_pos[v] = len(bits)
+        dft[v] = len(dft) + 1
+        stack.append((v, True))
+        for c in reversed(t.children(v)):
+            stack.append((c, False))
+    return ParenSeq(bits), dft, open_pos, close_pos
+
+
+def oracle_dfuds_encode(t):
+    """(ParenSeq, dft, None, close_pos) by a stack walk of the tree."""
+    bits, dft, close_pos = [1], {}, {}
+    stack = [t.root]
+    while stack:
+        v = stack.pop()
+        dft[v] = len(dft) + 1
+        if dft[v] > 1:
+            close_pos[v] = len(bits)
+        bits.extend([1] * len(t.children(v)))
+        bits.append(0)
+        for c in reversed(t.children(v)):
+            stack.append(c)
+    return ParenSeq(bits), dft, None, close_pos
+
+
+def oracle_bits(p):
+    if isinstance(p, ParenSeq):
+        return list(p.base.iter_bits())
+    if isinstance(p, str):
+        out = []
+        for x, c in enumerate(p, start=1):
+            if c in "(1":
+                out.append(1)
+            elif c in ")0":
+                out.append(0)
+            else:
+                raise ParseError(f"unexpected character {c!r}", x)
+        return out
+    return list(p)
+
+
+def oracle_bp_decode(p):
+    bits = oracle_bits(p)
+    children = {}
+    stack = []
+    count = 0
+    for x, b in enumerate(bits, start=1):
+        if b:
+            count += 1
+            children[count] = []
+            if stack:
+                children[stack[-1]].append(count)
+            elif count > 1:
+                raise ParseError("second tree starts after the first closed", x)
+            stack.append(count)
+        else:
+            if not stack:
+                raise ParseError("closing parenthesis without a match", x)
+            stack.pop()
+    if stack:
+        raise ParseError(f"{len(stack)} opening parentheses left unmatched", len(bits))
+    if count == 0:
+        raise ParseError("empty sequence", 1)
+    return OrdinalTree.from_children(1, {v: tuple(k) for v, k in children.items()})
+
+
+def oracle_dfuds_decode(p):
+    bits = oracle_bits(p)
+    if not bits:
+        raise ParseError("empty sequence", 1)
+    if bits[0] != 1:
+        raise ParseError("must start with the balancing opening parenthesis", 1)
+    children = {}
+    pending = []  # (node, remaining children), top has remaining > 0
+    x = 1
+    node = 0
+    total = len(bits)
+    while x < total:
+        node += 1
+        if node > 1:
+            if not pending:
+                raise ParseError("block starts after all children were attached", x + 1)
+            parent = pending[-1][0]
+            children[parent].append(node)
+            pending[-1][1] -= 1
+            if pending[-1][1] == 0:
+                pending.pop()
+        degree = 0
+        while x < total and bits[x] == 1:
+            degree += 1
+            x += 1
+        if x == total:
+            raise ParseError("degree block not terminated by a closing parenthesis", x)
+        x += 1
+        children[node] = []
+        if degree:
+            pending.append([node, degree])
+    if pending:
+        raise ParseError("children promised but sequence ended", total)
+    if node == 0:
+        raise ParseError("no nodes encoded", 1)
+    return OrdinalTree.from_children(1, {v: tuple(k) for v, k in children.items()})
+
+
+def oracle_tree_to_text(t):
+    return oracle_bp_encode(t)[0].to_string() + "\n" + " ".join(str(v) for v in t.nodes()) + "\n"
+
+
+def oracle_tree_from_text(text):
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ParseError("no parenthesis line", 1)
+    t = oracle_bp_decode(lines[0].strip())
+    if len(lines) == 1:
+        return t
+    labels = lines[1].split()
+    if len(labels) != t.n_nodes:
+        raise ParseError(f"label line has {len(labels)} entries for {t.n_nodes} nodes")
+    relabel = dict(zip(t.nodes(), labels))
+    if len(set(labels)) != len(labels):
+        raise ParseError("labels are not unique")
+    children = {relabel[v]: tuple(relabel[c] for c in t.children(v)) for v in t.nodes()}
+    return OrdinalTree.from_children(relabel[t.root], children)
+
+
+def outcome(fn, arg):
+    """What ``fn(arg)`` gives: the tree's root, maps and preorder, or the
+    ParseError's message and position."""
+    try:
+        t = fn(arg)
+    except ParseError as exc:
+        return "error", str(exc), exc.position
+    return "tree", t.root, t.children_map(), t.parent_map(), list(t.nodes())
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=trees())
+def test_bulk_codecs_match_the_stack_oracle(t):
+    for encode, oracle, kind in ((codec.bp_encode, oracle_bp_encode, codec.BP),
+                                 (codec.dfuds_encode, oracle_dfuds_encode, codec.DFUDS)):
+        p, m = encode(t)
+        want, dft, open_pos, close_pos = oracle(t)
+        assert p == want
+        assert (m.kind, m.dft, m.open_pos, m.close_pos) == (kind, dft, open_pos, close_pos)
+        for v in t.nodes():
+            assert m.anchor(v) == (open_pos[v] if kind == codec.BP else close_pos.get(v, 1))
+    bp, df = oracle_bp_encode(t)[0], oracle_dfuds_encode(t)[0]
+    for form in (bp, bp.to_string(), bp.base.to_text(), list(bp.base.iter_bits())):
+        assert outcome(codec.bp_decode, form) == outcome(oracle_bp_decode, form)
+    for form in (df, df.to_string(), list(df.base.iter_bits())):
+        assert outcome(codec.dfuds_decode, form) == outcome(oracle_dfuds_decode, form)
+    text = codec.tree_to_text(t)
+    assert text == oracle_tree_to_text(t)
+    assert outcome(codec.tree_from_text, text) == outcome(oracle_tree_from_text, text)
+    assert outcome(codec.tree_from_text, text.splitlines()[0]) == outcome(oracle_tree_from_text, text.splitlines()[0])
+    if all(isinstance(v, str) for v in t.nodes()):
+        back = codec.tree_from_text(text)
+        assert back == t and back.parent_map() == t.parent_map()
+
+
+@st.composite
+def damaged(draw, text):
+    """``text`` truncated, with one character flipped, dropped or inserted,
+    or with two neighbours swapped."""
+    k = draw(st.integers(0, len(text)))
+    how = draw(st.sampled_from(["truncate", "flip", "drop", "insert", "swap"]))
+    if how == "truncate":
+        return text[:k]
+    if how == "insert":
+        return text[:k] + draw(st.sampled_from("()01x ")) + text[k:]
+    if k == len(text):
+        return text
+    if how == "flip":
+        return text[:k] + codec.mirror_string(text[k]) + text[k + 1:]
+    if how == "drop":
+        return text[:k] + text[k + 1:]
+    return text[:k] + text[k + 1:k + 2] + text[k] + text[k + 2:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), t=trees())
+def test_damaged_encodings_give_the_oracle_parse_error(data, t):
+    for text in (codec.bp_encode(t)[0].to_string(), codec.dfuds_encode(t)[0].to_string()):
+        bad = data.draw(damaged(text))
+        for new, old in ((codec.bp_decode, oracle_bp_decode), (codec.dfuds_decode, oracle_dfuds_decode)):
+            assert outcome(new, bad) == outcome(old, bad)
+            if "x" not in bad and " " not in bad:
+                bits = [int(c in "(1") for c in bad]
+                assert outcome(new, bits) == outcome(old, bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text("()01", max_size=12))
+def test_short_sequences_give_the_oracle_outcome(text):
+    for new, old in ((codec.bp_decode, oracle_bp_decode), (codec.dfuds_decode, oracle_dfuds_decode)):
+        assert outcome(new, text) == outcome(old, text)
+    assert outcome(codec.tree_from_text, text) == outcome(oracle_tree_from_text, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), t=trees())
+def test_damaged_tree_text_gives_the_oracle_parse_error(data, t):
+    bp_line, label_line = codec.tree_to_text(t).splitlines()
+    labels = label_line.split()
+    how = data.draw(st.sampled_from(["bp", "drop", "extra", "repeat", "blank"]))
+    k = data.draw(st.integers(0, len(labels) - 1))
+    if how == "bp":
+        bp_line = data.draw(damaged(bp_line))
+    elif how == "drop":
+        del labels[k]
+    elif how == "extra":
+        labels.insert(k, "new")
+    elif how == "repeat":
+        labels[k] = labels[data.draw(st.integers(0, len(labels) - 1))]
+    else:
+        labels = []
+    text = bp_line + "\n" + " ".join(labels) + "\n"
+    assert outcome(codec.tree_from_text, text) == outcome(oracle_tree_from_text, text)
+
+
+def test_codecs_build_no_paren_seq_or_checked_tree_they_do_not_return(monkeypatch):
+    t = random_tree(random.Random(5), 3000)
+    named = relabel(t, lambda v: f"v{v}")
+    bp, df, text = codec.bp_encode(t)[0], codec.dfuds_encode(t)[0], codec.tree_to_text(named)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bulk codecs must not call this")
+
+    monkeypatch.setattr(OrdinalTree, "from_children", refuse)
+    assert shape(codec.bp_decode(bp)) == shape(t)
+    assert shape(codec.dfuds_decode(df)) == shape(t)
+    back = codec.tree_from_text(text)
+    assert back == named and back.parent_map() == named.parent_map()
+    assert shape(codec.tree_from_text(text.splitlines()[0])) == shape(t)
+    monkeypatch.setattr(ParenSeq, "__init__", refuse)
+    assert codec.tree_to_text(named) == text
+
+
+def test_encoders_build_each_node_map_on_first_read(fix_t):
+    for encode in (codec.bp_encode, codec.dfuds_encode):
+        _, m = encode(fix_t)
+        assert (m._dft, m._open, m._close) == (None, None, None)
+        assert m.dft[ROOT] == 1
+        assert m._dft is not None and (m._open, m._close) == (None, None)
+        m.close_pos
+        assert m._close is not None
+    _, m = codec.bp_encode(fix_t)
+    m.open_pos
+    assert m._open is not None and (m._dft, m._close) == (None, None)
+    _, m = codec.dfuds_encode(fix_t)
+    assert m.open_pos is None and m._open is None
+    assert m == codec.dfuds_encode(fix_t)[1] != codec.bp_encode(fix_t)[1]

@@ -1,28 +1,14 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from dualtree import duality
 from dualtree.errors import ContractError
 from dualtree.randgen import random_tree
 from dualtree.tree import OrdinalTree
 
-from conftest import FIX_HAT_CHILDREN, FIX_TSTAR_CHILDREN, ROOT
-
-
-def star(leaves):
-    return OrdinalTree.from_children(0, {0: tuple(range(1, leaves + 1)), **{v: () for v in range(1, leaves + 1)}})
-
-
-def relabel(t, name):
-    return OrdinalTree.from_children(name(t.root), {name(v): tuple(map(name, t.children(v))) for v in t.nodes()})
-
-
-def chain(*labels):
-    children = {labels[k]: (labels[k + 1],) for k in range(len(labels) - 1)}
-    children[labels[-1]] = ()
-    return OrdinalTree.from_children(labels[0], children)
+from conftest import ROOT, chain, relabel, star, trees
 
 
 def test_dual_fixture(fix_t, fix_tstar):
@@ -215,23 +201,6 @@ def test_dual_involution_random():
     for _ in range(60):
         t = random_tree(rng, rng.randint(1, 120))
         assert duality.dual(duality.dual(t)) == t
-
-
-@st.composite
-def trees(draw):
-    shape = draw(st.sampled_from(["random", "star", "chain", "single"]))
-    n = draw(st.integers(2, 150))
-    if shape == "random":
-        t = random_tree(random.Random(draw(st.integers(0, 2**32))), n)
-    elif shape == "star":
-        t = star(n - 1)
-    elif shape == "chain":
-        t = chain(*range(n))
-    else:
-        t = OrdinalTree.from_children(0, {0: ()})
-    if draw(st.booleans()):
-        t = relabel(t, lambda v: f"n{v}")
-    return t
 
 
 @settings(max_examples=200, deadline=None)

@@ -281,7 +281,7 @@ def main(argv=None):
     handlers = {"build": cmd_build, "query": cmd_query, "verify": cmd_verify, "bench": cmd_bench}
     try:
         return handlers[args.command](args)
-    except (ValidationError, ParseError, FileNotFoundError, PermissionError) as exc:
+    except (ValidationError, ParseError, FileNotFoundError, PermissionError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (ContractError, RangeError, NotFoundError) as exc:

@@ -5,19 +5,18 @@ leaving it. DFUDS writes, per node in depth-first order, one opening
 parenthesis per child followed by a single closing one, with an extra
 opening parenthesis up front to balance the sequence.
 
-Both encodings are fixed by tables an OrdinalTree already holds, so the
-encoders write them in bulk from the preorder: BP from the depths (before
-each opener come depth(prev) + 1 - depth(v) closers, and depth(last) + 1
-closers end the text), DFUDS from the degrees. The decoders read the text in
-one pass and hand maps that are well formed by construction straight to the
-OrdinalTree constructor.
+Both encodings are fixed by an OrdinalTree's preorder arrays, so the
+encoders write them in bulk: BP from the depths (before each opener come
+depth(prev) + 1 - depth(v) closers, and depth(last) + 1 closers end the
+text), DFUDS from the degrees. Each decoder fills the tree's arrays in one
+stack pass over the text.
 
 Node anchors: in BP a node owns its opening/closing pair. In DFUDS a node is
 anchored at the parenthesis preceding its block of child openers — a closing
 parenthesis for every non-root node (the i-th closing parenthesis is the
 node of depth-first rank i+1) and the leading opening parenthesis for the
 root. The NodeParenMap an encoder returns reads these positions off the
-tree's tables on first access: a BP open is 2·dft − depth − 1, its close is
+tree's arrays on first access: a BP open is 2·dft − depth − 1, its close is
 open + 2·size − 1, and the DFUDS closes are the prefix sums of degree + 1,
 starting at 1.
 """
@@ -25,9 +24,9 @@ starting at 1.
 import re
 from array import array
 from itertools import accumulate, islice
-from operator import sub
+from operator import add, sub
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .parens import _DIGIT_TO_PAREN, _STEPS, ParenSeq
 from .tree import OrdinalTree
 
@@ -58,7 +57,8 @@ class NodeParenMap:
     @property
     def dft(self):
         if self._dft is None:
-            self._dft = dict(self._tree._dft)
+            t = self._tree
+            self._dft = dict(zip(t._order, range(1, t.n_nodes + 1)))
         return self._dft
 
     @property
@@ -67,8 +67,7 @@ class NodeParenMap:
             return None
         if self._open is None:
             t = self._tree
-            depths = map(t._depth.__getitem__, t._by_dft)
-            self._open = dict(zip(t._by_dft, map(sub, range(1, 2 * t.n_nodes, 2), depths)))
+            self._open = dict(zip(t._order, map(sub, range(1, 2 * t.n_nodes, 2), t._depth)))
         return self._open
 
     @property
@@ -76,12 +75,11 @@ class NodeParenMap:
         if self._close is None:
             t = self._tree
             if self.kind == BP:
-                size = t._size
-                self._close = {v: x + 2 * size[v] - 1 for v, x in self.open_pos.items()}
+                ends = map(add, range(t.n_nodes), t._size)  # rank after each subtree
+                self._close = dict(zip(t._order, map(sub, map((2).__mul__, ends), t._depth)))
             else:
-                blocks = (len(t._children[v]) + 1 for v in t._by_dft)
-                closes = islice(accumulate(blocks, initial=1), 1, None)
-                self._close = dict(zip(islice(t._by_dft, 1, None), closes))
+                closes = islice(accumulate(map((1).__add__, _degrees(t)), initial=1), 1, None)
+                self._close = dict(zip(islice(t._order, 1, None), closes))
         return self._close
 
     def anchor(self, v):
@@ -102,20 +100,19 @@ class NodeParenMap:
 
 def bp_encode(t: OrdinalTree):
     """Balanced-parenthesis encoding; length is twice the node count."""
-    return ParenSeq(_bp_text(t)), NodeParenMap(BP, t)
+    return ParenSeq(_bp_of_depths(t._depth.tolist())), NodeParenMap(BP, t)
 
 
 def dfuds_encode(t: OrdinalTree):
     """Unary-degree encoding; leading opener, then per node d opens + one close."""
-    degrees = map(len, map(t._children.__getitem__, t._by_dft))
-    return ParenSeq(_dfuds_of_degrees(degrees)), NodeParenMap(DFUDS, t)
+    return ParenSeq(_dfuds_of_degrees(_degrees(t))), NodeParenMap(DFUDS, t)
 
 
 def bp_decode(p) -> OrdinalTree:
     """Inverse of bp_encode up to relabeling; labels are depth-first ranks."""
     text = _digits(p)
     _check_bp(text)
-    return _bp_tree(text, _labels(1, text.count("1")))
+    return _bp_tree(text, list(range(1, text.count("1") + 1)))
 
 
 def dfuds_decode(p) -> OrdinalTree:
@@ -135,9 +132,21 @@ def mirror_string(s: str) -> str:
 
 
 def tree_to_text(t: OrdinalTree) -> str:
-    """Two-line text form: BP string, then node labels in depth-first order."""
-    labels = " ".join(map(str, t._by_dft))
-    return _bp_text(t).translate(_DIGIT_TO_PAREN) + "\n" + labels + "\n"
+    """Two-line text form: BP string, then node labels in depth-first order.
+    ValidationError names the first label whose ``str`` would not read back:
+    empty, holding whitespace, or equal to an earlier label's."""
+    labels = list(map(str, t._order))
+    line = " ".join(labels)
+    # distinct ints always write distinct, clean strings
+    if set(map(type, t._order)) != {int} and (line.split() != labels or len(set(labels)) < len(labels)):
+        seen = set()
+        for v, s in zip(t._order, labels):
+            if s.split() != [s]:
+                raise ValidationError(f"label {v!r} cannot be written as text: {s!r} is empty or holds whitespace")
+            if s in seen:
+                raise ValidationError(f"label {v!r} cannot be written as text: an earlier label is also written {s!r}")
+            seen.add(s)
+    return _bp_of_depths(t._depth.tolist()).translate(_DIGIT_TO_PAREN) + "\n" + line + "\n"
 
 
 def tree_from_text(text: str) -> OrdinalTree:
@@ -150,7 +159,7 @@ def tree_from_text(text: str) -> OrdinalTree:
     _check_bp(bits)
     n = bits.count("1")
     if len(lines) == 1:
-        return _bp_tree(bits, _labels(1, n))
+        return _bp_tree(bits, list(range(1, n + 1)))
     labels = lines[1].split()
     if len(labels) != n:
         raise ParseError(f"label line has {len(labels)} entries for {n} nodes")
@@ -160,13 +169,17 @@ def tree_from_text(text: str) -> OrdinalTree:
 # -- text of the encodings -------------------------------------------------------
 
 
-def _bp_text(t):
-    return _bp_of_depths(list(map(t._depth.__getitem__, t._by_dft)))
-
-
 def _bp_of_depths(depths):
     """BP as 0/1 text of the tree whose preorder depths are ``depths``."""
     return "1".join(["0" * (up + 1 - down) for up, down in zip([-1] + depths, depths + [0])])
+
+
+def _degrees(t):
+    """Child counts of the nodes of ``t`` in preorder."""
+    degree = [0] * t.n_nodes
+    for p in islice(t._parent, 1, None):
+        degree[p] += 1
+    return degree
 
 
 def _dfuds_of_degrees(degrees):
@@ -175,12 +188,6 @@ def _dfuds_of_degrees(degrees):
 
 
 # -- decoding --------------------------------------------------------------------
-
-
-def _labels(first, n):
-    """The n labels from ``first`` on, as one list, so that every map of the
-    decoded tree shares the same int objects."""
-    return list(range(first, first + n))
 
 
 def _check_chars(s):
@@ -225,34 +232,36 @@ def _check_bp(text):
 
 def _bp_tree(text, labels):
     """The tree of a checked BP text whose nodes in preorder are ``labels``.
-
-    The closers in front of each opener pop the stack of open nodes, after
-    which the opener's parent is on top.
-    """
-    root = labels[0]
-    kids = {v: [] for v in labels}
-    if len(kids) != len(labels):
-        raise ParseError("labels are not unique")
-    parent = {}
-    stack = [root]
+    The closers before the opener of rank v pop the stack of open ranks (a
+    popped rank x has size v - x); then its parent is on top, and the
+    stack's height is its depth."""
+    n = len(labels)
+    parent = [-1] * n
+    depth = [0] * n
+    size = [0] * n
+    stack = [0]
     closers = map(len, text.split("1"))
-    for v, k in zip(islice(labels, 1, None), islice(closers, 1, None)):
+    for v, k in zip(range(1, n), islice(closers, 1, None)):
         if k:
+            for x in stack[-k:]:
+                size[x] = v - x
             del stack[-k:]
-        parent[v] = p = stack[-1]
-        kids[p].append(v)
+        parent[v] = stack[-1]
+        depth[v] = len(stack)
         stack.append(v)
-    return OrdinalTree(root, dict(zip(kids, map(tuple, kids.values()))), parent)
+    for x in stack:
+        size[x] = n - x
+    tree = OrdinalTree(labels, parent, depth, size)
+    if len(tree._rank) != n:
+        raise ParseError("labels are not unique")
+    return tree
 
 
 def _dfuds_tree(text, first):
     """The tree of a DFUDS text whose nodes in preorder are labelled
-    ``first``, ``first + 1``, ...
-
-    The degree blocks come in preorder; a stack that holds each node once
-    per child still to attach gives the parents, and a stable sort by parent
-    groups the children in preorder.
-    """
+    ``first``, ``first + 1``, ... The blocks before node v's still wait for
+    1 + sum(degree - 1) children, which must stay positive up to the last
+    block and be zero after it."""
     if not text:
         raise ParseError("empty sequence", 1)
     if text[0] != "1":
@@ -264,23 +273,15 @@ def _dfuds_tree(text, first):
         if tail:
             raise ParseError("degree block not terminated by a closing parenthesis", len(text))
         raise ParseError("no nodes encoded", 1)
-    labels = _labels(first, len(degrees))
-    parent = {}
-    waiting = [first] * degrees[0]
-    for v, d in zip(islice(labels, 1, None), islice(degrees, 1, None)):
-        if not waiting:
-            k = v - first
-            raise ParseError("block starts after all children were attached", 2 + k + sum(degrees[:k]))
-        parent[v] = waiting.pop()
-        if d:
-            waiting += [v] * d
+    n = len(degrees)
+    waiting = list(accumulate(map((-1).__add__, degrees), initial=1))
+    if 0 in islice(waiting, 1, n):
+        v = waiting.index(0, 1)  # v - 1 openers so far: the block starts at 2v + 1
+        raise ParseError("block starts after all children were attached", 2 * v + 1)
     if tail:
-        if not waiting:
+        if not waiting[n]:
             raise ParseError("block starts after all children were attached", len(text) - len(tail) + 1)
         raise ParseError("degree block not terminated by a closing parenthesis", len(text))
-    if waiting:
+    if waiting[n]:
         raise ParseError("children promised but sequence ended", len(text))
-    by_parent = sorted(parent, key=parent.__getitem__)
-    ends = list(accumulate(degrees, initial=0))
-    kids = map(tuple, map(by_parent.__getitem__, map(slice, ends, ends[1:])))
-    return OrdinalTree(first, dict(zip(labels, kids)), parent)
+    return OrdinalTree._from_degrees(list(range(first, first + n)), degrees)

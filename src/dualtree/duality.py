@@ -1,17 +1,20 @@
 """Tree duality: the dual, reversed and reversed-dual constructions, the
 primal-dual ancestor, and the joining algebra used to decompose duals.
 
-The dual exchanges parent/sibling and left/right roles. The dual parent of a
+The dual exchanges parent/sibling and left/right roles: the dual parent of a
 non-root node is the first node after its subtree in depth-first order (the
 root when none follows), and dual siblings come in descending depth-first
-order. ``dual`` and ``reversed_dual`` read this off the primal's preorder
-and subtree sizes in one linear pass. Two independent constructions stay as
-oracles: ``_dual_by_rules`` (the local attachment rules, whose certificate
-``dual_certified`` returns) and ``_dual_by_right_neighbour``; the verify
-identities suite and the tests check that all three agree.
+order, so the dual's preorder is the root and then the other nodes in
+reverse. ``dual`` writes the dual's arrays from the primal's, ``reverse``
+moves each node to its mirrored rank, and ``reversed_dual`` is the two in
+turn. Two independent constructions stay as oracles: ``_dual_by_rules``
+(whose certificate ``dual_certified`` returns) and
+``_dual_by_right_neighbour``; verify and the tests check all three agree.
 """
 
 from dataclasses import dataclass
+from itertools import islice
+from operator import add, sub
 
 from .errors import ContractError
 from .tree import OrdinalTree
@@ -32,30 +35,26 @@ class DualityCertificate:
 
 def dual(t: OrdinalTree) -> OrdinalTree:
     """The dual tree; same node set, parenthood and sibling order exchanged."""
-    return _dual_pass(t, descending=True)
+    # Primal rank k > 0 has dual rank n - k. Its dual parent is the node after
+    # its subtree, primal rank k + size (the root past the end), so dual rank
+    # n - k - size; its dual subtree spans primal ranks parent + 1 .. k, so its
+    # dual size is k - parent; dual depths take one pass down the ranks.
+    order, parent, size = t._order, t._parent, t._size
+    n = len(order)
+    depth = [0] * (n + 1)  # by primal rank; the root sits past the end
+    for k in range(n - 1, 0, -1):
+        depth[k] = depth[k + size[k]] + 1
+    return OrdinalTree(
+        order[:1] + order[:0:-1],
+        [-1, *map(sub, range(1, n), size[:0:-1])],
+        depth[:1] + depth[n - 1:0:-1],
+        [n, *map(sub, range(n - 1, 0, -1), parent[:0:-1])],
+    )
 
 
 def reversed_dual(t: OrdinalTree) -> OrdinalTree:
     """reverse(dual(t)): the tree whose BP encoding equals DFUDS of t."""
-    return _dual_pass(t, descending=False)
-
-
-def _dual_pass(t, descending):
-    # Node k of the preorder (0-based) has its dual parent at k + size; past
-    # the end it is the root. Appending in descending preorder gives the
-    # dual's child lists, in ascending preorder the reversed dual's.
-    order = t._by_dft
-    size = t._size
-    n = len(order)
-    at = order + [t.root]
-    parent = {}
-    kids = {v: [] for v in order}
-    for k in range(n - 1, 0, -1) if descending else range(1, n):
-        v = order[k]
-        p = parent[v] = at[k + size[v]]
-        kids[p].append(v)
-    # well formed by construction, so from_children's checks are skipped
-    return OrdinalTree(t.root, {v: tuple(c) for v, c in kids.items()}, parent)
+    return reverse(dual(t))
 
 
 def dual_certified(t: OrdinalTree) -> DualityCertificate:
@@ -75,10 +74,12 @@ def _dual_by_rules(t: OrdinalTree):
         if v == root:
             continue
         irs = t.navigate(v, "irs")
-        is_rmc = t.navigate(t.parent(v), "rmc") == v
+        p = t.parent(v)
+        # a rightmost child's subtree ends where its parent's does
+        is_rmc = t.dft(v) + t.subtree_size(v) == t.dft(p) + t.subtree_size(p)
         if irs is not None:
             rules[v] = RULE_3
-        elif t.parent(v) == root:
+        elif p == root:
             rules[v] = RULE_1B
         else:
             rules[v] = RULE_2
@@ -103,18 +104,10 @@ def _dual_by_rules(t: OrdinalTree):
 def _dual_by_right_neighbour(t: OrdinalTree):
     # Parent of v in the dual is the first node right of v's subtree (the
     # root when none exists); siblings order by descending primal position.
-    root = t.root
-    groups = {}
-    for v in t.nodes():
-        if v == root:
-            continue
-        p = dual_parent(t, v)
-        groups.setdefault(p, []).append(v)
-    children = {v: () for v in t.nodes()}
-    for p, kids in groups.items():
-        kids.sort(key=t.dft, reverse=True)
-        children[p] = tuple(kids)
-    return OrdinalTree.from_children(root, children)
+    children = {v: [] for v in t.nodes()}
+    for v in reversed(list(t.nodes())[1:]):
+        children[dual_parent(t, v)].append(v)
+    return OrdinalTree.from_children(t.root, children)
 
 
 def dual_parent(t: OrdinalTree, v) -> object:
@@ -127,8 +120,20 @@ def dual_parent(t: OrdinalTree, v) -> object:
 
 def reverse(t: OrdinalTree) -> OrdinalTree:
     """Same parents, every child list reversed."""
-    children = {v: kids[::-1] for v, kids in t._children.items()}
-    return OrdinalTree(t.root, children, t._parent)
+    # Reversing the children mirrors the BP: the node at rank r, last in
+    # postorder among r + size - depth nodes, moves to rank n - r - size + depth.
+    order, parent, depth, size = t._order, t._parent.tolist(), t._depth.tolist(), t._size.tolist()
+    n = len(order)
+    to = list(map(add, map(sub, range(n, 0, -1), size), depth))
+    at = [0] * n
+    for r, k in enumerate(to):
+        at[k] = r
+    return OrdinalTree(
+        list(map(order.__getitem__, at)),
+        [-1, *map(to.__getitem__, map(parent.__getitem__, islice(at, 1, None)))],
+        list(map(depth.__getitem__, at)),
+        list(map(size.__getitem__, at)),
+    )
 
 
 def dual_of_reversed(t: OrdinalTree) -> OrdinalTree:

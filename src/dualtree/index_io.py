@@ -52,23 +52,17 @@ _I64_MAX = (1 << 63) - 1
 
 def read_array_text(path):
     values = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            for tok in line.split():
-                try:
-                    v = int(tok)
-                except ValueError:
-                    raise ValidationError(f"{path}:{lineno}: not an integer: {tok!r}") from None
-                _check_i64(v, f"{path}:{lineno}")
-                values.append(v)
+    for lineno, line in _ascii_lines(path):
+        for tok in line.split():
+            try:
+                v = int(tok)
+            except ValueError:
+                raise ValidationError(f"{path}:{lineno}: not an integer: {tok!r}") from None
+            _check_i64(v, f"{path}:{lineno}")
+            values.append(v)
     if not values:
         raise ValidationError(f"{path}: empty array file")
     return values
-
-
-def write_array_text(path, values):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(str(v) for v in values) + "\n")
 
 
 def read_array_binary(path):
@@ -95,30 +89,39 @@ def write_array_binary(path, values):
 
 def read_intervals_text(path):
     pairs = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            toks = line.split()
-            if not toks:
-                continue
-            if len(toks) != 2:
-                raise ValidationError(f"{path}:{lineno}: expected 'a b', got {line.strip()!r}")
-            try:
-                a, b = int(toks[0]), int(toks[1])
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: not integers: {line.strip()!r}") from None
-            if a < 0 or b < 0:
-                raise ValidationError(f"{path}:{lineno}: endpoints must be non-negative")
-            _check_i64(b, f"{path}:{lineno}")
-            if a > b:
-                raise ValidationError(f"{path}:{lineno}: left endpoint {a} exceeds right endpoint {b}")
-            if pairs and a <= pairs[-1][0]:
-                raise ValidationError(f"{path}:{lineno}: left endpoints not strictly increasing")
-            if pairs and b <= pairs[-1][1]:
-                raise ValidationError(f"{path}:{lineno}: right endpoints not strictly increasing")
-            pairs.append((a, b))
+    for lineno, line in _ascii_lines(path):
+        toks = line.split()
+        if not toks:
+            continue
+        if len(toks) != 2:
+            raise ValidationError(f"{path}:{lineno}: expected 'a b', got {line.strip()!r}")
+        try:
+            a, b = int(toks[0]), int(toks[1])
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: not integers: {line.strip()!r}") from None
+        if a < 0 or b < 0:
+            raise ValidationError(f"{path}:{lineno}: endpoints must be non-negative")
+        _check_i64(b, f"{path}:{lineno}")
+        if a > b:
+            raise ValidationError(f"{path}:{lineno}: left endpoint {a} exceeds right endpoint {b}")
+        if pairs and a <= pairs[-1][0]:
+            raise ValidationError(f"{path}:{lineno}: left endpoints not strictly increasing")
+        if pairs and b <= pairs[-1][1]:
+            raise ValidationError(f"{path}:{lineno}: right endpoints not strictly increasing")
+        pairs.append((a, b))
     if not pairs:
         raise ValidationError(f"{path}: empty interval file")
     return pairs
+
+
+def _ascii_lines(path):
+    """(line number, line) of a text file; ValidationError names a non-ASCII byte."""
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                byte = next(ord(c) for c in line if not c.isascii()) - 0xDC00  # the escaped byte
+                raise ValidationError(f"{path}:{lineno}: non-ASCII byte 0x{byte:02x}")
+            yield lineno, line
 
 
 def _check_i64(v, where):

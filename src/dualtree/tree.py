@@ -1,14 +1,18 @@
-"""Explicit rooted ordered trees.
+"""Explicit rooted ordered trees, held as their preorder arrays.
 
 OrdinalTree is the ground truth every parenthesis structure is checked
-against. Labels are opaque hashable values preserved by all transformations;
-two trees are equal when root, parent map and child orders coincide.
-Depth-first (preorder) numbers, depths and subtree sizes are computed once at
-construction, so navigation and range queries are table lookups (an
-immediate left sibling is a bisection over its parent's children).
+against. A tree is fixed by its preorder and subtree sizes, as BP and DFUDS
+show, and it holds the labels in depth-first order, one label -> rank dict,
+and rank-indexed int arrays of size, depth and parent rank (an O(1)
+``parent``). The rest is arithmetic (Navarro, Compact Data Structures, ch.
+8): the children of rank r start at r + 1, each after the previous one's
+subtree; a subtree is a slice; a left sibling is a climb from rank r - 1,
+fewer than n steps over all nodes. Equal trees have equal labels and sizes.
 """
 
-from bisect import bisect_left
+from array import array
+from itertools import islice, repeat
+from operator import sub
 
 from .errors import ContractError, ValidationError
 
@@ -20,41 +24,71 @@ IRS = "irs"
 
 _NAV_KINDS = (PARENT, RMC, LMC, ILS, IRS)
 
+_INT = "i"  # typecode of the rank-indexed arrays; C ints hold any rank a process can reach
+
 
 class OrdinalTree:
-    __slots__ = ("root", "_children", "_parent", "_dft", "_by_dft", "_depth", "_size")
+    __slots__ = ("root", "_order", "_rank", "_parent", "_depth", "_size")
 
-    def __init__(self, root, children, parent):
-        self.root = root
-        self._children = children
-        self._parent = parent
-        self._index()
+    def __init__(self, order, parent, depth, size):
+        """The tree with preorder ``order`` and, in that order, the parent
+        ranks (-1 at the root), depths and sizes; callers make them agree."""
+        self.root = order[0]
+        self._order = order
+        self._rank = dict(zip(order, range(len(order))))
+        self._parent = array(_INT, parent)
+        self._depth = array(_INT, depth)
+        self._size = array(_INT, size)
 
     # -- constructors ----------------------------------------------------------
 
     @classmethod
     def from_children(cls, root, children):
         """Build from a root label and a label -> ordered child tuple map."""
-        norm = {}
-        parent = {}
-        seen = {root}
+        order = []
+        degree = []
         stack = [root]
-        while stack:
+        # a walk that reaches no node twice takes one step per child entry
+        for _ in range(1 + sum(map(len, children.values()))):
+            if not stack:
+                break
             v = stack.pop()
+            order.append(v)
             kids = tuple(children.get(v, ()))
-            if len(set(kids)) != len(kids):
-                raise ValidationError(f"node {v!r} has duplicate children")
-            norm[v] = kids
-            for c in kids:
-                if c in seen:
-                    raise ValidationError(f"node {c!r} appears twice (cycle or shared child)")
-                seen.add(c)
-                parent[c] = v
-                stack.append(c)
-        extra = set(children) - set(norm)
+            stack.extend(reversed(kids))
+            degree.append(len(kids))
+        if stack or len(set(order)) != len(order):
+            seen = {root}  # replay the walk with checks up to the first fault
+            for v in order:
+                kids = tuple(children.get(v, ()))
+                if len(set(kids)) != len(kids):
+                    raise ValidationError(f"node {v!r} has duplicate children")
+                for c in kids:
+                    if c in seen:
+                        raise ValidationError(f"node {c!r} appears twice (cycle or shared child)")
+                    seen.add(c)
+        extra = set(children).difference(order)
         if extra:
             raise ValidationError(f"child lists given for unreachable nodes: {sorted(map(repr, extra))}")
-        return cls(root, norm, parent)
+        return cls._from_degrees(order, degree)
+
+    @classmethod
+    def _from_degrees(cls, order, degrees):
+        """The tree with preorder ``order`` whose nodes have ``degrees``
+        children, in that order (its DFUDS, well formed)."""
+        n = len(order)
+        parent = [-1] * n
+        depth = [0] * n
+        waiting = [0] * degrees[0]  # a node's rank once per child still to attach
+        for v, d in zip(range(1, n), islice(degrees, 1, None)):
+            parent[v] = p = waiting.pop()
+            depth[v] = depth[p] + 1
+            if d:
+                waiting += [v] * d
+        size = [1] * n
+        for v in range(n - 1, 0, -1):
+            size[parent[v]] += size[v]
+        return cls(order, parent, depth, size)
 
     @classmethod
     def build(cls, parents, child_orders):
@@ -68,6 +102,8 @@ class OrdinalTree:
         for kids in child_orders.values():
             nodes.update(kids)
         nodes.update(p for p in parents.values() if p is not None)
+        if not nodes:
+            raise ValidationError("a tree needs at least one node")
         roots = [v for v in nodes if parents.get(v) is None]
         if not roots:
             raise ValidationError("no root: every node has a parent (cycle)")
@@ -84,105 +120,84 @@ class OrdinalTree:
                     raise ValidationError(f"node {c!r} listed under {v!r} but its parent entry says {parents.get(c)!r}")
             children[v] = kids
         for c, p in parents.items():
-            if p is None:
-                continue
-            if c not in children.get(p, ()):
+            if p is not None and c not in children.get(p, ()):
                 raise ValidationError(f"node {c!r} has parent {p!r} but is missing from its child order")
         tree = cls.from_children(root, children)
         if tree.n_nodes != len(nodes):
-            missing = nodes - set(tree._dft)
+            missing = nodes - set(tree._order)
             raise ValidationError(f"nodes unreachable from root (cycle): {sorted(map(repr, missing))}")
         return tree
-
-    def _index(self):
-        dft = {}
-        depth = {self.root: 0}
-        order = []
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            dft[v] = len(order)
-            d = depth[v] + 1
-            for c in reversed(self._children[v]):
-                depth[c] = d
-                stack.append(c)
-        self._dft = dft
-        self._by_dft = order
-        self._depth = depth
-        size = dict.fromkeys(order, 1)
-        for v in reversed(order):
-            if v != self.root:
-                size[self._parent[v]] += size[v]
-        self._size = size
 
     # -- basic accessors ---------------------------------------------------------
 
     @property
     def n_nodes(self):
-        return len(self._by_dft)
+        return len(self._order)
 
     def nodes(self):
         """All labels in depth-first order (root first)."""
-        return iter(self._by_dft)
+        return iter(self._order)
 
     def has_node(self, v):
-        return v in self._dft
+        return v in self._rank
 
     def children(self, v):
-        self._check_node(v)
-        return self._children[v]
+        r = self._rank_of(v)
+        size = self._size
+        kids = []
+        c = r + 1
+        while c < r + size[r]:
+            kids.append(self._order[c])
+            c += size[c]
+        return tuple(kids)
 
     def parent(self, v):
-        self._check_node(v)
-        return self._parent.get(v)
+        p = self._parent[self._rank_of(v)]
+        return self._order[p] if p >= 0 else None
 
     def dft(self, v):
-        self._check_node(v)
-        return self._dft[v]
+        return self._rank_of(v) + 1
 
     def node_at(self, rank):
         if not 1 <= rank <= self.n_nodes:
             raise ContractError(f"depth-first rank {rank} outside 1..{self.n_nodes}")
-        return self._by_dft[rank - 1]
+        return self._order[rank - 1]
 
     def depth(self, v):
-        self._check_node(v)
-        return self._depth[v]
+        return self._depth[self._rank_of(v)]
 
     def subtree_size(self, v):
-        self._check_node(v)
-        return self._size[v]
+        return self._size[self._rank_of(v)]
 
     def in_subtree(self, x, v):
         """True when x lies in the subtree hanging off (and including) v."""
-        dv = self.dft(v)
-        return dv <= self.dft(x) < dv + self._size[v]
+        r = self._rank_of(v)
+        return r <= self._rank_of(x) < r + self._size[r]
 
     # -- navigation ----------------------------------------------------------------
 
     def navigate(self, v, kind):
         """Named relative of v (parent / rmc / lmc / ils / irs), or None."""
-        self._check_node(v)
-        if kind == PARENT:
-            return self._parent.get(v)
+        r = self._rank_of(v)
+        parent = self._parent
+        p = parent[r]
         if kind in (RMC, LMC):
-            kids = self._children[v]
+            kids = self.children(v)
             if not kids:
                 return None
             return kids[-1] if kind == RMC else kids[0]
-        if kind in (ILS, IRS):
-            p = self._parent.get(v)
-            if p is None:
-                return None
-            if kind == IRS:
-                # the node after v's subtree is v's right sibling when it has one
-                w = self.first_right(v)
-                return w if w is not None and self._parent[w] == p else None
-            # siblings are in ascending depth-first order
-            sibs = self._children[p]
-            k = bisect_left(sibs, self._dft[v], key=self._dft.__getitem__)
-            return sibs[k - 1] if k else None
+        if kind == IRS:
+            # the node after v's subtree is v's right sibling when it has one
+            w = r + self._size[r]
+            return self._order[w] if w < self.n_nodes and parent[w] == p else None
+        if kind == ILS:
+            # the node before v is its parent or lies under v's left sibling
+            w = r - 1
+            while w != p and parent[w] != p:
+                w = parent[w]
+            return self._order[w] if w != p else None
+        if kind == PARENT:
+            return self._order[p] if p >= 0 else None
         raise ContractError(f"unknown navigation kind {kind!r}; expected one of {_NAV_KINDS}")
 
     def first_right(self, v):
@@ -191,57 +206,51 @@ class OrdinalTree:
         This is the smallest element of the set of nodes right of v, i.e.
         everything outside v's subtree that follows it.
         """
-        self._check_node(v)
-        if v == self.root:
+        r = self._rank_of(v)
+        if r == 0:
             raise ContractError("the root has no nodes to its right")
-        nxt = self._dft[v] + self._size[v]
-        return self._by_dft[nxt - 1] if nxt <= self.n_nodes else None
+        w = r + self._size[r]
+        return self._order[w] if w < self.n_nodes else None
 
     def range_min_depth(self, v1, v2):
         """(minimal depth, rightmost node attaining it) over the closed
         depth-first range [v1, v2]; neither endpoint may be the root."""
-        self._check_node(v1)
-        self._check_node(v2)
-        if v1 == self.root or v2 == self.root:
+        lo = self._rank_of(v1)
+        hi = self._rank_of(v2)
+        if lo == 0 or hi == 0:
             raise ContractError("range endpoints must not be the root")
-        lo, hi = self._dft[v1], self._dft[v2]
         if lo > hi:
             raise ContractError(f"{v1!r} does not precede {v2!r} in depth-first order")
-        best = None
-        best_d = None
-        for rank in range(lo, hi + 1):
-            x = self._by_dft[rank - 1]
-            d = self._depth[x]
-            if best_d is None or d <= best_d:
-                best_d = d
-                best = x
-        return best_d, best
+        depths = self._depth[lo:hi + 1]
+        best = min(depths)
+        return best, self._order[hi - depths[::-1].index(best)]
 
     def subtree(self, v):
         """A standalone copy of the subtree rooted at v (labels preserved)."""
-        self._check_node(v)
-        children = {}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            children[x] = self._children[x]
-            stack.extend(self._children[x])
-        return OrdinalTree.from_children(v, children)
+        r = self._rank_of(v)
+        end = r + self._size[r]
+        parent = [-1, *map(sub, self._parent[r + 1:end], repeat(r))]
+        depth = list(map(sub, self._depth[r:end], repeat(self._depth[r])))
+        return OrdinalTree(self._order[r:end], parent, depth, self._size[r:end])
 
     # -- comparison -------------------------------------------------------------------
 
     def children_map(self):
-        return dict(self._children)
+        """label -> tuple of its children, for every node (leaves map to ())."""
+        order = self._order
+        kids = [[] for _ in order]
+        for v, p in zip(islice(order, 1, None), islice(self._parent, 1, None)):
+            kids[p].append(v)
+        return dict(zip(order, map(tuple, kids)))
 
     def parent_map(self):
-        return dict(self._parent)
+        """label -> parent label, for every node but the root."""
+        order = self._order
+        return dict(zip(islice(order, 1, None), map(order.__getitem__, islice(self._parent, 1, None))))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, OrdinalTree)
-            and self.root == other.root
-            and self._children == other._children
-        )
+        # labels in preorder, the root first, and the sizes fix a tree
+        return isinstance(other, OrdinalTree) and self._order == other._order and self._size == other._size
 
     def __hash__(self):
         return hash((self.root, self.n_nodes))
@@ -249,6 +258,8 @@ class OrdinalTree:
     def __repr__(self):
         return f"OrdinalTree(root={self.root!r}, nodes={self.n_nodes})"
 
-    def _check_node(self, v):
-        if v not in self._dft:
-            raise ContractError(f"unknown node {v!r}")
+    def _rank_of(self, v):
+        try:
+            return self._rank[v]
+        except KeyError:
+            raise ContractError(f"unknown node {v!r}") from None

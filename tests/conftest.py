@@ -10,7 +10,6 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from dualtree.randgen import random_tree
 from dualtree.tree import OrdinalTree
 
 FIX_A = [2, 7, 8, 1, 6, 4, 3, 5]
@@ -45,22 +44,31 @@ def chain(*labels):
 
 
 @st.composite
-def trees(draw):
-    """Random trees, stars, chains and a single node, half of them with
-    string labels."""
+def shapes(draw):
+    """(root, label -> child tuple map) of random trees, stars, chains and a
+    single node, half of them with string labels; leaves may have no entry."""
     shape = draw(st.sampled_from(["random", "star", "chain", "single"]))
     n = draw(st.integers(2, 150))
-    if shape == "random":
-        t = random_tree(random.Random(draw(st.integers(0, 2**32))), n)
+    if shape == "random":  # uniform attachment, as randgen.random_tree
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        kids = {1: []}
+        for v in range(2, n + 1):
+            sibs = kids[rng.randint(1, v - 1)]
+            sibs.insert(rng.randint(0, len(sibs)), v)
+            kids[v] = []
     elif shape == "star":
-        t = star(n - 1)
+        kids = {1: list(range(2, n + 1))}
     elif shape == "chain":
-        t = chain(*range(n))
+        kids = {v: [v + 1] for v in range(1, n)}
     else:
-        t = OrdinalTree.from_children(0, {0: ()})
-    if draw(st.booleans()):
-        t = relabel(t, lambda v: f"n{v}")
-    return t
+        kids = {}
+    name = (lambda v: f"n{v}") if draw(st.booleans()) else (lambda v: v)
+    return name(1), {name(v): tuple(map(name, c)) for v, c in kids.items()}
+
+
+def trees():
+    """The trees of ``shapes``."""
+    return shapes().map(lambda shape: OrdinalTree.from_children(*shape))
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -72,6 +72,28 @@ def test_build_errors_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_build_non_ascii_text_exits_2_naming_file_and_line(tmp_path, capsys):
+    for kind, body in (("array", b"1 2 \xc3\xa9\n"), ("intervals", b"1 2\n3 4\n5 \xff6\n")):
+        src = tmp_path / f"{kind}.txt"
+        src.write_bytes(body)
+        code, _, err = run_cli(capsys, "build", kind, str(src), "-o", str(tmp_path / "x.idx"))
+        line, byte = ("1", "0xc3") if kind == "array" else ("3", "0xff")
+        assert code == 2
+        assert err == f"error: {src}:{line}: non-ASCII byte {byte}\n"
+
+
+def test_directory_paths_exit_2_with_one_line(tmp_path, array_index, capsys):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    out = str(tmp_path / "x.idx")
+    for argv in (("build", "array", str(folder), "-o", out), ("build", "array", str(folder), "-o", out, "--format", "binary"),
+                 ("build", "intervals", str(folder), "-o", out), ("query", str(folder), "rmq", "1", "2"),
+                 ("bench", str(folder), "rmq"), ("build", "array", str(tmp_path / "a.txt"), "-o", str(folder))):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Is a directory" in err
+
+
 def test_query_rmq(array_index, capsys):
     code, out, _ = run_cli(capsys, "query", str(array_index), "rmq", "2", "7", "--engine", "direct")
     assert code == 0 and out.strip() == "4"

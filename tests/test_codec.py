@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualtree import codec, duality
-from dualtree.errors import ParseError
+from dualtree.errors import ParseError, ValidationError
 from dualtree.parens import ParenSeq
 from dualtree.randgen import random_tree
 from dualtree.tree import OrdinalTree
@@ -153,6 +153,23 @@ def test_tree_text_roundtrip(fix_t):
         codec.tree_from_text("(())\nx\n")
     with pytest.raises(ParseError):
         codec.tree_from_text("(())\nx x\n")
+
+
+def test_tree_to_text_refuses_labels_that_do_not_read_back():
+    blank = "label {!r} cannot be written as text: {!r} is empty or holds whitespace"
+    twice = "label {!r} cannot be written as text: an earlier label is also written {!r}"
+    cases = [({"r": ("a b", "c")}, blank.format("a b", "a b")),
+             ({"r": ("c", ""), "c": ("d e",)}, blank.format("d e", "d e")),
+             ({"r": ("c", "")}, blank.format("", "")),
+             ({"r": (1, "x", "1")}, twice.format("1", "1")),
+             ({"r": ("x\ty",)}, blank.format("x\ty", "x\ty")),
+             ({"r": ("1", 2), 2: (1,)}, twice.format(1, "1"))]
+    for children, message in cases:
+        t = OrdinalTree.from_children("r", children)
+        with pytest.raises(ValidationError) as caught:
+            codec.tree_to_text(t)
+        assert str(caught.value) == message
+    assert codec.tree_to_text(OrdinalTree.from_children("r", {"r": ("é", 2, "2x")})) == "(()()())\nr é 2 2x\n"
 
 
 def test_decoders_reject_bits_other_than_zero_and_one():

@@ -31,6 +31,11 @@ def test_build_single_node():
     assert t.depth("x") == 0
 
 
+def test_build_rejects_empty_tree():
+    with pytest.raises(ValidationError, match="^a tree needs at least one node$"):
+        OrdinalTree.build({}, {})
+
+
 def test_build_rejects_cycle():
     with pytest.raises(ValidationError):
         OrdinalTree.build({"a": "b", "b": "a"}, {"a": ["b"], "b": ["a"]})

@@ -78,7 +78,7 @@ class NodeParenMap:
                 ends = map(add, range(t.n_nodes), t._size)  # rank after each subtree
                 self._close = dict(zip(t._order, map(sub, map((2).__mul__, ends), t._depth)))
             else:
-                closes = islice(accumulate(map((1).__add__, _degrees(t)), initial=1), 1, None)
+                closes = islice(accumulate(map((1).__add__, t._degrees()), initial=1), 1, None)
                 self._close = dict(zip(islice(t._order, 1, None), closes))
         return self._close
 
@@ -105,7 +105,7 @@ def bp_encode(t: OrdinalTree):
 
 def dfuds_encode(t: OrdinalTree):
     """Unary-degree encoding; leading opener, then per node d opens + one close."""
-    return ParenSeq(_dfuds_of_degrees(_degrees(t))), NodeParenMap(DFUDS, t)
+    return ParenSeq(_dfuds_of_degrees(t._degrees())), NodeParenMap(DFUDS, t)
 
 
 def bp_decode(p) -> OrdinalTree:
@@ -137,7 +137,8 @@ def tree_to_text(t: OrdinalTree) -> str:
     empty, holding whitespace, or equal to an earlier label's."""
     labels = list(map(str, t._order))
     line = " ".join(labels)
-    # distinct ints always write distinct, clean strings
+    # distinct ints always write distinct, clean strings; the generic check
+    # would cost about half as much again as the rest of the write
     if set(map(type, t._order)) != {int} and (line.split() != labels or len(set(labels)) < len(labels)):
         seen = set()
         for v, s in zip(t._order, labels):
@@ -172,14 +173,6 @@ def tree_from_text(text: str) -> OrdinalTree:
 def _bp_of_depths(depths):
     """BP as 0/1 text of the tree whose preorder depths are ``depths``."""
     return "1".join(["0" * (up + 1 - down) for up, down in zip([-1] + depths, depths + [0])])
-
-
-def _degrees(t):
-    """Child counts of the nodes of ``t`` in preorder."""
-    degree = [0] * t.n_nodes
-    for p in islice(t._parent, 1, None):
-        degree[p] += 1
-    return degree
 
 
 def _dfuds_of_degrees(degrees):

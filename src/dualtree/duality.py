@@ -5,15 +5,15 @@ The dual exchanges parent/sibling and left/right roles: the dual parent of a
 non-root node is the first node after its subtree in depth-first order (the
 root when none follows), and dual siblings come in descending depth-first
 order, so the dual's preorder is the root and then the other nodes in
-reverse. ``dual`` writes the dual's arrays from the primal's, ``reverse``
-moves each node to its mirrored rank, and ``reversed_dual`` is the two in
-turn. Two independent constructions stay as oracles: ``_dual_by_rules``
-(whose certificate ``dual_certified`` returns) and
-``_dual_by_right_neighbour``; verify and the tests check all three agree.
+reverse. ``dual`` and ``reverse`` list the nodes in their new preorder with
+their child counts, as a DFUDS does, and the tree fills its arrays from
+those; ``reversed_dual`` is the two in turn. Two independent constructions
+stay as oracles: ``_dual_by_rules`` (whose certificate ``dual_certified``
+returns) and ``_dual_by_right_neighbour``; verify and the tests check all
+three agree.
 """
 
 from dataclasses import dataclass
-from itertools import islice
 from operator import add, sub
 
 from .errors import ContractError
@@ -35,21 +35,14 @@ class DualityCertificate:
 
 def dual(t: OrdinalTree) -> OrdinalTree:
     """The dual tree; same node set, parenthood and sibling order exchanged."""
-    # Primal rank k > 0 has dual rank n - k. Its dual parent is the node after
-    # its subtree, primal rank k + size (the root past the end), so dual rank
-    # n - k - size; its dual subtree spans primal ranks parent + 1 .. k, so its
-    # dual size is k - parent; dual depths take one pass down the ranks.
-    order, parent, size = t._order, t._parent, t._size
+    # Primal rank k > 0 has dual rank n - k, and its dual children are the
+    # nodes whose subtree ends just before it, j + size = k (n for the root).
+    order, size = t._order, t._size
     n = len(order)
-    depth = [0] * (n + 1)  # by primal rank; the root sits past the end
-    for k in range(n - 1, 0, -1):
-        depth[k] = depth[k + size[k]] + 1
-    return OrdinalTree(
-        order[:1] + order[:0:-1],
-        [-1, *map(sub, range(1, n), size[:0:-1])],
-        depth[:1] + depth[n - 1:0:-1],
-        [n, *map(sub, range(n - 1, 0, -1), parent[:0:-1])],
-    )
+    degree = [0] * (n + 1)
+    for j in range(1, n):
+        degree[j + size[j]] += 1
+    return OrdinalTree._from_degrees(order[:1] + order[:0:-1], degree[n:] + degree[n - 1:0:-1])
 
 
 def reversed_dual(t: OrdinalTree) -> OrdinalTree:
@@ -104,10 +97,18 @@ def _dual_by_rules(t: OrdinalTree):
 def _dual_by_right_neighbour(t: OrdinalTree):
     # Parent of v in the dual is the first node right of v's subtree (the
     # root when none exists); siblings order by descending primal position.
-    children = {v: [] for v in t.nodes()}
-    for v in reversed(list(t.nodes())[1:]):
-        children[dual_parent(t, v)].append(v)
-    return OrdinalTree.from_children(t.root, children)
+    root = t.root
+    groups = {}
+    for v in t.nodes():
+        if v == root:
+            continue
+        p = dual_parent(t, v)
+        groups.setdefault(p, []).append(v)
+    children = {v: () for v in t.nodes()}
+    for p, kids in groups.items():
+        kids.sort(key=t.dft, reverse=True)
+        children[p] = tuple(kids)
+    return OrdinalTree.from_children(root, children)
 
 
 def dual_parent(t: OrdinalTree, v) -> object:
@@ -122,18 +123,12 @@ def reverse(t: OrdinalTree) -> OrdinalTree:
     """Same parents, every child list reversed."""
     # Reversing the children mirrors the BP: the node at rank r, last in
     # postorder among r + size - depth nodes, moves to rank n - r - size + depth.
-    order, parent, depth, size = t._order, t._parent.tolist(), t._depth.tolist(), t._size.tolist()
-    n = len(order)
-    to = list(map(add, map(sub, range(n, 0, -1), size), depth))
+    n = t.n_nodes
     at = [0] * n
-    for r, k in enumerate(to):
+    for r, k in enumerate(map(add, map(sub, range(n, 0, -1), t._size), t._depth)):
         at[k] = r
-    return OrdinalTree(
-        list(map(order.__getitem__, at)),
-        [-1, *map(to.__getitem__, map(parent.__getitem__, islice(at, 1, None)))],
-        list(map(depth.__getitem__, at)),
-        list(map(size.__getitem__, at)),
-    )
+    degree = t._degrees()
+    return OrdinalTree._from_degrees(list(map(t._order.__getitem__, at)), list(map(degree.__getitem__, at)))
 
 
 def dual_of_reversed(t: OrdinalTree) -> OrdinalTree:

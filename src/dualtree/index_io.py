@@ -65,6 +65,11 @@ def read_array_text(path):
     return values
 
 
+def write_array_text(path, values):
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(str(v) for v in values) + "\n")
+
+
 def read_array_binary(path):
     with open(path, "rb") as fh:
         head = fh.read(8)

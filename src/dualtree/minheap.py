@@ -107,7 +107,11 @@ def reversal_dual_check(values) -> bool:
         raise ContractError("values must be distinct")
     n = len(values)
     d = duality.dual(build_minheap(values).tree)
-    flip = [ROOT_LABEL, *range(n, 0, -1)]  # position i <-> n + 1 - i; the root stays
-    relabeled = {flip[v]: tuple(map(flip.__getitem__, kids)) for v, kids in d.children_map().items()}
+    relabeled = {
+        (ROOT_LABEL if v == ROOT_LABEL else n + 1 - v): tuple(
+            ROOT_LABEL if c == ROOT_LABEL else n + 1 - c for c in d.children(v)
+        )
+        for v in d.nodes()
+    }
     mirrored = OrdinalTree.from_children(ROOT_LABEL, relabeled)
     return mirrored == build_minheap(values[::-1]).tree

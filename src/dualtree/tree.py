@@ -7,7 +7,8 @@ and rank-indexed int arrays of size, depth and parent rank (an O(1)
 ``parent``). The rest is arithmetic (Navarro, Compact Data Structures, ch.
 8): the children of rank r start at r + 1, each after the previous one's
 subtree; a subtree is a slice; a left sibling is a climb from rank r - 1,
-fewer than n steps over all nodes. Equal trees have equal labels and sizes.
+O(height) for one node and fewer than n steps over all nodes. Equal trees
+have equal labels and sizes.
 """
 
 from array import array
@@ -47,27 +48,21 @@ class OrdinalTree:
         """Build from a root label and a label -> ordered child tuple map."""
         order = []
         degree = []
+        seen = {root}
         stack = [root]
-        # a walk that reaches no node twice takes one step per child entry
-        for _ in range(1 + sum(map(len, children.values()))):
-            if not stack:
-                break
+        while stack:
             v = stack.pop()
             order.append(v)
             kids = tuple(children.get(v, ()))
+            if len(set(kids)) != len(kids):
+                raise ValidationError(f"node {v!r} has duplicate children")
+            for c in kids:
+                if c in seen:
+                    raise ValidationError(f"node {c!r} appears twice (cycle or shared child)")
+                seen.add(c)
             stack.extend(reversed(kids))
             degree.append(len(kids))
-        if stack or len(set(order)) != len(order):
-            seen = {root}  # replay the walk with checks up to the first fault
-            for v in order:
-                kids = tuple(children.get(v, ()))
-                if len(set(kids)) != len(kids):
-                    raise ValidationError(f"node {v!r} has duplicate children")
-                for c in kids:
-                    if c in seen:
-                        raise ValidationError(f"node {c!r} appears twice (cycle or shared child)")
-                    seen.add(c)
-        extra = set(children).difference(order)
+        extra = set(children).difference(seen)
         if extra:
             raise ValidationError(f"child lists given for unreachable nodes: {sorted(map(repr, extra))}")
         return cls._from_degrees(order, degree)
@@ -89,6 +84,13 @@ class OrdinalTree:
         for v in range(n - 1, 0, -1):
             size[parent[v]] += size[v]
         return cls(order, parent, depth, size)
+
+    def _degrees(self):
+        """Child counts of the nodes in preorder."""
+        degree = [0] * self.n_nodes
+        for p in islice(self._parent, 1, None):
+            degree[p] += 1
+        return degree
 
     @classmethod
     def build(cls, parents, child_orders):
@@ -120,7 +122,9 @@ class OrdinalTree:
                     raise ValidationError(f"node {c!r} listed under {v!r} but its parent entry says {parents.get(c)!r}")
             children[v] = kids
         for c, p in parents.items():
-            if p is not None and c not in children.get(p, ()):
+            if p is None:
+                continue
+            if c not in children.get(p, ()):
                 raise ValidationError(f"node {c!r} has parent {p!r} but is missing from its child order")
         tree = cls.from_children(root, children)
         if tree.n_nodes != len(nodes):
@@ -177,7 +181,12 @@ class OrdinalTree:
     # -- navigation ----------------------------------------------------------------
 
     def navigate(self, v, kind):
-        """Named relative of v (parent / rmc / lmc / ils / irs), or None."""
+        """Named relative of v (parent / rmc / lmc / ils / irs), or None.
+
+        parent and irs are O(1), lmc and rmc O(degree). ils climbs from the
+        node before v, so one call costs the height of its left sibling's
+        subtree, and asking it of every node costs fewer than n steps.
+        """
         r = self._rank_of(v)
         parent = self._parent
         p = parent[r]

@@ -7,8 +7,8 @@ sizes. All randomness flows from (seed, topic) pairs so two runs with the
 same seed produce identical reports.
 """
 
+import random
 from dataclasses import dataclass, field
-from itertools import product
 
 from . import codec, duality, mliq, randgen, rmq
 from .minheap import build_minheap, reversal_dual_check
@@ -420,8 +420,11 @@ def _random_multi_subtree_root(rng, max_size):
 def _root_prefix(t, keep):
     """Root plus the subtrees of its first `keep` children (a quasi-subtree)."""
     children = {t.root: t.children(t.root)[:keep]}
-    for c in children[t.root]:
-        children.update(t.subtree(c).children_map())
+    stack = list(children[t.root])
+    while stack:
+        v = stack.pop()
+        children[v] = t.children(v)
+        stack.extend(children[v])
     return OrdinalTree.from_children(t.root, children)
 
 
@@ -463,8 +466,11 @@ def _enumerate_trees(max_nodes):
             yield {1: ()}
             return
         for split in _compositions(n - 1):
-            subtrees = [list(gen(part)) for part in split]
-            for combo in product(*subtrees):
+            subtrees = []
+            ok = True
+            for part in split:
+                subtrees.append(list(gen(part)))
+            for combo in _product(subtrees):
                 children = {1: ()}
                 offset = 1
                 roots = []
@@ -475,6 +481,7 @@ def _enumerate_trees(max_nodes):
                     offset += len(sub)
                 children[1] = tuple(roots)
                 yield children
+        return
 
     for n in range(1, max_nodes + 1):
         for children in gen(n):
@@ -487,6 +494,15 @@ def _compositions(n):
         return
     for head in range(1, n + 1):
         for tail in _compositions(n - head):
+            yield (head,) + tail
+
+
+def _product(lists):
+    if not lists:
+        yield ()
+        return
+    for head in lists[0]:
+        for tail in _product(lists[1:]):
             yield (head,) + tail
 
 

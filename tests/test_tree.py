@@ -19,6 +19,7 @@ def test_build_fixture_depth_first_order():
     t = OrdinalTree.build(*fix_parent_maps())
     assert list(t.nodes()) == [ROOT, 1, 2, 3, 4, 5, 6, 7, 8]
     assert t == OrdinalTree.from_children(ROOT, FIX_T_CHILDREN)
+    assert t == OrdinalTree.from_children(ROOT, {v: iter(k) for v, k in FIX_T_CHILDREN.items()})
     assert t.depth(ROOT) == 0
     assert t.depth(3) == 3
     assert t.dft(4) == 5

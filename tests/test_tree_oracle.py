@@ -123,3 +123,14 @@ def test_left_siblings_of_all_nodes_take_linear_steps_in_all():
         nodes = list(t.nodes())
         steps = _reads_of(lambda: [t.navigate(v, "ils") for v in nodes], t)
         assert steps <= 4 * len(nodes)
+
+
+def test_one_left_sibling_climbs_the_height_of_its_subtree():
+    # root 0 has children [1 (the head of a chain 1..m), m + 1]
+    m = 2000
+    kids = {k: (k + 1,) for k in range(1, m)}
+    kids[0] = (1, m + 1)
+    t = OrdinalTree.from_children(0, kids)
+    steps = _reads_of(lambda: t.navigate(m + 1, "ils"), t)
+    assert t.navigate(m + 1, "ils") == 1
+    assert m <= steps <= 2 * m + 5  # one climb step per chain node, at most two reads each

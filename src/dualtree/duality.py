@@ -5,15 +5,19 @@ The dual exchanges parent/sibling and left/right roles: the dual parent of a
 non-root node is the first node after its subtree in depth-first order (the
 root when none follows), and dual siblings come in descending depth-first
 order, so the dual's preorder is the root and then the other nodes in
-reverse. ``dual`` and ``reverse`` list the nodes in their new preorder with
-their child counts, as a DFUDS does, and the tree fills its arrays from
-those; ``reversed_dual`` is the two in turn. Two independent constructions
-stay as oracles: ``_dual_by_rules`` (whose certificate ``dual_certified``
-returns) and ``_dual_by_right_neighbour``; verify and the tests check all
-three agree.
+reverse. ``dual``, ``reverse`` and ``reversed_dual`` each list the nodes
+in their new preorder with their child counts, as a DFUDS does, and the tree
+fills its arrays from those. The reversed dual's preorder is the root, then
+each node's children right to left, taking the nodes in the primal's
+preorder, which is why its BP is the primal's DFUDS; it is built in that one
+pass, and ``reverse(dual(t))`` stays as its oracle in verify and the tests.
+Two independent constructions of the dual stay as oracles: ``_dual_by_rules``
+(whose certificate ``dual_certified`` returns) and
+``_dual_by_right_neighbour``; verify and the tests check all three agree.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 from operator import add, sub
 
 from .errors import ContractError
@@ -35,19 +39,31 @@ class DualityCertificate:
 
 def dual(t: OrdinalTree) -> OrdinalTree:
     """The dual tree; same node set, parenthood and sibling order exchanged."""
-    # Primal rank k > 0 has dual rank n - k, and its dual children are the
-    # nodes whose subtree ends just before it, j + size = k (n for the root).
-    order, size = t._order, t._size
-    n = len(order)
-    degree = [0] * (n + 1)
-    for j in range(1, n):
-        degree[j + size[j]] += 1
-    return OrdinalTree._from_degrees(order[:1] + order[:0:-1], degree[n:] + degree[n - 1:0:-1])
+    # primal rank k > 0 has dual rank n - k
+    order = t._order
+    degree = _dual_degrees(t)
+    return OrdinalTree._from_degrees(order[:1] + order[:0:-1], degree[:1] + degree[:0:-1])
 
 
 def reversed_dual(t: OrdinalTree) -> OrdinalTree:
-    """reverse(dual(t)): the tree whose BP encoding equals DFUDS of t."""
-    return reverse(dual(t))
+    """reverse(dual(t)), built in one pass: the tree whose BP encoding
+    equals DFUDS of t."""
+    # Its preorder is the root, then each node's children right to left,
+    # taking the nodes in t's preorder: the other ranks, last first, stably
+    # sorted by parent.
+    order = t._order
+    degree = _dual_degrees(t)
+    at = [0, *sorted(range(t.n_nodes - 1, 0, -1), key=t._parent.tolist().__getitem__)]
+    return OrdinalTree._from_degrees(list(map(order.__getitem__, at)), list(map(degree.__getitem__, at)))
+
+
+def _dual_degrees(t: OrdinalTree) -> list:
+    """Dual child counts by primal rank. The dual children of rank k > 0 are
+    the nodes whose subtree ends just before it, k - 1 and its ancestors down
+    to depth(k): depth(k - 1) + 1 - depth(k) of them. The root's are those
+    whose subtree ends last, the depth(n - 1) non-root ancestors of rank n - 1."""
+    depth = t._depth.tolist()
+    return [depth[-1], *map(sub, map((1).__add__, depth), islice(depth, 1, None))]
 
 
 def dual_certified(t: OrdinalTree) -> DualityCertificate:

@@ -65,11 +65,6 @@ def read_array_text(path):
     return values
 
 
-def write_array_text(path, values):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(str(v) for v in values) + "\n")
-
-
 def read_array_binary(path):
     with open(path, "rb") as fh:
         head = fh.read(8)
@@ -167,7 +162,7 @@ def _rank_section(parenseq):
 
 
 def _emin_section(parenseq):
-    return struct.pack("<Q", _BLOCK) + _pack_i64s(parenseq._bmin)
+    return struct.pack("<Q", _BLOCK) + _pack_i64s(parenseq.block_tables()[0])
 
 
 def _weight_section(weighted, side):
@@ -314,10 +309,11 @@ def _verify_derived(path, parenseq, sections):
 
 def stats_for(parenseq, extra_values=0):
     """Bit counts reported after a build."""
+    bmin, bmax, table = parenseq.block_tables()
     return {
         "raw_bits": parenseq.n,
         "rank_table_bits": parenseq.base.table_bits(),
-        "excess_block_bits": 64 * (len(parenseq._bmin) + len(parenseq._bmax)),
-        "sparse_table_bits": 64 * 3 * sum(len(row) for row in parenseq._table),
+        "excess_block_bits": 64 * (len(bmin) + len(bmax)),
+        "sparse_table_bits": 64 * 3 * sum(map(len, table)),
         "value_words": extra_values,
     }

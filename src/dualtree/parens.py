@@ -9,6 +9,10 @@ parenthesis weights (``bpselect``); it builds no excess tables.
 The excess RMQ uses fixed-size block minima plus a sparse table over blocks;
 within a block the query falls back to a direct scan. Adjacent excess values
 differ by exactly one, which the forward/backward matching searches exploit.
+The constructor builds the excess array and checks the balance; the block
+minima, maxima and sparse table are built on the first search (rmq_excess,
+open or close) or when ``block_tables`` is asked for them, so a sequence
+that is only compared, decoded or stored as bits never pays for them.
 """
 
 from array import array
@@ -49,11 +53,12 @@ class ParenSeq:
         if exc[-1] != 0:
             raise ValidationError(f"unbalanced sequence: {exc[-1]} unmatched opening parentheses")
         self._exc = exc
-        self._build_blocks()
+        self._bmin = self._bmax = self._table = None  # built by the first search
 
     # -- construction helpers -------------------------------------------------
 
     def _build_blocks(self):
+        """Block minima and maxima and the sparse table over the block minima."""
         exc = self._exc
         nblocks = (self.n + _BLOCK - 1) // _BLOCK
         chunks = [exc[lo : lo + _BLOCK] for lo in range(1, self.n + 1, _BLOCK)]
@@ -70,6 +75,12 @@ class ParenSeq:
             ])
             span *= 2
         self._table = table
+
+    def block_tables(self):
+        """(block minima, block maxima, sparse table), built on first use."""
+        if self._table is None:
+            self._build_blocks()
+        return self._bmin, self._bmax, self._table
 
     # -- basic queries ---------------------------------------------------------
 
@@ -100,12 +111,16 @@ class ParenSeq:
         """Position of the closing parenthesis matching the opening one at x."""
         if self.base.bit(x) != OPEN:
             raise ContractError(f"position {x} is not an opening parenthesis")
+        if self._table is None:
+            self._build_blocks()
         return self._fwd_to(x + 1, self._exc[x] - 1)
 
     def open(self, x: int) -> int:
         """Position of the opening parenthesis matching the closing one at x."""
         if self.base.bit(x) != CLOSE:
             raise ContractError(f"position {x} is not a closing parenthesis")
+        if self._table is None:
+            self._build_blocks()
         return self._bwd_to(x - 1, self._exc[x]) + 1
 
     def _fwd_to(self, start: int, target: int) -> int:
@@ -156,6 +171,8 @@ class ParenSeq:
             raise RangeError(f"range [{l}, {r}] invalid for length {self.n}")
         if tiebreak not in (LEFTMOST, RIGHTMOST):
             raise ContractError(f"unknown tiebreak {tiebreak!r}")
+        if self._table is None:
+            self._build_blocks()
         left = tiebreak == LEFTMOST
         kb_l = (l - 1) // _BLOCK
         kb_r = (r - 1) // _BLOCK

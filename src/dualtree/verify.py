@@ -7,8 +7,8 @@ sizes. All randomness flows from (seed, topic) pairs so two runs with the
 same seed produce identical reports.
 """
 
-import random
 from dataclasses import dataclass, field
+from itertools import product
 
 from . import codec, duality, mliq, randgen, rmq
 from .minheap import build_minheap, reversal_dual_check
@@ -466,11 +466,7 @@ def _enumerate_trees(max_nodes):
             yield {1: ()}
             return
         for split in _compositions(n - 1):
-            subtrees = []
-            ok = True
-            for part in split:
-                subtrees.append(list(gen(part)))
-            for combo in _product(subtrees):
+            for combo in product(*map(gen, split)):
                 children = {1: ()}
                 offset = 1
                 roots = []
@@ -494,15 +490,6 @@ def _compositions(n):
         return
     for head in range(1, n + 1):
         for tail in _compositions(n - head):
-            yield (head,) + tail
-
-
-def _product(lists):
-    if not lists:
-        yield ()
-        return
-    for head in lists[0]:
-        for tail in _product(lists[1:]):
             yield (head,) + tail
 
 

@@ -5,12 +5,19 @@ parenthesis strings were derived independently by hand from the definitions
 and are frozen here; encoder/decoder tests must reproduce them byte for byte.
 """
 
+import os
 import random
 
 import pytest
 from hypothesis import strategies as st
 
+import dualtree
 from dualtree.tree import OrdinalTree
+
+# Tests that run `python -m dualtree.cli` in a subprocess need the package
+# found there too, as pyproject's pythonpath finds it for pytest.
+_SRC = os.path.dirname(os.path.dirname(dualtree.__file__))
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 FIX_A = [2, 7, 8, 1, 6, 4, 3, 5]
 

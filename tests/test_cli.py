@@ -47,6 +47,30 @@ def test_build_array_reports_bits(tmp_path, capsys):
     assert idx.read_bytes()[:4] == b"DTR1"
 
 
+def test_build_stats_lines_are_pinned(tmp_path, capsys):
+    # No query runs before the stats are taken, so the save and the stats
+    # build the excess block and sparse tables themselves.
+    cases = [
+        ("array", " ".join(map(str, FIX_A)) + "\n",
+         "array 8 18 256 128 192 8 180"),
+        ("array", " ".join(str(37 * i % 1000) for i in range(1, 400)) + "\n",
+         "array 399 800 1792 1664 7872 399 3596"),
+        ("intervals", "".join(f"{a} {b}\n" for a, b in FIX_INTERVALS),
+         "intervals 4 10 256 128 192 8 368"),
+        ("intervals", "".join(f"{3 * i} {3 * i + 2 + i % 3}\n" for i in range(300)),
+         "intervals 300 602 1408 1280 5568 600 14792"),
+    ]
+    for kind, text, want in cases:
+        src = tmp_path / "in.txt"
+        src.write_text(text)
+        code, out, _ = run_cli(capsys, "build", kind, str(src), "-o", str(tmp_path / "out.idx"), "--output", "tsv")
+        assert code == 0
+        header, row = out.splitlines()
+        assert header.split("\t") == ["kind", "n", "raw_bits", "rank_table_bits", "excess_block_bits",
+                                      "sparse_table_bits", "value_words", "blob_bytes"]
+        assert row.split("\t") == want.split()
+
+
 def test_build_binary_format(tmp_path, capsys):
     src = tmp_path / "a.bin"
     index_io.write_array_binary(src, FIX_A)

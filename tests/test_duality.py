@@ -3,12 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from dualtree import duality
+import dict_tree
+from dualtree import codec, duality
 from dualtree.errors import ContractError
 from dualtree.randgen import random_tree
 from dualtree.tree import OrdinalTree
 
-from conftest import ROOT, chain, relabel, star, trees
+from conftest import ROOT, chain, relabel, shapes, star, trees
 
 
 def test_dual_fixture(fix_t, fix_tstar):
@@ -231,6 +232,38 @@ def test_dual_builds_without_navigate_or_validation(monkeypatch):
         assert duality.reversed_dual(t) == duality.reverse(d)
     assert duality.dual(wide).children(2) == (1,)
     assert duality.dual(deep).children(0) == tuple(range(5000, 0, -1))
+    assert duality.reversed_dual(deep).children(0) == tuple(range(1, 5001))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=shapes())
+def test_one_pass_reversed_dual_matches_reverse_of_dual_and_the_dict_oracle(shape):
+    t = OrdinalTree.from_children(*shape)
+    rd = duality.reversed_dual(t)
+    want = duality.reverse(duality.dual(t))
+    assert rd == want
+    assert (rd._parent, rd._depth, rd._size) == (want._parent, want._depth, want._size)
+    o = dict_tree.reversed_dual(dict_tree.DictTree.from_children(*shape))
+    assert list(rd.nodes()) == list(o.nodes()) and rd.children_map() == o.children_map()
+    for v in o.nodes():
+        assert (rd.parent(v), rd.depth(v), rd.subtree_size(v)) == (o.parent(v), o.depth(v), o.subtree_size(v))
+    assert codec.bp_encode(rd)[0] == codec.dfuds_encode(t)[0]
+
+
+def test_reversed_dual_builds_without_dual_or_reverse(monkeypatch):
+    wide, deep = star(5000), chain(*range(5001))
+    cases = [(t, duality.reverse(duality.dual(t))) for t in (wide, deep)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the one-pass reversed dual must not call this")
+
+    monkeypatch.setattr(duality, "dual", refuse)
+    monkeypatch.setattr(duality, "reverse", refuse)
+    for t, want in cases:
+        rd = duality.reversed_dual(t)
+        assert rd == want and rd._parent == want._parent and rd._depth == want._depth
+    # the reversed dual of a star is a chain ending in leaf 1, of a chain a star
+    assert list(duality.reversed_dual(wide).nodes()) == [0, *range(5000, 0, -1)]
     assert duality.reversed_dual(deep).children(0) == tuple(range(1, 5001))
 
 

@@ -1,10 +1,13 @@
 import random
+import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from dualtree import codec, index_io
 from dualtree.errors import ContractError, RangeError, ValidationError
 from dualtree.parens import CLOSE_WEIGHTS, LEFTMOST, OPEN_WEIGHTS, RIGHTMOST, ParenSeq, WeightedBits
+from dualtree.randgen import random_tree
 
 from conftest import FIX_BP, FIX_DFUDS
 
@@ -223,16 +226,89 @@ def test_unbalanced_messages_name_the_fault():
         ParenSeq("((()")
 
 
+def block_oracle(bits):
+    """(excess, block minima, block maxima, sparse table) by direct scans;
+    table[j][k] is (min, leftmost block, rightmost block) over blocks [k, k + 2^j)."""
+    exc = [0]
+    for b in bits:
+        exc.append(exc[-1] + (1 if b else -1))
+    blocks = [exc[lo : lo + 64] for lo in range(1, len(bits) + 1, 64)]
+    bmin = [min(c) for c in blocks]
+    table = []
+    span = 1
+    while span <= len(bmin):
+        row = []
+        for k in range(len(bmin) - span + 1):
+            low = min(bmin[k : k + span])
+            hits = [k + i for i, v in enumerate(bmin[k : k + span]) if v == low]
+            row.append((low, hits[0], hits[-1]))
+        table.append(row)
+        span *= 2
+    return exc, bmin, [max(c) for c in blocks], table
+
+
 def test_block_tables_match_a_direct_scan():
     rng = random.Random(0xB10C)
     for pairs in (1, 31, 32, 33, 500, 2000):
         bits = random_balanced(rng, pairs)
         p = ParenSeq(bits)
-        exc = [0]
-        for b in bits:
-            exc.append(exc[-1] + (1 if b else -1))
+        exc, bmin, bmax, table = block_oracle(bits)
         assert p._exc == exc
-        blocks = [exc[lo : lo + 64] for lo in range(1, len(bits) + 1, 64)]
-        assert p._bmin == [min(c) for c in blocks]
-        assert p._bmax == [max(c) for c in blocks]
+        assert p.block_tables() == (bmin, bmax, table)
         assert p.to_string() == "".join("(" if b else ")" for b in bits)
+
+
+def test_encoders_hold_no_block_tables_until_a_search():
+    rng = random.Random(0x1A2)
+    for n in (1, 2, 40, 300):
+        t = random_tree(rng, n)
+        seqs = [codec.bp_encode(t)[0], codec.dfuds_encode(t)[0]]
+        seqs.append(codec.mirror(seqs[1]))
+        for p in seqs:
+            assert (p._bmin, p._bmax, p._table) == (None, None, None)
+            assert p == ParenSeq(p.base) and p.excess(p.n) == 0
+
+
+@pytest.mark.parametrize("search", ["rmq_excess", "open", "close"])
+def test_first_search_builds_the_tables_of_the_direct_scan(search):
+    rng = random.Random(0x5EA)
+    for pairs in (1, 31, 32, 33, 500, 2000):
+        bits = random_balanced(rng, pairs)
+        p = ParenSeq(bits)
+        assert p._table is None
+        if search == "rmq_excess":
+            p.rmq_excess(1, len(bits))
+        elif search == "open":
+            p.open(bits.index(0) + 1)
+        else:
+            p.close(1)
+        _, bmin, bmax, table = block_oracle(bits)
+        assert (p._bmin, p._bmax, p._table) == (bmin, bmax, table)
+
+
+def test_index_io_builds_the_tables_it_reads():
+    rng = random.Random(0x10)
+    bits = random_balanced(rng, 700)
+    _, bmin, bmax, table = block_oracle(bits)
+    p = ParenSeq(bits)
+    assert index_io._emin_section(p) == struct.pack(f"<Q{len(bmin)}q", 64, *bmin)
+    p = ParenSeq(bits)
+    stats = index_io.stats_for(p)
+    assert stats["excess_block_bits"] == 64 * (len(bmin) + len(bmax))
+    assert stats["sparse_table_bits"] == 64 * 3 * sum(map(len, table))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.lists(st.integers(0, 1), min_size=1, max_size=300))
+def test_unbalanced_sequences_raise_at_construction(bits):
+    exc = [0]
+    for b in bits:
+        exc.append(exc[-1] + (1 if b else -1))
+    if min(exc) < 0:
+        with pytest.raises(ValidationError, match=rf"excess drops below zero at position {exc.index(-1)}$"):
+            ParenSeq(bits)
+    elif exc[-1]:
+        with pytest.raises(ValidationError, match=rf"^unbalanced sequence: {exc[-1]} unmatched opening parentheses$"):
+            ParenSeq(bits)
+    else:
+        assert ParenSeq(bits)._table is None

@@ -2,8 +2,10 @@
 
 Positions are 1-based throughout. Bits are packed into 64-bit words with
 per-word cumulative counts, so ``rank`` costs one popcount and ``select`` a
-binary search over the cumulative table plus one in-word scan. The tables are
-derived from the bits alone; rebuilding a sequence always reproduces them.
+binary search over the cumulative table plus six popcounts inside the word,
+each keeping the half (32, 16, ... bits) that holds the wanted bit. The
+tables are derived from the bits alone; rebuilding a sequence always
+reproduces them.
 Construction runs in bulk steps: the bits become one big integer, which is
 cut into words, and the cumulative counts come from ``accumulate``.
 """
@@ -18,6 +20,7 @@ from .errors import NotFoundError, RangeError
 
 WORD = 64
 _MASKS = [(1 << (r + 1)) - 1 for r in range(WORD)]
+_FULL = (1 << WORD) - 1
 
 _NOT_A_BIT = re.compile(r"[^01()]")
 _CHAR_TO_DIGIT = str.maketrans("()", "10")
@@ -81,14 +84,35 @@ class BitSeq:
             raise NotFoundError(f"sequence holds only {cum[-1]} occurrences of {s}, asked for {i}")
         w = bisect_left(cum, i) - 1
         need = i - cum[w]
-        word = self._words[w] if s else ~self._words[w] & ((1 << WORD) - 1)
-        base = w * WORD
-        while True:
-            low = word & -word
-            need -= 1
-            if need == 0:
-                return base + low.bit_length()
-            word ^= low
+        word = self._words[w] if s else ~self._words[w] & _FULL
+        pos = w * WORD + 1
+        # halve the word six times, keeping the half that holds the bit
+        c = (word & 0xFFFFFFFF).bit_count()
+        if c < need:
+            need -= c
+            word >>= 32
+            pos += 32
+        c = (word & 0xFFFF).bit_count()
+        if c < need:
+            need -= c
+            word >>= 16
+            pos += 16
+        c = (word & 0xFF).bit_count()
+        if c < need:
+            need -= c
+            word >>= 8
+            pos += 8
+        c = (word & 0xF).bit_count()
+        if c < need:
+            need -= c
+            word >>= 4
+            pos += 4
+        c = (word & 0x3).bit_count()
+        if c < need:
+            need -= c
+            word >>= 2
+            pos += 2
+        return pos + (word & 1 < need)
 
     def table_bits(self) -> int:
         """Size of the acceleration tables, in bits (reported, not bounded)."""

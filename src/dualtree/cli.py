@@ -164,7 +164,14 @@ def cmd_query(args):
 # -- verify -------------------------------------------------------------------------
 
 
+def _check_non_negative(**counts):
+    for flag, value in counts.items():
+        if value < 0:
+            raise ValidationError(f"--{flag} must be non-negative, got {value}")
+
+
 def cmd_verify(args):
+    _check_non_negative(trees=args.trees, queries=args.queries)
     seed = args.seed if args.seed is not None else _default_seed()
     if args.claim:
         found, checked = verify.CLAIMS[args.claim](4)
@@ -177,6 +184,10 @@ def cmd_verify(args):
             print(f"    other way: {rhs_text}")
         return EXIT_OK
     suites = verify.SUITES if args.suite == "all" else (args.suite,)
+    needy = max(suites, key=verify.SMALLEST_SIZE.__getitem__)
+    least = verify.SMALLEST_SIZE[needy]
+    if args.max_size < least:
+        raise ValidationError(f"--max-size must be at least {least} for the {needy} suite, got {args.max_size}")
     results = verify.run_suites(suites, seed, trees=args.trees, queries=args.queries, max_size=args.max_size)
     failed = 0
     for r in results:
@@ -209,6 +220,7 @@ def _tree_text(t):
 
 
 def cmd_bench(args):
+    _check_non_negative(queries=args.queries)
     seed = args.seed if args.seed is not None else _default_seed()
     blob_kind, index = _load_any(args.index)
     if args.kind == "rmq":

@@ -309,11 +309,11 @@ def _verify_derived(path, parenseq, sections):
 
 def stats_for(parenseq, extra_values=0):
     """Bit counts reported after a build."""
-    bmin, bmax, table = parenseq.block_tables()
+    bmin, table = parenseq.block_tables()
     return {
         "raw_bits": parenseq.n,
         "rank_table_bits": parenseq.base.table_bits(),
-        "excess_block_bits": 64 * (len(bmin) + len(bmax)),
+        "excess_block_bits": 64 * len(bmin),
         "sparse_table_bits": 64 * 3 * sum(map(len, table)),
         "value_words": extra_values,
     }

@@ -6,13 +6,21 @@ excess array with an explicit leftmost/rightmost tiebreak. A WeightedBits
 wraps a plain BitSeq and adds weighted prefix select over per-side
 parenthesis weights (``bpselect``); it builds no excess tables.
 
-The excess RMQ uses fixed-size block minima plus a sparse table over blocks;
-within a block the query falls back to a direct scan. Adjacent excess values
-differ by exactly one, which the forward/backward matching searches exploit.
+The excess RMQ uses fixed-size block minima plus a sparse table over blocks.
+Inside a block every step is one C-level slice operation on the excess list:
+``min`` of the slice and ``index`` of its value (on the reversed slice for
+the rightmost tie); ``rmq_excess`` takes the minimum of the whole blocks
+from the table and scans an end block only when its block minimum could
+beat or tie that. Adjacent excess values differ by exactly one, so the
+matching searches (open/close) look for the nearest block, forward or
+backward, whose minimum is <= the target excess: they descend the same
+sparse table from its top level, skipping each window of 2^j blocks whose
+minimum is above the target, which reads at most log2(blocks) + 1 table
+entries, and finish with one ``index`` inside that block.
 The constructor builds the excess array and checks the balance; the block
-minima, maxima and sparse table are built on the first search (rmq_excess,
-open or close) or when ``block_tables`` is asked for them, so a sequence
-that is only compared, decoded or stored as bits never pays for them.
+minima and sparse table are built on the first search (rmq_excess, open or
+close) or when ``block_tables`` is asked for them, so a sequence that is
+only compared, decoded or stored as bits never pays for them.
 """
 
 from array import array
@@ -40,7 +48,7 @@ _DIGIT_TO_PAREN = str.maketrans("10", "()")
 class ParenSeq:
     """Immutable balanced parenthesis sequence with query support."""
 
-    __slots__ = ("base", "n", "_exc", "_bmin", "_bmax", "_table")
+    __slots__ = ("base", "n", "_exc", "_bmin", "_table")
 
     def __init__(self, bits):
         self.base = bits if isinstance(bits, BitSeq) else BitSeq(bits)
@@ -53,17 +61,16 @@ class ParenSeq:
         if exc[-1] != 0:
             raise ValidationError(f"unbalanced sequence: {exc[-1]} unmatched opening parentheses")
         self._exc = exc
-        self._bmin = self._bmax = self._table = None  # built by the first search
+        self._bmin = self._table = None  # built by the first search
 
     # -- construction helpers -------------------------------------------------
 
     def _build_blocks(self):
-        """Block minima and maxima and the sparse table over the block minima."""
+        """Block minima and the sparse table over them."""
         exc = self._exc
         nblocks = (self.n + _BLOCK - 1) // _BLOCK
         chunks = [exc[lo : lo + _BLOCK] for lo in range(1, self.n + 1, _BLOCK)]
         self._bmin = bmin = list(map(min, chunks))
-        self._bmax = list(map(max, chunks))
         # table[j][k] = (min value, leftmost block, rightmost block) over blocks [k, k + 2^j)
         table = [[(v, k, k) for k, v in enumerate(bmin)]]
         span = 1
@@ -77,10 +84,10 @@ class ParenSeq:
         self._table = table
 
     def block_tables(self):
-        """(block minima, block maxima, sparse table), built on first use."""
+        """(block minima, sparse table), built on first use."""
         if self._table is None:
             self._build_blocks()
-        return self._bmin, self._bmax, self._table
+        return self._bmin, self._table
 
     # -- basic queries ---------------------------------------------------------
 
@@ -127,41 +134,48 @@ class ParenSeq:
         """Smallest y >= start with excess(y) == target; target < excess(start-1)."""
         exc = self._exc
         kb = (start - 1) // _BLOCK
-        hi = min((kb + 1) * _BLOCK, self.n)
-        for y in range(start, hi + 1):
-            if exc[y] == target:
-                return y
-        for k in range(kb + 1, len(self._bmin)):
-            if self._bmin[k] <= target:
-                lo = k * _BLOCK + 1
-                hi = min(lo + _BLOCK - 1, self.n)
-                for y in range(lo, hi + 1):
-                    if exc[y] == target:
-                        return y
-        raise ContractError(f"no matching excess {target} forward of position {start}")
+        try:
+            return exc.index(target, start, (kb + 1) * _BLOCK + 1)
+        except ValueError:
+            pass
+        # The excess stays above target up to the end of block kb and moves
+        # by one, so the first later block whose minimum is <= target holds
+        # the match. Descend the table from the top: skip each window of 2^j
+        # blocks whose minimum is above target.
+        table = self._table
+        nb = len(table[0])
+        k = kb + 1
+        for j in reversed(range((nb - k).bit_length())):
+            if k + (1 << j) <= nb and table[j][k][0] > target:
+                k += 1 << j
+        if k == nb:
+            raise ContractError(f"no matching excess {target} forward of position {start}")
+        return exc.index(target, k * _BLOCK + 1, (k + 1) * _BLOCK + 1)
 
     def _bwd_to(self, start: int, target: int) -> int:
-        """Largest y <= start (possibly 0) with excess(y) == target."""
+        """Largest y <= start (possibly 0) with excess(y) == target; target < excess(start)."""
         exc = self._exc
         if start <= 0:
             if target == 0:
                 return 0
             raise ContractError("no matching excess before the sequence start")
         kb = (start - 1) // _BLOCK
-        lo = kb * _BLOCK + 1
-        for y in range(start, lo - 1, -1):
-            if exc[y] == target:
-                return y
-        for k in range(kb - 1, -1, -1):
-            if self._bmin[k] <= target <= self._bmax[k]:
-                lo = k * _BLOCK + 1
-                hi = min(lo + _BLOCK - 1, self.n)
-                for y in range(hi, lo - 1, -1):
-                    if exc[y] == target:
-                        return y
-        if target == 0:
-            return 0
-        raise ContractError(f"no matching excess {target} backward of position {start}")
+        try:
+            return _rindex(exc, target, kb * _BLOCK + 1, start)
+        except ValueError:
+            pass
+        # Mirror of _fwd_to: the last earlier block whose minimum is <= target
+        # holds the match, at its rightmost position with that excess.
+        table = self._table
+        k = kb  # blocks [0, k) are left to search
+        for j in reversed(range(k.bit_length())):
+            if k >= 1 << j and table[j][k - (1 << j)][0] > target:
+                k -= 1 << j
+        if k == 0:
+            if target == 0:
+                return 0
+            raise ContractError(f"no matching excess {target} backward of position {start}")
+        return _rindex(exc, target, (k - 1) * _BLOCK + 1, k * _BLOCK)
 
     # -- range minimum over the excess array ------------------------------------
 
@@ -178,29 +192,40 @@ class ParenSeq:
         kb_r = (r - 1) // _BLOCK
         if kb_l == kb_r:
             return self._scan(l, r, left)
-        best_v, best_p = self._scan_value(l, (kb_l + 1) * _BLOCK, left)
-        if kb_r > kb_l + 1:
-            mv, mk = self._block_min(kb_l + 1, kb_r - 1, left)
-            if mv < best_v or (mv == best_v and not left):
-                lo = mk * _BLOCK + 1
-                best_v, best_p = self._scan_value(lo, lo + _BLOCK - 1, left)
-        rv, rp = self._scan_value(kb_r * _BLOCK + 1, r, left)
-        if rv < best_v or (rv == best_v and not left):
-            best_v, best_p = rv, rp
+        bmin = self._bmin
+        if kb_r == kb_l + 1:
+            best_v, best_p = self._scan_value(l, (kb_l + 1) * _BLOCK, left)
+        else:
+            # The table gives the minimum of the whole blocks between the two
+            # ends. An end block is scanned only if its block minimum could
+            # win against it, and the winning whole block only to place it.
+            best_v, mk = self._block_min(kb_l + 1, kb_r - 1, left)
+            best_p = None
+            if bmin[kb_l] < best_v or (left and bmin[kb_l] == best_v):
+                v, p = self._scan_value(l, (kb_l + 1) * _BLOCK, left)
+                if v < best_v or (left and v == best_v):
+                    best_v, best_p = v, p
+        if bmin[kb_r] < best_v or (not left and bmin[kb_r] == best_v):
+            v, p = self._scan_value(kb_r * _BLOCK + 1, r, left)
+            if v < best_v or (not left and v == best_v):
+                return p
+        if best_p is None:
+            lo = mk * _BLOCK + 1
+            exc = self._exc
+            return exc.index(best_v, lo, lo + _BLOCK) if left else _rindex(exc, best_v, lo, lo + _BLOCK - 1)
         return best_p
 
     def _scan(self, l, r, left):
         return self._scan_value(l, r, left)[1]
 
     def _scan_value(self, l, r, left):
-        exc = self._exc
-        best_v = exc[l]
-        best_p = l
-        for y in range(l + 1, r + 1):
-            v = exc[y]
-            if v < best_v or (v == best_v and not left):
-                best_v, best_p = v, y
-        return best_v, best_p
+        """(minimum excess over [l, r], its leftmost or rightmost position)."""
+        seg = self._exc[l : r + 1]
+        m = min(seg)
+        if left:
+            return m, l + seg.index(m)
+        seg.reverse()
+        return m, r - seg.index(m)
 
     def _block_min(self, kl, kr, left):
         """(min value, block index attaining it) over blocks [kl, kr]."""
@@ -226,6 +251,11 @@ class ParenSeq:
         if len(s) > 40:
             s = s[:37] + "..."
         return f"ParenSeq({s})"
+
+
+def _rindex(seq, v, lo, hi):
+    """Largest y in [lo, hi] with seq[y] == v (lo >= 1); ValueError if none."""
+    return hi - seq[hi : lo - 1 : -1].index(v)
 
 
 class WeightedBits:

@@ -17,6 +17,11 @@ from .tree import OrdinalTree
 
 SUITES = ("identities", "rmq", "pda", "mliq", "join")
 
+# The least max_size each suite can draw its corpus from: run_suites draws
+# sizes from 1 (identities, rmq, mliq), 2 (pda's node pairs) or 3 (join's
+# root with two subtrees) up to it.
+SMALLEST_SIZE = {"identities": 1, "rmq": 1, "pda": 2, "mliq": 1, "join": 3}
+
 _FAILURE_CAP = 5
 
 

@@ -78,6 +78,16 @@ def trees():
     return shapes().map(lambda shape: OrdinalTree.from_children(*shape))
 
 
+class Counted(list):
+    """A list that counts its index reads, all instances together."""
+
+    reads = 0
+
+    def __getitem__(self, k):
+        Counted.reads += 1
+        return super().__getitem__(k)
+
+
 def pytest_terminal_summary(terminalreporter):
     if CRITERION_LINES:
         terminalreporter.section("acceptance criteria")

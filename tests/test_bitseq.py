@@ -1,7 +1,8 @@
 import random
+from bisect import bisect_left
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dualtree.bitseq import BitSeq
 from dualtree.errors import NotFoundError, RangeError
@@ -156,3 +157,52 @@ def test_rejection_names_the_first_bad_position():
         BitSeq(["1", 0])
     with pytest.raises(RangeError, match=r"character 'x' at position 3 is not a bit or parenthesis"):
         BitSeq("01x0y")
+
+
+FULL = (1 << 64) - 1
+
+
+def select_bit_by_bit(b, i, s):
+    """The in-word select the halving replaced: clear the lowest bits of the
+    word one at a time until the i-th occurrence is the lowest."""
+    cum = b._cum1 if s else b._cum0
+    w = bisect_left(cum, i) - 1
+    need = i - cum[w]
+    word = b._words[w] if s else ~b._words[w] & FULL
+    while True:
+        low = word & -word
+        need -= 1
+        if need == 0:
+            return w * 64 + low.bit_length()
+        word ^= low
+
+
+words = st.one_of(
+    st.just(0), st.just(FULL), st.integers(0, FULL),
+    st.integers(0, 63).map(lambda k: 1 << k), st.integers(0, 63).map(lambda k: FULL ^ (1 << k)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ws=st.lists(words, min_size=1, max_size=6), tail=st.integers(1, 64))
+def test_select_matches_the_positions_and_the_bit_by_bit_scan(ws, tail):
+    bits = [(w >> k) & 1 for w in ws for k in range(64)][: 64 * (len(ws) - 1) + tail]  # last word may be partial
+    b = BitSeq(bits)
+    for s in (0, 1):
+        positions = [x for x, bit in enumerate(bits, start=1) if bit == s]
+        assert [b.select(i, s) for i in range(1, len(positions) + 1)] == positions
+        assert [select_bit_by_bit(b, i, s) for i in range(1, len(positions) + 1)] == positions
+        with pytest.raises(NotFoundError, match=f"holds only {len(positions)} occurrences of {s}"):
+            b.select(len(positions) + 1, s)
+
+
+def test_select_in_full_and_empty_words():
+    for n in (64, 100, 128, 130):
+        for fill in (0, 1):
+            b = BitSeq([fill] * n)
+            assert [b.select(i, fill) for i in range(1, n + 1)] == list(range(1, n + 1))
+            with pytest.raises(NotFoundError):
+                b.select(1, 1 - fill)
+    b = BitSeq([1] * 64 + [0] * 64 + [1] * 5)  # a full word, an empty word, a partial last word
+    assert [b.select(i, 1) for i in (1, 64, 65, 69)] == [1, 64, 129, 133]
+    assert [b.select(i, 0) for i in (1, 64)] == [65, 128]

@@ -49,16 +49,17 @@ def test_build_array_reports_bits(tmp_path, capsys):
 
 def test_build_stats_lines_are_pinned(tmp_path, capsys):
     # No query runs before the stats are taken, so the save and the stats
-    # build the excess block and sparse tables themselves.
+    # build the excess block and sparse tables themselves. excess_block_bits
+    # counts the block minima only (64 bits per block).
     cases = [
         ("array", " ".join(map(str, FIX_A)) + "\n",
-         "array 8 18 256 128 192 8 180"),
+         "array 8 18 256 64 192 8 180"),
         ("array", " ".join(str(37 * i % 1000) for i in range(1, 400)) + "\n",
-         "array 399 800 1792 1664 7872 399 3596"),
+         "array 399 800 1792 832 7872 399 3596"),
         ("intervals", "".join(f"{a} {b}\n" for a, b in FIX_INTERVALS),
-         "intervals 4 10 256 128 192 8 368"),
+         "intervals 4 10 256 64 192 8 368"),
         ("intervals", "".join(f"{3 * i} {3 * i + 2 + i % 3}\n" for i in range(300)),
-         "intervals 300 602 1408 1280 5568 600 14792"),
+         "intervals 300 602 1408 640 5568 600 14792"),
     ]
     for kind, text, want in cases:
         src = tmp_path / "in.txt"
@@ -210,6 +211,30 @@ def test_verify_env_seed(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DUALTREE_SEED", "9")
     code, out, _ = run_cli(capsys, "verify", "join", "--trees", "20", "--max-size", "30")
     assert code == 0 and "seed 9" in out
+
+
+@pytest.mark.parametrize("suite, least, needy", [("all", 3, "join"), ("join", 3, "join"), ("pda", 2, "pda"),
+                                                 ("identities", 1, "identities"), ("rmq", 1, "rmq"), ("mliq", 1, "mliq")])
+def test_verify_max_size_below_a_suites_least_size_exits_2(suite, least, needy, capsys):
+    for size in range(least - 2, least):
+        code, out, err = run_cli(capsys, "verify", suite, "--max-size", str(size))
+        assert (code, out) == (2, "")
+        assert err == f"error: --max-size must be at least {least} for the {needy} suite, got {size}\n"
+
+
+def test_verify_runs_at_each_suites_least_size(capsys):
+    for suite, least in (("join", 3), ("pda", 2), ("rmq", 1)):
+        code, out, _ = run_cli(capsys, "verify", suite, "--max-size", str(least), "--trees", "4", "--queries", "20")
+        assert code == 0 and "RESULT: pass" in out
+
+
+def test_negative_counts_exit_2(array_index, capsys):
+    for argv, flag in ((("verify", "join", "--trees", "-1"), "trees"), (("verify", "--queries", "-5"), "queries"),
+                       (("verify", "--claim", "dfuds-mirror", "--trees", "-2"), "trees"),
+                       (("bench", str(array_index), "rmq", "--queries", "-1"), "queries")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: --{flag} must be non-negative, got {argv[-1]}\n"
 
 
 def test_bench_rows_and_agreement(array_index, interval_index, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 import struct
 
@@ -6,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from dualtree import codec, index_io
 from dualtree.errors import ContractError, RangeError, ValidationError
+from dualtree.minheap import build_minheap
 from dualtree.parens import CLOSE_WEIGHTS, LEFTMOST, OPEN_WEIGHTS, RIGHTMOST, ParenSeq, WeightedBits
 from dualtree.randgen import random_tree
 
-from conftest import FIX_BP, FIX_DFUDS
+from conftest import FIX_BP, FIX_DFUDS, Counted, chain, star
 
 
 def random_balanced(rng, pairs):
@@ -227,7 +229,7 @@ def test_unbalanced_messages_name_the_fault():
 
 
 def block_oracle(bits):
-    """(excess, block minima, block maxima, sparse table) by direct scans;
+    """(excess, block minima, sparse table) by direct scans;
     table[j][k] is (min, leftmost block, rightmost block) over blocks [k, k + 2^j)."""
     exc = [0]
     for b in bits:
@@ -244,7 +246,7 @@ def block_oracle(bits):
             row.append((low, hits[0], hits[-1]))
         table.append(row)
         span *= 2
-    return exc, bmin, [max(c) for c in blocks], table
+    return exc, bmin, table
 
 
 def test_block_tables_match_a_direct_scan():
@@ -252,9 +254,9 @@ def test_block_tables_match_a_direct_scan():
     for pairs in (1, 31, 32, 33, 500, 2000):
         bits = random_balanced(rng, pairs)
         p = ParenSeq(bits)
-        exc, bmin, bmax, table = block_oracle(bits)
+        exc, bmin, table = block_oracle(bits)
         assert p._exc == exc
-        assert p.block_tables() == (bmin, bmax, table)
+        assert p.block_tables() == (bmin, table)
         assert p.to_string() == "".join("(" if b else ")" for b in bits)
 
 
@@ -265,7 +267,7 @@ def test_encoders_hold_no_block_tables_until_a_search():
         seqs = [codec.bp_encode(t)[0], codec.dfuds_encode(t)[0]]
         seqs.append(codec.mirror(seqs[1]))
         for p in seqs:
-            assert (p._bmin, p._bmax, p._table) == (None, None, None)
+            assert (p._bmin, p._table) == (None, None)
             assert p == ParenSeq(p.base) and p.excess(p.n) == 0
 
 
@@ -282,19 +284,19 @@ def test_first_search_builds_the_tables_of_the_direct_scan(search):
             p.open(bits.index(0) + 1)
         else:
             p.close(1)
-        _, bmin, bmax, table = block_oracle(bits)
-        assert (p._bmin, p._bmax, p._table) == (bmin, bmax, table)
+        _, bmin, table = block_oracle(bits)
+        assert (p._bmin, p._table) == (bmin, table)
 
 
 def test_index_io_builds_the_tables_it_reads():
     rng = random.Random(0x10)
     bits = random_balanced(rng, 700)
-    _, bmin, bmax, table = block_oracle(bits)
+    _, bmin, table = block_oracle(bits)
     p = ParenSeq(bits)
     assert index_io._emin_section(p) == struct.pack(f"<Q{len(bmin)}q", 64, *bmin)
     p = ParenSeq(bits)
     stats = index_io.stats_for(p)
-    assert stats["excess_block_bits"] == 64 * (len(bmin) + len(bmax))
+    assert stats["excess_block_bits"] == 64 * len(bmin)
     assert stats["sparse_table_bits"] == 64 * 3 * sum(map(len, table))
 
 
@@ -312,3 +314,151 @@ def test_unbalanced_sequences_raise_at_construction(bits):
             ParenSeq(bits)
     else:
         assert ParenSeq(bits)._table is None
+
+
+# -- the searches against the block-by-block walk they replaced ------------------
+
+
+def walk_fwd(exc, start, target):
+    """Smallest y >= start with exc[y] == target, walking the 64-wide blocks
+    one by one and scanning a block only if its minimum reaches target."""
+    n = len(exc) - 1
+    kb = (start - 1) // 64
+    for y in range(start, min((kb + 1) * 64, n) + 1):
+        if exc[y] == target:
+            return y
+    for lo in range((kb + 1) * 64 + 1, n + 1, 64):
+        block = exc[lo : lo + 64]
+        if min(block) <= target:
+            for y in range(lo, lo + len(block)):
+                if exc[y] == target:
+                    return y
+    raise AssertionError(f"no excess {target} forward of {start}")
+
+
+def walk_bwd(exc, start, target):
+    """Largest y <= start (possibly 0) with exc[y] == target, walking back one
+    block at a time and scanning a block only if its range holds target."""
+    kb = (start - 1) // 64
+    for y in range(start, kb * 64, -1):
+        if exc[y] == target:
+            return y
+    for lo in range((kb - 1) * 64 + 1, 0, -64):
+        block = exc[lo : lo + 64]
+        if min(block) <= target <= max(block):
+            for y in range(lo + 63, lo - 1, -1):
+                if exc[y] == target:
+                    return y
+    assert target == 0
+    return 0
+
+
+def far_and_random_positions(bits, rng, count=150):
+    """The positions whose matches lie farthest away, then random ones."""
+    partner = match_oracle(bits)
+    far = sorted(partner, key=lambda x: -abs(partner[x] - x))[:count]
+    return far + rng.sample(range(1, len(bits) + 1), min(count, len(bits)))
+
+
+def assert_matches_walk(p, positions):
+    exc = [0] + [p.excess(x) for x in range(1, p.n + 1)]
+    for x in positions:
+        if p.bit(x):
+            assert p.close(x) == walk_fwd(exc, x + 1, exc[x] - 1), x
+        else:
+            assert p.open(x) == walk_bwd(exc, x - 1, exc[x]) + 1, x
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs=st.integers(1, 5000), seed=st.integers(0, 2**32))
+def test_open_close_match_the_block_walk_on_random_sequences(pairs, seed):
+    rng = random.Random(seed)
+    bits = random_balanced(rng, pairs)
+    assert_matches_walk(ParenSeq(bits), far_and_random_positions(bits, rng))
+
+
+def dfuds_shapes(n):
+    """DFUDS of a star, a chain and the heaps of decreasing, increasing and
+    all-equal arrays, each with about n nodes."""
+    return {
+        "star": codec.dfuds_encode(star(n))[0],
+        "chain": codec.dfuds_encode(chain(*range(n)))[0],
+        "decreasing": build_minheap(list(range(n, 0, -1))).dfuds,
+        "increasing": build_minheap(list(range(n))).dfuds,
+        "equal": build_minheap([5] * n).dfuds,
+    }
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 3000), seed=st.integers(0, 2**32))
+def test_open_close_match_the_block_walk_on_dfuds_shapes(n, seed):
+    rng = random.Random(seed)
+    for p in dfuds_shapes(n).values():
+        bits = list(p.base.iter_bits())
+        assert_matches_walk(p, far_and_random_positions(bits, rng, 60))
+
+
+def test_matches_many_blocks_away_in_both_directions():
+    p = dfuds_shapes(20_000)["star"]
+    n = p.n
+    assert p.close(1) == n and p.open(n) == 1  # the sentinel spans the whole sequence
+    leaves = n // 2 - 1  # "(" + "(" * leaves + ")" + ")" * leaves
+    for k in (1, 2, 64, 65, 1000, leaves - 1, leaves):  # the k-th leaf's close lies 2k + 1 after its open
+        x = leaves + 2 + k
+        assert p.open(x) == leaves + 1 - k and p.close(leaves + 1 - k) == x
+    p = dfuds_shapes(20_000)["chain"]
+    assert p.close(1) == p.n and p.open(p.n) == 1
+
+
+def rmq_ranges(n, rng, count):
+    """Ranges inside one block, across two blocks and across many."""
+    out = []
+    for _ in range(count):
+        l = rng.randint(1, n)
+        kind = rng.randrange(3)
+        if kind == 0:
+            r = rng.randint(l, min(n, (l - 1) // 64 * 64 + 64))
+        elif kind == 1:
+            r = rng.randint(l, min(n, (l - 1) // 64 * 64 + 128))
+        else:
+            r = rng.randint(l, n)
+        out.append((l, r))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs=st.integers(1, 3000), seed=st.integers(0, 2**32),
+       shape=st.sampled_from(["random", "flat", "nested-flat"]))
+def test_rmq_excess_matches_a_direct_scan_with_ties(pairs, seed, shape):
+    rng = random.Random(seed)
+    if shape == "random":
+        bits = random_balanced(rng, pairs)
+    elif shape == "flat":  # every block has minimum 0: ties between blocks everywhere
+        bits = [1, 0] * pairs
+    else:  # short random pieces under one root: many ties at excess 1
+        bits = [1] + [b for _ in range(pairs) for b in random_balanced(rng, rng.randint(1, 3))] + [0]
+    p = ParenSeq(bits)
+    exc = [0] + [p.excess(x) for x in range(1, p.n + 1)]
+    for l, r in rmq_ranges(p.n, rng, 300):
+        for tb in (LEFTMOST, RIGHTMOST):
+            assert p.rmq_excess(l, r, tb) == rmq_oracle(exc, l, r, tb), (l, r, tb)
+
+
+def test_open_and_close_read_logarithmically_many_table_entries():
+    rng = random.Random(0x7AB1E)
+    shapes = dfuds_shapes(100_000)
+    for name in ("star", "chain", "decreasing"):
+        p = shapes[name]
+        bmin, table = p.block_tables()
+        bound = 2 * math.ceil(math.log2(len(bmin))) + 4
+        # the block minima are counted too: a walk over the blocks reads one per block
+        p._bmin = Counted(bmin)
+        p._table = [Counted(row) for row in table]
+        bits = p.base.to_text()
+        positions = [1, p.n] + far_and_random_positions(list(map(int, bits)), rng, 200)
+        worst = 0
+        for x in positions:
+            Counted.reads = 0
+            p.close(x) if bits[x - 1] == "1" else p.open(x)
+            worst = max(worst, Counted.reads)
+        assert worst <= bound, (name, worst, bound)

@@ -13,7 +13,7 @@ from dualtree.minheap import ROOT_LABEL, build_minheap
 from dualtree.randgen import random_tree
 from dualtree.tree import _NAV_KINDS, OrdinalTree
 
-from conftest import chain, shapes, star
+from conftest import Counted, chain, shapes, star
 
 
 def assert_same(t, o):
@@ -89,23 +89,13 @@ def test_trees_hold_no_per_node_dict_but_the_rank():
         assert len(held) == 6  # root label, preorder, rank dict, three arrays
 
 
-class _Counted(list):
-    """A list that counts its index reads."""
-
-    reads = 0
-
-    def __getitem__(self, k):
-        _Counted.reads += 1
-        return super().__getitem__(k)
-
-
 def _reads_of(fn, *trees):
     """Index reads of the trees' parent and size tables while fn runs."""
     for x in trees:
-        x._parent, x._size = _Counted(x._parent), _Counted(x._size)
-    _Counted.reads = 0
+        x._parent, x._size = Counted(x._parent), Counted(x._size)
+    Counted.reads = 0
     fn()
-    return _Counted.reads
+    return Counted.reads
 
 
 def test_rules_dual_and_quasi_subtree_stay_linear_on_stars_and_chains():

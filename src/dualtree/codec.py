@@ -176,8 +176,12 @@ def _bp_of_depths(depths):
 
 
 def _dfuds_of_degrees(degrees):
-    """DFUDS as 0/1 text of the tree whose preorder degrees are ``degrees``."""
-    return "1" + "0".join(map("1".__mul__, degrees)) + "0"
+    """DFUDS as 0/1 text of the tree whose preorder degrees are ``degrees``.
+
+    Each distinct degree's run of ones is made once (a tree of n nodes has
+    fewer than sqrt(2n) + 1 distinct degrees), not once per node."""
+    ones = {d: "1" * d for d in set(degrees)}
+    return "1" + "0".join(map(ones.__getitem__, degrees)) + "0"
 
 
 # -- decoding --------------------------------------------------------------------

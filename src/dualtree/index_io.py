@@ -314,6 +314,6 @@ def stats_for(parenseq, extra_values=0):
         "raw_bits": parenseq.n,
         "rank_table_bits": parenseq.base.table_bits(),
         "excess_block_bits": 64 * len(bmin),
-        "sparse_table_bits": 64 * 3 * sum(map(len, table)),
+        "sparse_table_bits": 64 * sum(map(len, table)),  # one packed int per entry
         "value_words": extra_values,
     }

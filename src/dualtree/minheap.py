@@ -10,8 +10,13 @@ every range-minimum engine over the heap reports the leftmost minimum.
 
 Because preorder is array order, the DFUDS of the heap is fixed by the node
 degrees alone, and one stack pass over the array counts them (Fischer & Heun,
-SIAM J. Comput. 40(2), 2011). The index stores that bit sequence and nothing
-else besides the values; the explicit tree is decoded from it on first use.
+SIAM J. Comput. 40(2), 2011). The pass runs right to left and keeps only the
+values still waiting for a parent, largest on top: every pending value >= the
+current one has the current position as its nearest earlier smaller-or-equal
+position, so the number popped there is that position's degree, and what is
+left pending at the end hangs from the root. It allocates nothing per element
+but the degree count. The index stores that bit sequence and nothing else
+besides the values; the explicit tree is decoded from it on first use.
 """
 
 from . import codec, duality
@@ -79,17 +84,19 @@ def build_minheap(values) -> MinHeapIndex:
     values = list(values)
     if not values:
         raise ContractError("array must hold at least one element")
-    degree = [0] * (len(values) + 1)
-    spine_pos = []  # rightmost path, values non-decreasing
-    spine_val = []
-    for pos, val in enumerate(values, start=1):
-        while spine_val and spine_val[-1] > val:
-            spine_val.pop()
-            spine_pos.pop()
-        degree[spine_pos[-1] if spine_pos else ROOT_LABEL] += 1
-        spine_pos.append(pos)
-        spine_val.append(val)
-    return MinHeapIndex(values, ParenSeq(codec._dfuds_of_degrees(degree)))
+    degrees = []  # right to left; the root's count is appended last
+    pending = []  # values still waiting for a parent, increasing to the top
+    pop, push, put = pending.pop, pending.append, degrees.append
+    for val in reversed(values):
+        d = 0
+        while pending and pending[-1] >= val:
+            pop()
+            d += 1
+        put(d)
+        push(val)
+    put(len(pending))
+    degrees.reverse()
+    return MinHeapIndex(values, ParenSeq(codec._dfuds_of_degrees(degrees)))
 
 
 def _decode_heap(dfuds):

@@ -7,6 +7,13 @@ wraps a plain BitSeq and adds weighted prefix select over per-side
 parenthesis weights (``bpselect``); it builds no excess tables.
 
 The excess RMQ uses fixed-size block minima plus a sparse table over blocks.
+Each table entry is one Python int, ``(block minimum << shift) | block`` with
+``shift = blocks.bit_length()``, so ``min`` of two entries is the smaller
+minimum together with its leftmost block. Level 0 packs the block minima and
+each next level is ``map(min, row, row shifted by 2^j)``, which returns one of
+its arguments: building the table allocates no tuple per entry and no list
+per block (the block minima come from one slice at a time), so the first
+search neither holds every slice at once nor wakes the garbage collector.
 Inside a block every step is one C-level slice operation on the excess list:
 ``min`` of the slice and ``index`` of its value (on the reversed slice for
 the rightmost tie); ``rmq_excess`` takes the minimum of the whole blocks
@@ -15,8 +22,10 @@ beat or tie that. Adjacent excess values differ by exactly one, so the
 matching searches (open/close) look for the nearest block, forward or
 backward, whose minimum is <= the target excess: they descend the same
 sparse table from its top level, skipping each window of 2^j blocks whose
-minimum is above the target, which reads at most log2(blocks) + 1 table
-entries, and finish with one ``index`` inside that block.
+entries are above ``((target + 1) << shift) - 1``, which reads at most
+log2(blocks) + 1 table entries, and finish with one ``index`` inside that
+block. The rightmost block of a range minimum is found by the same backward
+descent.
 The constructor builds the excess array and checks the balance; the block
 minima and sparse table are built on the first search (rmq_excess, open or
 close) or when ``block_tables`` is asked for them, so a sequence that is
@@ -26,6 +35,7 @@ only compared, decoded or stored as bits never pays for them.
 from array import array
 from bisect import bisect_right
 from itertools import accumulate, compress, islice, repeat
+from operator import add, lshift
 
 from .bitseq import BitSeq
 from .errors import ContractError, RangeError, ValidationError
@@ -48,7 +58,7 @@ _DIGIT_TO_PAREN = str.maketrans("10", "()")
 class ParenSeq:
     """Immutable balanced parenthesis sequence with query support."""
 
-    __slots__ = ("base", "n", "_exc", "_bmin", "_table")
+    __slots__ = ("base", "n", "_exc", "_bmin", "_table", "_shift")
 
     def __init__(self, bits):
         self.base = bits if isinstance(bits, BitSeq) else BitSeq(bits)
@@ -61,30 +71,28 @@ class ParenSeq:
         if exc[-1] != 0:
             raise ValidationError(f"unbalanced sequence: {exc[-1]} unmatched opening parentheses")
         self._exc = exc
-        self._bmin = self._table = None  # built by the first search
+        self._bmin = self._table = self._shift = None  # built by the first search
 
     # -- construction helpers -------------------------------------------------
 
     def _build_blocks(self):
-        """Block minima and the sparse table over them."""
+        """Block minima and the sparse table of packed entries over them."""
         exc = self._exc
         nblocks = (self.n + _BLOCK - 1) // _BLOCK
-        chunks = [exc[lo : lo + _BLOCK] for lo in range(1, self.n + 1, _BLOCK)]
-        self._bmin = bmin = list(map(min, chunks))
-        # table[j][k] = (min value, leftmost block, rightmost block) over blocks [k, k + 2^j)
-        table = [[(v, k, k) for k, v in enumerate(bmin)]]
+        self._bmin = bmin = list(map(min, (exc[lo : lo + _BLOCK] for lo in range(1, self.n + 1, _BLOCK))))
+        # table[j][k] = (min << shift) | leftmost block, over blocks [k, k + 2^j)
+        self._shift = shift = nblocks.bit_length()
+        table = [list(map(add, map(lshift, bmin, repeat(shift)), range(nblocks)))]
         span = 1
         while 2 * span <= nblocks:
             prev = table[-1]
-            table.append([
-                lt if lt[0] < rt[0] else rt if rt[0] < lt[0] else (lt[0], lt[1], rt[2])
-                for lt, rt in zip(prev, islice(prev, span, None))
-            ])
+            table.append(list(map(min, prev, islice(prev, span, None))))
             span *= 2
         self._table = table
 
     def block_tables(self):
-        """(block minima, sparse table), built on first use."""
+        """(block minima, sparse table), built on first use. A table entry is
+        ``(min << shift) | leftmost block`` with ``shift = len(bmin).bit_length()``."""
         if self._table is None:
             self._build_blocks()
         return self._bmin, self._table
@@ -143,10 +151,11 @@ class ParenSeq:
         # the match. Descend the table from the top: skip each window of 2^j
         # blocks whose minimum is above target.
         table = self._table
+        above = ((target + 1) << self._shift) - 1  # entries above it have min > target
         nb = len(table[0])
         k = kb + 1
         for j in reversed(range((nb - k).bit_length())):
-            if k + (1 << j) <= nb and table[j][k][0] > target:
+            if k + (1 << j) <= nb and table[j][k] > above:
                 k += 1 << j
         if k == nb:
             raise ContractError(f"no matching excess {target} forward of position {start}")
@@ -166,16 +175,23 @@ class ParenSeq:
             pass
         # Mirror of _fwd_to: the last earlier block whose minimum is <= target
         # holds the match, at its rightmost position with that excess.
-        table = self._table
-        k = kb  # blocks [0, k) are left to search
-        for j in reversed(range(k.bit_length())):
-            if k >= 1 << j and table[j][k - (1 << j)][0] > target:
-                k -= 1 << j
-        if k == 0:
+        k = self._last_block_to(kb, target)
+        if k < 0:
             if target == 0:
                 return 0
             raise ContractError(f"no matching excess {target} backward of position {start}")
-        return _rindex(exc, target, (k - 1) * _BLOCK + 1, k * _BLOCK)
+        return _rindex(exc, target, k * _BLOCK + 1, (k + 1) * _BLOCK)
+
+    def _last_block_to(self, end, target):
+        """Last block before block ``end`` whose minimum is <= target, or -1,
+        by a descent of the table from its top level."""
+        table = self._table
+        above = ((target + 1) << self._shift) - 1
+        k = end  # blocks [0, k) are left to search
+        for j in reversed(range(k.bit_length())):
+            if k >= 1 << j and table[j][k - (1 << j)] > above:
+                k -= 1 << j
+        return k - 1
 
     # -- range minimum over the excess array ------------------------------------
 
@@ -232,13 +248,16 @@ class ParenSeq:
         span = kr - kl + 1
         j = span.bit_length() - 1
         row = self._table[j]
-        lv, ll, lr = row[kl]
-        rv, rl, rr = row[kr - (1 << j) + 1]
-        if lv < rv:
-            return lv, (ll if left else lr)
-        if rv < lv:
-            return rv, (rl if left else rr)
-        return lv, (ll if left else rr)
+        best = row[kl]
+        other = row[kr - (1 << j) + 1]
+        if other < best:
+            best = other
+        shift = self._shift
+        v = best >> shift
+        if left:
+            return v, best - (v << shift)
+        # the last block in [0, kr] with minimum <= v lies in [kl, kr] and has minimum v
+        return v, self._last_block_to(kr + 1, v)
 
     def __eq__(self, other):
         return isinstance(other, ParenSeq) and self.base == other.base

@@ -50,16 +50,17 @@ def test_build_array_reports_bits(tmp_path, capsys):
 def test_build_stats_lines_are_pinned(tmp_path, capsys):
     # No query runs before the stats are taken, so the save and the stats
     # build the excess block and sparse tables themselves. excess_block_bits
-    # counts the block minima only (64 bits per block).
+    # counts the block minima only (64 bits per block), sparse_table_bits
+    # 64 bits per packed table entry.
     cases = [
         ("array", " ".join(map(str, FIX_A)) + "\n",
-         "array 8 18 256 64 192 8 180"),
+         "array 8 18 256 64 64 8 180"),
         ("array", " ".join(str(37 * i % 1000) for i in range(1, 400)) + "\n",
-         "array 399 800 1792 832 7872 399 3596"),
+         "array 399 800 1792 832 2624 399 3596"),
         ("intervals", "".join(f"{a} {b}\n" for a, b in FIX_INTERVALS),
-         "intervals 4 10 256 64 192 8 368"),
+         "intervals 4 10 256 64 64 8 368"),
         ("intervals", "".join(f"{3 * i} {3 * i + 2 + i % 3}\n" for i in range(300)),
-         "intervals 300 602 1408 640 5568 600 14792"),
+         "intervals 300 602 1408 640 1856 600 14792"),
     ]
     for kind, text, want in cases:
         src = tmp_path / "in.txt"
@@ -263,6 +264,13 @@ def test_console_script_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "build" in proc.stdout and "verify" in proc.stdout
+
+
+def test_package_runs_as_a_module():
+    proc = subprocess.run([sys.executable, "-m", "dualtree", "verify", "identities", "--trees", "3", "--max-size", "8"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "RESULT: pass" in proc.stdout
 
 
 def test_build_rejects_values_outside_signed_64_bits(tmp_path, capsys):

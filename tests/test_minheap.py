@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualtree import codec
 from dualtree.errors import ContractError
@@ -152,3 +153,41 @@ def test_heap_answers_tree_rank_questions():
     for v in t.nodes():
         assert h.dft(v) == t.dft(v)
         assert h.node_at(t.dft(v)) == v
+
+
+def degrees_left_to_right(values):
+    """Preorder degrees of the heap by the left-to-right spine pass the build
+    used before: each position is counted as a child of the last spine
+    position whose value is <= its own. The oracle for the right-to-left pass."""
+    degree = [0] * (len(values) + 1)
+    spine_pos = []  # rightmost path, values non-decreasing
+    spine_val = []
+    for pos, val in enumerate(values, start=1):
+        while spine_val and spine_val[-1] > val:
+            spine_val.pop()
+            spine_pos.pop()
+        degree[spine_pos[-1] if spine_pos else ROOT_LABEL] += 1
+        spine_pos.append(pos)
+        spine_val.append(val)
+    return degree
+
+
+def value_arrays():
+    """Random ints with many ties, monotone and all-equal arrays, floats and strings."""
+    size = st.integers(1, 300)
+    return st.one_of(
+        st.lists(st.integers(-4, 4), min_size=1, max_size=300),
+        st.lists(st.integers(-10**9, 10**9), min_size=1, max_size=300),
+        size.map(lambda n: list(range(n))),
+        size.map(lambda n: list(range(n, 0, -1))),
+        st.tuples(size, st.integers(-3, 3)).map(lambda p: [p[1]] * p[0]),
+        st.lists(st.floats(-2, 2, allow_nan=False).map(lambda x: round(x, 1)), min_size=1, max_size=300),
+        st.lists(st.sampled_from(["fig", "kiwi", "lime", "pear", "plum"]), min_size=1, max_size=300),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=value_arrays())
+def test_right_to_left_pass_gives_the_dfuds_of_the_left_to_right_pass(values):
+    want = "1" + "".join("1" * d + "0" for d in degrees_left_to_right(values))
+    assert build_minheap(values).dfuds.base.to_text() == want

@@ -1,6 +1,8 @@
+import gc
 import math
 import random
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from dualtree import codec, index_io
 from dualtree.errors import ContractError, RangeError, ValidationError
 from dualtree.minheap import build_minheap
 from dualtree.parens import CLOSE_WEIGHTS, LEFTMOST, OPEN_WEIGHTS, RIGHTMOST, ParenSeq, WeightedBits
-from dualtree.randgen import random_tree
+from dualtree.randgen import random_array, random_tree
 
 from conftest import FIX_BP, FIX_DFUDS, Counted, chain, star
 
@@ -249,6 +251,17 @@ def block_oracle(bits):
     return exc, bmin, table
 
 
+def unpacked(bmin, table):
+    """The packed sparse table as (min, leftmost block) pairs."""
+    shift = len(bmin).bit_length()
+    return [[(e >> shift, e & ((1 << shift) - 1)) for e in row] for row in table]
+
+
+def leftmost(table):
+    """The oracle's table cut to the fields a packed entry holds."""
+    return [[(v, lo) for v, lo, _ in row] for row in table]
+
+
 def test_block_tables_match_a_direct_scan():
     rng = random.Random(0xB10C)
     for pairs in (1, 31, 32, 33, 500, 2000):
@@ -256,7 +269,9 @@ def test_block_tables_match_a_direct_scan():
         p = ParenSeq(bits)
         exc, bmin, table = block_oracle(bits)
         assert p._exc == exc
-        assert p.block_tables() == (bmin, table)
+        got_bmin, got_table = p.block_tables()
+        assert got_bmin == bmin
+        assert unpacked(bmin, got_table) == leftmost(table)
         assert p.to_string() == "".join("(" if b else ")" for b in bits)
 
 
@@ -285,7 +300,8 @@ def test_first_search_builds_the_tables_of_the_direct_scan(search):
         else:
             p.close(1)
         _, bmin, table = block_oracle(bits)
-        assert (p._bmin, p._table) == (bmin, table)
+        assert p._bmin == bmin
+        assert unpacked(bmin, p._table) == leftmost(table)
 
 
 def test_index_io_builds_the_tables_it_reads():
@@ -297,7 +313,32 @@ def test_index_io_builds_the_tables_it_reads():
     p = ParenSeq(bits)
     stats = index_io.stats_for(p)
     assert stats["excess_block_bits"] == 64 * len(bmin)
-    assert stats["sparse_table_bits"] == 64 * 3 * sum(map(len, table))
+    assert stats["sparse_table_bits"] == 64 * sum(map(len, table))
+
+
+def test_block_tables_wake_no_collection_and_peak_near_what_they_hold():
+    # No container per entry or per block: a tuple table, or every 64-entry
+    # slice held at once, set off collections and a peak of nearly 3x.
+    p = build_minheap(random_array(random.Random(0x6C), 100_000, span=400_000)).dfuds
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    tracemalloc.start()
+    gc.callbacks.append(count)
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        p.block_tables()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        gc.callbacks.remove(count)
+        tracemalloc.stop()
+    assert starts == []
+    assert peak - before <= 1.25 * (held - before), (peak - before, held - before)
 
 
 @settings(max_examples=200, deadline=None)
@@ -444,16 +485,22 @@ def test_rmq_excess_matches_a_direct_scan_with_ties(pairs, seed, shape):
             assert p.rmq_excess(l, r, tb) == rmq_oracle(exc, l, r, tb), (l, r, tb)
 
 
+def counted_tables(p):
+    """Swap p's block minima and table rows for read-counting lists; returns
+    the read bound 2 * ceil(log2 blocks) + 4."""
+    bmin, table = p.block_tables()
+    # the block minima are counted too: a walk over the blocks reads one per block
+    p._bmin = Counted(bmin)
+    p._table = [Counted(row) for row in table]
+    return 2 * math.ceil(math.log2(len(bmin))) + 4
+
+
 def test_open_and_close_read_logarithmically_many_table_entries():
     rng = random.Random(0x7AB1E)
     shapes = dfuds_shapes(100_000)
     for name in ("star", "chain", "decreasing"):
         p = shapes[name]
-        bmin, table = p.block_tables()
-        bound = 2 * math.ceil(math.log2(len(bmin))) + 4
-        # the block minima are counted too: a walk over the blocks reads one per block
-        p._bmin = Counted(bmin)
-        p._table = [Counted(row) for row in table]
+        bound = counted_tables(p)
         bits = p.base.to_text()
         positions = [1, p.n] + far_and_random_positions(list(map(int, bits)), rng, 200)
         worst = 0
@@ -461,4 +508,21 @@ def test_open_and_close_read_logarithmically_many_table_entries():
             Counted.reads = 0
             p.close(x) if bits[x - 1] == "1" else p.open(x)
             worst = max(worst, Counted.reads)
+        assert worst <= bound, (name, worst, bound)
+
+
+def test_rmq_excess_reads_logarithmically_many_table_entries():
+    # RIGHTMOST finds the last block holding the minimum by the backward descent
+    rng = random.Random(0x3A9)
+    shapes = dfuds_shapes(100_000)
+    for name in ("star", "chain", "decreasing"):
+        p = shapes[name]
+        bound = counted_tables(p)
+        ranges = [(1, p.n), (2, p.n - 1)] + rmq_ranges(p.n, rng, 300)
+        worst = 0
+        for l, r in ranges:
+            for tb in (LEFTMOST, RIGHTMOST):
+                Counted.reads = 0
+                p.rmq_excess(l, r, tb)
+                worst = max(worst, Counted.reads)
         assert worst <= bound, (name, worst, bound)

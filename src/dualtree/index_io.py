@@ -23,17 +23,24 @@ compared, so it is skipped.
 
 Loading rebuilds the structures from the raw inputs and verifies that every
 stored derived section matches the rebuilt one byte for byte, so a loaded
-index answers exactly like a freshly built one. A blob that is truncated,
-corrupt or missing a section raises ParseError. Values and endpoints must be signed
-64-bit integers; others raise ValidationError when read or saved.
+index answers exactly like a freshly built one. An interval blob's INTA and
+INTB are read straight into two ``array('q')``, which the rebuild checks in
+bulk with the rules and messages of ``mliq.build_intervals`` and then keeps
+as the index's endpoints. INTA, INTB, WOPN and WCLS are written from those
+typed tables in one step each, little-endian on any host; WOPN/WCLS's
+weights are the gaps of the cumulative tables, taken in one big-integer
+subtraction. A blob that is truncated, corrupt or missing a section raises
+ParseError. Values and endpoints must be signed 64-bit integers; others
+raise ValidationError when read, built or saved.
 """
 
 import struct
-from operator import sub
+import sys
+from array import array
 
 from .errors import ParseError, ValidationError
 from .minheap import build_minheap
-from .mliq import build_intervals
+from .mliq import intervals_from_arrays
 from .parens import _BLOCK, CLOSE_WEIGHTS, OPEN_WEIGHTS
 
 MAGIC = b"DTR1"
@@ -45,6 +52,7 @@ KIND_INTERVALS = 2
 _HEADER = struct.Struct("<4sHHI")
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 # -- input files ---------------------------------------------------------------
@@ -166,11 +174,42 @@ def _emin_section(parenseq):
 
 
 def _weight_section(weighted, side):
+    """u64 count, then each entry's u64 position and i64 weight: the gap
+    between its cumulative weight and the one before.
+
+    The cumulative weights are the 64-bit slots of one big integer; as they
+    never fall, subtracting the same integer shifted up one slot borrows
+    across no slot and leaves every gap in its own slot."""
     positions, cum = weighted._weight_tables(side)
-    entries = [0] * (2 * len(positions))
-    entries[0::2] = positions
-    entries[1::2] = map(sub, cum, [0] + cum)
-    return struct.pack(f"<Q{'Qq' * len(positions)}", len(positions), *entries)
+    count = len(cum)
+    gaps = int.from_bytes(_le_bytes(cum), "little")
+    gaps -= (gaps << 64) & ((1 << (64 * count)) - 1)
+    entries = array("q", [count]) * (2 * count + 1)
+    entries[1::2] = positions
+    entries[2::2] = _from_le(gaps.to_bytes(8 * count, "little"))
+    return _le_bytes(entries)
+
+
+def _le_bytes(table):
+    """An array of 64-bit integers as little-endian bytes on any host."""
+    if _BIG_ENDIAN:
+        table = array(table.typecode, table)
+        table.byteswap()
+    return table.tobytes()
+
+
+def _from_le(payload):
+    """Little-endian i64 values as an ``array('q')``."""
+    table = array("q", payload)
+    if _BIG_ENDIAN:
+        table.byteswap()
+    return table
+
+
+def _i64_table(path, tag, payload):
+    if len(payload) % 8:
+        raise ParseError(f"{path}: {tag} section length {len(payload)} is not a multiple of 8")
+    return _from_le(payload)
 
 
 def _write_blob(path, kind, sections):
@@ -269,8 +308,8 @@ def load_array_index(path):
 
 def save_interval_index(path, s):
     sections = [
-        ("INTA", _pack_i64s(s.a)),
-        ("INTB", _pack_i64s(s.b)),
+        ("INTA", _le_bytes(s.a)),
+        ("INTB", _le_bytes(s.b)),
         ("BITS", _bits_section(s.heap.dfuds)),
         ("RK64", _rank_section(s.heap.dfuds)),
         ("EMIN", _emin_section(s.heap.dfuds)),
@@ -285,11 +324,12 @@ def load_interval_index(path):
     kind, sections = _read_blob(path)
     if kind != KIND_INTERVALS:
         raise ParseError(f"{path}: blob holds an array index, not an interval index")
-    a = _unpack_i64s(path, "INTA", _section(path, sections, "INTA"))
-    b = _unpack_i64s(path, "INTB", _section(path, sections, "INTB"))
+    a = _i64_table(path, "INTA", _section(path, sections, "INTA"))
+    b = _i64_table(path, "INTB", _section(path, sections, "INTB"))
+    del sections["INTA"], sections["INTB"]  # the arrays hold them now
     if len(a) != len(b):
         raise ParseError(f"{path}: {len(a)} left endpoints but {len(b)} right endpoints")
-    s = build_intervals(list(zip(a, b)))
+    s = intervals_from_arrays(a, b)
     _verify_derived(path, s.heap.dfuds, sections)
     if _section(path, sections, "WOPN") != _weight_section(s.bp_open, OPEN_WEIGHTS):
         raise ParseError(f"{path}: stored open weights do not match the rebuilt index")

@@ -21,14 +21,34 @@ BP(T) = mirror(DFUDS(T*)), and the BP of the reversed heap is the mirror of
 the heap's BP. Neither the heap tree nor its reversal is built, and the
 weights sit on plain bit sequences without excess tables.
 
+Their weight tables have closed forms, so no weight is summed:
+
+* open side: the (i+1)-th opener of the heap's BP is interval i, and the
+  left-endpoint gaps up to it sum to a_i, so the cumulative weights are the
+  endpoint array ``a`` itself, at the openers after the root's;
+* close side: the reversed BP's i-th closer is interval n+1-i, and the
+  reversed right-endpoint gaps behind the sentinel sum to b_n + 1 - b_{n+1-i}
+  there, so the cumulative weights are b_n + 1 - b read in reverse, then
+  b_n + 1; the closers sit at N + 1 minus the heap's openers read in
+  reverse, N being the BP's length.
+
+The index holds the endpoints and these tables as ``array('q')`` (the close
+side's cumulative weights as ``'Q'``, since b_n + 1 may be 2^63), the
+lengths as the heap's own value list, and no dict. Building or loading
+checks the endpoints in bulk and names the first interval that breaks a
+rule, as a check of one pair at a time would.
+
 Containment conventions: CLOSED (default) answers with intervals satisfying
 a_i <= a <= b <= b_i; STRICT requires a_i < a and b_i > b. On integer
 endpoints the two differ only by a unit shift of the query; both are exposed
 and both are held to the brute-force oracle.
 """
 
+import sys
+from array import array
 from bisect import bisect_right
-from operator import sub
+from itertools import compress, islice, repeat
+from operator import ge, gt, itemgetter, le, lt, not_, sub
 
 from . import codec
 from .bitseq import BitSeq
@@ -40,6 +60,8 @@ from .rmq import OpCounters, pda_fast, rmq_direct
 # Endpoint membership domains larger than this use a sorted position list
 # instead of a dense bitmap.
 DENSE_DOMAIN_LIMIT = 1 << 22
+
+_I64_MAX = (1 << 63) - 1
 
 
 class EndpointBitmap:
@@ -71,7 +93,8 @@ class EndpointBitmap:
 
 class IntervalSet:
     """Sorted interval family with bitmap and weighted-parenthesis search
-    structures over the lengths' 2D-Min-Heap."""
+    structures over the lengths' 2D-Min-Heap. ``a`` and ``b`` are
+    ``array('q')``; ``lengths`` is ``heap.values``."""
 
     __slots__ = ("a", "b", "lengths", "heap", "bitmap_a", "bitmap_b", "bp_open", "bp_close")
 
@@ -95,62 +118,140 @@ class IntervalSet:
 
 
 def build_intervals(pairs) -> IntervalSet:
-    """Validate a family of (a_i, b_i) pairs and build all query structures."""
-    a = []
-    b = []
-    for idx, (ai, bi) in enumerate(pairs, start=1):
-        if not (isinstance(ai, int) and isinstance(bi, int)) or ai < 0 or bi < 0:
-            raise ValidationError(f"interval {idx}: endpoints must be non-negative integers")
-        if ai > bi:
-            raise ValidationError(f"interval {idx}: left endpoint {ai} exceeds right endpoint {bi}")
-        if a and ai <= a[-1]:
-            raise ValidationError(f"interval {idx}: left endpoints not strictly increasing")
-        if b and bi <= b[-1]:
-            raise ValidationError(f"interval {idx}: right endpoints not strictly increasing")
-        a.append(ai)
-        b.append(bi)
-    if not a:
-        raise ValidationError("interval family must not be empty")
+    """Validate a family of (a_i, b_i) pairs and build all query structures.
 
-    lengths = [bi - ai + 1 for ai, bi in zip(a, b)]
-    heap = build_minheap(lengths)
+    Each interval i must meet these rules, checked in this order: both
+    endpoints are non-negative integers; both fit a signed 64-bit integer;
+    a_i <= b_i; a_i > a_{i-1}; b_i > b_{i-1}. The family is checked in bulk,
+    and a breach raises ValidationError naming the first interval that
+    breaks a rule and the first rule it breaks. Before any rule, the first
+    item that is not a sequence of two endpoints raises ValidationError.
+    """
+    pairs = pairs if isinstance(pairs, (list, tuple)) else list(pairs)
+    try:
+        sizes = set(map(len, pairs))
+    except TypeError:
+        sizes = None
+    if sizes not in ({2}, set()):
+        k, pair = next((k, p) for k, p in enumerate(pairs, start=1) if not hasattr(p, "__len__") or len(p) != 2)
+        raise ValidationError(f"interval {k}: expected a pair of endpoints, got {pair!r}")
+    left, right = itemgetter(0), itemgetter(1)
+    try:
+        a, b = array("q", map(left, pairs)), array("q", map(right, pairs))
+    except (TypeError, OverflowError):  # an endpoint that is not an int, or not an i64
+        raise _first_breach(list(map(left, pairs)), list(map(right, pairs))) from None
+    return intervals_from_arrays(a, b)
 
+
+def intervals_from_arrays(a, b) -> IntervalSet:
+    """The index of the endpoints held in two ``array('q')``, which it keeps;
+    the rules and messages are those of ``build_intervals``."""
+    if not a or not (
+        a[0] >= 0 and all(map(le, a, b)) and all(map(lt, a, islice(a, 1, None)))
+        and all(map(lt, b, islice(b, 1, None)))
+    ):
+        raise _first_breach(a, b)
+    heap = build_minheap([y - x + 1 for x, y in zip(a, b)])
+    # the close side's cumulative weights, b_n + 1 - b reversed, then b_n + 1;
+    # unsigned, since b_n + 1 may be 2^63
+    sentinel = b[-1] + 1
+    close_cum = _minus(sentinel, b[::-1], "Q")
+    close_cum.append(sentinel)
     bitmap_a = EndpointBitmap(a, b[-1])
     bitmap_b = EndpointBitmap(b, b[-1])
-    bp_open, bp_close = _weighted_bps(heap.dfuds, a, b)
-    return IntervalSet(a, b, lengths, heap, bitmap_a, bitmap_b, bp_open, bp_close)
+    bp_open, bp_close = _weighted_bps(heap.dfuds, a, close_cum)
+    return IntervalSet(a, b, heap.values, heap, bitmap_a, bitmap_b, bp_open, bp_close)
 
 
-def _weighted_bps(dfuds, a, b):
-    """The BP of the length heap weighted with the left-endpoint gaps, and
-    the BP of its reversal weighted with the right-endpoint gaps.
+def _first_breach(a, b):
+    """The ValidationError of the first interval in ``a``, ``b`` (sequences
+    of any objects) that breaks a rule of ``build_intervals``, naming the
+    first rule it breaks.
 
-    The DFUDS lists the degrees in preorder; a stack that holds each node's
-    depth once per child still to attach gives every depth. In BP the node
-    of preorder index v opens at 2v + 1 - depth(v), after depth(v-1) + 1 -
-    depth(v) closers (its dual degree), and depth(n) + 1 closers end the
-    sequence. The reversed heap's BP is the mirror of the heap's, so its
-    i-th closer sits at N + 1 minus the heap's (n+2-i)-th opener.
+    The rules are searched in their order, each in bulk among the intervals
+    before the earliest breach found so far, so a later rule wins only on an
+    earlier interval. Comparisons run only on intervals before the first
+    endpoint that is not an int.
     """
-    degrees = map(len, dfuds.base.to_text()[1:-1].split("0"))
+    n = len(a)
+    if not n:
+        return ValidationError("interval family must not be empty")
+    error = None
+    end = _first(map(not_, map(isinstance, a, repeat(int))), n)
+    end = _first(map(not_, map(isinstance, b, repeat(int))), end)
+    end = _first(map(gt, repeat(0), map(min, a, b)), end)
+    if end < n:
+        error = "endpoints must be non-negative integers"
+    big = _first(map(lt, repeat(_I64_MAX), map(max, a, b)), end)
+    if big < end:
+        v = a[big] if a[big] > _I64_MAX else b[big]
+        end, error = big, f"endpoint {v} outside the signed 64-bit range"
+    wide = _first(map(gt, a, b), end)
+    if wide < end:
+        end, error = wide, f"left endpoint {a[wide]} exceeds right endpoint {b[wide]}"
+    left = _first(map(ge, a, islice(a, 1, None)), max(end - 1, 0)) + 1
+    if left < end:
+        end, error = left, "left endpoints not strictly increasing"
+    right = _first(map(ge, b, islice(b, 1, None)), max(end - 1, 0)) + 1
+    if right < end:
+        end, error = right, "right endpoints not strictly increasing"
+    if error is None:
+        raise ContractError("the interval family breaks no rule")
+    return ValidationError(f"interval {end + 1}: {error}")
+
+
+def _first(flags, end):
+    """Index of the first true flag before ``end``, else ``end``; no flag at
+    or past ``end`` is evaluated."""
+    return next(compress(range(end), flags), end)
+
+
+def _preorder_depths(dfuds):
+    """The depth of every node in preorder. The DFUDS lists the degrees in
+    preorder; a stack that holds each node's depth + 1 once per child still
+    to attach gives every depth."""
     depths = []
     waiting = [0]
-    for d in degrees:
-        depth = waiting.pop()
-        depths.append(depth)
-        waiting += [depth + 1] * d
+    pop, put, wait = waiting.pop, depths.append, waiting.extend
+    for d in map(len, dfuds.base.to_text()[1:-1].split("0")):
+        depth = pop()
+        put(depth)
+        if d:
+            wait(repeat(depth + 1, d))
+    return depths
+
+
+def _minus(value, table, typecode):
+    """``array(typecode)`` of ``value - x`` for each x of ``table``, an array
+    of 64-bit integers with 0 <= x <= value < 2^64. Each x is one 64-bit slot
+    of a big integer and ``value`` fills every slot of another, so one big
+    subtraction, which borrows across no slot, computes them all."""
+    order = sys.byteorder
+    whole = int.from_bytes(array("Q", [value]).tobytes() * len(table), order)
+    return array(typecode, (whole - int.from_bytes(table.tobytes(), order)).to_bytes(8 * len(table), order))
+
+
+def _weighted_bps(dfuds, a, close_cum):
+    """The BP of the length heap weighted with the left endpoints, and the BP
+    of its reversal weighted with the right endpoints from the sentinel.
+
+    In BP the node of preorder index v opens at 2v + 1 - depth(v), after
+    depth(v-1) + 1 - depth(v) closers (its dual degree), and depth(n) + 1
+    closers end the sequence. The (i+1)-th opener is interval i, and the open side's
+    cumulative weight there is a_i: the tables are the openers after the
+    root's and ``a`` itself. The reversed heap's BP is the mirror of the
+    heap's, so its i-th closer sits at N + 1 minus the heap's (n+2-i)-th
+    opener and is interval n+1-i; its cumulative weight is ``close_cum``.
+    """
+    depths = _preorder_depths(dfuds)
     bp_text = codec._bp_of_depths(depths)
     n_bits = len(bp_text)
-    opens = list(map(sub, range(1, n_bits, 2), depths))
-
-    # The (i+1)-th opener is interval i; its weight is the left-endpoint gap,
-    # so the open-weight prefix there equals a_i.
-    bp_open = WeightedBits(bp_text, open_weights=dict(zip(opens[1:], map(sub, a, [0] + a))))
-    # The reversed BP's i-th closer is interval n+1-i, so the close weights
-    # are the right-endpoint gaps reversed, behind the gap to sentinel b_n + 1.
-    gaps = list(map(sub, b, [0] + b)) + [1]
-    closes = [n_bits + 1 - pos for pos in reversed(opens)]
-    bp_close = WeightedBits(codec.mirror_string(bp_text), close_weights=dict(zip(closes, reversed(gaps))))
+    opens = array("q", map(sub, range(3, n_bits, 2), islice(depths, 1, None)))
+    del depths
+    closes = _minus(n_bits + 1, opens[::-1], "q")
+    closes.append(n_bits)  # the root's opener, mirrored
+    bp_open = WeightedBits(bp_text, open_weights=(opens, a))
+    bp_close = WeightedBits(codec.mirror_string(bp_text), close_weights=(closes, close_cum))
     return bp_open, bp_close
 
 

@@ -281,21 +281,25 @@ class WeightedBits:
     """Bit sequence with non-negative weights on some positions of each side.
 
     Weights on the ``OPEN_WEIGHTS`` side may be nonzero only on ones (opening
-    parentheses), those on the ``CLOSE_WEIGHTS`` side only on zeros. Each
-    side is given as a mapping from 1-based position to weight and is held
-    as its sorted positions with their cumulative weights.
+    parentheses), those on the ``CLOSE_WEIGHTS`` side only on zeros. A side
+    is held as two typed tables of equal length: its weighted positions in
+    increasing order, an ``array('q')``, and the cumulative weight up to and
+    including each, an array of 64-bit integers (``'q'``, or ``'Q'`` where
+    the total may reach 2^63). A side is given either as a mapping from
+    1-based position to weight, whose rules are checked in bulk against the
+    bits, or as those two tables, ``(positions, cumulative weights)``, which
+    are kept as given (not copied): their order and their symbols are the
+    caller's to vouch for, as ``mliq`` does for the tables it reads off the
+    length heap.
     """
 
-    __slots__ = ("base", "n", "_weights")
+    __slots__ = ("base", "n", "_open", "_close")
 
     def __init__(self, bits, open_weights=None, close_weights=None):
         self.base = bits if isinstance(bits, BitSeq) else BitSeq(bits)
         self.n = self.base.n
-        text = self.base.to_text()
-        self._weights = {
-            OPEN_WEIGHTS: _weight_table(open_weights, OPEN, text),
-            CLOSE_WEIGHTS: _weight_table(close_weights, CLOSE, text),
-        }
+        self._open = _weight_table(open_weights, OPEN, self.base)
+        self._close = _weight_table(close_weights, CLOSE, self.base)
 
     def select(self, i: int, s: int) -> int:
         return self.base.select(i, s)
@@ -327,19 +331,32 @@ class WeightedBits:
         return positions[k] - 1, k
 
     def _weight_tables(self, side: str):
-        if side not in self._weights:
+        if side == OPEN_WEIGHTS:
+            tables = self._open
+        elif side == CLOSE_WEIGHTS:
+            tables = self._close
+        else:
             raise ContractError(f"unknown weight side {side!r}")
-        tables = self._weights[side]
         if tables is None:
             raise ContractError(f"no {side} attached to this sequence")
         return tables
 
 
-def _weight_table(weights, symbol, text):
-    """(sorted positions, cumulative weights) of one side, each rule checked
-    in bulk against the bit text; a breach names its first position."""
+def _weight_table(weights, symbol, bits):
+    """(positions, cumulative weights) of one side. A mapping is checked rule
+    by rule in bulk against the bits, a breach naming its first position; a
+    pair of tables is kept as it is."""
     if weights is None:
         return None
+    if isinstance(weights, tuple):
+        positions, cum = weights
+        if len(positions) != len(cum):
+            raise ValidationError(f"{len(positions)} weighted positions but {len(cum)} cumulative weights")
+        return positions, cum
+    odd = [pos for pos in weights if not isinstance(pos, int)]
+    if odd:
+        raise ValidationError(f"weighted position {odd[0]!r} must be an integer")
+    text = bits.to_text()
     positions = sorted(weights)
     values = list(map(weights.__getitem__, positions))
     if not all(map(isinstance, values, repeat(int))) or min(values, default=0) < 0:
@@ -355,4 +372,7 @@ def _weight_table(weights, symbol, text):
             f"nonzero weight at position {nonzero[marks.index('10'[symbol])]} does not sit on a "
             f"{'opening' if symbol else 'closing'} parenthesis"
         )
-    return positions, list(accumulate(values))
+    try:
+        return array("q", positions), array("Q", accumulate(values))
+    except OverflowError:
+        raise ValidationError(f"weights sum to {sum(values)}, past the 64-bit range") from None

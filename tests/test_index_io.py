@@ -3,7 +3,7 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dualtree import cli, index_io, mliq, rmq
 from dualtree.errors import ParseError, ValidationError
@@ -11,6 +11,9 @@ from dualtree.minheap import build_minheap
 from dualtree.randgen import random_array, random_intervals
 
 from conftest import FIX_A, FIX_INTERVALS
+from interval_oracle import I64_MAX, STORABLE, breached_families, check_pairs, raised
+
+I64_MIN = -(1 << 63)
 
 ARRAY = random_array(random.Random(0x10B), 40, span=12)
 
@@ -136,6 +139,25 @@ def test_interval_load_compares_the_weight_tables(tmp_path, tag, side):
     sections[tag] = good
     write_blob(path, index_io.VERSION, index_io.KIND_INTERVALS, list(sections.items()))
     assert index_io.load_interval_index(str(path)).a == s.a
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=breached_families(STORABLE))
+def test_load_checks_stored_endpoints_as_the_per_pair_oracle(valid_blobs, case):
+    _, pairs = case
+    want = raised(check_pairs, pairs)
+    assume(want is not None and all(I64_MIN <= v <= I64_MAX for pair in pairs for v in pair))
+    blobs, tmp = valid_blobs
+    path = tmp / "endpoints.idx"
+    path.write_bytes(blobs["intervals"])
+    _, sections = index_io._read_blob(str(path))
+    a = [ai for ai, _ in pairs]
+    b = [bi for _, bi in pairs]
+    sections["INTA"] = struct.pack(f"<{len(a)}q", *a)
+    sections["INTB"] = struct.pack(f"<{len(b)}q", *b)
+    write_blob(path, index_io.VERSION, index_io.KIND_INTERVALS, list(sections.items()))
+    assert raised(index_io.load_interval_index, str(path)) == want
+    assert cli.main(["query", str(path), "mliq", "0", "0"]) == 2
 
 
 # -- corrupted blobs: exit 2 or a correct index, never a traceback ---------------

@@ -1,10 +1,15 @@
+import gc
 import random
+import re
+import tracemalloc
+import types
+from array import array
 from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualtree import codec, duality, index_io, minheap, mliq
+from dualtree import cli, codec, duality, index_io, minheap, mliq
 from dualtree.bitseq import BitSeq
 from dualtree.errors import ContractError, RangeError, ValidationError
 from dualtree.parens import CLOSE_WEIGHTS, OPEN_WEIGHTS
@@ -12,6 +17,7 @@ from dualtree.randgen import random_intervals
 from dualtree.rmq import OpCounters
 
 from conftest import FIX_INTERVALS
+from interval_oracle import I64_MAX, breached_families, check_pairs, raised
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +44,41 @@ def test_build_validation_errors():
         mliq.build_intervals([(-1, 4)])
     with pytest.raises(ValidationError):
         mliq.build_intervals([])
+    for items in ([(1, 2), (3, 4, 5)], [(1, 2), 7], [(1,)]):
+        bad = re.escape(repr(items[-1]))
+        with pytest.raises(ValidationError, match=rf"^interval {len(items)}: expected a pair of endpoints, got {bad}$"):
+            mliq.build_intervals(items)
+    assert mliq.build_intervals(iter([[1, 2], [3, 5]])).lengths == [2, 3]
+
+
+def test_endpoints_beyond_signed_64_bits_are_a_validation_error(tmp_path, capsys):
+    with pytest.raises(ValidationError, match=rf"^interval 2: endpoint {I64_MAX + 1} outside the signed 64-bit range$"):
+        mliq.build_intervals([(1, 4), (5, I64_MAX + 1)])
+    with pytest.raises(ValidationError, match=rf"^interval 1: endpoint {1 << 64} outside the signed 64-bit range$"):
+        mliq.build_intervals([(1 << 64, 1 << 65)])
+    with pytest.raises(ValidationError, match="^interval 1: endpoints must be non-negative integers$"):
+        mliq.build_intervals([(-(1 << 64), 3)])
+    # the largest endpoint that fits still builds, saves, loads and answers
+    s = mliq.build_intervals([(0, 5), (3, I64_MAX)])
+    path = str(tmp_path / "big.idx")
+    index_io.save_interval_index(path, s)
+    loaded = index_io.load_interval_index(path)
+    assert mliq.mliq_weighted(loaded, 4, 9) == mliq.mliq_naive(loaded, 4, 9) == 2
+    src = tmp_path / "big.txt"
+    src.write_text(f"1 4\n5 {I64_MAX + 1}\n")
+    assert cli.main(["build", "intervals", str(src), "-o", str(tmp_path / "x.idx")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "signed 64-bit" in err[0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(breached_families())
+def test_bulk_validation_raises_what_the_per_pair_oracle_raises(case):
+    kind, pairs = case
+    want = raised(check_pairs, pairs)
+    assert raised(mliq.build_intervals, pairs) == want
+    if kind not in ("left", "right"):  # planted on the first interval, these two breach nothing
+        assert want is not None and want[0] is ValidationError
 
 
 def test_bruteforce_examples(fam):
@@ -177,8 +218,8 @@ def tree_construction(fam):
 
 def check_weighted_bps(pairs):
     fam = mliq.build_intervals(pairs)
-    got = (fam.bp_open.base, fam.bp_open._weight_tables(OPEN_WEIGHTS),
-           fam.bp_close.base, fam.bp_close._weight_tables(CLOSE_WEIGHTS))
+    got = (fam.bp_open.base, tuple(map(list, fam.bp_open._weight_tables(OPEN_WEIGHTS))),
+           fam.bp_close.base, tuple(map(list, fam.bp_close._weight_tables(CLOSE_WEIGHTS))))
     assert got == tree_construction(fam)
     # the open-weight prefix at the (i+1)-th opener is a_i; the close-weight
     # prefix at the i-th closer is the sentinel b_n + 1 minus b_{n+1-i}
@@ -239,3 +280,59 @@ def test_build_and_load_make_no_tree(tmp_path, monkeypatch):
     index_io.save_interval_index(path, fam)
     loaded = index_io.load_interval_index(path)
     assert fam.heap._tree is None and loaded.heap._tree is None
+
+
+# -- what an interval index holds ------------------------------------------------------
+
+
+def reachable(root):
+    """Every object reachable from ``root`` by ``gc.get_referents``, without
+    the types, modules and functions that no index owns."""
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen = {id(root)}
+    todo = [root]
+    out = []
+    while todo:
+        obj = todo.pop()
+        out.append(obj)
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen and not isinstance(ref, skip):
+                seen.add(id(ref))
+                todo.append(ref)
+    return out
+
+
+def test_interval_index_holds_typed_tables_and_no_dict(tmp_path):
+    path = str(tmp_path / "iv.idx")
+    built = mliq.build_intervals(random_intervals(random.Random(0x7AB), 3000))
+    index_io.save_interval_index(path, built)
+    for s in (built, index_io.load_interval_index(path)):
+        assert [type(o) for o in reachable(s) if isinstance(o, dict)] == []
+        assert type(s.a) is type(s.b) is array and s.a.typecode == s.b.typecode == "q"
+        assert s.lengths is s.heap.values
+        positions, cum = s.bp_open._weight_tables(OPEN_WEIGHTS)
+        assert type(positions) is array and positions.typecode == "q" and cum is s.a
+        positions, cum = s.bp_close._weight_tables(CLOSE_WEIGHTS)
+        # unsigned: the close side's total is b_n + 1, which reaches 2^63 when b_n is the largest i64
+        assert type(positions) is type(cum) is array and (positions.typecode, cum.typecode) == ("q", "Q")
+
+
+def test_interval_build_holds_few_bytes_and_peaks_near_them():
+    # The list-based tables held 280 bytes per interval on this family and
+    # peaked at 1.31x that; the typed tables hold 136 and peak at 1.17x. The
+    # bound leaves 14 bytes per interval of margin.
+    pairs = random_intervals(random.Random(0x1EAF), 20_000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        s = mliq.build_intervals(pairs)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held -= before
+    peak -= before
+    assert s.n == len(pairs)
+    assert held <= 150 * len(pairs), held / len(pairs)
+    assert peak <= 1.5 * held, (peak, held)

@@ -3,6 +3,8 @@ import math
 import random
 import struct
 import tracemalloc
+from array import array
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -179,6 +181,14 @@ def test_weights_validated_against_symbols():
         WeightedBits("()", open_weights={5: 1})
     with pytest.raises(ValidationError, match=r"weighted position 0 outside 1\.\.2"):
         WeightedBits("()", close_weights={0: 0})
+    with pytest.raises(ValidationError, match=r"^weighted position 1\.5 must be an integer$"):
+        WeightedBits("()", open_weights={1.5: 1})
+    with pytest.raises(ValidationError, match=r"^weighted position '1' must be an integer$"):
+        WeightedBits("()", open_weights={"1": 1})
+    with pytest.raises(ValidationError, match=r"^weighted position '2' must be an integer$"):
+        WeightedBits("(())", close_weights={3: 1, "2": 1, 4.0: 2})
+    with pytest.raises(ValidationError, match="weights sum to"):
+        WeightedBits("()", open_weights={1: 1 << 64})
     # each rule reports its first breach in position order
     with pytest.raises(ValidationError, match="nonzero weight at position 3 "):
         WeightedBits("(()())", open_weights={5: 1, 1: 1, 3: 2, 4: 1})
@@ -186,6 +196,24 @@ def test_weights_validated_against_symbols():
         WeightedBits("(()())", open_weights={4: -1, 1: 1, 2: "2"})
     WeightedBits("()", open_weights={1: 0}, close_weights={2: 0})  # zero weights anywhere
     WeightedBits(")(", open_weights={2: 1}, close_weights={1: 1})  # plain bits need no balance
+
+
+def test_tables_answer_as_the_mapping_they_hold():
+    rng = random.Random(0x7AB)
+    bits = random_balanced(rng, 150)
+    for side, symbol, keyword in ((OPEN_WEIGHTS, 1, "open_weights"), (CLOSE_WEIGHTS, 0, "close_weights")):
+        weights = {x: rng.randint(0, 4) for x, b in enumerate(bits, start=1) if b == symbol}
+        mapped = WeightedBits(bits, **{keyword: weights})
+        positions, cum = mapped._weight_tables(side)
+        assert list(positions) == sorted(weights) and list(cum) == list(accumulate(map(weights.get, sorted(weights))))
+        tabled = WeightedBits(bits, **{keyword: (positions, cum)})
+        assert tabled._weight_tables(side)[0] is positions  # kept, not copied
+        for budget in range(cum[-1] + 2):
+            assert tabled.bpselect_with_count(side, budget) == mapped.bpselect_with_count(side, budget)
+        for x in range(len(bits) + 1):
+            assert tabled.weight_prefix(side, x) == mapped.weight_prefix(side, x)
+    with pytest.raises(ValidationError, match="^2 weighted positions but 1 cumulative weights$"):
+        WeightedBits("()()", open_weights=(array("q", [1, 3]), array("q", [1])))
 
 
 def test_bpselect_against_scan_and_monotone():

@@ -26,11 +26,11 @@ stored derived section matches the rebuilt one byte for byte, so a loaded
 index answers exactly like a freshly built one. An interval blob's INTA and
 INTB are read straight into two ``array('q')``, which the rebuild checks in
 bulk with the rules and messages of ``mliq.build_intervals`` and then keeps
-as the index's endpoints. INTA, INTB, WOPN and WCLS are written from those
-typed tables in one step each, little-endian on any host; WOPN/WCLS's
-weights are the gaps of the cumulative tables, taken in one big-integer
-subtraction. A blob that is truncated, corrupt or missing a section raises
-ParseError. Values and endpoints must be signed 64-bit integers; others
+as the index's endpoints. Every 64-bit section, like the binary array file,
+is written from a typed array in one step, little-endian on any host, and
+read back as one; WOPN/WCLS's weights are the gaps of the cumulative
+tables, taken in one big-integer subtraction. A blob that is truncated,
+corrupt or missing a section raises ParseError. Values and endpoints must be signed 64-bit integers; others
 raise ValidationError when read, built or saved.
 """
 
@@ -79,20 +79,20 @@ def read_array_binary(path):
         if len(head) != 8:
             raise ValidationError(f"{path}: truncated length prefix")
         (n,) = struct.unpack("<Q", head)
-        payload = fh.read(8 * n)
-        if len(payload) != 8 * n:
-            raise ValidationError(f"{path}: expected {n} values, file too short")
-        if fh.read(1):
-            raise ValidationError(f"{path}: trailing bytes after {n} values")
+        payload = fh.read()  # the rest of the file, measured before n sizes anything
+    if len(payload) < 8 * n:
+        raise ValidationError(f"{path}: expected {n} values, file too short")
+    if len(payload) > 8 * n:
+        raise ValidationError(f"{path}: trailing bytes after {n} values")
     if n == 0:
         raise ValidationError(f"{path}: empty array file")
-    return list(struct.unpack(f"<{n}q", payload))
+    return _from_le(payload).tolist()
 
 
 def write_array_binary(path, values):
     with open(path, "wb") as fh:
         fh.write(struct.pack("<Q", len(values)))
-        fh.write(_pack_i64s(values))
+        fh.write(_i64_bytes(values))
 
 
 def read_intervals_text(path):
@@ -140,37 +140,26 @@ def _check_i64(v, where):
 # -- section plumbing ------------------------------------------------------------
 
 
-def _pack_i64s(values):
+def _i64_bytes(values):
+    """``values`` as little-endian i64 bytes; ValidationError names the first
+    value that is not a signed 64-bit integer."""
     try:
-        return struct.pack(f"<{len(values)}q", *values)
-    except struct.error:
-        for v in values:
-            if not isinstance(v, int):
-                raise ValidationError(f"cannot save {v!r}: blobs hold signed 64-bit integers") from None
-            _check_i64(v, "cannot save")
-        raise
-
-
-def _unpack_i64s(path, tag, payload):
-    if len(payload) % 8:
-        raise ParseError(f"{path}: {tag} section length {len(payload)} is not a multiple of 8")
-    return list(struct.unpack(f"<{len(payload) // 8}q", payload))
-
-
-def _pack_u64s(values):
-    return struct.pack(f"<{len(values)}Q", *values)
+        return _le_bytes(array("q", values))
+    except (TypeError, OverflowError):
+        bad = next(v for v in values if not (isinstance(v, int) and _I64_MIN <= v <= _I64_MAX))
+        raise ValidationError(f"cannot save {bad!r}: blobs hold signed 64-bit integers") from None
 
 
 def _bits_section(parenseq):
-    return struct.pack("<Q", parenseq.n) + _pack_u64s(parenseq.base._words)
+    return struct.pack("<Q", parenseq.n) + _le_bytes(array("Q", parenseq.base._words))
 
 
 def _rank_section(parenseq):
-    return _pack_u64s(parenseq.base._cum1)
+    return _le_bytes(array("Q", parenseq.base._cum1))
 
 
 def _emin_section(parenseq):
-    return struct.pack("<Q", _BLOCK) + _pack_i64s(parenseq.block_tables()[0])
+    return struct.pack("<Q", _BLOCK) + _i64_bytes(parenseq.block_tables()[0])
 
 
 def _weight_section(weighted, side):
@@ -276,7 +265,7 @@ def _section(path, sections, tag):
 
 def save_array_index(path, h):
     sections = [
-        ("VALS", struct.pack("<Q", h.n) + _pack_i64s(h.values)),
+        ("VALS", struct.pack("<Q", h.n) + _i64_bytes(h.values)),
         ("BITS", _bits_section(h.dfuds)),
         ("RK64", _rank_section(h.dfuds)),
         ("EMIN", _emin_section(h.dfuds)),
@@ -293,7 +282,7 @@ def load_array_index(path):
     if len(payload) < 8:
         raise ParseError(f"{path}: VALS section too short for its length prefix")
     (n,) = struct.unpack_from("<Q", payload, 0)
-    values = _unpack_i64s(path, "VALS", payload[8:])
+    values = _i64_table(path, "VALS", payload[8:]).tolist()
     if len(values) != n:
         raise ParseError(f"{path}: VALS section promises {n} values, holds {len(values)}")
     if not values:

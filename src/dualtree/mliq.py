@@ -5,8 +5,9 @@ endpoints, the qualifying set for a query (a, b) is a contiguous index range
 [i_min, i_max], and the shortest qualifier is a range-minimum over the
 interval lengths. Two query paths are provided:
 
-* ``mliq_naive`` — two membership-bitmap ranks locate i_min and i_max, then
-  the direct range-min engine over the length heap answers.
+* ``mliq_naive`` — two endpoint ranks, ``bisect_right`` over the stored
+  endpoint arrays ``a`` and ``b``, locate i_max and i_min, then the direct
+  range-min engine over the length heap answers.
 * ``mliq_weighted`` — two weighted prefix selects (``bpselect``) place a and
   b directly into the BP encodings of the length heap and of its reversal,
   then one primal-dual-ancestor query answers. Opening parentheses of the
@@ -32,6 +33,12 @@ Their weight tables have closed forms, so no weight is summed:
   b_n + 1; the closers sit at N + 1 minus the heap's openers read in
   reverse, N being the BP's length.
 
+The open side's cumulative weights are ``a`` itself, so the naive engine's
+left rank, ``bisect_right(a, ·)``, is the search the open-side bpselect
+makes, and its right rank over ``b`` counts what the close-side bpselect
+counts from the other end: both engines search the one stored endpoint
+order.
+
 The index holds the endpoints and these tables as ``array('q')`` (the close
 side's cumulative weights as ``'Q'``, since b_n + 1 may be 2^63), the
 lengths as the heap's own value list, and no dict. Building or loading
@@ -51,60 +58,30 @@ from itertools import compress, islice, repeat
 from operator import ge, gt, itemgetter, le, lt, not_, sub
 
 from . import codec
-from .bitseq import BitSeq
 from .errors import ContractError, RangeError, ValidationError
 from .minheap import build_minheap
 from .parens import CLOSE_WEIGHTS, OPEN_WEIGHTS, WeightedBits
 from .rmq import OpCounters, pda_fast, rmq_direct
 
-# Endpoint membership domains larger than this use a sorted position list
-# instead of a dense bitmap.
+# Read only by the benchmark, which reports it next to the interval domain;
+# no index structure depends on it.
 DENSE_DOMAIN_LIMIT = 1 << 22
 
 _I64_MAX = (1 << 63) - 1
 
 
-class EndpointBitmap:
-    """Membership-with-rank over integer endpoints 0..domain_max."""
-
-    __slots__ = ("values", "_dense")
-
-    def __init__(self, values, domain_max):
-        self.values = values
-        if domain_max + 1 <= DENSE_DOMAIN_LIMIT:
-            bits = bytearray(domain_max + 1)
-            for v in self.values:
-                bits[v] = 1
-            self._dense = BitSeq(bits)
-        else:
-            self._dense = None
-
-    def rank_leq(self, value):
-        """Number of member endpoints <= value."""
-        if value < 0:
-            return 0
-        if self._dense is not None:
-            return self._dense.rank(min(value + 1, self._dense.n), 1)
-        return bisect_right(self.values, value)
-
-    def bits(self):
-        return self._dense
-
-
 class IntervalSet:
-    """Sorted interval family with bitmap and weighted-parenthesis search
-    structures over the lengths' 2D-Min-Heap. ``a`` and ``b`` are
-    ``array('q')``; ``lengths`` is ``heap.values``."""
+    """Sorted interval family with weighted-parenthesis search structures
+    over the lengths' 2D-Min-Heap. ``a`` and ``b`` are ``array('q')``, which
+    the naive engine ranks against; ``lengths`` is ``heap.values``."""
 
-    __slots__ = ("a", "b", "lengths", "heap", "bitmap_a", "bitmap_b", "bp_open", "bp_close")
+    __slots__ = ("a", "b", "lengths", "heap", "bp_open", "bp_close")
 
-    def __init__(self, a, b, lengths, heap, bitmap_a, bitmap_b, bp_open, bp_close):
+    def __init__(self, a, b, lengths, heap, bp_open, bp_close):
         self.a = a
         self.b = b
         self.lengths = lengths
         self.heap = heap
-        self.bitmap_a = bitmap_a
-        self.bitmap_b = bitmap_b
         self.bp_open = bp_open
         self.bp_close = bp_close
 
@@ -157,10 +134,8 @@ def intervals_from_arrays(a, b) -> IntervalSet:
     sentinel = b[-1] + 1
     close_cum = _minus(sentinel, b[::-1], "Q")
     close_cum.append(sentinel)
-    bitmap_a = EndpointBitmap(a, b[-1])
-    bitmap_b = EndpointBitmap(b, b[-1])
     bp_open, bp_close = _weighted_bps(heap.dfuds, a, close_cum)
-    return IntervalSet(a, b, heap.values, heap, bitmap_a, bitmap_b, bp_open, bp_close)
+    return IntervalSet(a, b, heap.values, heap, bp_open, bp_close)
 
 
 def _first_breach(a, b):
@@ -272,16 +247,21 @@ def mliq_bruteforce(s, a, b, strict=False):
 
 
 def mliq_naive(s, a, b, strict=False, counters=None):
-    """Bitmap ranks bound the qualifying index range, then a range-min over
-    lengths picks the answer. Two ranks + (2 select + 1 rmq + 1 rank)."""
+    """Two endpoint ranks bound the qualifying index range, then a range-min
+    over lengths picks the answer. Two ranks + (2 select + 1 rmq + 1 rank).
+
+    A rank is ``bisect_right`` over a stored endpoint array. i_max counts the
+    left endpoints within a, as ``mliq_weighted``'s open-side bpselect does
+    over the same array; i_min is one past the right endpoints short of b,
+    which is max(1, n + 1 - count) for the close-side bpselect's count."""
     _check_query(s, a, b)
     c = counters if counters is not None else OpCounters()
     if strict:
-        i_max = s.bitmap_a.rank_leq(a - 1)
-        i_min = s.bitmap_b.rank_leq(b) + 1
+        i_max = bisect_right(s.a, a - 1)
+        i_min = bisect_right(s.b, b) + 1
     else:
-        i_max = s.bitmap_a.rank_leq(a)
-        i_min = s.bitmap_b.rank_leq(b - 1) + 1
+        i_max = bisect_right(s.a, a)
+        i_min = bisect_right(s.b, b - 1) + 1
     c.rank += 2
     if i_max < i_min:
         return None

@@ -82,6 +82,15 @@ def test_build_binary_format(tmp_path, capsys):
     assert index_io.load_array_index(str(idx)).values == FIX_A
 
 
+def test_binary_length_prefix_beyond_the_file_exits_2(tmp_path, capsys):
+    src = tmp_path / "huge.bin"
+    for n in (1 << 61, (1 << 64) - 1):  # 8n bytes overflow a read, so the file's size must be checked first
+        src.write_bytes(struct.pack("<Q2q", n, 5, 7))
+        code, _, err = run_cli(capsys, "build", "array", str(src), "-o", str(tmp_path / "x.idx"), "--format", "binary")
+        assert code == 2
+        assert err == f"error: {src}: expected {n} values, file too short\n"
+
+
 def test_build_errors_exit_2(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("")

@@ -43,7 +43,7 @@ def test_array_blob_holds_the_values_and_the_dfuds_tables(tmp_path):
 def test_version_1_blob_still_loads(tmp_path):
     h = build_minheap(FIX_A)
     sections = [
-        ("VALS", struct.pack("<Q", h.n) + index_io._pack_i64s(h.values)),
+        ("VALS", struct.pack("<Q", h.n) + struct.pack(f"<{h.n}q", *h.values)),
         ("BITS", index_io._bits_section(h.dfuds)),
         ("RK64", index_io._rank_section(h.dfuds)),
         ("EMIN", index_io._emin_section(h.dfuds)),
@@ -58,7 +58,7 @@ def test_version_1_blob_still_loads(tmp_path):
 
 def test_missing_section_is_a_parse_error(tmp_path):
     h = build_minheap(FIX_A)
-    sections = [("VALS", struct.pack("<Q", h.n) + index_io._pack_i64s(h.values)),
+    sections = [("VALS", struct.pack("<Q", h.n) + struct.pack(f"<{h.n}q", *h.values)),
                 ("BITS", index_io._bits_section(h.dfuds))]
     path = tmp_path / "short.idx"
     write_blob(path, 2, index_io.KIND_ARRAY, sections)
@@ -121,6 +121,26 @@ def test_interval_blob_bytes_are_unchanged(tmp_path):
     for digest, pairs in families.items():
         data = blob_bytes(tmp_path, mliq.build_intervals, index_io.save_interval_index, pairs)
         assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_array_blob_and_binary_file_bytes_are_unchanged(tmp_path):
+    # sha256 of the array blob and of the binary array file as written with
+    # one struct argument per value; the typed-array writers must write the
+    # same bytes
+    arrays = {
+        ("46cc2eee641e0a704b191535244a7243df1dc9a4a7f116ff2e90b42f3292a55a",
+         "b12b069f68aba9776f997f914a30bc6d46f02756ab875bf0940b0bc6ddf291ed"): FIX_A,
+        ("478bb51ce7663bfd4cd5679450220c965d09a9f1b0748c0912bb9ab8d7653287",
+         "7175f408689fc4cde448688b17650886cf9698b7d1cc891643d95d1fc6b74853"):
+            random_array(random.Random(0xB10B), 600, span=1 << 62),
+    }
+    binary = tmp_path / "a.bin"
+    for (blob_digest, file_digest), values in arrays.items():
+        data = blob_bytes(tmp_path, build_minheap, index_io.save_array_index, values)
+        assert hashlib.sha256(data).hexdigest() == blob_digest
+        index_io.write_array_binary(str(binary), values)
+        assert hashlib.sha256(binary.read_bytes()).hexdigest() == file_digest
+        assert index_io.read_array_binary(str(binary)) == values
 
 
 @pytest.mark.parametrize("tag, side", [("WOPN", "open"), ("WCLS", "close")])

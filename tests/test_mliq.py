@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from dualtree import cli, codec, duality, index_io, minheap, mliq
 from dualtree.bitseq import BitSeq
 from dualtree.errors import ContractError, RangeError, ValidationError
-from dualtree.parens import CLOSE_WEIGHTS, OPEN_WEIGHTS
+from dualtree.parens import CLOSE_WEIGHTS, OPEN_WEIGHTS, WeightedBits
 from dualtree.randgen import random_intervals
 from dualtree.rmq import OpCounters
 
@@ -178,24 +178,73 @@ def test_index_level_none_detection():
     assert mliq.mliq_weighted(fam, 2, 3) is None
 
 
-def test_dense_and_sparse_bitmaps_agree():
-    values = [0, 3, 4, 9, 17]
-    dense = mliq.EndpointBitmap(values, 17)
-    import dualtree.mliq as m
+@st.composite
+def wide_families(draw):
+    """Families whose domain passes 2^22, with gaps up to 2^40, shifted so the
+    last right endpoint may reach the largest signed 64-bit integer."""
+    n = draw(st.integers(1, 10))
+    gap = st.integers(1, 1 << 40)
+    a = list(accumulate(draw(st.lists(gap, min_size=n, max_size=n)), initial=draw(st.integers(0, 1 << 40))))[1:]
+    extra = draw(st.lists(st.integers(0, 1 << 40), min_size=n, max_size=n))
+    b = []
+    for ai, e in zip(a, extra):
+        b.append(max(ai, b[-1] + 1 if b else 0) + e)
+    room = I64_MAX - b[-1]
+    shift = draw(st.one_of(st.just(room), st.integers(max(0, (1 << 22) - b[-1]), room)))
+    return [(x + shift, y + shift) for x, y in zip(a, b)]
 
-    old = m.DENSE_DOMAIN_LIMIT
-    try:
-        m.DENSE_DOMAIN_LIMIT = 1  # force the sparse representation
-        sparse = mliq.EndpointBitmap(values, 17)
-    finally:
-        m.DENSE_DOMAIN_LIMIT = old
-    assert sparse.bits() is None and dense.bits() is not None
-    for v in range(-2, 20):
-        assert dense.rank_leq(v) == sparse.rank_leq(v)
+
+@settings(max_examples=100, deadline=None)
+@given(wide_families())
+def test_solvers_agree_on_wide_domains(pairs):
+    fam = mliq.build_intervals(pairs)
+    hi = fam.domain_max
+    assert hi >= 1 << 22
+    points = sorted({0, hi} | {min(max(e + d, 0), hi) for e in (*fam.a, *fam.b) for d in (-1, 0, 1)})
+    for i, a in enumerate(points):
+        for b in points[i:]:
+            for strict in (False, True):
+                want = mliq.mliq_bruteforce(fam, a, b, strict=strict)
+                assert mliq.mliq_naive(fam, a, b, strict=strict) == want
+                assert mliq.mliq_weighted(fam, a, b, strict=strict) == want
 
 
-def test_endpoint_bitmaps_hold_the_endpoint_lists(fam):
-    assert fam.bitmap_a.values is fam.a and fam.bitmap_b.values is fam.b
+def test_naive_ranks_are_the_weighted_boundary_counts(monkeypatch):
+    ranks, counts = [], []
+    real_rank, real_count = mliq.bisect_right, WeightedBits.bpselect_with_count
+
+    def rank(table, x):
+        ranks.append((table, real_rank(table, x)))
+        return ranks[-1][1]
+
+    def count(self, side, budget):
+        found = real_count(self, side, budget)
+        counts.append(found[1])
+        return found
+
+    monkeypatch.setattr(mliq, "bisect_right", rank)
+    monkeypatch.setattr(WeightedBits, "bpselect_with_count", count)
+    rng = random.Random(0x2A4C)
+    for _ in range(20):
+        fam = mliq.build_intervals(random_intervals(rng, rng.randint(1, 120)))
+        hi = fam.domain_max
+        for _ in range(60):
+            a = rng.randint(0, hi)
+            b = rng.randint(a, hi)
+            for strict in (False, True):
+                ranks.clear()
+                counts.clear()
+                mliq.mliq_naive(fam, a, b, strict=strict)
+                mliq.mliq_weighted(fam, a, b, strict=strict)
+                (left, i_max), (right, i_min) = ranks
+                assert left is fam.a and right is fam.b  # the stored endpoints, not a copy
+                i_min += 1
+                if strict and a == 0:  # nothing starts before 0: no select is made
+                    assert (i_max, counts) == (0, [])
+                    continue
+                cnt_a, cnt_b = counts
+                assert i_max == cnt_a
+                assert i_min == max(1, fam.n + 1 - cnt_b)
 
 
 # -- the weighted BPs read off the DFUDS against the tree construction -----------
@@ -315,12 +364,16 @@ def test_interval_index_holds_typed_tables_and_no_dict(tmp_path):
         positions, cum = s.bp_close._weight_tables(CLOSE_WEIGHTS)
         # unsigned: the close side's total is b_n + 1, which reaches 2^63 when b_n is the largest i64
         assert type(positions) is type(cum) is array and (positions.typecode, cum.typecode) == ("q", "Q")
+        # one rank structure per bit sequence the queries read: no endpoint bitmap
+        bases = {id(s.heap.dfuds.base), id(s.bp_open.base), id(s.bp_close.base)}
+        assert {id(o) for o in reachable(s) if isinstance(o, BitSeq)} == bases and len(bases) == 3
 
 
 def test_interval_build_holds_few_bytes_and_peaks_near_them():
     # The list-based tables held 280 bytes per interval on this family and
-    # peaked at 1.31x that; the typed tables hold 136 and peak at 1.17x. The
-    # bound leaves 14 bytes per interval of margin.
+    # peaked at 1.31x that; the typed tables with two dense endpoint bitmaps
+    # held 136 and peaked at 1.17x; without the bitmaps the index holds 103
+    # and peaks at 1.22x. The bound leaves 17 bytes per interval of margin.
     pairs = random_intervals(random.Random(0x1EAF), 20_000)
     gc.collect()
     tracemalloc.start()
@@ -334,5 +387,5 @@ def test_interval_build_holds_few_bytes_and_peaks_near_them():
     held -= before
     peak -= before
     assert s.n == len(pairs)
-    assert held <= 150 * len(pairs), held / len(pairs)
+    assert held <= 120 * len(pairs), held / len(pairs)
     assert peak <= 1.5 * held, (peak, held)

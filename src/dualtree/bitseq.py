@@ -6,12 +6,19 @@ binary search over the cumulative table plus six popcounts inside the word,
 each keeping the half (32, 16, ... bits) that holds the wanted bit. The
 tables are derived from the bits alone; rebuilding a sequence always
 reproduces them.
-Construction runs in bulk steps: the bits become one big integer, which is
-cut into words, and the cumulative counts come from ``accumulate``.
+Construction runs in bulk steps: the bits become one big integer, whose
+little-endian bytes are read straight into the words, and the cumulative
+counts come from ``accumulate``.
+
+The tables are typed arrays, so a sequence's size is fixed bytes per bit:
+the words are an ``array('Q')`` and the cumulative one- and zero-counts
+``array('q')``. ``le_bytes`` and ``from_le`` move such a table to and from
+little-endian bytes on any host.
 """
 
 import re
-import struct
+import sys
+from array import array
 from bisect import bisect_left
 from itertools import accumulate
 from operator import sub
@@ -23,8 +30,10 @@ _MASKS = [(1 << (r + 1)) - 1 for r in range(WORD)]
 _FULL = (1 << WORD) - 1
 
 _NOT_A_BIT = re.compile(r"[^01()]")
-_CHAR_TO_DIGIT = str.maketrans("()", "10")
+_CHAR_TO_DIGIT = bytes.maketrans(b"()", b"10")
 _BYTE_TO_DIGIT = bytes.maketrans(b"\0\1", b"01")
+
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 class BitSeq:
@@ -33,18 +42,22 @@ class BitSeq:
     __slots__ = ("n", "_words", "_cum1", "_cum0")
 
     def __init__(self, bits):
-        if isinstance(bits, BitSeq):
-            text = bits.to_text()
-        elif isinstance(bits, str):
-            text = _text_of_chars(bits)
-        else:
-            text = _text_of_symbols(bits)
+        self._fill(text_of(bits))
+
+    @classmethod
+    def of_text(cls, text):
+        """The sequence of a text of '0'/'1' digits, taken as it is."""
+        seq = cls.__new__(cls)
+        seq._fill(text)
+        return seq
+
+    def _fill(self, text):
         self.n = len(text)
         nwords = (self.n + WORD - 1) // WORD
         packed = (int(text[::-1], 2) if text else 0).to_bytes(8 * nwords, "little")
-        self._words = list(struct.unpack(f"<{nwords}Q", packed))
-        self._cum1 = list(accumulate(map(int.bit_count, self._words), initial=0))
-        self._cum0 = list(map(sub, range(0, WORD * nwords + 1, WORD), self._cum1))
+        self._words = from_le(packed, "Q")
+        self._cum1 = array("q", accumulate(map(int.bit_count, self._words), initial=0))
+        self._cum0 = array("q", map(sub, range(0, WORD * nwords + 1, WORD), self._cum1))
         self._cum0[-1] = self.n - self._cum1[-1]
 
     def __len__(self):
@@ -61,7 +74,7 @@ class BitSeq:
         """The bits as a string of '0'/'1', position 1 first."""
         if not self.n:
             return ""
-        big = int.from_bytes(struct.pack(f"<{len(self._words)}Q", *self._words), "little")
+        big = int.from_bytes(le_bytes(self._words), "little")
         return format(big, f"0{self.n}b")[::-1]
 
     def count(self, s: int) -> int:
@@ -126,14 +139,44 @@ class BitSeq:
         return isinstance(other, BitSeq) and self.n == other.n and self._words == other._words
 
     def __hash__(self):
-        return hash((self.n, tuple(self._words)))
+        return hash((self.n, self._words.tobytes()))
+
+
+def text_of(bits) -> str:
+    """The '0'/'1' text of a BitSeq, a string of bits or parentheses, or an
+    iterable of 0/1 symbols; RangeError names the first symbol that is none."""
+    if isinstance(bits, BitSeq):
+        return bits.to_text()
+    if isinstance(bits, str):
+        return _text_of_chars(bits)
+    return _text_of_symbols(bits)
+
+
+def le_bytes(table):
+    """An array of 64-bit integers as little-endian bytes on any host."""
+    if _BIG_ENDIAN:
+        table = array(table.typecode, table)
+        table.byteswap()
+    return table.tobytes()
+
+
+def from_le(payload, typecode="q"):
+    """Little-endian 64-bit integers, any bytes-like object, as an
+    ``array(typecode)``; the bytes are copied in one step, not iterated."""
+    table = array(typecode)
+    table.frombytes(payload)
+    if _BIG_ENDIAN:
+        table.byteswap()
+    return table
 
 
 def _text_of_chars(s: str) -> str:
+    if s.isascii():
+        raw = s.encode("ascii")
+        if not raw.translate(None, b"01()"):
+            return raw.translate(_CHAR_TO_DIGIT).decode("ascii")
     bad = _NOT_A_BIT.search(s)
-    if bad:
-        raise RangeError(f"character {bad.group()!r} at position {bad.start() + 1} is not a bit or parenthesis")
-    return s.translate(_CHAR_TO_DIGIT)
+    raise RangeError(f"character {bad.group()!r} at position {bad.start() + 1} is not a bit or parenthesis")
 
 
 def _text_of_symbols(bits) -> str:

@@ -23,7 +23,7 @@ starting at 1.
 
 import re
 from array import array
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from operator import add, sub
 
 from .errors import ParseError, ValidationError
@@ -171,8 +171,13 @@ def tree_from_text(text: str) -> OrdinalTree:
 
 
 def _bp_of_depths(depths):
-    """BP as 0/1 text of the tree whose preorder depths are ``depths``."""
-    return "1".join(["0" * (up + 1 - down) for up, down in zip([-1] + depths, depths + [0])])
+    """BP as 0/1 text of the tree whose preorder depths are ``depths``.
+
+    Before each opener come depth(previous) + 1 - depth closers, and each
+    distinct run of them is made once, as in ``_dfuds_of_degrees``."""
+    drops = list(map(sub, chain((-1,), depths), chain(depths, (0,))))
+    zeros = {d: "0" * (d + 1) for d in set(drops)}
+    return "1".join(map(zeros.__getitem__, drops))
 
 
 def _dfuds_of_degrees(degrees):

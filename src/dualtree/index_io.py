@@ -23,23 +23,28 @@ compared, so it is skipped.
 
 Loading rebuilds the structures from the raw inputs and verifies that every
 stored derived section matches the rebuilt one byte for byte, so a loaded
-index answers exactly like a freshly built one. An interval blob's INTA and
-INTB are read straight into two ``array('q')``, which the rebuild checks in
-bulk with the rules and messages of ``mliq.build_intervals`` and then keeps
-as the index's endpoints. Every 64-bit section, like the binary array file,
-is written from a typed array in one step, little-endian on any host, and
-read back as one; WOPN/WCLS's weights are the gaps of the cumulative
-tables, taken in one big-integer subtraction. A blob that is truncated,
-corrupt or missing a section raises ParseError. Values and endpoints must be signed 64-bit integers; others
-raise ValidationError when read, built or saved.
+index answers exactly like a freshly built one. The file is read once, and
+each section is a memoryview into that read, not a copy; a section is
+dropped as soon as it is read or compared. An array blob's VALS is read
+straight into an ``array('q')``, which the rebuilt index keeps as its
+values, and an interval blob's INTA and INTB into two more, which the
+rebuild checks in bulk with the rules and messages of
+``mliq.build_intervals`` and then keeps as the index's endpoints. Every
+64-bit section, like the binary array file, is written from a typed array
+in one step (the index's own values, bit words and rank counts, uncopied),
+little-endian on any host, and read back as one; WOPN/WCLS's weights are
+the gaps of the cumulative tables, taken in one big-integer subtraction. A
+blob that is truncated, corrupt or missing a section raises ParseError.
+Values and endpoints must be signed 64-bit integers; others raise
+ValidationError when read, built or saved.
 """
 
 import struct
-import sys
 from array import array
 
+from .bitseq import from_le, le_bytes
 from .errors import ParseError, ValidationError
-from .minheap import build_minheap
+from .minheap import heap_of_table
 from .mliq import intervals_from_arrays
 from .parens import _BLOCK, CLOSE_WEIGHTS, OPEN_WEIGHTS
 
@@ -52,7 +57,6 @@ KIND_INTERVALS = 2
 _HEADER = struct.Struct("<4sHHI")
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
-_BIG_ENDIAN = sys.byteorder == "big"
 
 
 # -- input files ---------------------------------------------------------------
@@ -86,7 +90,7 @@ def read_array_binary(path):
         raise ValidationError(f"{path}: trailing bytes after {n} values")
     if n == 0:
         raise ValidationError(f"{path}: empty array file")
-    return _from_le(payload).tolist()
+    return from_le(payload).tolist()
 
 
 def write_array_binary(path, values):
@@ -141,21 +145,25 @@ def _check_i64(v, where):
 
 
 def _i64_bytes(values):
-    """``values`` as little-endian i64 bytes; ValidationError names the first
-    value that is not a signed 64-bit integer."""
-    try:
-        return _le_bytes(array("q", values))
-    except (TypeError, OverflowError):
-        bad = next(v for v in values if not (isinstance(v, int) and _I64_MIN <= v <= _I64_MAX))
-        raise ValidationError(f"cannot save {bad!r}: blobs hold signed 64-bit integers") from None
+    """``values`` as little-endian i64 bytes. An ``array('q')``, as the
+    index's own values are, is written as it is, anything else converted
+    first; ValidationError names the first value that is not a signed
+    64-bit integer."""
+    if not (isinstance(values, array) and values.typecode == "q"):
+        try:
+            values = array("q", values)
+        except (TypeError, OverflowError):
+            bad = next(v for v in values if not (isinstance(v, int) and _I64_MIN <= v <= _I64_MAX))
+            raise ValidationError(f"cannot save {bad!r}: blobs hold signed 64-bit integers") from None
+    return le_bytes(values)
 
 
 def _bits_section(parenseq):
-    return struct.pack("<Q", parenseq.n) + _le_bytes(array("Q", parenseq.base._words))
+    return struct.pack("<Q", parenseq.n) + le_bytes(parenseq.base._words)
 
 
 def _rank_section(parenseq):
-    return _le_bytes(array("Q", parenseq.base._cum1))
+    return le_bytes(parenseq.base._cum1)
 
 
 def _emin_section(parenseq):
@@ -171,34 +179,18 @@ def _weight_section(weighted, side):
     across no slot and leaves every gap in its own slot."""
     positions, cum = weighted._weight_tables(side)
     count = len(cum)
-    gaps = int.from_bytes(_le_bytes(cum), "little")
+    gaps = int.from_bytes(le_bytes(cum), "little")
     gaps -= (gaps << 64) & ((1 << (64 * count)) - 1)
     entries = array("q", [count]) * (2 * count + 1)
     entries[1::2] = positions
-    entries[2::2] = _from_le(gaps.to_bytes(8 * count, "little"))
-    return _le_bytes(entries)
-
-
-def _le_bytes(table):
-    """An array of 64-bit integers as little-endian bytes on any host."""
-    if _BIG_ENDIAN:
-        table = array(table.typecode, table)
-        table.byteswap()
-    return table.tobytes()
-
-
-def _from_le(payload):
-    """Little-endian i64 values as an ``array('q')``."""
-    table = array("q", payload)
-    if _BIG_ENDIAN:
-        table.byteswap()
-    return table
+    entries[2::2] = from_le(gaps.to_bytes(8 * count, "little"))
+    return le_bytes(entries)
 
 
 def _i64_table(path, tag, payload):
     if len(payload) % 8:
         raise ParseError(f"{path}: {tag} section length {len(payload)} is not a multiple of 8")
-    return _from_le(payload)
+    return from_le(payload)
 
 
 def _write_blob(path, kind, sections):
@@ -231,9 +223,12 @@ def _parse_header(path, data):
 
 
 def _read_blob(path):
+    """(kind, {tag: payload}); each payload is a memoryview into the one read
+    of the file, so no section is copied."""
     with open(path, "rb") as fh:
         data = fh.read()
     kind, count = _parse_header(path, data)
+    view = memoryview(data)
     sections = {}
     off = _HEADER.size
     for _ in range(count):
@@ -246,7 +241,7 @@ def _read_blob(path):
             raise ParseError(f"{path}: section {tag!r} promises {length} bytes, {len(data) - off} remain")
         if tag in sections:
             raise ParseError(f"{path}: section {tag!r} appears twice")
-        sections[tag] = data[off : off + length]
+        sections[tag] = view[off : off + length]
         off += length
     if off != len(data):
         raise ParseError(f"{path}: {len(data) - off} trailing bytes")
@@ -254,10 +249,18 @@ def _read_blob(path):
 
 
 def _section(path, sections, tag):
+    """The payload of section ``tag``, which ``sections`` then drops, so the
+    file's bytes are freed once every section has been read or compared."""
     try:
-        return sections[tag]
+        return sections.pop(tag)
     except KeyError:
         raise ParseError(f"{path}: missing section {tag}") from None
+
+
+def _check_section(path, sections, tag, rebuilt, what):
+    """ParseError ``what ...`` unless section ``tag`` holds the bytes ``rebuilt``."""
+    if bytes(_section(path, sections, tag)) != rebuilt:
+        raise ParseError(f"{path}: stored {what}")
 
 
 # -- array indexes -----------------------------------------------------------------
@@ -282,12 +285,13 @@ def load_array_index(path):
     if len(payload) < 8:
         raise ParseError(f"{path}: VALS section too short for its length prefix")
     (n,) = struct.unpack_from("<Q", payload, 0)
-    values = _i64_table(path, "VALS", payload[8:]).tolist()
+    values = _i64_table(path, "VALS", payload[8:])
+    del payload  # the array holds the values now
     if len(values) != n:
         raise ParseError(f"{path}: VALS section promises {n} values, holds {len(values)}")
     if not values:
         raise ParseError(f"{path}: VALS section holds no values")
-    h = build_minheap(values)
+    h = heap_of_table(values)
     _verify_derived(path, h.dfuds, sections)
     return h
 
@@ -297,8 +301,8 @@ def load_array_index(path):
 
 def save_interval_index(path, s):
     sections = [
-        ("INTA", _le_bytes(s.a)),
-        ("INTB", _le_bytes(s.b)),
+        ("INTA", le_bytes(s.a)),
+        ("INTB", le_bytes(s.b)),
         ("BITS", _bits_section(s.heap.dfuds)),
         ("RK64", _rank_section(s.heap.dfuds)),
         ("EMIN", _emin_section(s.heap.dfuds)),
@@ -315,25 +319,23 @@ def load_interval_index(path):
         raise ParseError(f"{path}: blob holds an array index, not an interval index")
     a = _i64_table(path, "INTA", _section(path, sections, "INTA"))
     b = _i64_table(path, "INTB", _section(path, sections, "INTB"))
-    del sections["INTA"], sections["INTB"]  # the arrays hold them now
     if len(a) != len(b):
         raise ParseError(f"{path}: {len(a)} left endpoints but {len(b)} right endpoints")
     s = intervals_from_arrays(a, b)
     _verify_derived(path, s.heap.dfuds, sections)
-    if _section(path, sections, "WOPN") != _weight_section(s.bp_open, OPEN_WEIGHTS):
-        raise ParseError(f"{path}: stored open weights do not match the rebuilt index")
-    if _section(path, sections, "WCLS") != _weight_section(s.bp_close, CLOSE_WEIGHTS):
-        raise ParseError(f"{path}: stored close weights do not match the rebuilt index")
+    _check_section(path, sections, "WOPN", _weight_section(s.bp_open, OPEN_WEIGHTS),
+                   "open weights do not match the rebuilt index")
+    _check_section(path, sections, "WCLS", _weight_section(s.bp_close, CLOSE_WEIGHTS),
+                   "close weights do not match the rebuilt index")
     return s
 
 
 def _verify_derived(path, parenseq, sections):
-    if _section(path, sections, "BITS") != _bits_section(parenseq):
-        raise ParseError(f"{path}: stored bits do not match the rebuilt structure")
-    if _section(path, sections, "RK64") != _rank_section(parenseq):
-        raise ParseError(f"{path}: stored rank table does not match the rebuilt structure")
-    if _section(path, sections, "EMIN") != _emin_section(parenseq):
-        raise ParseError(f"{path}: stored excess minima do not match the rebuilt structure")
+    _check_section(path, sections, "BITS", _bits_section(parenseq), "bits do not match the rebuilt structure")
+    _check_section(path, sections, "RK64", _rank_section(parenseq),
+                   "rank table does not match the rebuilt structure")
+    _check_section(path, sections, "EMIN", _emin_section(parenseq),
+                   "excess minima do not match the rebuilt structure")
 
 
 def stats_for(parenseq, extra_values=0):

@@ -17,7 +17,15 @@ position, so the number popped there is that position's degree, and what is
 left pending at the end hangs from the root. It allocates nothing per element
 but the degree count. The index stores that bit sequence and nothing else
 besides the values; the explicit tree is decoded from it on first use.
+
+The values are held as an ``array('q')`` when every one is an int within
+signed 64 bits, and as a list otherwise (floats, strings, larger ints), so
+an index of integers takes fixed bytes per value. The degree pass runs over
+the values as given, before they are converted: iterating the array would
+make a new int for every value that waits on the stack.
 """
+
+from array import array
 
 from . import codec, duality
 from .errors import ContractError
@@ -33,7 +41,8 @@ class MinHeapIndex:
     The single stored bit sequence is the DFUDS of the heap tree, which is
     simultaneously the BP of its reversed dual; all engines share it. Node
     labels are array positions with the root 0, so a node's depth-first rank
-    is its label plus one and the engines need no explicit tree.
+    is its label plus one and the engines need no explicit tree. ``values``
+    is an ``array('q')`` for signed 64-bit ints and a list otherwise.
     """
 
     __slots__ = ("values", "dfuds", "_tree")
@@ -80,8 +89,26 @@ class MinHeapIndex:
 
 
 def build_minheap(values) -> MinHeapIndex:
-    """Build the heap index for a non-empty array of comparable values."""
-    values = list(values)
+    """Build the heap index for a non-empty array of comparable values. The
+    index holds a copy: an ``array('q')`` if every value is a signed 64-bit
+    int, else a list."""
+    if not isinstance(values, (list, array)):
+        values = list(values)
+    dfuds = _heap_dfuds(values)
+    try:
+        held = array("q", values)
+    except (TypeError, OverflowError):
+        held = list(values)
+    return MinHeapIndex(held, dfuds)
+
+
+def heap_of_table(values) -> MinHeapIndex:
+    """The heap index holding ``values``, an ``array('q')``, as it is."""
+    return MinHeapIndex(values, _heap_dfuds(values))
+
+
+def _heap_dfuds(values):
+    """The DFUDS of the heap of ``values``, from the degree pass."""
     if not values:
         raise ContractError("array must hold at least one element")
     degrees = []  # right to left; the root's count is appended last
@@ -96,7 +123,7 @@ def build_minheap(values) -> MinHeapIndex:
         push(val)
     put(len(pending))
     degrees.reverse()
-    return MinHeapIndex(values, ParenSeq(codec._dfuds_of_degrees(degrees)))
+    return ParenSeq(codec._dfuds_of_degrees(degrees))
 
 
 def _decode_heap(dfuds):

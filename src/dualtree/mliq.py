@@ -41,9 +41,9 @@ order.
 
 The index holds the endpoints and these tables as ``array('q')`` (the close
 side's cumulative weights as ``'Q'``, since b_n + 1 may be 2^63), the
-lengths as the heap's own value list, and no dict. Building or loading
-checks the endpoints in bulk and names the first interval that breaks a
-rule, as a check of one pair at a time would.
+lengths as the heap's own values, also an ``array('q')``, and no dict.
+Building or loading checks the endpoints in bulk and names the first
+interval that breaks a rule, as a check of one pair at a time would.
 
 Containment conventions: CLOSED (default) answers with intervals satisfying
 a_i <= a <= b <= b_i; STRICT requires a_i < a and b_i > b. On integer

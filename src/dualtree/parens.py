@@ -14,7 +14,7 @@ each next level is ``map(min, row, row shifted by 2^j)``, which returns one of
 its arguments: building the table allocates no tuple per entry and no list
 per block (the block minima come from one slice at a time), so the first
 search neither holds every slice at once nor wakes the garbage collector.
-Inside a block every step is one C-level slice operation on the excess list:
+Inside a block every step is one C-level slice operation on the excess array:
 ``min`` of the slice and ``index`` of its value (on the reversed slice for
 the rightmost tie); ``rmq_excess`` takes the minimum of the whole blocks
 from the table and scans an end block only when its block minimum could
@@ -26,10 +26,12 @@ entries are above ``((target + 1) << shift) - 1``, which reads at most
 log2(blocks) + 1 table entries, and finish with one ``index`` inside that
 block. The rightmost block of a range minimum is found by the same backward
 descent.
-The constructor builds the excess array and checks the balance; the block
-minima and sparse table are built on the first search (rmq_excess, open or
-close) or when ``block_tables`` is asked for them, so a sequence that is
-only compared, decoded or stored as bits never pays for them.
+The excess array is typed, ``array('I')`` (``'Q'`` from 2^32 bits on), so it
+takes four bytes per bit however deep the sequence nests; the constructor
+sums it from the text it was given, in chunks, and checks the balance. The
+block minima and sparse table are built on the first search (rmq_excess,
+open or close) or when ``block_tables`` is asked for them, so a sequence
+that is only compared, decoded or stored as bits never pays for them.
 """
 
 from array import array
@@ -37,7 +39,7 @@ from bisect import bisect_right
 from itertools import accumulate, compress, islice, repeat
 from operator import add, lshift
 
-from .bitseq import BitSeq
+from .bitseq import BitSeq, text_of
 from .errors import ContractError, RangeError, ValidationError
 
 OPEN = 1
@@ -50,6 +52,7 @@ OPEN_WEIGHTS = "open-weights"
 CLOSE_WEIGHTS = "close-weights"
 
 _BLOCK = 64
+_CHUNK = 1 << 12  # excess steps summed into one list at a time; few, so a deep excess holds few ints
 
 _STEPS = bytes.maketrans(b"01", b"\xff\x01")  # '0' -> -1, '1' -> +1 as signed bytes
 _DIGIT_TO_PAREN = str.maketrans("10", "()")
@@ -61,16 +64,10 @@ class ParenSeq:
     __slots__ = ("base", "n", "_exc", "_bmin", "_table", "_shift")
 
     def __init__(self, bits):
-        self.base = bits if isinstance(bits, BitSeq) else BitSeq(bits)
+        text = text_of(bits)
+        self.base = bits if isinstance(bits, BitSeq) else BitSeq.of_text(text)
         self.n = self.base.n
-        steps = array("b", self.base.to_text().encode("ascii").translate(_STEPS))
-        exc = list(accumulate(steps, initial=0))
-        if min(exc) < 0:
-            # steps are +-1, so the first negative excess is the first -1
-            raise ValidationError(f"unbalanced sequence: excess drops below zero at position {exc.index(-1)}")
-        if exc[-1] != 0:
-            raise ValidationError(f"unbalanced sequence: {exc[-1]} unmatched opening parentheses")
-        self._exc = exc
+        self._exc = _excess(text)
         self._bmin = self._table = self._shift = None  # built by the first search
 
     # -- construction helpers -------------------------------------------------
@@ -270,6 +267,39 @@ class ParenSeq:
         if len(s) > 40:
             s = s[:37] + "..."
         return f"ParenSeq({s})"
+
+
+def excess_typecode(n):
+    """Typecode of the excess array of a sequence of n bits. A balanced
+    sequence's excess lies in 0..n, so it takes unsigned 32-bit entries below
+    2^32 bits and 64-bit ones from there on."""
+    return "I" if n < 1 << 8 * array("I").itemsize else "Q"
+
+
+def _excess(text):
+    """The excess array of a 0/1 text, checked for balance.
+
+    It is summed ``_CHUNK`` steps at a time into a list, which joins the
+    array in one ``fromlist``: an array filled from ``accumulate`` directly
+    converts one int at a time, several times slower, and unsigned entries
+    convert about four times faster than signed ones. A negative excess
+    cannot join them, so the OverflowError is the check that the excess
+    never drops below zero."""
+    steps = memoryview(text.encode("ascii").translate(_STEPS)).cast("b")
+    exc = array(excess_typecode(len(text)), [0])
+    for lo in range(0, len(steps), _CHUNK):
+        part = list(accumulate(steps[lo : lo + _CHUNK], initial=exc[-1]))
+        del part[0]  # exc[-1], already in
+        try:
+            exc.fromlist(part)
+        except OverflowError:
+            # steps are +-1, so the first negative excess is the first -1
+            raise ValidationError(
+                f"unbalanced sequence: excess drops below zero at position {lo + 1 + part.index(-1)}"
+            ) from None
+    if exc[-1] != 0:
+        raise ValidationError(f"unbalanced sequence: {exc[-1]} unmatched opening parentheses")
+    return exc
 
 
 def _rindex(seq, v, lo, hi):

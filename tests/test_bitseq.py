@@ -1,10 +1,11 @@
 import random
+import struct
 from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualtree.bitseq import BitSeq
+from dualtree.bitseq import BitSeq, from_le, le_bytes
 from dualtree.errors import NotFoundError, RangeError
 
 from conftest import FIX_DFUDS
@@ -206,3 +207,14 @@ def test_select_in_full_and_empty_words():
     b = BitSeq([1] * 64 + [0] * 64 + [1] * 5)  # a full word, an empty word, a partial last word
     assert [b.select(i, 1) for i in (1, 64, 65, 69)] == [1, 64, 129, 133]
     assert [b.select(i, 0) for i in (1, 64)] == [65, 128]
+
+
+def test_tables_are_typed_and_round_trip_through_little_endian_bytes():
+    rng = random.Random(0x7AB1E)
+    for n in (0, 1, 63, 64, 65, 1000):
+        b = BitSeq([rng.randint(0, 1) for _ in range(n)])
+        assert (b._words.typecode, b._cum1.typecode, b._cum0.typecode) == ("Q", "q", "q")
+        assert le_bytes(b._words) == struct.pack(f"<{len(b._words)}Q", *b._words)
+        assert from_le(le_bytes(b._words), "Q") == b._words
+        assert from_le(memoryview(le_bytes(b._cum1))) == b._cum1
+        assert BitSeq.of_text(b.to_text()) == b and hash(BitSeq.of_text(b.to_text())) == hash(b)

@@ -79,7 +79,8 @@ def test_build_binary_format(tmp_path, capsys):
     idx = tmp_path / "a.idx"
     code, _, _ = run_cli(capsys, "build", "array", str(src), "-o", str(idx), "--format", "binary")
     assert code == 0
-    assert index_io.load_array_index(str(idx)).values == FIX_A
+    values = index_io.load_array_index(str(idx)).values
+    assert values.typecode == "q" and values.tolist() == FIX_A
 
 
 def test_binary_length_prefix_beyond_the_file_exits_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import struct
+from array import array
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -52,8 +53,21 @@ def test_version_1_blob_still_loads(tmp_path):
     path = tmp_path / "v1.idx"
     write_blob(path, 1, index_io.KIND_ARRAY, sections)
     loaded = index_io.load_array_index(str(path))
-    assert loaded.values == FIX_A and loaded.dfuds == h.dfuds
+    assert loaded.values.typecode == "q" and loaded.values.tolist() == FIX_A and loaded.dfuds == h.dfuds
     assert index_io.read_kind(str(path)) == index_io.KIND_ARRAY
+
+
+def test_load_reads_sections_as_views_and_holds_typed_tables(tmp_path):
+    path = str(tmp_path / "a.idx")
+    h = build_minheap(ARRAY)
+    index_io.save_array_index(path, h)
+    _, sections = index_io._read_blob(path)
+    assert {type(payload) for payload in sections.values()} == {memoryview}
+    loaded = index_io.load_array_index(path)
+    assert type(loaded.values) is array and loaded.values.typecode == "q" and loaded.values == h.values
+    p = loaded.dfuds
+    assert p._exc.typecode == "I" and p._exc == h.dfuds._exc
+    assert (p.base._words.typecode, p.base._cum1.typecode, p.base._cum0.typecode) == ("Q", "q", "q")
 
 
 def test_missing_section_is_a_parse_error(tmp_path):
@@ -86,7 +100,8 @@ def test_save_rejects_values_a_blob_cannot_hold(tmp_path):
     with pytest.raises(ValidationError, match="signed 64-bit"):
         index_io.save_array_index(path, build_minheap([0.5, 2.0]))
     index_io.save_array_index(path, build_minheap([(1 << 63) - 1, -(1 << 63)]))
-    assert index_io.load_array_index(path).values == [(1 << 63) - 1, -(1 << 63)]
+    values = index_io.load_array_index(path).values
+    assert values.typecode == "q" and values.tolist() == [(1 << 63) - 1, -(1 << 63)]
 
 
 def test_query_reads_the_blob_once(tmp_path, monkeypatch):
@@ -149,7 +164,7 @@ def test_interval_load_compares_the_weight_tables(tmp_path, tag, side):
     s = mliq.build_intervals(FIX_INTERVALS)
     index_io.save_interval_index(str(path), s)
     _, sections = index_io._read_blob(str(path))
-    good = sections[tag]
+    good = bytes(sections[tag])
     count = len(good) // 16
     for bad in (good[:-1], good + bytes(16), good[:-8] + struct.pack("<q", 99), struct.pack("<Q", count + 1) + good[8:]):
         sections[tag] = bad

@@ -1,9 +1,12 @@
+import gc
 import random
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualtree import codec
+from dualtree import codec, index_io, rmq
 from dualtree.errors import ContractError
 from dualtree.minheap import ROOT_LABEL, build_minheap, reversal_dual_check
 from dualtree.randgen import random_array, random_distinct_array
@@ -191,3 +194,76 @@ def value_arrays():
 def test_right_to_left_pass_gives_the_dfuds_of_the_left_to_right_pass(values):
     want = "1" + "".join("1" * d + "0" for d in degrees_left_to_right(values))
     assert build_minheap(values).dfuds.base.to_text() == want
+
+
+I64_MAX = (1 << 63) - 1
+
+
+def test_signed_64_bit_ints_are_held_in_a_typed_copy():
+    extremes = [I64_MAX, -I64_MAX - 1]
+    for values, want in ((FIX_A, FIX_A), (array("q", FIX_A), FIX_A), (iter(FIX_A), FIX_A),
+                         (tuple(FIX_A), FIX_A), (extremes, extremes)):
+        h = build_minheap(values)
+        assert type(h.values) is array and h.values.typecode == "q"
+        assert h.values.tolist() == want
+    caller = array("q", FIX_A)
+    h = build_minheap(caller)
+    caller[3] = 99
+    assert h.values is not caller and h.value(4) == 1
+
+
+def test_bools_are_held_as_ints():
+    h = build_minheap([True, False, True])
+    assert h.values.typecode == "q"
+    assert h.value(1) == 1 and type(h.value(1)) is int
+    assert h.value(2) == 0 and type(h.value(2)) is int
+    assert rmq.rmq_direct(h, 1, 3) == 2
+
+
+def test_values_a_typed_table_cannot_hold_keep_a_list():
+    rng = random.Random(0x71A)
+    families = [
+        [rng.uniform(-5, 5) for _ in range(300)],
+        [rng.choice(["fig", "kiwi", "lime", "pear"]) for _ in range(300)],
+        [rng.randint(-3, 3) * (1 << 63) + rng.randint(-2, 2) for _ in range(300)],  # past signed 64 bits
+        [rng.randint(-3, 3) for _ in range(299)] + [1.5],  # one float among ints
+    ]
+    for values in families:
+        h = build_minheap(values)
+        assert type(h.values) is list and h.values == values and h.values is not values
+        for _ in range(200):
+            i = rng.randint(1, h.n)
+            j = rng.randint(i, h.n)
+            want = rmq.rmq_scan(h, i, j)
+            assert rmq.rmq_direct(h, i, j) == rmq.rmq_checked(h, i, j) == rmq.rmq_ancestor(h, i, j) == want
+
+
+@pytest.mark.parametrize("shape", ["random", "increasing", "decreasing"])
+@pytest.mark.parametrize("made_by", ["build", "load"])
+def test_index_holds_fixed_bytes_per_value_at_any_depth(tmp_path, made_by, shape):
+    # The values (array('q'), 8 B), the excess (array('I'), 2 entries of 4 B
+    # each), the bits with their rank tables and the block tables hold about
+    # 21-22 B per value whatever the heap's depth. With list-held values and
+    # excess a build held 32 B on random and increasing input and 95 B on a
+    # decreasing one, whose excess entries are each an int object; a load
+    # made every value an int object too.
+    n = 100_000
+    values = {
+        "random": random_array(random.Random(0x5EED), n),
+        "increasing": list(range(n)),
+        "decreasing": list(range(n, 0, -1)),
+    }[shape]
+    path = str(tmp_path / "a.idx")
+    if made_by == "load":
+        index_io.save_array_index(path, build_minheap(values))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        h = build_minheap(values) if made_by == "build" else index_io.load_array_index(path)
+        h.dfuds.block_tables()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert h.n == n
+    assert held <= 24 * n, held / n

@@ -9,7 +9,7 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualtree import codec, index_io
+from dualtree import codec, index_io, parens
 from dualtree.errors import ContractError, RangeError, ValidationError
 from dualtree.minheap import build_minheap
 from dualtree.parens import CLOSE_WEIGHTS, LEFTMOST, OPEN_WEIGHTS, RIGHTMOST, ParenSeq, WeightedBits
@@ -296,7 +296,7 @@ def test_block_tables_match_a_direct_scan():
         bits = random_balanced(rng, pairs)
         p = ParenSeq(bits)
         exc, bmin, table = block_oracle(bits)
-        assert p._exc == exc
+        assert p._exc.typecode == "I" and p._exc.tolist() == exc
         got_bmin, got_table = p.block_tables()
         assert got_bmin == bmin
         assert unpacked(bmin, got_table) == leftmost(table)
@@ -383,6 +383,33 @@ def test_unbalanced_sequences_raise_at_construction(bits):
             ParenSeq(bits)
     else:
         assert ParenSeq(bits)._table is None
+
+
+def test_excess_is_summed_exactly_across_chunk_seams():
+    # The excess is summed _CHUNK steps at a time: a first negative excess, a
+    # deep excess and an unmatched count each land on both sides of a seam.
+    c = parens._CHUNK
+    texts = ["1" * k + "0" * k for k in (c // 2, c - 1, c, c + 1, 2 * c)]
+    texts += ["10" * ((m - 1) // 2) + "0" + "1" * 3 for m in (c - 1, c + 1, 2 * c - 1, 2 * c + 1)]
+    texts += ["10" * c + "0", "1" * (c + 5), "10" * c + "1" * 7]
+    for text in texts:
+        exc = list(accumulate((1 if ch == "1" else -1 for ch in text), initial=0))
+        if min(exc) < 0:
+            with pytest.raises(ValidationError, match=rf"excess drops below zero at position {exc.index(-1)}$"):
+                ParenSeq(text)
+        elif exc[-1]:
+            with pytest.raises(ValidationError, match=rf"^unbalanced sequence: {exc[-1]} unmatched opening parentheses$"):
+                ParenSeq(text)
+        else:
+            p = ParenSeq(text)
+            assert p._exc.typecode == "I" and p._exc.tolist() == exc
+
+
+def test_excess_typecode_holds_every_excess_of_its_length():
+    # a balanced sequence of n bits has its excess in 0..n
+    assert parens.excess_typecode(0) == parens.excess_typecode((1 << 32) - 1) == "I"
+    assert array("I", [(1 << 32) - 1])[0] == (1 << 32) - 1
+    assert parens.excess_typecode(1 << 32) == parens.excess_typecode(1 << 40) == "Q"
 
 
 # -- the searches against the block-by-block walk they replaced ------------------

@@ -13,9 +13,9 @@ words of the heap's DFUDS), RK64 (u64 word-level cumulative one-counts),
 EMIN (u64 block size + i64 per-block excess minima).
 Interval indexes carry INTA/INTB (endpoints) plus the same derived sections
 for the length heap and WOPN/WCLS weighted-position tables (u64 count, then
-u64 position and i64 weight per entry). The weighted BPs behind WOPN/WCLS
-are read off the length heap's DFUDS, and the reversed BP is its mirror, so
-a rebuild makes no tree.
+u64 position and i64 weight per entry). The index holds each weighted BP
+behind WOPN/WCLS as these tables alone, read off the length heap's DFUDS,
+so a rebuild makes no tree and packs no bits for them.
 
 Version 1 blobs also load. Their array blobs carry one more section, PMAP
 (u64 parent per position, 0 = root); it is a function of BITS, which is
@@ -67,7 +67,7 @@ def read_array_text(path):
     for lineno, line in _ascii_lines(path):
         for tok in line.split():
             try:
-                v = int(tok)
+                v = _decimal(tok)
             except ValueError:
                 raise ValidationError(f"{path}:{lineno}: not an integer: {tok!r}") from None
             _check_i64(v, f"{path}:{lineno}")
@@ -108,7 +108,7 @@ def read_intervals_text(path):
         if len(toks) != 2:
             raise ValidationError(f"{path}:{lineno}: expected 'a b', got {line.strip()!r}")
         try:
-            a, b = int(toks[0]), int(toks[1])
+            a, b = _decimal(toks[0]), _decimal(toks[1])
         except ValueError:
             raise ValidationError(f"{path}:{lineno}: not integers: {line.strip()!r}") from None
         if a < 0 or b < 0:
@@ -124,6 +124,14 @@ def read_intervals_text(path):
     if not pairs:
         raise ValidationError(f"{path}: empty interval file")
     return pairs
+
+
+def _decimal(tok):
+    """The int of a plain decimal token; ValueError otherwise, also for the
+    digit-group underscores that ``int`` accepts."""
+    if "_" in tok:
+        raise ValueError(tok)
+    return int(tok)
 
 
 def _ascii_lines(path):

@@ -16,11 +16,12 @@ interval lengths. Two query paths are provided:
   end sentinel, so the affordable-prefix count pins the least index whose
   right endpoint reaches b.
 
-Both weighted BPs are read off the length heap's DFUDS in linear bulk steps:
-the closing runs of the heap's BP are the degrees of its dual, since
-BP(T) = mirror(DFUDS(T*)), and the BP of the reversed heap is the mirror of
-the heap's BP. Neither the heap tree nor its reversal is built, and the
-weights sit on plain bit sequences without excess tables.
+Each weighted BP is held as its weight tables alone, since a bpselect
+reads nothing else. Both are read off the length heap's DFUDS in linear
+bulk steps: a node's opener in the heap's BP lies at a closed form of its
+preorder index and depth, and the BP of the reversed heap is the mirror of
+the heap's BP, so its closers are the heap's openers mirrored. Neither the
+heap tree, nor its reversal, nor the bits of either BP are built.
 
 Their weight tables have closed forms, so no weight is summed:
 
@@ -57,7 +58,6 @@ from bisect import bisect_right
 from itertools import compress, islice, repeat
 from operator import ge, gt, itemgetter, le, lt, not_, sub
 
-from . import codec
 from .errors import ContractError, RangeError, ValidationError
 from .minheap import build_minheap
 from .parens import CLOSE_WEIGHTS, OPEN_WEIGHTS, WeightedBits
@@ -208,25 +208,25 @@ def _minus(value, table, typecode):
 
 def _weighted_bps(dfuds, a, close_cum):
     """The BP of the length heap weighted with the left endpoints, and the BP
-    of its reversal weighted with the right endpoints from the sentinel.
+    of its reversal weighted with the right endpoints from the sentinel, each
+    as a WeightedBits of its weight tables.
 
-    In BP the node of preorder index v opens at 2v + 1 - depth(v), after
-    depth(v-1) + 1 - depth(v) closers (its dual degree), and depth(n) + 1
-    closers end the sequence. The (i+1)-th opener is interval i, and the open side's
-    cumulative weight there is a_i: the tables are the openers after the
-    root's and ``a`` itself. The reversed heap's BP is the mirror of the
-    heap's, so its i-th closer sits at N + 1 minus the heap's (n+2-i)-th
-    opener and is interval n+1-i; its cumulative weight is ``close_cum``.
+    A heap of n intervals has n + 1 nodes, so each BP has N = 2(n + 1) bits,
+    and in BP the node of preorder index v opens at 2v + 1 - depth(v). The
+    (i+1)-th opener is interval i, and the open side's cumulative weight
+    there is a_i: the tables are the openers after the root's and ``a``
+    itself. The reversed heap's BP is the mirror of the heap's, so its i-th
+    closer sits at N + 1 minus the heap's (n+2-i)-th opener and is interval
+    n+1-i; its cumulative weight is ``close_cum``.
     """
     depths = _preorder_depths(dfuds)
-    bp_text = codec._bp_of_depths(depths)
-    n_bits = len(bp_text)
+    n_bits = 2 * len(depths)
     opens = array("q", map(sub, range(3, n_bits, 2), islice(depths, 1, None)))
     del depths
     closes = _minus(n_bits + 1, opens[::-1], "q")
     closes.append(n_bits)  # the root's opener, mirrored
-    bp_open = WeightedBits(bp_text, open_weights=(opens, a))
-    bp_close = WeightedBits(codec.mirror_string(bp_text), close_weights=(closes, close_cum))
+    bp_open = WeightedBits(n_bits, open_weights=(opens, a))
+    bp_close = WeightedBits(n_bits, close_weights=(closes, close_cum))
     return bp_open, bp_close
 
 

@@ -1,10 +1,10 @@
 """Balanced-parenthesis sequences.
 
 A ParenSeq wraps a balanced BitSeq (1 = opening, 0 = closing) and adds the
-excess profile, matching (open/close) and range-minimum queries over the
-excess array with an explicit leftmost/rightmost tiebreak. A WeightedBits
-wraps a plain BitSeq and adds weighted prefix select over per-side
-parenthesis weights (``bpselect``); it builds no excess tables.
+excess profile, matching (open/close) and leftmost range-minimum queries
+over the excess array. A WeightedBits answers weighted prefix select
+(``bpselect``) over per-side parenthesis weights of a sequence of n bits;
+it holds only the weight tables, not the bits.
 
 The excess RMQ uses fixed-size block minima plus a sparse table over blocks.
 Each table entry is one Python int, ``(block minimum << shift) | block`` with
@@ -15,17 +15,15 @@ its arguments: building the table allocates no tuple per entry and no list
 per block (the block minima come from one slice at a time), so the first
 search neither holds every slice at once nor wakes the garbage collector.
 Inside a block every step is one C-level slice operation on the excess array:
-``min`` of the slice and ``index`` of its value (on the reversed slice for
-the rightmost tie); ``rmq_excess`` takes the minimum of the whole blocks
-from the table and scans an end block only when its block minimum could
-beat or tie that. Adjacent excess values differ by exactly one, so the
-matching searches (open/close) look for the nearest block, forward or
-backward, whose minimum is <= the target excess: they descend the same
-sparse table from its top level, skipping each window of 2^j blocks whose
-entries are above ``((target + 1) << shift) - 1``, which reads at most
-log2(blocks) + 1 table entries, and finish with one ``index`` inside that
-block. The rightmost block of a range minimum is found by the same backward
-descent.
+``min`` of the slice and ``index`` of its value; ``rmq_excess`` takes the
+minimum of the whole blocks from the table and scans an end block only when
+its block minimum could beat or tie that. Adjacent excess values differ by
+exactly one, so the matching searches (open/close) look for the nearest
+block, forward or backward, whose minimum is <= the target excess: they
+descend the same sparse table from its top level, skipping each window of
+2^j blocks whose entries are above ``((target + 1) << shift) - 1``, which
+reads at most log2(blocks) + 1 table entries, and finish with one ``index``
+inside that block.
 The excess array is typed, ``array('I')`` (``'Q'`` from 2^32 bits on), so it
 takes four bytes per bit however deep the sequence nests; the constructor
 sums it from the text it was given, in chunks, and checks the balance. The
@@ -36,7 +34,7 @@ that is only compared, decoded or stored as bits never pays for them.
 
 from array import array
 from bisect import bisect_right
-from itertools import accumulate, compress, islice, repeat
+from itertools import accumulate, islice, repeat
 from operator import add, lshift
 
 from .bitseq import BitSeq, text_of
@@ -44,9 +42,6 @@ from .errors import ContractError, RangeError, ValidationError
 
 OPEN = 1
 CLOSE = 0
-
-LEFTMOST = "leftmost"
-RIGHTMOST = "rightmost"
 
 OPEN_WEIGHTS = "open-weights"
 CLOSE_WEIGHTS = "close-weights"
@@ -172,76 +167,60 @@ class ParenSeq:
             pass
         # Mirror of _fwd_to: the last earlier block whose minimum is <= target
         # holds the match, at its rightmost position with that excess.
-        k = self._last_block_to(kb, target)
-        if k < 0:
-            if target == 0:
-                return 0
-            raise ContractError(f"no matching excess {target} backward of position {start}")
-        return _rindex(exc, target, k * _BLOCK + 1, (k + 1) * _BLOCK)
-
-    def _last_block_to(self, end, target):
-        """Last block before block ``end`` whose minimum is <= target, or -1,
-        by a descent of the table from its top level."""
         table = self._table
         above = ((target + 1) << self._shift) - 1
-        k = end  # blocks [0, k) are left to search
+        k = kb  # blocks [0, k) are left to search
         for j in reversed(range(k.bit_length())):
             if k >= 1 << j and table[j][k - (1 << j)] > above:
                 k -= 1 << j
-        return k - 1
+        if k == 0:
+            if target == 0:
+                return 0
+            raise ContractError(f"no matching excess {target} backward of position {start}")
+        return _rindex(exc, target, (k - 1) * _BLOCK + 1, k * _BLOCK)
 
     # -- range minimum over the excess array ------------------------------------
 
-    def rmq_excess(self, l: int, r: int, tiebreak: str = LEFTMOST) -> int:
-        """Position in [l, r] with minimal excess; ties broken per ``tiebreak``."""
+    def rmq_excess(self, l: int, r: int) -> int:
+        """Leftmost position in [l, r] with minimal excess."""
         if not 1 <= l <= r <= self.n:
             raise RangeError(f"range [{l}, {r}] invalid for length {self.n}")
-        if tiebreak not in (LEFTMOST, RIGHTMOST):
-            raise ContractError(f"unknown tiebreak {tiebreak!r}")
         if self._table is None:
             self._build_blocks()
-        left = tiebreak == LEFTMOST
         kb_l = (l - 1) // _BLOCK
         kb_r = (r - 1) // _BLOCK
         if kb_l == kb_r:
-            return self._scan(l, r, left)
+            return self._scan_value(l, r)[1]
         bmin = self._bmin
         if kb_r == kb_l + 1:
-            best_v, best_p = self._scan_value(l, (kb_l + 1) * _BLOCK, left)
+            best_v, best_p = self._scan_value(l, (kb_l + 1) * _BLOCK)
         else:
             # The table gives the minimum of the whole blocks between the two
             # ends. An end block is scanned only if its block minimum could
             # win against it, and the winning whole block only to place it.
-            best_v, mk = self._block_min(kb_l + 1, kb_r - 1, left)
+            best_v, mk = self._block_min(kb_l + 1, kb_r - 1)
             best_p = None
-            if bmin[kb_l] < best_v or (left and bmin[kb_l] == best_v):
-                v, p = self._scan_value(l, (kb_l + 1) * _BLOCK, left)
-                if v < best_v or (left and v == best_v):
+            if bmin[kb_l] <= best_v:
+                v, p = self._scan_value(l, (kb_l + 1) * _BLOCK)
+                if v <= best_v:
                     best_v, best_p = v, p
-        if bmin[kb_r] < best_v or (not left and bmin[kb_r] == best_v):
-            v, p = self._scan_value(kb_r * _BLOCK + 1, r, left)
-            if v < best_v or (not left and v == best_v):
+        if bmin[kb_r] < best_v:
+            v, p = self._scan_value(kb_r * _BLOCK + 1, r)
+            if v < best_v:
                 return p
         if best_p is None:
             lo = mk * _BLOCK + 1
-            exc = self._exc
-            return exc.index(best_v, lo, lo + _BLOCK) if left else _rindex(exc, best_v, lo, lo + _BLOCK - 1)
+            return self._exc.index(best_v, lo, lo + _BLOCK)
         return best_p
 
-    def _scan(self, l, r, left):
-        return self._scan_value(l, r, left)[1]
-
-    def _scan_value(self, l, r, left):
-        """(minimum excess over [l, r], its leftmost or rightmost position)."""
+    def _scan_value(self, l, r):
+        """(minimum excess over [l, r], its leftmost position)."""
         seg = self._exc[l : r + 1]
         m = min(seg)
-        if left:
-            return m, l + seg.index(m)
-        seg.reverse()
-        return m, r - seg.index(m)
+        return m, l + seg.index(m)
 
-    def _block_min(self, kl, kr, left):
-        """(min value, block index attaining it) over blocks [kl, kr]."""
+    def _block_min(self, kl, kr):
+        """(min value, leftmost block attaining it) over blocks [kl, kr]."""
         span = kr - kl + 1
         j = span.bit_length() - 1
         row = self._table[j]
@@ -251,10 +230,7 @@ class ParenSeq:
             best = other
         shift = self._shift
         v = best >> shift
-        if left:
-            return v, best - (v << shift)
-        # the last block in [0, kr] with minimum <= v lies in [kl, kr] and has minimum v
-        return v, self._last_block_to(kr + 1, v)
+        return v, best - (v << shift)
 
     def __eq__(self, other):
         return isinstance(other, ParenSeq) and self.base == other.base
@@ -308,31 +284,25 @@ def _rindex(seq, v, lo, hi):
 
 
 class WeightedBits:
-    """Bit sequence with non-negative weights on some positions of each side.
+    """Weighted prefix select over a parenthesis sequence of n bits, held as
+    its weight tables alone.
 
-    Weights on the ``OPEN_WEIGHTS`` side may be nonzero only on ones (opening
-    parentheses), those on the ``CLOSE_WEIGHTS`` side only on zeros. A side
-    is held as two typed tables of equal length: its weighted positions in
-    increasing order, an ``array('q')``, and the cumulative weight up to and
-    including each, an array of 64-bit integers (``'q'``, or ``'Q'`` where
-    the total may reach 2^63). A side is given either as a mapping from
-    1-based position to weight, whose rules are checked in bulk against the
-    bits, or as those two tables, ``(positions, cumulative weights)``, which
-    are kept as given (not copied): their order and their symbols are the
-    caller's to vouch for, as ``mliq`` does for the tables it reads off the
-    length heap.
+    Weights on the ``OPEN_WEIGHTS`` side sit on opening parentheses, those on
+    the ``CLOSE_WEIGHTS`` side on closing ones. A side is two typed tables of
+    equal length, ``(positions, cumulative weights)``: its weighted positions
+    in increasing order, an ``array('q')``, and the cumulative weight up to
+    and including each, an array of 64-bit integers (``'q'``, or ``'Q'``
+    where the total may reach 2^63). The tables are kept as given (not
+    copied): their order and their symbols are the caller's to vouch for, as
+    ``mliq`` does for the tables it reads off the length heap.
     """
 
-    __slots__ = ("base", "n", "_open", "_close")
+    __slots__ = ("n", "_open", "_close")
 
-    def __init__(self, bits, open_weights=None, close_weights=None):
-        self.base = bits if isinstance(bits, BitSeq) else BitSeq(bits)
-        self.n = self.base.n
-        self._open = _weight_table(open_weights, OPEN, self.base)
-        self._close = _weight_table(close_weights, CLOSE, self.base)
-
-    def select(self, i: int, s: int) -> int:
-        return self.base.select(i, s)
+    def __init__(self, n, open_weights=None, close_weights=None):
+        self.n = n
+        self._open = _weight_table(open_weights)
+        self._close = _weight_table(close_weights)
 
     def weight_prefix(self, side: str, x: int) -> int:
         """Sum of side-weights at positions <= x (x may be 0..n)."""
@@ -372,37 +342,12 @@ class WeightedBits:
         return tables
 
 
-def _weight_table(weights, symbol, bits):
-    """(positions, cumulative weights) of one side. A mapping is checked rule
-    by rule in bulk against the bits, a breach naming its first position; a
-    pair of tables is kept as it is."""
-    if weights is None:
+def _weight_table(tables):
+    """The ``(positions, cumulative weights)`` pair of one side, kept as it
+    is, or None."""
+    if tables is None:
         return None
-    if isinstance(weights, tuple):
-        positions, cum = weights
-        if len(positions) != len(cum):
-            raise ValidationError(f"{len(positions)} weighted positions but {len(cum)} cumulative weights")
-        return positions, cum
-    odd = [pos for pos in weights if not isinstance(pos, int)]
-    if odd:
-        raise ValidationError(f"weighted position {odd[0]!r} must be an integer")
-    text = bits.to_text()
-    positions = sorted(weights)
-    values = list(map(weights.__getitem__, positions))
-    if not all(map(isinstance, values, repeat(int))) or min(values, default=0) < 0:
-        pos = next(p for p, w in zip(positions, values) if not isinstance(w, int) or w < 0)
-        raise ValidationError(f"weight at position {pos} must be a non-negative integer, got {weights[pos]!r}")
-    for pos in positions[:1] + positions[-1:]:
-        if not 1 <= pos <= len(text):
-            raise ValidationError(f"weighted position {pos} outside 1..{len(text)}")
-    nonzero = list(compress(positions, values))
-    marks = "".join([text[pos - 1] for pos in nonzero])
-    if "10"[symbol] in marks:
-        raise ValidationError(
-            f"nonzero weight at position {nonzero[marks.index('10'[symbol])]} does not sit on a "
-            f"{'opening' if symbol else 'closing'} parenthesis"
-        )
-    try:
-        return array("q", positions), array("Q", accumulate(values))
-    except OverflowError:
-        raise ValidationError(f"weights sum to {sum(values)}, past the 64-bit range") from None
+    positions, cum = tables
+    if len(positions) != len(cum):
+        raise ValidationError(f"{len(positions)} weighted positions but {len(cum)} cumulative weights")
+    return positions, cum

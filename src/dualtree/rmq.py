@@ -19,7 +19,7 @@ per-query budgets can be asserted exactly.
 from dataclasses import dataclass
 
 from .errors import ContractError
-from .parens import CLOSE, LEFTMOST
+from .parens import CLOSE
 
 ENGINES = ("checked", "direct", "ancestor", "scan")
 
@@ -60,7 +60,7 @@ def rmq_checked(h, i, j, counters=None):
     lo = p.select(i + 1, CLOSE)
     hi = p.select(j, CLOSE)
     c.select += 2
-    w1 = p.rmq_excess(lo, hi, LEFTMOST)
+    w1 = p.rmq_excess(lo, hi)
     c.rmq += 1
     o = p.open(w1)
     c.open += 1
@@ -79,7 +79,7 @@ def rmq_direct(h, i, j, counters=None):
     lo = p.select(i, CLOSE)
     hi = p.select(j, CLOSE)
     c.select += 2
-    w2 = p.rmq_excess(lo, hi, LEFTMOST)
+    w2 = p.rmq_excess(lo, hi)
     c.rmq += 1
     c.rank += 1
     return p.rank(w2, CLOSE)
@@ -102,7 +102,7 @@ def pda_fast(tree, dfuds, v1, v2, counters=None):
     lo = dfuds.select(i, CLOSE)
     hi = dfuds.select(j, CLOSE)
     c.select += 2
-    w = dfuds.rmq_excess(lo, hi, LEFTMOST)
+    w = dfuds.rmq_excess(lo, hi)
     c.rmq += 1
     c.rank += 1
     return tree.node_at(dfuds.rank(w, CLOSE) + 1)

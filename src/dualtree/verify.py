@@ -12,7 +12,7 @@ from itertools import product
 
 from . import codec, duality, mliq, randgen, rmq
 from .minheap import build_minheap, reversal_dual_check
-from .parens import CLOSE, LEFTMOST, OPEN_WEIGHTS
+from .parens import CLOSE, OPEN_WEIGHTS
 from .tree import OrdinalTree
 
 SUITES = ("identities", "rmq", "pda", "mliq", "join")
@@ -254,7 +254,7 @@ def _equivalence_holds(h, i, j):
     hi = p.select(j, CLOSE)
     anchor = p.excess(p.select(i, CLOSE))
     cond_i = min(p._exc[lo1 : hi + 1]) >= anchor
-    w1 = p.rmq_excess(lo1, hi, LEFTMOST)
+    w1 = p.rmq_excess(lo1, hi)
     cond_ii = p.rank(p.open(w1), CLOSE) == i
     return cond_i == cond_ii
 

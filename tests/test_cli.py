@@ -300,3 +300,23 @@ def test_build_rejects_values_outside_signed_64_bits(tmp_path, capsys):
     iv.write_text("0 9223372036854775808\n")
     code, _, err = run_cli(capsys, "build", "intervals", str(iv), "-o", str(idx))
     assert code == 2 and "signed 64-bit" in err
+
+
+def test_build_array_rejects_digit_group_underscores(tmp_path, capsys):
+    src = tmp_path / "u.txt"
+    src.write_text("3 1_0 2\n")
+    idx = tmp_path / "u.idx"
+    code, out, err = run_cli(capsys, "build", "array", str(src), "-o", str(idx))
+    assert (code, out) == (2, "")
+    assert err == f"error: {src}:1: not an integer: '1_0'\n"
+    assert not idx.exists()
+
+
+def test_build_intervals_rejects_digit_group_underscores(tmp_path, capsys):
+    src = tmp_path / "u.txt"
+    src.write_text("1 2\n3 1_0\n")
+    idx = tmp_path / "u.idx"
+    code, out, err = run_cli(capsys, "build", "intervals", str(src), "-o", str(idx))
+    assert (code, out) == (2, "")
+    assert err == f"error: {src}:2: not integers: '3 1_0'\n"
+    assert not idx.exists()

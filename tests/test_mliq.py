@@ -158,9 +158,9 @@ def test_budgets(fam):
 
 
 def test_open_weight_prefix_equals_left_endpoints(fam):
-    opens = [fam.bp_open.select(i, 1) for i in range(1, fam.n + 2)]
+    positions, _ = fam.bp_open._weight_tables(OPEN_WEIGHTS)  # the openers after the root's
     for i in range(1, fam.n + 1):
-        assert fam.bp_open.weight_prefix(OPEN_WEIGHTS, opens[i]) == fam.a[i - 1]
+        assert fam.bp_open.weight_prefix(OPEN_WEIGHTS, positions[i - 1]) == fam.a[i - 1]
 
 
 def test_boundary_monotone(fam):
@@ -253,8 +253,8 @@ def test_naive_ranks_are_the_weighted_boundary_counts(monkeypatch):
 
 def tree_construction(fam):
     """The weighted BPs as built from the decoded heap tree: BP-encode the heap
-    and its reversal, place the endpoint gaps by select. Returns both bit
-    sequences with their (positions, cumulative weights) tables."""
+    and its reversal, place the endpoint gaps by select. Returns both
+    ParenSeqs with their (positions, cumulative weights) tables."""
     n = fam.n
     bp, bp_map = codec.bp_encode(fam.heap.tree)
     rev, _ = codec.bp_encode(duality.reverse(fam.heap.tree))
@@ -262,24 +262,25 @@ def tree_construction(fam):
     open_gaps = [fam.a[0]] + [fam.a[i] - fam.a[i - 1] for i in range(1, n)]
     closes = [rev.select(i, 0) for i in range(1, n + 2)]
     close_gaps = [1] + [fam.b[i] - fam.b[i - 1] for i in range(n - 1, 0, -1)] + [fam.b[0]]
-    return (bp.base, (opens, list(accumulate(open_gaps))),
-            rev.base, (closes, list(accumulate(close_gaps))))
+    return bp, (opens, list(accumulate(open_gaps))), rev, (closes, list(accumulate(close_gaps)))
 
 
 def check_weighted_bps(pairs):
     fam = mliq.build_intervals(pairs)
-    got = (fam.bp_open.base, tuple(map(list, fam.bp_open._weight_tables(OPEN_WEIGHTS))),
-           fam.bp_close.base, tuple(map(list, fam.bp_close._weight_tables(CLOSE_WEIGHTS))))
-    assert got == tree_construction(fam)
+    bp, open_tables, rev, close_tables = tree_construction(fam)
+    # each side is the length and the opener or closer positions of the BP
+    # that the tree construction encodes, with its cumulative weights
+    assert (fam.bp_open.n, tuple(map(list, fam.bp_open._weight_tables(OPEN_WEIGHTS)))) == (len(bp), open_tables)
+    assert (fam.bp_close.n, tuple(map(list, fam.bp_close._weight_tables(CLOSE_WEIGHTS)))) == (len(rev), close_tables)
     # the open-weight prefix at the (i+1)-th opener is a_i; the close-weight
     # prefix at the i-th closer is the sentinel b_n + 1 minus b_{n+1-i}
     n = fam.n
     for i in range(1, n + 1):
-        assert fam.bp_open.weight_prefix(OPEN_WEIGHTS, fam.bp_open.select(i + 1, 1)) == fam.a[i - 1]
+        assert fam.bp_open.weight_prefix(OPEN_WEIGHTS, bp.select(i + 1, 1)) == fam.a[i - 1]
     sentinel = fam.b[-1] + 1
     for i in range(1, n + 2):
         expect = sentinel - (fam.b[n - i] if i <= n else 0)
-        assert fam.bp_close.weight_prefix(CLOSE_WEIGHTS, fam.bp_close.select(i, 0)) == expect
+        assert fam.bp_close.weight_prefix(CLOSE_WEIGHTS, rev.select(i, 0)) == expect
 
 
 @st.composite
@@ -365,9 +366,10 @@ def test_interval_index_holds_typed_tables_and_no_dict(tmp_path):
         positions, cum = s.bp_close._weight_tables(CLOSE_WEIGHTS)
         # unsigned: the close side's total is b_n + 1, which reaches 2^63 when b_n is the largest i64
         assert type(positions) is type(cum) is array and (positions.typecode, cum.typecode) == ("q", "Q")
-        # one rank structure per bit sequence the queries read: no endpoint bitmap
-        bases = {id(s.heap.dfuds.base), id(s.bp_open.base), id(s.bp_close.base)}
-        assert {id(o) for o in reachable(s) if isinstance(o, BitSeq)} == bases and len(bases) == 3
+        # one bit sequence, the heap's DFUDS: no endpoint bitmap, and the
+        # weighted BPs are their tables alone
+        bitseqs = [o for o in reachable(s) if isinstance(o, BitSeq)]
+        assert len(bitseqs) == 1 and bitseqs[0] is s.heap.dfuds.base
 
 
 def test_interval_build_holds_few_bytes_and_peaks_near_them():

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from dualtree import codec, index_io, parens
 from dualtree.errors import ContractError, RangeError, ValidationError
 from dualtree.minheap import build_minheap
-from dualtree.parens import CLOSE_WEIGHTS, LEFTMOST, OPEN_WEIGHTS, RIGHTMOST, ParenSeq, WeightedBits
+from dualtree.parens import CLOSE_WEIGHTS, OPEN_WEIGHTS, ParenSeq, WeightedBits
 from dualtree.randgen import random_array, random_tree
 
 from conftest import FIX_BP, FIX_DFUDS, Counted, chain, star
@@ -50,12 +50,21 @@ def match_oracle(bits):
     return partner
 
 
-def rmq_oracle(exc, l, r, tiebreak):
-    best = l
-    for y in range(l + 1, r + 1):
-        if exc[y] < exc[best] or (exc[y] == exc[best] and tiebreak == RIGHTMOST):
-            best = y
-    return best
+def rmq_oracle(exc, l, r):
+    """Leftmost position of the minimum excess in [l, r]."""
+    return min(range(l, r + 1), key=exc.__getitem__)
+
+
+def weight_tables(weights):
+    """The (positions, cumulative weights) tables of a position -> weight mapping."""
+    positions = sorted(weights)
+    return array("q", positions), array("q", accumulate(map(weights.get, positions)))
+
+
+def weighted(bits, open_weights=None, close_weights=None):
+    """A WeightedBits over ``bits`` whose sides are given as mappings."""
+    sides = [None if w is None else weight_tables(w) for w in (open_weights, close_weights)]
+    return WeightedBits(len(bits), *sides)
 
 
 balanced_strategy = st.integers(1, 40).map(lambda k: random_balanced(random.Random(k * 7919), k))
@@ -115,13 +124,10 @@ def test_open_close_inverse():
 
 def test_rmq_excess_examples():
     p = ParenSeq(FIX_DFUDS)
-    assert p.rmq_excess(4, 6, LEFTMOST) == 4
-    assert p.rmq_excess(4, 6, RIGHTMOST) == 6
-    assert p.rmq_excess(9, 9, LEFTMOST) == 9
+    assert p.rmq_excess(4, 6) == 4
+    assert p.rmq_excess(9, 9) == 9
     with pytest.raises(RangeError):
-        p.rmq_excess(6, 4, LEFTMOST)
-    with pytest.raises(ContractError):
-        p.rmq_excess(4, 6, "middle")
+        p.rmq_excess(6, 4)
 
 
 def test_rmq_excess_against_oracle():
@@ -135,29 +141,27 @@ def test_rmq_excess_against_oracle():
     for _ in range(10_000):
         l = rng.randint(1, n)
         r = rng.randint(l, n)
-        tb = LEFTMOST if rng.random() < 0.5 else RIGHTMOST
-        assert p.rmq_excess(l, r, tb) == rmq_oracle(exc, l, r, tb)
+        assert p.rmq_excess(l, r) == rmq_oracle(exc, l, r)
 
 
 def test_bpselect_prefix_examples():
-    p = WeightedBits("(()(()))", open_weights={2: 2, 4: 3})
+    p = weighted("(()(()))", open_weights={2: 2, 4: 3})
     assert p.bpselect(OPEN_WEIGHTS, 2) == 3  # largest position before the weight-3 open
     assert p.bpselect(OPEN_WEIGHTS, 5) == 8  # total weight affordable -> n
     assert p.bpselect(OPEN_WEIGHTS, 0) == 1  # first weighted position is 2
     assert p.bpselect_with_count(OPEN_WEIGHTS, 4) == (3, 1)
     assert p.bpselect_with_count(OPEN_WEIGHTS, 5) == (8, 2)
     assert [p.weight_prefix(OPEN_WEIGHTS, x) for x in range(9)] == [0, 0, 2, 2, 5, 5, 5, 5, 5]
-    assert p.select(3, 1) == 4 and p.select(1, 0) == 3
-    p2 = WeightedBits("()", close_weights={2: 1})
+    p2 = weighted("()", close_weights={2: 1})
     assert p2.bpselect(CLOSE_WEIGHTS, 0) == 1
     assert p2.bpselect_with_count(CLOSE_WEIGHTS, 1) == (2, 1)
 
 
 def test_bpselect_requires_weights_and_budget():
-    p = WeightedBits("()")
+    p = WeightedBits(2)
     with pytest.raises(ContractError, match="no open-weights attached"):
         p.bpselect(OPEN_WEIGHTS, 1)
-    p = WeightedBits("()", open_weights={1: 1})
+    p = weighted("()", open_weights={1: 1})
     with pytest.raises(ContractError, match="budget must be non-negative, got -1"):
         p.bpselect(OPEN_WEIGHTS, -1)
     with pytest.raises(ContractError, match="unknown weight side 'sideways'"):
@@ -168,52 +172,23 @@ def test_bpselect_requires_weights_and_budget():
         p.weight_prefix(OPEN_WEIGHTS, 3)
 
 
-def test_weights_validated_against_symbols():
-    with pytest.raises(ValidationError, match="nonzero weight at position 2 does not sit on a opening parenthesis"):
-        WeightedBits("()", open_weights={2: 1})  # position 2 closes
-    with pytest.raises(ValidationError, match="nonzero weight at position 1 does not sit on a closing parenthesis"):
-        WeightedBits("()", close_weights={1: 3})
-    with pytest.raises(ValidationError, match="weight at position 1 must be a non-negative integer, got -2"):
-        WeightedBits("()", open_weights={1: -2})
-    with pytest.raises(ValidationError, match="weight at position 1 must be a non-negative integer, got 1.5"):
-        WeightedBits("()", open_weights={1: 1.5})
-    with pytest.raises(ValidationError, match=r"weighted position 5 outside 1\.\.2"):
-        WeightedBits("()", open_weights={5: 1})
-    with pytest.raises(ValidationError, match=r"weighted position 0 outside 1\.\.2"):
-        WeightedBits("()", close_weights={0: 0})
-    with pytest.raises(ValidationError, match=r"^weighted position 1\.5 must be an integer$"):
-        WeightedBits("()", open_weights={1.5: 1})
-    with pytest.raises(ValidationError, match=r"^weighted position '1' must be an integer$"):
-        WeightedBits("()", open_weights={"1": 1})
-    with pytest.raises(ValidationError, match=r"^weighted position '2' must be an integer$"):
-        WeightedBits("(())", close_weights={3: 1, "2": 1, 4.0: 2})
-    with pytest.raises(ValidationError, match="weights sum to"):
-        WeightedBits("()", open_weights={1: 1 << 64})
-    # each rule reports its first breach in position order
-    with pytest.raises(ValidationError, match="nonzero weight at position 3 "):
-        WeightedBits("(()())", open_weights={5: 1, 1: 1, 3: 2, 4: 1})
-    with pytest.raises(ValidationError, match="weight at position 2 must be"):
-        WeightedBits("(()())", open_weights={4: -1, 1: 1, 2: "2"})
-    WeightedBits("()", open_weights={1: 0}, close_weights={2: 0})  # zero weights anywhere
-    WeightedBits(")(", open_weights={2: 1}, close_weights={1: 1})  # plain bits need no balance
-
-
 def test_tables_answer_as_the_mapping_they_hold():
     rng = random.Random(0x7AB)
     bits = random_balanced(rng, 150)
+    n = len(bits)
     for side, symbol, keyword in ((OPEN_WEIGHTS, 1, "open_weights"), (CLOSE_WEIGHTS, 0, "close_weights")):
         weights = {x: rng.randint(0, 4) for x, b in enumerate(bits, start=1) if b == symbol}
-        mapped = WeightedBits(bits, **{keyword: weights})
-        positions, cum = mapped._weight_tables(side)
-        assert list(positions) == sorted(weights) and list(cum) == list(accumulate(map(weights.get, sorted(weights))))
-        tabled = WeightedBits(bits, **{keyword: (positions, cum)})
-        assert tabled._weight_tables(side)[0] is positions  # kept, not copied
+        positions, cum = weight_tables(weights)
+        p = WeightedBits(n, **{keyword: (positions, cum)})
+        got = p._weight_tables(side)
+        assert got[0] is positions and got[1] is cum  # kept, not copied
+        prefix = list(accumulate(weights.get(x, 0) for x in range(n + 1)))
+        assert [p.weight_prefix(side, x) for x in range(n + 1)] == prefix
         for budget in range(cum[-1] + 2):
-            assert tabled.bpselect_with_count(side, budget) == mapped.bpselect_with_count(side, budget)
-        for x in range(len(bits) + 1):
-            assert tabled.weight_prefix(side, x) == mapped.weight_prefix(side, x)
+            q = max(x for x in range(n + 1) if prefix[x] <= budget)
+            assert p.bpselect_with_count(side, budget) == (q, sum(x <= q for x in weights))
     with pytest.raises(ValidationError, match="^2 weighted positions but 1 cumulative weights$"):
-        WeightedBits("()()", open_weights=(array("q", [1, 3]), array("q", [1])))
+        WeightedBits(4, open_weights=(array("q", [1, 3]), array("q", [1])))
 
 
 def test_bpselect_against_scan_and_monotone():
@@ -222,7 +197,7 @@ def test_bpselect_against_scan_and_monotone():
     n = len(bits)
     for side, symbol, keyword in ((OPEN_WEIGHTS, 1, "open_weights"), (CLOSE_WEIGHTS, 0, "close_weights")):
         weights = {x: rng.randint(0, 4) for x, b in enumerate(bits, start=1) if b == symbol}
-        p = WeightedBits(bits, **{keyword: weights})
+        p = weighted(bits, **{keyword: weights})
         prefix = [0] * (n + 1)
         for x in range(1, n + 1):
             prefix[x] = prefix[x - 1] + weights.get(x, 0)
@@ -260,7 +235,7 @@ def test_unbalanced_messages_name_the_fault():
 
 def block_oracle(bits):
     """(excess, block minima, sparse table) by direct scans;
-    table[j][k] is (min, leftmost block, rightmost block) over blocks [k, k + 2^j)."""
+    table[j][k] is (min, leftmost block) over blocks [k, k + 2^j)."""
     exc = [0]
     for b in bits:
         exc.append(exc[-1] + (1 if b else -1))
@@ -272,8 +247,7 @@ def block_oracle(bits):
         row = []
         for k in range(len(bmin) - span + 1):
             low = min(bmin[k : k + span])
-            hits = [k + i for i, v in enumerate(bmin[k : k + span]) if v == low]
-            row.append((low, hits[0], hits[-1]))
+            row.append((low, bmin.index(low, k)))
         table.append(row)
         span *= 2
     return exc, bmin, table
@@ -285,11 +259,6 @@ def unpacked(bmin, table):
     return [[(e >> shift, e & ((1 << shift) - 1)) for e in row] for row in table]
 
 
-def leftmost(table):
-    """The oracle's table cut to the fields a packed entry holds."""
-    return [[(v, lo) for v, lo, _ in row] for row in table]
-
-
 def test_block_tables_match_a_direct_scan():
     rng = random.Random(0xB10C)
     for pairs in (1, 31, 32, 33, 500, 2000):
@@ -299,7 +268,7 @@ def test_block_tables_match_a_direct_scan():
         assert p._exc.typecode == "I" and p._exc.tolist() == exc
         got_bmin, got_table = p.block_tables()
         assert got_bmin == bmin
-        assert unpacked(bmin, got_table) == leftmost(table)
+        assert unpacked(bmin, got_table) == table
         assert p.to_string() == "".join("(" if b else ")" for b in bits)
 
 
@@ -329,7 +298,7 @@ def test_first_search_builds_the_tables_of_the_direct_scan(search):
             p.close(1)
         _, bmin, table = block_oracle(bits)
         assert p._bmin == bmin
-        assert unpacked(bmin, p._table) == leftmost(table)
+        assert unpacked(bmin, p._table) == table
 
 
 def test_index_io_builds_the_tables_it_reads():
@@ -536,8 +505,7 @@ def test_rmq_excess_matches_a_direct_scan_with_ties(pairs, seed, shape):
     p = ParenSeq(bits)
     exc = [0] + [p.excess(x) for x in range(1, p.n + 1)]
     for l, r in rmq_ranges(p.n, rng, 300):
-        for tb in (LEFTMOST, RIGHTMOST):
-            assert p.rmq_excess(l, r, tb) == rmq_oracle(exc, l, r, tb), (l, r, tb)
+        assert p.rmq_excess(l, r) == rmq_oracle(exc, l, r), (l, r)
 
 
 def counted_tables(p):
@@ -567,7 +535,6 @@ def test_open_and_close_read_logarithmically_many_table_entries():
 
 
 def test_rmq_excess_reads_logarithmically_many_table_entries():
-    # RIGHTMOST finds the last block holding the minimum by the backward descent
     rng = random.Random(0x3A9)
     shapes = dfuds_shapes(100_000)
     for name in ("star", "chain", "decreasing"):
@@ -576,8 +543,7 @@ def test_rmq_excess_reads_logarithmically_many_table_entries():
         ranges = [(1, p.n), (2, p.n - 1)] + rmq_ranges(p.n, rng, 300)
         worst = 0
         for l, r in ranges:
-            for tb in (LEFTMOST, RIGHTMOST):
-                Counted.reads = 0
-                p.rmq_excess(l, r, tb)
-                worst = max(worst, Counted.reads)
+            Counted.reads = 0
+            p.rmq_excess(l, r)
+            worst = max(worst, Counted.reads)
         assert worst <= bound, (name, worst, bound)

@@ -14,6 +14,10 @@ The tables are typed arrays, so a sequence's size is fixed bytes per bit:
 the words are an ``array('Q')`` and the cumulative one- and zero-counts
 ``array('q')``. ``le_bytes`` and ``from_le`` move such a table to and from
 little-endian bytes on any host.
+
+A balanced parenthesis sequence is a BitSeq too: ``parens.ParenSeq``
+subclasses it, packs its text the same way and adds the excess tables. A
+sequence equals only a sequence of its own class with the same bits.
 """
 
 import re
@@ -44,14 +48,8 @@ class BitSeq:
     def __init__(self, bits):
         self._fill(text_of(bits))
 
-    @classmethod
-    def of_text(cls, text):
-        """The sequence of a text of '0'/'1' digits, taken as it is."""
-        seq = cls.__new__(cls)
-        seq._fill(text)
-        return seq
-
     def _fill(self, text):
+        """Pack a text of '0'/'1' digits, taken as it is, and count its ranks."""
         self.n = len(text)
         nwords = (self.n + WORD - 1) // WORD
         packed = (int(text[::-1], 2) if text else 0).to_bytes(8 * nwords, "little")
@@ -136,7 +134,8 @@ class BitSeq:
             raise RangeError(f"position {x} outside 1..{self.n}")
 
     def __eq__(self, other):
-        return isinstance(other, BitSeq) and self.n == other.n and self._words == other._words
+        # of one class only: a ParenSeq never equals the plain BitSeq of its bits
+        return type(other) is type(self) and self.n == other.n and self._words == other._words
 
     def __hash__(self):
         return hash((self.n, self._words.tobytes()))

@@ -26,6 +26,7 @@ from array import array
 from itertools import accumulate, chain, islice
 from operator import add, sub
 
+from .bitseq import BitSeq
 from .errors import ParseError, ValidationError
 from .parens import _DIGIT_TO_PAREN, _STEPS, ParenSeq
 from .tree import OrdinalTree
@@ -122,7 +123,7 @@ def dfuds_decode(p) -> OrdinalTree:
 
 def mirror(p: ParenSeq) -> ParenSeq:
     """Reverse the sequence and flip every parenthesis."""
-    return ParenSeq(p.base.to_text()[::-1].translate(_FLIP))
+    return ParenSeq(p.to_text()[::-1].translate(_FLIP))
 
 
 def mirror_string(s: str) -> str:
@@ -199,10 +200,10 @@ def _check_chars(s):
 
 
 def _digits(p):
-    """The sequence as 0/1 text, from a ParenSeq, a string of parentheses or
-    digits, or an iterable of 0/1 entries."""
-    if isinstance(p, ParenSeq):
-        return p.base.to_text()
+    """The sequence as 0/1 text, from a BitSeq (a ParenSeq is one), a string
+    of parentheses or digits, or an iterable of 0/1 entries."""
+    if isinstance(p, BitSeq):
+        return p.to_text()
     if isinstance(p, str):
         _check_chars(p)
         return p.translate(_PAREN_TO_DIGIT)

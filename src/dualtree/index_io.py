@@ -14,8 +14,8 @@ EMIN (u64 block size + i64 per-block excess minima).
 Interval indexes carry INTA/INTB (endpoints) plus the same derived sections
 for the length heap and WOPN/WCLS weighted-position tables (u64 count, then
 u64 position and i64 weight per entry). The index holds each weighted BP
-behind WOPN/WCLS as these tables alone, read off the length heap's DFUDS,
-so a rebuild makes no tree and packs no bits for them.
+behind WOPN/WCLS as the tables of its one weighted side alone, read off the
+length heap's DFUDS, so a rebuild makes no tree and packs no bits for them.
 
 Version 1 blobs also load. Their array blobs carry one more section, PMAP
 (u64 parent per position, 0 = root); it is a function of BITS, which is
@@ -23,22 +23,24 @@ compared, so it is skipped.
 
 Loading rebuilds the structures from the raw inputs and verifies that every
 stored derived section matches the rebuilt one byte for byte, so a loaded
-index answers exactly like a freshly built one. The file is read once, and
-each section is a memoryview into that read, not a copy; a section is
-dropped as soon as it is read or compared. An array blob's VALS is read
-straight into an ``array('q')``, which the rebuilt index keeps as its
-values, and an interval blob's INTA and INTB into two more, which the
-rebuild checks in bulk with the rules and messages of
-``mliq.build_intervals`` and then keeps as the index's endpoints. Every
-64-bit section, like the binary array file, is written from a typed array
-in one step (the index's own values, bit words and rank counts, uncopied),
-little-endian on any host, and read back as one; WOPN/WCLS's weights are
-the gaps of the cumulative tables, taken in one big-integer subtraction. A
-blob that is truncated, corrupt or missing a section raises ParseError.
-Values and endpoints must be signed 64-bit integers; others raise
-ValidationError when read, built or saved.
+index answers exactly like a freshly built one. The file is opened once and
+each section read on its own, after its promised length has been measured
+against the file's size; a section is dropped, and its bytes freed, as soon
+as it is read or compared. An array blob's VALS is copied once, into an
+``array('q')``, which the rebuilt index keeps as its values, and an
+interval blob's INTA and INTB into two more, which the rebuild checks in
+bulk with the rules and messages of ``mliq.build_intervals`` and then
+keeps as the index's endpoints. Every 64-bit section, like the binary
+array file, is written from a typed array in one step (the index's own
+values, bit words and rank counts, uncopied), little-endian on any host,
+and read back as one; WOPN/WCLS's weights are the gaps of the cumulative
+tables, taken in one big-integer subtraction. A blob that is truncated,
+corrupt or missing a section raises ParseError. Values and endpoints must
+be signed 64-bit integers; others raise ValidationError when read, built
+or saved.
 """
 
+import os
 import struct
 from array import array
 
@@ -46,7 +48,7 @@ from .bitseq import from_le, le_bytes
 from .errors import ParseError, ValidationError
 from .minheap import heap_of_table
 from .mliq import intervals_from_arrays
-from .parens import _BLOCK, CLOSE_WEIGHTS, OPEN_WEIGHTS
+from .parens import _BLOCK
 
 MAGIC = b"DTR1"
 VERSION = 2
@@ -167,25 +169,25 @@ def _i64_bytes(values):
 
 
 def _bits_section(parenseq):
-    return struct.pack("<Q", parenseq.n) + le_bytes(parenseq.base._words)
+    return struct.pack("<Q", parenseq.n) + le_bytes(parenseq._words)
 
 
 def _rank_section(parenseq):
-    return le_bytes(parenseq.base._cum1)
+    return le_bytes(parenseq._cum1)
 
 
 def _emin_section(parenseq):
     return struct.pack("<Q", _BLOCK) + _i64_bytes(parenseq.block_tables()[0])
 
 
-def _weight_section(weighted, side):
+def _weight_section(weighted):
     """u64 count, then each entry's u64 position and i64 weight: the gap
     between its cumulative weight and the one before.
 
     The cumulative weights are the 64-bit slots of one big integer; as they
     never fall, subtracting the same integer shifted up one slot borrows
     across no slot and leaves every gap in its own slot."""
-    positions, cum = weighted._weight_tables(side)
+    positions, cum = weighted.positions, weighted.cum
     count = len(cum)
     gaps = int.from_bytes(le_bytes(cum), "little")
     gaps -= (gaps << 64) & ((1 << (64 * count)) - 1)
@@ -231,28 +233,29 @@ def _parse_header(path, data):
 
 
 def _read_blob(path):
-    """(kind, {tag: payload}); each payload is a memoryview into the one read
-    of the file, so no section is copied."""
+    """(kind, {tag: payload}); each payload is a memoryview of its own read,
+    so a section is freed once ``_section`` drops it. A promised length is
+    measured against the file's size before anything is read for it."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    kind, count = _parse_header(path, data)
-    view = memoryview(data)
-    sections = {}
-    off = _HEADER.size
-    for _ in range(count):
-        if len(data) - off < 12:
-            raise ParseError(f"{path}: truncated section header at byte {off}")
-        tag = data[off : off + 4].decode("ascii", errors="replace")
-        (length,) = struct.unpack_from("<Q", data, off + 4)
-        off += 12
-        if length > len(data) - off:
-            raise ParseError(f"{path}: section {tag!r} promises {length} bytes, {len(data) - off} remain")
-        if tag in sections:
-            raise ParseError(f"{path}: section {tag!r} appears twice")
-        sections[tag] = view[off : off + length]
-        off += length
-    if off != len(data):
-        raise ParseError(f"{path}: {len(data) - off} trailing bytes")
+        size = os.fstat(fh.fileno()).st_size
+        kind, count = _parse_header(path, fh.read(_HEADER.size))
+        sections = {}
+        off = _HEADER.size
+        for _ in range(count):
+            head = fh.read(12)
+            if len(head) < 12:
+                raise ParseError(f"{path}: truncated section header at byte {off}")
+            tag = head[:4].decode("ascii", errors="replace")
+            (length,) = struct.unpack_from("<Q", head, 4)
+            off += 12
+            if length > size - off:
+                raise ParseError(f"{path}: section {tag!r} promises {length} bytes, {size - off} remain")
+            if tag in sections:
+                raise ParseError(f"{path}: section {tag!r} appears twice")
+            sections[tag] = memoryview(fh.read(length))
+            off += length
+    if off != size:
+        raise ParseError(f"{path}: {size - off} trailing bytes")
     return kind, sections
 
 
@@ -314,8 +317,8 @@ def save_interval_index(path, s):
         ("BITS", _bits_section(s.heap.dfuds)),
         ("RK64", _rank_section(s.heap.dfuds)),
         ("EMIN", _emin_section(s.heap.dfuds)),
-        ("WOPN", _weight_section(s.bp_open, OPEN_WEIGHTS)),
-        ("WCLS", _weight_section(s.bp_close, CLOSE_WEIGHTS)),
+        ("WOPN", _weight_section(s.bp_open)),
+        ("WCLS", _weight_section(s.bp_close)),
     ]
     _write_blob(path, KIND_INTERVALS, sections)
     return stats_for(s.heap.dfuds, extra_values=2 * s.n)
@@ -331,9 +334,9 @@ def load_interval_index(path):
         raise ParseError(f"{path}: {len(a)} left endpoints but {len(b)} right endpoints")
     s = intervals_from_arrays(a, b)
     _verify_derived(path, s.heap.dfuds, sections)
-    _check_section(path, sections, "WOPN", _weight_section(s.bp_open, OPEN_WEIGHTS),
+    _check_section(path, sections, "WOPN", _weight_section(s.bp_open),
                    "open weights do not match the rebuilt index")
-    _check_section(path, sections, "WCLS", _weight_section(s.bp_close, CLOSE_WEIGHTS),
+    _check_section(path, sections, "WCLS", _weight_section(s.bp_close),
                    "close weights do not match the rebuilt index")
     return s
 
@@ -351,7 +354,7 @@ def stats_for(parenseq, extra_values=0):
     bmin, table = parenseq.block_tables()
     return {
         "raw_bits": parenseq.n,
-        "rank_table_bits": parenseq.base.table_bits(),
+        "rank_table_bits": parenseq.table_bits(),
         "excess_block_bits": 64 * len(bmin),
         "sparse_table_bits": 64 * sum(map(len, table)),  # one packed int per entry
         "value_words": extra_values,

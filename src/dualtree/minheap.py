@@ -129,7 +129,7 @@ def _heap_dfuds(values):
 def _decode_heap(dfuds):
     """The heap tree from its DFUDS, by the DFUDS decoder of ``codec`` with
     the array positions as labels."""
-    return codec._dfuds_tree(dfuds.base.to_text(), ROOT_LABEL)
+    return codec._dfuds_tree(dfuds.to_text(), ROOT_LABEL)
 
 
 def reversal_dual_check(values) -> bool:

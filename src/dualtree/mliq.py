@@ -16,12 +16,13 @@ interval lengths. Two query paths are provided:
   end sentinel, so the affordable-prefix count pins the least index whose
   right endpoint reaches b.
 
-Each weighted BP is held as its weight tables alone, since a bpselect
-reads nothing else. Both are read off the length heap's DFUDS in linear
-bulk steps: a node's opener in the heap's BP lies at a closed form of its
-preorder index and depth, and the BP of the reversed heap is the mirror of
-the heap's BP, so its closers are the heap's openers mirrored. Neither the
-heap tree, nor its reversal, nor the bits of either BP are built.
+Each weighted BP is a WeightedBits, the weight tables of its one weighted
+side alone, since a bpselect reads nothing else. Both are read off the
+length heap's DFUDS in linear bulk steps: a node's opener in the heap's BP
+lies at a closed form of its preorder index and depth, and the BP of the
+reversed heap is the mirror of the heap's BP, so its closers are the heap's
+openers mirrored. Neither the heap tree, nor its reversal, nor the bits of
+either BP are built.
 
 Their weight tables have closed forms, so no weight is summed:
 
@@ -60,7 +61,7 @@ from operator import ge, gt, itemgetter, le, lt, not_, sub
 
 from .errors import ContractError, RangeError, ValidationError
 from .minheap import build_minheap
-from .parens import CLOSE_WEIGHTS, OPEN_WEIGHTS, WeightedBits
+from .parens import WeightedBits
 from .rmq import OpCounters, pda_fast, rmq_direct
 
 # Read only by the benchmark, which reports it next to the interval domain;
@@ -188,7 +189,7 @@ def _preorder_depths(dfuds):
     depths = []
     waiting = [0]
     pop, put, wait = waiting.pop, depths.append, waiting.extend
-    for d in map(len, dfuds.base.to_text()[1:-1].split("0")):
+    for d in map(len, dfuds.to_text()[1:-1].split("0")):
         depth = pop()
         put(depth)
         if d:
@@ -225,9 +226,7 @@ def _weighted_bps(dfuds, a, close_cum):
     del depths
     closes = _minus(n_bits + 1, opens[::-1], "q")
     closes.append(n_bits)  # the root's opener, mirrored
-    bp_open = WeightedBits(n_bits, open_weights=(opens, a))
-    bp_close = WeightedBits(n_bits, close_weights=(closes, close_cum))
-    return bp_open, bp_close
+    return WeightedBits(n_bits, opens, a), WeightedBits(n_bits, closes, close_cum)
 
 
 STRICT = "strict"
@@ -279,12 +278,12 @@ def mliq_weighted(s, a, b, strict=False, counters=None):
     budget_a = a - 1 if strict else a
     if budget_a < 0:
         return None  # strict containment of a = 0 is impossible
-    _w, cnt_a = s.bp_open.bpselect_with_count(OPEN_WEIGHTS, budget_a)
+    _w, cnt_a = s.bp_open.bpselect_with_count(budget_a)
     c.bpselect += 1
     i_max = cnt_a
 
     budget_b = sentinel - b - 1 if strict else sentinel - b
-    _q, cnt_b = s.bp_close.bpselect_with_count(CLOSE_WEIGHTS, budget_b)
+    _q, cnt_b = s.bp_close.bpselect_with_count(budget_b)
     c.bpselect += 1
     i_min = max(1, n + 1 - cnt_b)
 

@@ -1,10 +1,11 @@
 """Balanced-parenthesis sequences.
 
-A ParenSeq wraps a balanced BitSeq (1 = opening, 0 = closing) and adds the
-excess profile, matching (open/close) and leftmost range-minimum queries
-over the excess array. A WeightedBits answers weighted prefix select
-(``bpselect``) over per-side parenthesis weights of a sequence of n bits;
-it holds only the weight tables, not the bits.
+A ParenSeq is a balanced BitSeq (1 = opening, 0 = closing): it inherits the
+packed words and the rank/select tables, and adds the excess profile,
+matching (open/close) and leftmost range-minimum queries over the excess
+array. A WeightedBits answers weighted prefix select (``bpselect``) over
+the weights on one side, opening or closing, of a sequence of n bits; it
+holds only the weight tables, not the bits.
 
 The excess RMQ uses fixed-size block minima plus a sparse table over blocks.
 Each table entry is one Python int, ``(block minimum << shift) | block`` with
@@ -43,9 +44,6 @@ from .errors import ContractError, RangeError, ValidationError
 OPEN = 1
 CLOSE = 0
 
-OPEN_WEIGHTS = "open-weights"
-CLOSE_WEIGHTS = "close-weights"
-
 _BLOCK = 64
 _CHUNK = 1 << 12  # excess steps summed into one list at a time; few, so a deep excess holds few ints
 
@@ -53,15 +51,14 @@ _STEPS = bytes.maketrans(b"01", b"\xff\x01")  # '0' -> -1, '1' -> +1 as signed b
 _DIGIT_TO_PAREN = str.maketrans("10", "()")
 
 
-class ParenSeq:
+class ParenSeq(BitSeq):
     """Immutable balanced parenthesis sequence with query support."""
 
-    __slots__ = ("base", "n", "_exc", "_bmin", "_table", "_shift")
+    __slots__ = ("_exc", "_bmin", "_table", "_shift")
 
     def __init__(self, bits):
         text = text_of(bits)
-        self.base = bits if isinstance(bits, BitSeq) else BitSeq.of_text(text)
-        self.n = self.base.n
+        self._fill(text)
         self._exc = _excess(text)
         self._bmin = self._table = self._shift = None  # built by the first search
 
@@ -91,32 +88,19 @@ class ParenSeq:
 
     # -- basic queries ---------------------------------------------------------
 
-    def __len__(self):
-        return self.n
-
-    def bit(self, x: int) -> int:
-        return self.base.bit(x)
-
-    def rank(self, x: int, s: int) -> int:
-        return self.base.rank(x, s)
-
-    def select(self, i: int, s: int) -> int:
-        return self.base.select(i, s)
-
     def to_string(self) -> str:
-        return self.base.to_text().translate(_DIGIT_TO_PAREN)
+        return self.to_text().translate(_DIGIT_TO_PAREN)
 
     def excess(self, x: int) -> int:
         """rank_1(x) - rank_0(x); the depth profile of the sequence."""
-        if not 1 <= x <= self.n:
-            raise RangeError(f"position {x} outside 1..{self.n}")
+        self._check_pos(x)
         return self._exc[x]
 
     # -- matching --------------------------------------------------------------
 
     def close(self, x: int) -> int:
         """Position of the closing parenthesis matching the opening one at x."""
-        if self.base.bit(x) != OPEN:
+        if self.bit(x) != OPEN:
             raise ContractError(f"position {x} is not an opening parenthesis")
         if self._table is None:
             self._build_blocks()
@@ -124,7 +108,7 @@ class ParenSeq:
 
     def open(self, x: int) -> int:
         """Position of the opening parenthesis matching the closing one at x."""
-        if self.base.bit(x) != CLOSE:
+        if self.bit(x) != CLOSE:
             raise ContractError(f"position {x} is not a closing parenthesis")
         if self._table is None:
             self._build_blocks()
@@ -232,12 +216,6 @@ class ParenSeq:
         v = best >> shift
         return v, best - (v << shift)
 
-    def __eq__(self, other):
-        return isinstance(other, ParenSeq) and self.base == other.base
-
-    def __hash__(self):
-        return hash(self.base)
-
     def __repr__(self):
         s = self.to_string()
         if len(s) > 40:
@@ -285,38 +263,32 @@ def _rindex(seq, v, lo, hi):
 
 class WeightedBits:
     """Weighted prefix select over a parenthesis sequence of n bits, held as
-    its weight tables alone.
+    the weight tables of one side alone.
 
-    Weights on the ``OPEN_WEIGHTS`` side sit on opening parentheses, those on
-    the ``CLOSE_WEIGHTS`` side on closing ones. A side is two typed tables of
-    equal length, ``(positions, cumulative weights)``: its weighted positions
-    in increasing order, an ``array('q')``, and the cumulative weight up to
-    and including each, an array of 64-bit integers (``'q'``, or ``'Q'``
-    where the total may reach 2^63). The tables are kept as given (not
-    copied): their order and their symbols are the caller's to vouch for, as
-    ``mliq`` does for the tables it reads off the length heap.
+    The weights sit on one kind of parenthesis, opening or closing; which
+    kind is the caller's to know. The tables are two typed arrays of equal
+    length: the weighted positions in increasing order, an ``array('q')``,
+    and the cumulative weight up to and including each, an array of 64-bit
+    integers (``'q'``, or ``'Q'`` where the total may reach 2^63). They are
+    kept as given (not copied): their order and their symbols are the
+    caller's to vouch for, as ``mliq`` does for the tables it reads off the
+    length heap.
     """
 
-    __slots__ = ("n", "_open", "_close")
+    __slots__ = ("n", "positions", "cum")
 
-    def __init__(self, n, open_weights=None, close_weights=None):
+    def __init__(self, n, positions, cum):
+        if len(positions) != len(cum):
+            raise ValidationError(f"{len(positions)} weighted positions but {len(cum)} cumulative weights")
         self.n = n
-        self._open = _weight_table(open_weights)
-        self._close = _weight_table(close_weights)
+        self.positions = positions
+        self.cum = cum
 
-    def weight_prefix(self, side: str, x: int) -> int:
-        """Sum of side-weights at positions <= x (x may be 0..n)."""
-        if not 0 <= x <= self.n:
-            raise RangeError(f"position {x} outside 0..{self.n}")
-        positions, cum = self._weight_tables(side)
-        k = bisect_right(positions, x)
-        return cum[k - 1] if k else 0
+    def bpselect(self, budget: int) -> int:
+        """Largest position whose weight prefix sum stays within budget."""
+        return self.bpselect_with_count(budget)[0]
 
-    def bpselect(self, side: str, budget: int) -> int:
-        """Largest position whose side-weight prefix sum stays within budget."""
-        return self.bpselect_with_count(side, budget)[0]
-
-    def bpselect_with_count(self, side: str, budget: int):
+    def bpselect_with_count(self, budget: int):
         """As ``bpselect`` but also reports how many weighted positions fit.
 
         The count comes out of the same binary search, so callers that need
@@ -324,30 +296,7 @@ class WeightedBits:
         """
         if budget < 0:
             raise ContractError(f"budget must be non-negative, got {budget}")
-        positions, cum = self._weight_tables(side)
-        k = bisect_right(cum, budget)
-        if k == len(positions):
+        k = bisect_right(self.cum, budget)
+        if k == len(self.positions):
             return self.n, k
-        return positions[k] - 1, k
-
-    def _weight_tables(self, side: str):
-        if side == OPEN_WEIGHTS:
-            tables = self._open
-        elif side == CLOSE_WEIGHTS:
-            tables = self._close
-        else:
-            raise ContractError(f"unknown weight side {side!r}")
-        if tables is None:
-            raise ContractError(f"no {side} attached to this sequence")
-        return tables
-
-
-def _weight_table(tables):
-    """The ``(positions, cumulative weights)`` pair of one side, kept as it
-    is, or None."""
-    if tables is None:
-        return None
-    positions, cum = tables
-    if len(positions) != len(cum):
-        raise ValidationError(f"{len(positions)} weighted positions but {len(cum)} cumulative weights")
-    return positions, cum
+        return self.positions[k] - 1, k

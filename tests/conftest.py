@@ -7,6 +7,7 @@ and are frozen here; encoder/decoder tests must reproduce them byte for byte.
 
 import os
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import strategies as st
@@ -76,6 +77,13 @@ def shapes(draw):
 def trees():
     """The trees of ``shapes``."""
     return shapes().map(lambda shape: OrdinalTree.from_children(*shape))
+
+
+def weight_prefix(w, x):
+    """Sum of the weights of WeightedBits ``w`` at positions <= x, by bisect
+    over its tables."""
+    k = bisect_right(w.positions, x)
+    return w.cum[k - 1] if k else 0
 
 
 class Counted(list):

@@ -217,4 +217,4 @@ def test_tables_are_typed_and_round_trip_through_little_endian_bytes():
         assert le_bytes(b._words) == struct.pack(f"<{len(b._words)}Q", *b._words)
         assert from_le(le_bytes(b._words), "Q") == b._words
         assert from_le(memoryview(le_bytes(b._cum1))) == b._cum1
-        assert BitSeq.of_text(b.to_text()) == b and hash(BitSeq.of_text(b.to_text())) == hash(b)
+        assert BitSeq(b.to_text()) == b and hash(BitSeq(b.to_text())) == hash(b)

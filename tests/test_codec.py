@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualtree import codec, duality
+from dualtree.bitseq import BitSeq
 from dualtree.errors import ParseError, ValidationError
 from dualtree.parens import ParenSeq
 from dualtree.randgen import random_tree
@@ -223,8 +224,8 @@ def oracle_dfuds_encode(t):
 
 
 def oracle_bits(p):
-    if isinstance(p, ParenSeq):
-        return list(p.base.iter_bits())
+    if isinstance(p, BitSeq):
+        return list(p.iter_bits())
     if isinstance(p, str):
         out = []
         for x, c in enumerate(p, start=1):
@@ -344,9 +345,9 @@ def test_bulk_codecs_match_the_stack_oracle(t):
         for v in t.nodes():
             assert m.anchor(v) == (open_pos[v] if kind == codec.BP else close_pos.get(v, 1))
     bp, df = oracle_bp_encode(t)[0], oracle_dfuds_encode(t)[0]
-    for form in (bp, bp.to_string(), bp.base.to_text(), list(bp.base.iter_bits())):
+    for form in (bp, bp.to_string(), bp.to_text(), list(bp.iter_bits()), BitSeq(bp.to_text())):
         assert outcome(codec.bp_decode, form) == outcome(oracle_bp_decode, form)
-    for form in (df, df.to_string(), list(df.base.iter_bits())):
+    for form in (df, df.to_string(), list(df.iter_bits()), BitSeq(df.to_text())):
         assert outcome(codec.dfuds_decode, form) == outcome(oracle_dfuds_decode, form)
     text = codec.tree_to_text(t)
     assert text == oracle_tree_to_text(t)

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import random
 import struct
+import tracemalloc
 from array import array
 
 import pytest
@@ -67,7 +69,36 @@ def test_load_reads_sections_as_views_and_holds_typed_tables(tmp_path):
     assert type(loaded.values) is array and loaded.values.typecode == "q" and loaded.values == h.values
     p = loaded.dfuds
     assert p._exc.typecode == "I" and p._exc == h.dfuds._exc
-    assert (p.base._words.typecode, p.base._cum1.typecode, p.base._cum0.typecode) == ("Q", "q", "q")
+    assert (p._words.typecode, p._cum1.typecode, p._cum0.typecode) == ("Q", "q", "q")
+
+
+@pytest.mark.parametrize("kind, n, bound", [("array", 100_000, 15), ("intervals", 20_000, 81)])
+def test_load_frees_each_section_once_read(tmp_path, kind, n, bound):
+    # How far a load's tracemalloc peak rises above the index it returns,
+    # in bytes per element.
+    # With every section a view into one read of the whole file, the file
+    # stayed held through the rebuild: 19.4 for the array and 89.9 for the
+    # intervals here. Read one by one, each section is freed once read or
+    # compared: 11.4 and 73.1.
+    path = str(tmp_path / "blob.idx")
+    rng = random.Random(0x10AD)
+    if kind == "array":
+        index_io.save_array_index(path, build_minheap(random_array(rng, n)))
+        load = index_io.load_array_index
+    else:
+        index_io.save_interval_index(path, mliq.build_intervals(random_intervals(rng, n)))
+        load = index_io.load_interval_index
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        index = load(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert index.n == n
+    assert peak - held <= bound * n, ((peak - held) / n, (held - before) / n)
 
 
 def test_missing_section_is_a_parse_error(tmp_path):

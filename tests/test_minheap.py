@@ -193,7 +193,7 @@ def value_arrays():
 @given(values=value_arrays())
 def test_right_to_left_pass_gives_the_dfuds_of_the_left_to_right_pass(values):
     want = "1" + "".join("1" * d + "0" for d in degrees_left_to_right(values))
-    assert build_minheap(values).dfuds.base.to_text() == want
+    assert build_minheap(values).dfuds.to_text() == want
 
 
 I64_MAX = (1 << 63) - 1

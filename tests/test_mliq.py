@@ -12,11 +12,11 @@ from hypothesis import given, settings, strategies as st
 from dualtree import cli, codec, duality, index_io, minheap, mliq
 from dualtree.bitseq import BitSeq
 from dualtree.errors import ContractError, RangeError, ValidationError
-from dualtree.parens import CLOSE_WEIGHTS, OPEN_WEIGHTS, WeightedBits
+from dualtree.parens import WeightedBits
 from dualtree.randgen import random_intervals
 from dualtree.rmq import OpCounters
 
-from conftest import FIX_INTERVALS
+from conftest import FIX_INTERVALS, weight_prefix
 from interval_oracle import I64_MAX, breached_families, check_pairs, raised
 
 
@@ -158,13 +158,13 @@ def test_budgets(fam):
 
 
 def test_open_weight_prefix_equals_left_endpoints(fam):
-    positions, _ = fam.bp_open._weight_tables(OPEN_WEIGHTS)  # the openers after the root's
+    positions = fam.bp_open.positions  # the openers after the root's
     for i in range(1, fam.n + 1):
-        assert fam.bp_open.weight_prefix(OPEN_WEIGHTS, positions[i - 1]) == fam.a[i - 1]
+        assert weight_prefix(fam.bp_open, positions[i - 1]) == fam.a[i - 1]
 
 
 def test_boundary_monotone(fam):
-    marks = [fam.bp_open.bpselect(OPEN_WEIGHTS, x) for x in range(0, fam.domain_max + 2)]
+    marks = [fam.bp_open.bpselect(x) for x in range(0, fam.domain_max + 2)]
     assert marks == sorted(marks)
 
 
@@ -218,8 +218,8 @@ def test_naive_ranks_are_the_weighted_boundary_counts(monkeypatch):
         ranks.append((table, real_rank(table, x)))
         return ranks[-1][1]
 
-    def count(self, side, budget):
-        found = real_count(self, side, budget)
+    def count(self, budget):
+        found = real_count(self, budget)
         counts.append(found[1])
         return found
 
@@ -270,17 +270,17 @@ def check_weighted_bps(pairs):
     bp, open_tables, rev, close_tables = tree_construction(fam)
     # each side is the length and the opener or closer positions of the BP
     # that the tree construction encodes, with its cumulative weights
-    assert (fam.bp_open.n, tuple(map(list, fam.bp_open._weight_tables(OPEN_WEIGHTS)))) == (len(bp), open_tables)
-    assert (fam.bp_close.n, tuple(map(list, fam.bp_close._weight_tables(CLOSE_WEIGHTS)))) == (len(rev), close_tables)
+    for weighted, seq, tables in ((fam.bp_open, bp, open_tables), (fam.bp_close, rev, close_tables)):
+        assert (weighted.n, list(weighted.positions), list(weighted.cum)) == (len(seq), *tables)
     # the open-weight prefix at the (i+1)-th opener is a_i; the close-weight
     # prefix at the i-th closer is the sentinel b_n + 1 minus b_{n+1-i}
     n = fam.n
     for i in range(1, n + 1):
-        assert fam.bp_open.weight_prefix(OPEN_WEIGHTS, bp.select(i + 1, 1)) == fam.a[i - 1]
+        assert weight_prefix(fam.bp_open, bp.select(i + 1, 1)) == fam.a[i - 1]
     sentinel = fam.b[-1] + 1
     for i in range(1, n + 2):
         expect = sentinel - (fam.b[n - i] if i <= n else 0)
-        assert fam.bp_close.weight_prefix(CLOSE_WEIGHTS, rev.select(i, 0)) == expect
+        assert weight_prefix(fam.bp_close, rev.select(i, 0)) == expect
 
 
 @st.composite
@@ -361,15 +361,15 @@ def test_interval_index_holds_typed_tables_and_no_dict(tmp_path):
         assert [type(o) for o in reachable(s) if isinstance(o, dict)] == []
         assert type(s.a) is type(s.b) is array and s.a.typecode == s.b.typecode == "q"
         assert s.lengths is s.heap.values
-        positions, cum = s.bp_open._weight_tables(OPEN_WEIGHTS)
+        positions, cum = s.bp_open.positions, s.bp_open.cum
         assert type(positions) is array and positions.typecode == "q" and cum is s.a
-        positions, cum = s.bp_close._weight_tables(CLOSE_WEIGHTS)
+        positions, cum = s.bp_close.positions, s.bp_close.cum
         # unsigned: the close side's total is b_n + 1, which reaches 2^63 when b_n is the largest i64
         assert type(positions) is type(cum) is array and (positions.typecode, cum.typecode) == ("q", "Q")
         # one bit sequence, the heap's DFUDS: no endpoint bitmap, and the
         # weighted BPs are their tables alone
         bitseqs = [o for o in reachable(s) if isinstance(o, BitSeq)]
-        assert len(bitseqs) == 1 and bitseqs[0] is s.heap.dfuds.base
+        assert len(bitseqs) == 1 and bitseqs[0] is s.heap.dfuds
 
 
 def test_interval_build_holds_few_bytes_and_peaks_near_them():

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualtree import codec, index_io, parens
+from dualtree.bitseq import BitSeq
 from dualtree.errors import ContractError, RangeError, ValidationError
 from dualtree.minheap import build_minheap
-from dualtree.parens import CLOSE_WEIGHTS, OPEN_WEIGHTS, ParenSeq, WeightedBits
+from dualtree.parens import ParenSeq, WeightedBits
 from dualtree.randgen import random_array, random_tree
 
-from conftest import FIX_BP, FIX_DFUDS, Counted, chain, star
+from conftest import FIX_BP, FIX_DFUDS, Counted, chain, star, weight_prefix
 
 
 def random_balanced(rng, pairs):
@@ -61,10 +62,9 @@ def weight_tables(weights):
     return array("q", positions), array("q", accumulate(map(weights.get, positions)))
 
 
-def weighted(bits, open_weights=None, close_weights=None):
-    """A WeightedBits over ``bits`` whose sides are given as mappings."""
-    sides = [None if w is None else weight_tables(w) for w in (open_weights, close_weights)]
-    return WeightedBits(len(bits), *sides)
+def weighted(bits, weights):
+    """A WeightedBits over ``bits`` whose one weighted side is given as a mapping."""
+    return WeightedBits(len(bits), *weight_tables(weights))
 
 
 balanced_strategy = st.integers(1, 40).map(lambda k: random_balanced(random.Random(k * 7919), k))
@@ -145,68 +145,60 @@ def test_rmq_excess_against_oracle():
 
 
 def test_bpselect_prefix_examples():
-    p = weighted("(()(()))", open_weights={2: 2, 4: 3})
-    assert p.bpselect(OPEN_WEIGHTS, 2) == 3  # largest position before the weight-3 open
-    assert p.bpselect(OPEN_WEIGHTS, 5) == 8  # total weight affordable -> n
-    assert p.bpselect(OPEN_WEIGHTS, 0) == 1  # first weighted position is 2
-    assert p.bpselect_with_count(OPEN_WEIGHTS, 4) == (3, 1)
-    assert p.bpselect_with_count(OPEN_WEIGHTS, 5) == (8, 2)
-    assert [p.weight_prefix(OPEN_WEIGHTS, x) for x in range(9)] == [0, 0, 2, 2, 5, 5, 5, 5, 5]
-    p2 = weighted("()", close_weights={2: 1})
-    assert p2.bpselect(CLOSE_WEIGHTS, 0) == 1
-    assert p2.bpselect_with_count(CLOSE_WEIGHTS, 1) == (2, 1)
+    p = weighted("(()(()))", {2: 2, 4: 3})  # on openers
+    assert p.bpselect(2) == 3  # largest position before the weight-3 open
+    assert p.bpselect(5) == 8  # total weight affordable -> n
+    assert p.bpselect(0) == 1  # first weighted position is 2
+    assert p.bpselect_with_count(4) == (3, 1)
+    assert p.bpselect_with_count(5) == (8, 2)
+    assert [weight_prefix(p, x) for x in range(9)] == [0, 0, 2, 2, 5, 5, 5, 5, 5]
+    p2 = weighted("()", {2: 1})  # on the closer
+    assert p2.bpselect(0) == 1
+    assert p2.bpselect_with_count(1) == (2, 1)
 
 
 def test_bpselect_requires_weights_and_budget():
-    p = WeightedBits(2)
-    with pytest.raises(ContractError, match="no open-weights attached"):
-        p.bpselect(OPEN_WEIGHTS, 1)
-    p = weighted("()", open_weights={1: 1})
+    p = weighted("()", {1: 1})
     with pytest.raises(ContractError, match="budget must be non-negative, got -1"):
-        p.bpselect(OPEN_WEIGHTS, -1)
-    with pytest.raises(ContractError, match="unknown weight side 'sideways'"):
-        p.bpselect("sideways", 0)
-    with pytest.raises(ContractError, match="no close-weights attached"):
-        p.bpselect_with_count(CLOSE_WEIGHTS, 0)
-    with pytest.raises(RangeError, match=r"position 3 outside 0\.\.2"):
-        p.weight_prefix(OPEN_WEIGHTS, 3)
+        p.bpselect(-1)
+    with pytest.raises(ContractError, match="budget must be non-negative, got -1"):
+        p.bpselect_with_count(-1)
 
 
 def test_tables_answer_as_the_mapping_they_hold():
     rng = random.Random(0x7AB)
     bits = random_balanced(rng, 150)
     n = len(bits)
-    for side, symbol, keyword in ((OPEN_WEIGHTS, 1, "open_weights"), (CLOSE_WEIGHTS, 0, "close_weights")):
+    for symbol in (1, 0):  # weights on the openers, then on the closers
         weights = {x: rng.randint(0, 4) for x, b in enumerate(bits, start=1) if b == symbol}
         positions, cum = weight_tables(weights)
-        p = WeightedBits(n, **{keyword: (positions, cum)})
-        got = p._weight_tables(side)
-        assert got[0] is positions and got[1] is cum  # kept, not copied
+        p = WeightedBits(n, positions, cum)
+        assert p.positions is positions and p.cum is cum  # kept, not copied
         prefix = list(accumulate(weights.get(x, 0) for x in range(n + 1)))
-        assert [p.weight_prefix(side, x) for x in range(n + 1)] == prefix
+        assert [weight_prefix(p, x) for x in range(n + 1)] == prefix
         for budget in range(cum[-1] + 2):
             q = max(x for x in range(n + 1) if prefix[x] <= budget)
-            assert p.bpselect_with_count(side, budget) == (q, sum(x <= q for x in weights))
+            assert p.bpselect_with_count(budget) == (q, sum(x <= q for x in weights))
     with pytest.raises(ValidationError, match="^2 weighted positions but 1 cumulative weights$"):
-        WeightedBits(4, open_weights=(array("q", [1, 3]), array("q", [1])))
+        WeightedBits(4, array("q", [1, 3]), array("q", [1]))
 
 
 def test_bpselect_against_scan_and_monotone():
     rng = random.Random(0xBEEF)
     bits = random_balanced(rng, 200)
     n = len(bits)
-    for side, symbol, keyword in ((OPEN_WEIGHTS, 1, "open_weights"), (CLOSE_WEIGHTS, 0, "close_weights")):
+    for symbol in (1, 0):  # weights on the openers, then on the closers
         weights = {x: rng.randint(0, 4) for x, b in enumerate(bits, start=1) if b == symbol}
-        p = weighted(bits, **{keyword: weights})
+        p = weighted(bits, weights)
         prefix = [0] * (n + 1)
         for x in range(1, n + 1):
             prefix[x] = prefix[x - 1] + weights.get(x, 0)
-        assert [p.weight_prefix(side, x) for x in range(n + 1)] == prefix
+        assert [weight_prefix(p, x) for x in range(n + 1)] == prefix
         total = prefix[n]
         last = 0
         for budget in range(total + 2):
             expect = max(q for q in range(n + 1) if prefix[q] <= budget)
-            got = p.bpselect(side, budget)
+            got = p.bpselect(budget)
             assert got == expect
             assert got >= last
             last = got
@@ -280,7 +272,9 @@ def test_encoders_hold_no_block_tables_until_a_search():
         seqs.append(codec.mirror(seqs[1]))
         for p in seqs:
             assert (p._bmin, p._table) == (None, None)
-            assert p == ParenSeq(p.base) and p.excess(p.n) == 0
+            assert p == ParenSeq(p) and p.excess(p.n) == 0
+            # a ParenSeq is a BitSeq, yet never equal to the plain one of its bits
+            assert isinstance(p, BitSeq) and p != BitSeq(p) and BitSeq(p) != p and hash(p) == hash(BitSeq(p))
 
 
 @pytest.mark.parametrize("search", ["rmq_excess", "open", "close"])
@@ -459,7 +453,7 @@ def dfuds_shapes(n):
 def test_open_close_match_the_block_walk_on_dfuds_shapes(n, seed):
     rng = random.Random(seed)
     for p in dfuds_shapes(n).values():
-        bits = list(p.base.iter_bits())
+        bits = list(p.iter_bits())
         assert_matches_walk(p, far_and_random_positions(bits, rng, 60))
 
 
@@ -524,7 +518,7 @@ def test_open_and_close_read_logarithmically_many_table_entries():
     for name in ("star", "chain", "decreasing"):
         p = shapes[name]
         bound = counted_tables(p)
-        bits = p.base.to_text()
+        bits = p.to_text()
         positions = [1, p.n] + far_and_random_positions(list(map(int, bits)), rng, 200)
         worst = 0
         for x in positions:

@@ -59,18 +59,18 @@ def test_decoded_trees_match_the_dict_oracle(shape):
     t = OrdinalTree.from_children(*shape)
     bp, df = codec.bp_encode(t)[0], codec.dfuds_encode(t)[0]
     labels = list(range(1, t.n_nodes + 1))
-    assert_same(codec.bp_decode(bp), dict_tree.bp_tree(bp.base.to_text(), labels))
-    assert_same(codec.dfuds_decode(df), dict_tree.dfuds_tree(df.base.to_text(), 1))
+    assert_same(codec.bp_decode(bp), dict_tree.bp_tree(bp.to_text(), labels))
+    assert_same(codec.dfuds_decode(df), dict_tree.dfuds_tree(df.to_text(), 1))
     text = codec.tree_to_text(t)
     words = text.split("\n")[1].split()
-    assert_same(codec.tree_from_text(text), dict_tree.bp_tree(bp.base.to_text(), words))
+    assert_same(codec.tree_from_text(text), dict_tree.bp_tree(bp.to_text(), words))
 
 
 @settings(max_examples=150, deadline=None)
 @given(values=st.lists(st.integers(-20, 20), min_size=1, max_size=120))
 def test_heap_tree_matches_the_dict_oracle(values):
     h = build_minheap(values)
-    assert_same(h.tree, dict_tree.dfuds_tree(h.dfuds.base.to_text(), ROOT_LABEL))
+    assert_same(h.tree, dict_tree.dfuds_tree(h.dfuds.to_text(), ROOT_LABEL))
 
 
 def test_trees_hold_no_per_node_dict_but_the_rank():

@@ -169,6 +169,13 @@ def from_le(payload, typecode="q"):
     return table
 
 
+def le_view(payload):
+    """Little-endian signed 64-bit integers, a bytes-like object, as a
+    sequence of ints: a ``'q'`` view of the bytes themselves on a
+    little-endian host, and an ``array('q')`` copy on a big-endian one."""
+    return from_le(payload) if _BIG_ENDIAN else memoryview(payload).cast("q")
+
+
 def _text_of_chars(s: str) -> str:
     if s.isascii():
         raw = s.encode("ascii")

@@ -13,9 +13,10 @@ words of the heap's DFUDS), RK64 (u64 word-level cumulative one-counts),
 EMIN (u64 block size + i64 per-block excess minima).
 Interval indexes carry INTA/INTB (endpoints) plus the same derived sections
 for the length heap and WOPN/WCLS weighted-position tables (u64 count, then
-u64 position and i64 weight per entry). The index holds each weighted BP
-behind WOPN/WCLS as the tables of its one weighted side alone, read off the
-length heap's DFUDS, so a rebuild makes no tree and packs no bits for them.
+u64 position and i64 weight per entry). The index holds neither table: its
+weighted positions are read off the length heap's DFUDS when a blob is
+saved or loaded, and the weights are the gaps of the endpoints, so neither
+a save nor a load makes a tree or packs bits for them.
 
 Version 1 blobs also load. Their array blobs carry one more section, PMAP
 (u64 parent per position, 0 = root); it is a function of BITS, which is
@@ -30,21 +31,33 @@ as it is read or compared. An array blob's VALS is copied once, into an
 ``array('q')``, which the rebuilt index keeps as its values, and an
 interval blob's INTA and INTB into two more, which the rebuild checks in
 bulk with the rules and messages of ``mliq.build_intervals`` and then
-keeps as the index's endpoints. Every 64-bit section, like the binary
-array file, is written from a typed array in one step (the index's own
-values, bit words and rank counts, uncopied), little-endian on any host,
-and read back as one; WOPN/WCLS's weights are the gaps of the cumulative
-tables, taken in one big-integer subtraction. A blob that is truncated,
-corrupt or missing a section raises ParseError. Values and endpoints must
-be signed 64-bit integers; others raise ValidationError when read, built
-or saved.
+keeps as the index's endpoints. WOPN and WCLS are compared where they lie,
+as 64-bit integers read from the stored bytes: the count, the positions
+against the rebuilt ones, and the running sums of the weights against
+``a``, and against ``b`` with the close side's weights read from the end.
+Every 64-bit section, like the binary array file, is written from a typed
+array in one step (the index's own values, bit words and rank counts,
+uncopied), little-endian on any host, and read back as one; WOPN/WCLS's
+weights are the gaps of the cumulative tables, taken in one big-integer
+subtraction. A blob that is truncated, corrupt or missing a section raises
+ParseError. Values and endpoints must be signed 64-bit integers; others
+raise ValidationError when read, built or saved.
+
+A save, like ``write_array_binary``, makes every byte first and then writes
+over the file in place: opened without truncating it, cut to the new
+length after the write, its header written as zeros first and for real
+last. Truncating a just-written file to length 0 would make the next save
+wait for the writeback of the old bytes, and a save that stops part way
+leaves a file whose header a load rejects.
 """
 
 import os
 import struct
 from array import array
+from itertools import accumulate, chain
+from operator import eq
 
-from .bitseq import from_le, le_bytes
+from .bitseq import from_le, le_bytes, le_view
 from .errors import ParseError, ValidationError
 from .minheap import heap_of_table
 from .mliq import intervals_from_arrays
@@ -96,9 +109,7 @@ def read_array_binary(path):
 
 
 def write_array_binary(path, values):
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", len(values)))
-        fh.write(_i64_bytes(values))
+    _write_in_place(path, struct.pack("<Q", len(values)), [_i64_bytes(values)])
 
 
 def read_intervals_text(path):
@@ -197,6 +208,22 @@ def _weight_section(weighted):
     return le_bytes(entries)
 
 
+def _check_weights(path, sections, tag, positions, sums, what, reverse=False):
+    """ParseError ``what ...`` unless section ``tag`` holds the entries that
+    ``_weight_section`` writes for a side with these ``positions`` whose
+    weights, read last to first if ``reverse``, have the running sums
+    ``sums``. The stored entries are compared where they lie, the count,
+    then every position, then the running sums, so none is rebuilt."""
+    stored = _section(path, sections, tag)
+    count = len(positions)
+    if len(stored) != 8 + 16 * count:
+        raise ParseError(f"{path}: stored {what}")
+    entries = le_view(stored)
+    weights = entries[:0:-2] if reverse else entries[2::2]
+    if not (entries[0] == count and entries[1::2] == positions and all(map(eq, accumulate(weights), sums))):
+        raise ParseError(f"{path}: stored {what}")
+
+
 def _i64_table(path, tag, payload):
     if len(payload) % 8:
         raise ParseError(f"{path}: {tag} section length {len(payload)} is not a multiple of 8")
@@ -204,13 +231,29 @@ def _i64_table(path, tag, payload):
 
 
 def _write_blob(path, kind, sections):
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<HHI", VERSION, kind, len(sections)))
-        for tag, payload in sections:
-            fh.write(tag.encode("ascii"))
-            fh.write(struct.pack("<Q", len(payload)))
-            fh.write(payload)
+    chunks = []
+    for tag, payload in sections:
+        chunks += [tag.encode("ascii") + struct.pack("<Q", len(payload)), payload]
+    _write_in_place(path, MAGIC + struct.pack("<HHI", VERSION, kind, len(sections)), chunks)
+
+
+def _write_in_place(path, head, chunks):
+    """Write ``head`` and then ``chunks`` over the file at ``path`` (through
+    a symlink, to its target), every byte already made.
+
+    The file is opened without O_TRUNC and cut to its new length after the
+    write: truncating a file that was just written to length 0 makes the
+    next write wait for the writeback of the old bytes. ``head`` is blanked
+    first and written last, so a save that stops part-way leaves a file
+    whose head a reader rejects, not new bytes over an old tail."""
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)  # no newline translation on Windows
+    with open(os.open(path, flags, 0o666), "wb") as fh:
+        fh.write(bytes(len(head)))
+        for chunk in chunks:
+            fh.write(chunk)
+        fh.truncate()
+        fh.seek(0)
+        fh.write(head)
 
 
 def read_kind(path):
@@ -311,14 +354,15 @@ def load_array_index(path):
 
 
 def save_interval_index(path, s):
+    bp_open, bp_close = s.weighted_bps()
     sections = [
         ("INTA", le_bytes(s.a)),
         ("INTB", le_bytes(s.b)),
         ("BITS", _bits_section(s.heap.dfuds)),
         ("RK64", _rank_section(s.heap.dfuds)),
         ("EMIN", _emin_section(s.heap.dfuds)),
-        ("WOPN", _weight_section(s.bp_open)),
-        ("WCLS", _weight_section(s.bp_close)),
+        ("WOPN", _weight_section(bp_open)),
+        ("WCLS", _weight_section(bp_close)),
     ]
     _write_blob(path, KIND_INTERVALS, sections)
     return stats_for(s.heap.dfuds, extra_values=2 * s.n)
@@ -334,10 +378,12 @@ def load_interval_index(path):
         raise ParseError(f"{path}: {len(a)} left endpoints but {len(b)} right endpoints")
     s = intervals_from_arrays(a, b)
     _verify_derived(path, s.heap.dfuds, sections)
-    _check_section(path, sections, "WOPN", _weight_section(s.bp_open),
-                   "open weights do not match the rebuilt index")
-    _check_section(path, sections, "WCLS", _weight_section(s.bp_close),
-                   "close weights do not match the rebuilt index")
+    opens, closes = s.weighted_positions()
+    _check_weights(path, sections, "WOPN", opens, s.a, "open weights do not match the rebuilt index")
+    # read from the end, the close side's weights are b_1, the gaps of b,
+    # and the 1 that reaches the sentinel b_n + 1
+    _check_weights(path, sections, "WCLS", closes, chain(s.b, [s.b[-1] + 1]),
+                   "close weights do not match the rebuilt index", reverse=True)
     return s
 
 

@@ -16,7 +16,9 @@ current one has the current position as its nearest earlier smaller-or-equal
 position, so the number popped there is that position's degree, and what is
 left pending at the end hangs from the root. It allocates nothing per element
 but the degree count. The index stores that bit sequence and nothing else
-besides the values; the explicit tree is decoded from it on first use.
+besides the values; the explicit tree is decoded from it on first use. The
+interval index's heap of lengths holds the bit sequence alone: its values
+are a function of the endpoints, which the pass reads once, as they come.
 
 The values are held as an ``array('q')`` when every one is an int within
 signed 64 bits, and as a list otherwise (floats, strings, larger ints), so
@@ -42,21 +44,20 @@ class MinHeapIndex:
     simultaneously the BP of its reversed dual; all engines share it. Node
     labels are array positions with the root 0, so a node's depth-first rank
     is its label plus one and the engines need no explicit tree. ``values``
-    is an ``array('q')`` for signed 64-bit ints and a list otherwise.
+    is an ``array('q')`` for signed 64-bit ints and a list otherwise, or
+    None for a heap that holds its DFUDS alone (``heap_without_values``).
+    ``n`` is read off the DFUDS, whose 2(n + 1) bits describe n + 1 nodes.
     """
 
-    __slots__ = ("values", "dfuds", "_tree")
+    __slots__ = ("values", "dfuds", "n", "_tree")
 
     root = ROOT_LABEL
 
     def __init__(self, values, dfuds):
         self.values = values
         self.dfuds = dfuds
+        self.n = dfuds.n // 2 - 1
         self._tree = None
-
-    @property
-    def n(self):
-        return len(self.values)
 
     @property
     def tree(self):
@@ -95,11 +96,16 @@ def build_minheap(values) -> MinHeapIndex:
     if not isinstance(values, (list, array)):
         values = list(values)
     dfuds = _heap_dfuds(values)
+    return MinHeapIndex(held_values(values), dfuds)
+
+
+def held_values(values):
+    """``values`` as an index holds them: an ``array('q')`` if every value is
+    a signed 64-bit int, else a list."""
     try:
-        held = array("q", values)
+        return array("q", values)
     except (TypeError, OverflowError):
-        held = list(values)
-    return MinHeapIndex(held, dfuds)
+        return list(values)
 
 
 def heap_of_table(values) -> MinHeapIndex:
@@ -107,14 +113,35 @@ def heap_of_table(values) -> MinHeapIndex:
     return MinHeapIndex(values, _heap_dfuds(values))
 
 
+def heap_without_values(values_from_the_right) -> MinHeapIndex:
+    """The heap index of the values that ``values_from_the_right`` yields,
+    last to first, without the values: its DFUDS alone, for a caller that
+    keeps what they are derived from (``mliq`` keeps the interval
+    endpoints). The degree pass reads them once, so none need be held."""
+    return MinHeapIndex(None, _dfuds_from_the_right(values_from_the_right))
+
+
 def _heap_dfuds(values):
     """The DFUDS of the heap of ``values``, from the degree pass."""
     if not values:
         raise ContractError("array must hold at least one element")
+    return _dfuds_from_the_right(reversed(values))
+
+
+def _dfuds_from_the_right(values):
+    """The DFUDS of the heap of the values that ``values`` yields last to
+    first. The degrees are dropped once their text is written, before the
+    bit sequence is packed."""
+    return ParenSeq(codec._dfuds_of_degrees(_degrees_from_the_right(values)))
+
+
+def _degrees_from_the_right(values):
+    """The heap's degrees in preorder, by the degree pass over the values
+    that ``values`` yields last to first."""
     degrees = []  # right to left; the root's count is appended last
     pending = []  # values still waiting for a parent, increasing to the top
     pop, push, put = pending.pop, pending.append, degrees.append
-    for val in reversed(values):
+    for val in values:
         d = 0
         while pending and pending[-1] >= val:
             pop()
@@ -123,7 +150,7 @@ def _heap_dfuds(values):
         push(val)
     put(len(pending))
     degrees.reverse()
-    return ParenSeq(codec._dfuds_of_degrees(degrees))
+    return degrees
 
 
 def _decode_heap(dfuds):

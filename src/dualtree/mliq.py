@@ -16,15 +16,8 @@ interval lengths. Two query paths are provided:
   end sentinel, so the affordable-prefix count pins the least index whose
   right endpoint reaches b.
 
-Each weighted BP is a WeightedBits, the weight tables of its one weighted
-side alone, since a bpselect reads nothing else. Both are read off the
-length heap's DFUDS in linear bulk steps: a node's opener in the heap's BP
-lies at a closed form of its preorder index and depth, and the BP of the
-reversed heap is the mirror of the heap's BP, so its closers are the heap's
-openers mirrored. Neither the heap tree, nor its reversal, nor the bits of
-either BP are built.
-
-Their weight tables have closed forms, so no weight is summed:
+The weight tables of both BPs have closed forms in the endpoints, so no
+weight is summed:
 
 * open side: the (i+1)-th opener of the heap's BP is interval i, and the
   left-endpoint gaps up to it sum to a_i, so the cumulative weights are the
@@ -32,20 +25,31 @@ Their weight tables have closed forms, so no weight is summed:
 * close side: the reversed BP's i-th closer is interval n+1-i, and the
   reversed right-endpoint gaps behind the sentinel sum to b_n + 1 - b_{n+1-i}
   there, so the cumulative weights are b_n + 1 - b read in reverse, then
-  b_n + 1; the closers sit at N + 1 minus the heap's openers read in
-  reverse, N being the BP's length.
+  b_n + 1 at the root's closer.
 
-The open side's cumulative weights are ``a`` itself, so the naive engine's
-left rank, ``bisect_right(a, ·)``, is the search the open-side bpselect
-makes, and its right rank over ``b`` counts what the close-side bpselect
-counts from the other end: both engines search the one stored endpoint
-order.
+A query's bpselect needs only how many weighted parentheses its budget
+affords, and that count is a bisect over the endpoints: ``bisect_right(a,
+budget)`` on the open side, and on the close side the right endpoints that
+reach b_n + 1 - budget, counted by ``bisect_left`` over ``b`` from its end,
+plus the root's closer once the budget covers the sentinel. So both engines
+search the one stored endpoint order: the naive engine's ranks are these
+counts. The paper frames the weighted engine's gain as bpselect over
+weighted parentheses in place of endpoint rank structures; here neither
+engine holds a structure of its own beyond the endpoints and the heap.
 
-The index holds the endpoints and these tables as ``array('q')`` (the close
-side's cumulative weights as ``'Q'``, since b_n + 1 may be 2^63), the
-lengths as the heap's own values, also an ``array('q')``, and no dict.
-Building or loading checks the endpoints in bulk and names the first
-interval that breaks a rule, as a check of one pair at a time would.
+The index holds the endpoints as two ``array('q')`` and the length heap's
+DFUDS, and nothing else. The lengths b - a + 1 are computed when the
+brute-force oracle asks for them: the heap is built from b - a, which
+orders the intervals the same way, read once and never held. The weighted
+positions, where the bpselects would land, are computed only when asked
+for (``IntervalSet.weighted_positions``, ``IntervalSet.weighted_bps``): by
+``verify``, the tests, and the blob's WOPN/WCLS sections on save and load.
+A node's opener in the heap's BP lies at a closed form of its preorder
+index and depth, and the BP of the reversed heap is the mirror of the
+heap's BP, so they are read off the DFUDS with one pass for the depths;
+neither the heap tree, nor its reversal, nor the bits of either BP are
+built. Building or loading checks the endpoints in bulk and names the
+first interval that breaks a rule, as a check of one pair at a time would.
 
 Containment conventions: CLOSED (default) answers with intervals satisfying
 a_i <= a <= b <= b_i; STRICT requires a_i < a and b_i > b. On integer
@@ -53,14 +57,13 @@ endpoints the two differ only by a unit shift of the query; both are exposed
 and both are held to the brute-force oracle.
 """
 
-import sys
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import compress, islice, repeat
-from operator import ge, gt, itemgetter, le, lt, not_, sub
+from operator import add, ge, gt, itemgetter, le, lt, not_, sub
 
 from .errors import ContractError, RangeError, ValidationError
-from .minheap import build_minheap
+from .minheap import heap_without_values, held_values
 from .parens import WeightedBits
 from .rmq import OpCounters, pda_fast, rmq_direct
 
@@ -72,19 +75,17 @@ _I64_MAX = (1 << 63) - 1
 
 
 class IntervalSet:
-    """Sorted interval family with weighted-parenthesis search structures
-    over the lengths' 2D-Min-Heap. ``a`` and ``b`` are ``array('q')``, which
-    the naive engine ranks against; ``lengths`` is ``heap.values``."""
+    """Sorted interval family: the endpoints ``a`` and ``b``, two
+    ``array('q')``, and the 2D-Min-Heap of the interval lengths, which holds
+    its DFUDS alone. Both engines search ``a`` and ``b``; everything else is
+    computed when asked for."""
 
-    __slots__ = ("a", "b", "lengths", "heap", "bp_open", "bp_close")
+    __slots__ = ("a", "b", "heap")
 
-    def __init__(self, a, b, lengths, heap, bp_open, bp_close):
+    def __init__(self, a, b, heap):
         self.a = a
         self.b = b
-        self.lengths = lengths
         self.heap = heap
-        self.bp_open = bp_open
-        self.bp_close = bp_close
 
     @property
     def n(self):
@@ -93,6 +94,33 @@ class IntervalSet:
     @property
     def domain_max(self):
         return self.b[-1]
+
+    @property
+    def lengths(self):
+        """b_i - a_i + 1 per interval, computed on each read: an
+        ``array('q')``, or a list for the lone interval [0, 2^63 - 1]."""
+        return held_values([y - x + 1 for x, y in zip(self.a, self.b)])
+
+    def weighted_positions(self):
+        """The weighted positions, (the length heap BP's openers after the
+        root's, the reversed BP's closers), computed on each call."""
+        return _weighted_positions(self.heap.dfuds)
+
+    def weighted_bps(self):
+        """The BP of the length heap weighted with the left endpoints and the
+        BP of its reversal weighted with the right endpoints from the
+        sentinel b_n + 1, (open side, close side), each a WeightedBits of its
+        positions and cumulative weights, computed on each call.
+
+        The open side's cumulative weights are ``a`` itself; the close
+        side's, b_n + 1 - b read in reverse and then b_n + 1, are unsigned,
+        since b_n + 1 may be 2^63."""
+        opens, closes = self.weighted_positions()
+        n_bits = 2 * self.n + 2
+        sentinel = self.b[-1] + 1
+        close_cum = array("Q", map(sub, repeat(sentinel), reversed(self.b)))
+        close_cum.append(sentinel)
+        return WeightedBits(n_bits, opens, self.a), WeightedBits(n_bits, closes, close_cum)
 
 
 def build_intervals(pairs) -> IntervalSet:
@@ -129,14 +157,8 @@ def intervals_from_arrays(a, b) -> IntervalSet:
         and all(map(lt, b, islice(b, 1, None)))
     ):
         raise _first_breach(a, b)
-    heap = build_minheap([y - x + 1 for x, y in zip(a, b)])
-    # the close side's cumulative weights, b_n + 1 - b reversed, then b_n + 1;
-    # unsigned, since b_n + 1 may be 2^63
-    sentinel = b[-1] + 1
-    close_cum = _minus(sentinel, b[::-1], "Q")
-    close_cum.append(sentinel)
-    bp_open, bp_close = _weighted_bps(heap.dfuds, a, close_cum)
-    return IntervalSet(a, b, heap.values, heap, bp_open, bp_close)
+    # b - a orders the intervals as their lengths do
+    return IntervalSet(a, b, heap_without_values(map(sub, reversed(b), reversed(a))))
 
 
 def _first_breach(a, b):
@@ -193,40 +215,37 @@ def _preorder_depths(dfuds):
         depth = pop()
         put(depth)
         if d:
-            wait(repeat(depth + 1, d))
+            wait([depth + 1] * d)
     return depths
 
 
-def _minus(value, table, typecode):
-    """``array(typecode)`` of ``value - x`` for each x of ``table``, an array
-    of 64-bit integers with 0 <= x <= value < 2^64. Each x is one 64-bit slot
-    of a big integer and ``value`` fills every slot of another, so one big
-    subtraction, which borrows across no slot, computes them all."""
-    order = sys.byteorder
-    whole = int.from_bytes(array("Q", [value]).tobytes() * len(table), order)
-    return array(typecode, (whole - int.from_bytes(table.tobytes(), order)).to_bytes(8 * len(table), order))
-
-
-def _weighted_bps(dfuds, a, close_cum):
-    """The BP of the length heap weighted with the left endpoints, and the BP
-    of its reversal weighted with the right endpoints from the sentinel, each
-    as a WeightedBits of its weight tables.
+def _weighted_positions(dfuds):
+    """The opener positions of the length heap's BP after the root's, and
+    the closer positions of the BP of its reversal, two ``array('q')``.
 
     A heap of n intervals has n + 1 nodes, so each BP has N = 2(n + 1) bits,
-    and in BP the node of preorder index v opens at 2v + 1 - depth(v). The
-    (i+1)-th opener is interval i, and the open side's cumulative weight
-    there is a_i: the tables are the openers after the root's and ``a``
-    itself. The reversed heap's BP is the mirror of the heap's, so its i-th
-    closer sits at N + 1 minus the heap's (n+2-i)-th opener and is interval
-    n+1-i; its cumulative weight is ``close_cum``.
+    and in BP the node of preorder index v opens at 2v + 1 - depth(v); the
+    (i+1)-th opener is interval i. The reversed heap's BP is the mirror of
+    the heap's, so its i-th closer, interval n+1-i, sits at N + 1 minus the
+    heap's opener of node n+1-i, that is at 2i + depth(n+1-i), and the
+    root's at N.
     """
     depths = _preorder_depths(dfuds)
-    n_bits = 2 * len(depths)
+    n = len(depths) - 1
+    n_bits = 2 * n + 2
     opens = array("q", map(sub, range(3, n_bits, 2), islice(depths, 1, None)))
-    del depths
-    closes = _minus(n_bits + 1, opens[::-1], "q")
-    closes.append(n_bits)  # the root's opener, mirrored
-    return WeightedBits(n_bits, opens, a), WeightedBits(n_bits, closes, close_cum)
+    closes = array("q", map(add, range(2, n_bits - 1, 2), islice(reversed(depths), n)))
+    closes.append(n_bits)
+    return opens, closes
+
+
+def _close_count(b, budget):
+    """How many closers of the reversed BP the close-side bpselect affords.
+    The i-th closer's cumulative weight is b_n + 1 - b_{n+1-i}, within budget
+    exactly when b_{n+1-i} >= b_n + 1 - budget, and the root's closer weighs
+    b_n + 1 in all."""
+    sentinel = b[-1] + 1
+    return len(b) - bisect_left(b, sentinel - budget) + (budget >= sentinel)
 
 
 STRICT = "strict"
@@ -236,11 +255,12 @@ CLOSED = "closed"
 def mliq_bruteforce(s, a, b, strict=False):
     """Scan every interval under the active convention; leftmost shortest."""
     _check_query(s, a, b)
+    lengths = s.lengths
     best = None
     for i in range(1, s.n + 1):
         ai, bi = s.a[i - 1], s.b[i - 1]
         ok = (ai < a and bi > b) if strict else (ai <= a and bi >= b)
-        if ok and (best is None or s.lengths[i - 1] < s.lengths[best - 1]):
+        if ok and (best is None or lengths[i - 1] < lengths[best - 1]):
             best = i
     return best
 
@@ -278,12 +298,11 @@ def mliq_weighted(s, a, b, strict=False, counters=None):
     budget_a = a - 1 if strict else a
     if budget_a < 0:
         return None  # strict containment of a = 0 is impossible
-    _w, cnt_a = s.bp_open.bpselect_with_count(budget_a)
+    i_max = bisect_right(s.a, budget_a)  # the open side's cumulative weights are a itself
     c.bpselect += 1
-    i_max = cnt_a
 
     budget_b = sentinel - b - 1 if strict else sentinel - b
-    _q, cnt_b = s.bp_close.bpselect_with_count(budget_b)
+    cnt_b = _close_count(s.b, budget_b)
     c.bpselect += 1
     i_min = max(1, n + 1 - cnt_b)
 

@@ -336,7 +336,8 @@ def suite_mliq(seed, families=200, max_size=500, queries=10_000, budget_queries=
                 )
         # a-side boundary position never moves left as the budget grows
         probe = sorted(rng.randint(0, hi) for _ in range(8))
-        marks = [fam.bp_open.bpselect(x) for x in probe]
+        bp_open, _ = fam.weighted_bps()
+        marks = [bp_open.bpselect(x) for x in probe]
         s.check("weighted_boundary_monotone", marks == sorted(marks), f"n={n}")
     _check_budgets_mliq(s, rng, budget_queries)
     return s.results()

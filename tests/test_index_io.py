@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import random
 import struct
 import tracemalloc
@@ -189,6 +190,113 @@ def test_array_blob_and_binary_file_bytes_are_unchanged(tmp_path):
         assert index_io.read_array_binary(str(binary)) == values
 
 
+SAVES = {
+    "array": (build_minheap, index_io.save_array_index),
+    "intervals": (mliq.build_intervals, index_io.save_interval_index),
+    "binary": (list, index_io.write_array_binary),
+}
+
+
+def save_inputs(kind):
+    """Two inputs of 30 elements, whose files have the same length and
+    different bytes, and one of 900."""
+    rng = random.Random(0x5AFE)
+    if kind == "intervals":
+        return random_intervals(rng, 30), random_intervals(rng, 30), random_intervals(rng, 900)
+    return random_array(rng, 30, span=50), random_array(rng, 30, span=50), random_array(rng, 900, span=50)
+
+
+@pytest.mark.parametrize("kind", SAVES)
+def test_save_over_a_longer_file_writes_a_fresh_save_s_bytes(tmp_path, kind):
+    build, save = SAVES[kind]
+    small, _, large = save_inputs(kind)
+    fresh = tmp_path / "fresh"
+    save(str(fresh), build(small))
+    path = tmp_path / "reused"
+    save(str(path), build(large))
+    longer = path.stat().st_size
+    save(str(path), build(small))
+    assert path.stat().st_size < longer and path.read_bytes() == fresh.read_bytes()
+    save(str(path), build(small))  # over a file of the same length
+    assert path.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("kind", SAVES)
+def test_save_through_a_symlink_writes_its_target(tmp_path, kind):
+    build, save = SAVES[kind]
+    small, _, large = save_inputs(kind)
+    target = tmp_path / "target"
+    link = tmp_path / "link"
+    save(str(target), build(large))
+    link.symlink_to(target)
+    save(str(link), build(small))
+    fresh = tmp_path / "fresh"
+    save(str(fresh), build(small))
+    assert link.is_symlink() and target.read_bytes() == fresh.read_bytes()
+
+
+class Interrupted(Exception):
+    pass
+
+
+class StopsWriting:
+    """A file that raises Interrupted in place of its ``writes``-th write."""
+
+    def __init__(self, fh, writes):
+        self.fh, self.left = fh, writes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.left -= 1
+        if not self.left:
+            raise Interrupted
+        return self.fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+
+@pytest.mark.parametrize("kind", SAVES)
+def test_a_save_that_stops_part_way_leaves_a_file_a_load_rejects(tmp_path, kind, monkeypatch):
+    build, save = SAVES[kind]
+    small, same_length, large = save_inputs(kind)
+    path = tmp_path / "blob"
+    query = ["rmq", "1", "1"] if kind == "array" else ["mliq", "0", "0"]
+    for old in (None, same_length, large):  # a new file, one of the same length, a longer one
+        for writes in itertools.count(1):
+            if old is None:
+                path.unlink(missing_ok=True)
+            else:
+                save(str(path), build(old))
+            before = path.read_bytes() if old else None
+            stops = lambda *args, **kwargs: StopsWriting(open(*args, **kwargs), writes)
+            monkeypatch.setattr(index_io, "open", stops, raising=False)
+            try:
+                save(str(path), build(small))
+            except Interrupted:
+                pass
+            else:
+                break  # no write was stopped: the save is whole
+            finally:
+                monkeypatch.delattr(index_io, "open")
+            if path.read_bytes() == before:  # stopped before its first write
+                continue
+            if kind == "binary":
+                with pytest.raises(ValidationError):
+                    index_io.read_array_binary(str(path))
+            else:
+                assert cli.main(["query", str(path), *query]) == 2
+        assert writes > 3
+        fresh = tmp_path / "fresh"
+        save(str(fresh), build(small))
+        assert path.read_bytes() == fresh.read_bytes()
+
+
 @pytest.mark.parametrize("tag, side", [("WOPN", "open"), ("WCLS", "close")])
 def test_interval_load_compares_the_weight_tables(tmp_path, tag, side):
     path = tmp_path / "iv.idx"
@@ -205,6 +313,25 @@ def test_interval_load_compares_the_weight_tables(tmp_path, tag, side):
     sections[tag] = good
     write_blob(path, index_io.VERSION, index_io.KIND_INTERVALS, list(sections.items()))
     assert index_io.load_interval_index(str(path)).a == s.a
+
+
+@pytest.mark.parametrize("tag, side", [("WOPN", "open"), ("WCLS", "close")])
+def test_interval_load_rejects_every_changed_weight_entry(tmp_path, tag, side):
+    # the count, each position and each weight, one at a time; no query
+    # reads a position, so only the load's comparison can catch them
+    path = tmp_path / "iv.idx"
+    index_io.save_interval_index(str(path), mliq.build_intervals(random_intervals(random.Random(0x5EC7), 12)))
+    _, sections = index_io._read_blob(str(path))
+    good = array("q", bytes(sections[tag]))
+    for k in range(len(good)):
+        for delta in (-1, 1):
+            bad = array("q", good)
+            bad[k] += delta
+            sections[tag] = bad.tobytes()
+            damaged = tmp_path / f"{k}{delta:+}.idx"  # a new file each: rewriting one waits for its writeback
+            write_blob(damaged, index_io.VERSION, index_io.KIND_INTERVALS, list(sections.items()))
+            with pytest.raises(ParseError, match=f"stored {side} weights do not match the rebuilt index"):
+                index_io.load_interval_index(str(damaged))
 
 
 @settings(max_examples=200, deadline=None)

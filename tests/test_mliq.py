@@ -4,6 +4,7 @@ import re
 import tracemalloc
 import types
 from array import array
+from bisect import bisect_right
 from itertools import accumulate
 
 import pytest
@@ -158,13 +159,15 @@ def test_budgets(fam):
 
 
 def test_open_weight_prefix_equals_left_endpoints(fam):
-    positions = fam.bp_open.positions  # the openers after the root's
+    bp_open, _ = fam.weighted_bps()
+    positions = bp_open.positions  # the openers after the root's
     for i in range(1, fam.n + 1):
-        assert weight_prefix(fam.bp_open, positions[i - 1]) == fam.a[i - 1]
+        assert weight_prefix(bp_open, positions[i - 1]) == fam.a[i - 1]
 
 
 def test_boundary_monotone(fam):
-    marks = [fam.bp_open.bpselect(x) for x in range(0, fam.domain_max + 2)]
+    bp_open, _ = fam.weighted_bps()
+    marks = [bp_open.bpselect(x) for x in range(0, fam.domain_max + 2)]
     assert marks == sorted(marks)
 
 
@@ -212,19 +215,18 @@ def test_solvers_agree_on_wide_domains(pairs):
 
 def test_naive_ranks_are_the_weighted_boundary_counts(monkeypatch):
     ranks, counts = [], []
-    real_rank, real_count = mliq.bisect_right, WeightedBits.bpselect_with_count
+    real_rank, real_count = mliq.bisect_right, mliq._close_count
 
     def rank(table, x):
         ranks.append((table, real_rank(table, x)))
         return ranks[-1][1]
 
-    def count(self, budget):
-        found = real_count(self, budget)
-        counts.append(found[1])
-        return found
+    def count(table, budget):
+        counts.append((table, real_count(table, budget)))
+        return counts[-1][1]
 
     monkeypatch.setattr(mliq, "bisect_right", rank)
-    monkeypatch.setattr(WeightedBits, "bpselect_with_count", count)
+    monkeypatch.setattr(mliq, "_close_count", count)
     rng = random.Random(0x2A4C)
     for _ in range(20):
         fam = mliq.build_intervals(random_intervals(rng, rng.randint(1, 120)))
@@ -237,15 +239,74 @@ def test_naive_ranks_are_the_weighted_boundary_counts(monkeypatch):
                 counts.clear()
                 mliq.mliq_naive(fam, a, b, strict=strict)
                 mliq.mliq_weighted(fam, a, b, strict=strict)
-                (left, i_max), (right, i_min) = ranks
+                (left, i_max), (right, i_min), *open_count = ranks
                 assert left is fam.a and right is fam.b  # the stored endpoints, not a copy
                 i_min += 1
                 if strict and a == 0:  # nothing starts before 0: no select is made
-                    assert (i_max, counts) == (0, [])
+                    assert (i_max, open_count, counts) == (0, [], [])
                     continue
-                cnt_a, cnt_b = counts
+                [(open_table, cnt_a)], [(close_table, cnt_b)] = open_count, counts
+                assert open_table is fam.a and close_table is fam.b
                 assert i_max == cnt_a
                 assert i_min == max(1, fam.n + 1 - cnt_b)
+
+
+def today_cum_tables(fam):
+    """The cumulative weight tables the index held before the counts were
+    taken by bisect over the endpoints: ``a`` for the open side, and b_n + 1
+    - b read in reverse, then b_n + 1, for the close side."""
+    sentinel = fam.b[-1] + 1
+    return list(fam.a), [sentinel - x for x in reversed(fam.b)] + [sentinel]
+
+
+def check_counts(fam, budgets):
+    """Both bpselect counts of ``mliq_weighted`` against bisect over the
+    cumulative tables: the open side's is a bisect over ``a`` itself."""
+    open_cum, close_cum = today_cum_tables(fam)
+    for budget in budgets:
+        if budget >= 0:
+            assert bisect_right(fam.a, budget) == bisect_right(open_cum, budget), budget
+            assert mliq._close_count(fam.b, budget) == bisect_right(close_cum, budget), budget
+
+
+def test_bpselect_counts_match_bisect_over_the_cumulative_tables():
+    rng = random.Random(0xC0C7)
+    for _ in range(60):
+        fam = mliq.build_intervals(random_intervals(rng, rng.randint(1, 150)))
+        sentinel = fam.b[-1] + 1
+        budgets = {0, 1, sentinel - 1, sentinel, sentinel + 1, 2 * sentinel}
+        budgets |= {x + d for x in (*fam.a, *fam.b) for d in (-1, 0, 1)}
+        budgets |= {sentinel - x + d for x in fam.b for d in (-1, 0, 1)}
+        check_counts(fam, budgets)
+        for b in range(0, fam.domain_max + 1, 7):
+            c = OpCounters()
+            assert mliq.mliq_weighted(fam, 0, b, strict=True, counters=c) is None
+            assert c.bpselect == 0  # strict at a = 0: nothing starts before 0, and no count is taken
+    # b_n the largest i64: the sentinel, and the close side's total, is 2^63
+    for pairs in ([(0, 5), (3, I64_MAX)], [(I64_MAX - 9, I64_MAX - 4), (I64_MAX - 2, I64_MAX)], [(7, I64_MAX)]):
+        fam = mliq.build_intervals(pairs)
+        budgets = {0, 1, 4, 5, 6, 1 << 62, I64_MAX - 7, I64_MAX - 3, I64_MAX, 1 << 63, (1 << 63) + 1, 1 << 64}
+        check_counts(fam, budgets | {x + d for x in (*fam.a, *fam.b) for d in (-1, 0, 1)})
+
+
+def test_build_and_queries_never_compute_weighted_positions(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no query reads a weighted position")
+
+    monkeypatch.setattr(mliq, "_preorder_depths", refuse)
+    rng = random.Random(0x90DE)
+    for _ in range(10):
+        fam = mliq.build_intervals(random_intervals(rng, rng.randint(1, 200)))
+        hi = fam.domain_max
+        for _ in range(40):
+            a = rng.randint(0, hi)
+            b = rng.randint(a, hi)
+            for strict in (False, True):
+                want = mliq.mliq_bruteforce(fam, a, b, strict=strict)
+                assert mliq.mliq_naive(fam, a, b, strict=strict) == want
+                assert mliq.mliq_weighted(fam, a, b, strict=strict) == want
+    with pytest.raises(AssertionError, match="no query reads a weighted position"):
+        fam.weighted_bps()
 
 
 # -- the weighted BPs read off the DFUDS against the tree construction -----------
@@ -268,19 +329,20 @@ def tree_construction(fam):
 def check_weighted_bps(pairs):
     fam = mliq.build_intervals(pairs)
     bp, open_tables, rev, close_tables = tree_construction(fam)
+    bp_open, bp_close = fam.weighted_bps()
     # each side is the length and the opener or closer positions of the BP
     # that the tree construction encodes, with its cumulative weights
-    for weighted, seq, tables in ((fam.bp_open, bp, open_tables), (fam.bp_close, rev, close_tables)):
+    for weighted, seq, tables in ((bp_open, bp, open_tables), (bp_close, rev, close_tables)):
         assert (weighted.n, list(weighted.positions), list(weighted.cum)) == (len(seq), *tables)
     # the open-weight prefix at the (i+1)-th opener is a_i; the close-weight
     # prefix at the i-th closer is the sentinel b_n + 1 minus b_{n+1-i}
     n = fam.n
     for i in range(1, n + 1):
-        assert weight_prefix(fam.bp_open, bp.select(i + 1, 1)) == fam.a[i - 1]
+        assert weight_prefix(bp_open, bp.select(i + 1, 1)) == fam.a[i - 1]
     sentinel = fam.b[-1] + 1
     for i in range(1, n + 2):
         expect = sentinel - (fam.b[n - i] if i <= n else 0)
-        assert weight_prefix(fam.bp_close, rev.select(i, 0)) == expect
+        assert weight_prefix(bp_close, rev.select(i, 0)) == expect
 
 
 @st.composite
@@ -360,16 +422,25 @@ def test_interval_index_holds_typed_tables_and_no_dict(tmp_path):
     for s in (built, index_io.load_interval_index(path)):
         assert [type(o) for o in reachable(s) if isinstance(o, dict)] == []
         assert type(s.a) is type(s.b) is array and s.a.typecode == s.b.typecode == "q"
-        assert s.lengths is s.heap.values
-        positions, cum = s.bp_open.positions, s.bp_open.cum
-        assert type(positions) is array and positions.typecode == "q" and cum is s.a
-        positions, cum = s.bp_close.positions, s.bp_close.cum
+        # the endpoints and the length heap's DFUDS, and nothing else: the
+        # lengths and the weighted positions are computed when asked for
+        assert s.heap.values is None and s.heap.n == s.n
+        held = {id(o) for o in reachable(s) if isinstance(o, array)}
+        dfuds = s.heap.dfuds
+        assert held == {id(t) for t in (s.a, s.b, dfuds._words, dfuds._cum1, dfuds._cum0, dfuds._exc)}
+        lengths = s.lengths
+        assert lengths.typecode == "q" and lengths.tolist() == [y - x + 1 for x, y in zip(s.a, s.b)]
+        bp_open, bp_close = s.weighted_bps()
+        assert type(bp_open.positions) is array and bp_open.positions.typecode == "q" and bp_open.cum is s.a
         # unsigned: the close side's total is b_n + 1, which reaches 2^63 when b_n is the largest i64
+        positions, cum = bp_close.positions, bp_close.cum
         assert type(positions) is type(cum) is array and (positions.typecode, cum.typecode) == ("q", "Q")
-        # one bit sequence, the heap's DFUDS: no endpoint bitmap, and the
-        # weighted BPs are their tables alone
+        assert s.weighted_bps()[0].positions is not bp_open.positions  # not cached on the index
+        # one bit sequence, the heap's DFUDS: no endpoint bitmap, and no
+        # weighted BP
         bitseqs = [o for o in reachable(s) if isinstance(o, BitSeq)]
         assert len(bitseqs) == 1 and bitseqs[0] is s.heap.dfuds
+        assert not [o for o in reachable(s) if isinstance(o, WeightedBits)]
 
 
 def test_interval_build_holds_few_bytes_and_peaks_near_them():
@@ -377,8 +448,9 @@ def test_interval_build_holds_few_bytes_and_peaks_near_them():
     # peaked at 1.31x that; the typed tables with two dense endpoint bitmaps
     # held 136 and peaked at 1.17x; without the bitmaps the index held 103
     # and peaked at 1.22x. With the lengths and the heap's excess typed too,
-    # it holds 61 and peaks at 1.42x (87 bytes, against 126 before). The
-    # bound leaves 19 bytes per interval of margin.
+    # it held 61 and peaked at 1.42x (87 bytes, against 126 before). Holding
+    # only the endpoints and the DFUDS, it holds 26 and peaks at 1.38x (36
+    # bytes). The bound leaves 19 bytes per interval of margin.
     pairs = random_intervals(random.Random(0x1EAF), 20_000)
     gc.collect()
     tracemalloc.start()
@@ -392,5 +464,5 @@ def test_interval_build_holds_few_bytes_and_peaks_near_them():
     held -= before
     peak -= before
     assert s.n == len(pairs)
-    assert held <= 80 * len(pairs), held / len(pairs)
+    assert held <= 45 * len(pairs), held / len(pairs)
     assert peak <= 1.5 * held, (peak, held)

@@ -1,4 +1,4 @@
-"""Command-line surface: build indexes, run queries, verify identities, bench.
+"""Command-line surface: build indexes, inspect and query them, verify identities, bench.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 query error.
 Given one configuration and seed, `build`, `query` and `verify` print
@@ -54,6 +54,9 @@ def build_parser():
     b.add_argument("-o", "--out", required=True, help="index blob path")
     b.add_argument("--format", choices=("text", "binary"), default="text", help="array file format")
     b.add_argument("--output", choices=("human", "tsv", "jsonl"), default="human")
+
+    i = sub.add_parser("inspect", help="print an index blob's version, kind and sections, building nothing")
+    i.add_argument("index")
 
     q = sub.add_parser("query", help="run one query against a built index")
     q.add_argument("index")
@@ -111,6 +114,18 @@ def cmd_build(args):
     else:
         for k, v in stats.items():
             print(f"{k}: {v}")
+    return EXIT_OK
+
+
+# -- inspect -----------------------------------------------------------------------
+
+
+def cmd_inspect(args):
+    version, kind, sections = index_io._read_blob(args.index)
+    print(f"version: {version}")
+    print(f"kind: {index_io.KIND_NAMES[kind]}")
+    for tag, payload in sections.items():
+        print(f"{tag}: {len(payload)} bytes")
     return EXIT_OK
 
 
@@ -290,7 +305,8 @@ def _mliq_workload(index, seed, count):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {"build": cmd_build, "query": cmd_query, "verify": cmd_verify, "bench": cmd_bench}
+    handlers = {"build": cmd_build, "inspect": cmd_inspect, "query": cmd_query, "verify": cmd_verify,
+                "bench": cmd_bench}
     try:
         return handlers[args.command](args)
     except (ValidationError, ParseError, FileNotFoundError, PermissionError, IsADirectoryError) as exc:

@@ -3,45 +3,53 @@
 Blob layout (everything little-endian):
 
     magic   4 bytes  b"DTR1"
-    version u16      2
+    version u16      3
     kind    u16      1 = array index, 2 = interval index
     count   u32      number of sections
     section tag (4 ascii bytes), u64 payload length, payload
 
-Array sections: VALS (u64 n + i64 values), BITS (u64 bit length + packed
-words of the heap's DFUDS), RK64 (u64 word-level cumulative one-counts),
-EMIN (u64 block size + i64 per-block excess minima).
-Interval indexes carry INTA/INTB (endpoints) plus the same derived sections
-for the length heap and WOPN/WCLS weighted-position tables (u64 count, then
-u64 position and i64 weight per entry). The index holds neither table: its
-weighted positions are read off the length heap's DFUDS when a blob is
-saved or loaded, and the weights are the gaps of the endpoints, so neither
-a save nor a load makes a tree or packs bits for them.
+Version 3, the one a save writes, stores the input and the two tables a
+rebuild is checked against, nothing that can be derived more cheaply:
 
-Version 1 blobs also load. Their array blobs carry one more section, PMAP
-(u64 parent per position, 0 = root); it is a function of BITS, which is
-compared, so it is skipped.
+    array blob     VALS (u64 n + i64 values), BITS, EMIN
+    interval blob  INTA, INTB (i64 left and right endpoints), BITS, EMIN
+
+BITS is the u64 bit length and the packed words of the DFUDS of the heap
+of the values, or of the interval lengths; EMIN is the u64 block size and
+the i64 per-block excess minima.
+
+Versions 1 and 2 also load. Both store RK64 (the u64 word-level cumulative
+one-counts, one ``accumulate`` over BITS) after BITS, and their interval
+blobs store the weighted-position tables WOPN and WCLS after EMIN (u64
+count, then u64 position and i64 weight per entry), which are closed forms
+of the endpoints and the DFUDS. Version 1 array blobs carry one more
+section, PMAP (u64 parent per position, 0 = root); it is a function of
+BITS, which is compared, so it is skipped. Which derived sections a blob
+must carry follows from its version, not from the tags present: a missing
+one raises ParseError, and so does a version-3 section no load reads.
 
 Loading rebuilds the structures from the raw inputs and verifies that every
 stored derived section matches the rebuilt one byte for byte, so a loaded
-index answers exactly like a freshly built one. The file is opened once and
-each section read on its own, after its promised length has been measured
-against the file's size; a section is dropped, and its bytes freed, as soon
-as it is read or compared. An array blob's VALS is copied once, into an
-``array('q')``, which the rebuilt index keeps as its values, and an
-interval blob's INTA and INTB into two more, which the rebuild checks in
-bulk with the rules and messages of ``mliq.build_intervals`` and then
-keeps as the index's endpoints. WOPN and WCLS are compared where they lie,
-as 64-bit integers read from the stored bytes: the count, the positions
-against the rebuilt ones, and the running sums of the weights against
-``a``, and against ``b`` with the close side's weights read from the end.
-Every 64-bit section, like the binary array file, is written from a typed
-array in one step (the index's own values, bit words and rank counts,
-uncopied), little-endian on any host, and read back as one; WOPN/WCLS's
-weights are the gaps of the cumulative tables, taken in one big-integer
-subtraction. A blob that is truncated, corrupt or missing a section raises
-ParseError. Values and endpoints must be signed 64-bit integers; others
-raise ValidationError when read, built or saved.
+index answers exactly like a freshly built one, and every stored byte is
+either checked input or compared against the rebuild. The file is opened
+once and each section read on its own, after its promised length has been
+measured against the file's size; a section is dropped, and its bytes
+freed, as soon as it is read or compared. An array blob's VALS is copied
+once, into an ``array('q')``, which the rebuilt index keeps as its values,
+and an interval blob's INTA and INTB into two more, which the rebuild
+checks in bulk with the rules and messages of ``mliq.build_intervals`` and
+then keeps as the index's endpoints. A version-1 or -2 interval load
+computes the weighted positions off the rebuilt DFUDS and compares WOPN
+and WCLS where they lie, as 64-bit integers read from the stored bytes:
+the count, the positions against the computed ones, and the running sums
+of the weights against ``a``, and against ``b`` with the close side's
+weights read from the end; a version-3 load computes no position. Every
+64-bit section, like the binary array file, is written from a typed array
+in one step (the index's own values, endpoints and bit words, uncopied),
+little-endian on any host, and read back as one. A blob that is truncated,
+corrupt or missing a section raises ParseError. Values and endpoints must
+be signed 64-bit integers; others raise ValidationError when read, built
+or saved.
 
 A save, like ``write_array_binary``, makes every byte first and then writes
 over the file in place: opened without truncating it, cut to the new
@@ -64,10 +72,11 @@ from .mliq import intervals_from_arrays
 from .parens import _BLOCK
 
 MAGIC = b"DTR1"
-VERSION = 2
-READABLE_VERSIONS = (1, 2)
+VERSION = 3
+READABLE_VERSIONS = (1, 2, 3)
 KIND_ARRAY = 1
 KIND_INTERVALS = 2
+KIND_NAMES = {KIND_ARRAY: "array", KIND_INTERVALS: "intervals"}
 
 _HEADER = struct.Struct("<4sHHI")
 _I64_MIN = -(1 << 63)
@@ -191,26 +200,9 @@ def _emin_section(parenseq):
     return struct.pack("<Q", _BLOCK) + _i64_bytes(parenseq.block_tables()[0])
 
 
-def _weight_section(weighted):
-    """u64 count, then each entry's u64 position and i64 weight: the gap
-    between its cumulative weight and the one before.
-
-    The cumulative weights are the 64-bit slots of one big integer; as they
-    never fall, subtracting the same integer shifted up one slot borrows
-    across no slot and leaves every gap in its own slot."""
-    positions, cum = weighted.positions, weighted.cum
-    count = len(cum)
-    gaps = int.from_bytes(le_bytes(cum), "little")
-    gaps -= (gaps << 64) & ((1 << (64 * count)) - 1)
-    entries = array("q", [count]) * (2 * count + 1)
-    entries[1::2] = positions
-    entries[2::2] = from_le(gaps.to_bytes(8 * count, "little"))
-    return le_bytes(entries)
-
-
 def _check_weights(path, sections, tag, positions, sums, what, reverse=False):
-    """ParseError ``what ...`` unless section ``tag`` holds the entries that
-    ``_weight_section`` writes for a side with these ``positions`` whose
+    """ParseError ``what ...`` unless section ``tag`` of a version-1 or -2
+    blob holds the entries of a side with these ``positions`` whose
     weights, read last to first if ``reverse``, have the running sums
     ``sums``. The stored entries are compared where they lie, the count,
     then every position, then the running sums, so none is rebuilt."""
@@ -259,7 +251,7 @@ def _write_in_place(path, head, chunks):
 def read_kind(path):
     """The kind of the blob at ``path``, from its header alone."""
     with open(path, "rb") as fh:
-        return _parse_header(path, fh.read(_HEADER.size))[0]
+        return _parse_header(path, fh.read(_HEADER.size))[1]
 
 
 def _parse_header(path, data):
@@ -272,16 +264,17 @@ def _parse_header(path, data):
         raise ParseError(f"{path}: unsupported version {version}")
     if kind not in (KIND_ARRAY, KIND_INTERVALS):
         raise ParseError(f"{path}: unknown index kind {kind}")
-    return kind, count
+    return version, kind, count
 
 
 def _read_blob(path):
-    """(kind, {tag: payload}); each payload is a memoryview of its own read,
-    so a section is freed once ``_section`` drops it. A promised length is
-    measured against the file's size before anything is read for it."""
+    """(version, kind, {tag: payload}); each payload is a memoryview of its
+    own read, so a section is freed once ``_section`` drops it. A promised
+    length is measured against the file's size before anything is read for
+    it."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        kind, count = _parse_header(path, fh.read(_HEADER.size))
+        version, kind, count = _parse_header(path, fh.read(_HEADER.size))
         sections = {}
         off = _HEADER.size
         for _ in range(count):
@@ -299,7 +292,7 @@ def _read_blob(path):
             off += length
     if off != size:
         raise ParseError(f"{path}: {size - off} trailing bytes")
-    return kind, sections
+    return version, kind, sections
 
 
 def _section(path, sections, tag):
@@ -324,7 +317,6 @@ def save_array_index(path, h):
     sections = [
         ("VALS", struct.pack("<Q", h.n) + _i64_bytes(h.values)),
         ("BITS", _bits_section(h.dfuds)),
-        ("RK64", _rank_section(h.dfuds)),
         ("EMIN", _emin_section(h.dfuds)),
     ]
     _write_blob(path, KIND_ARRAY, sections)
@@ -332,7 +324,7 @@ def save_array_index(path, h):
 
 
 def load_array_index(path):
-    kind, sections = _read_blob(path)
+    version, kind, sections = _read_blob(path)
     if kind != KIND_ARRAY:
         raise ParseError(f"{path}: blob holds an interval index, not an array index")
     payload = _section(path, sections, "VALS")
@@ -346,7 +338,7 @@ def load_array_index(path):
     if not values:
         raise ParseError(f"{path}: VALS section holds no values")
     h = heap_of_table(values)
-    _verify_derived(path, h.dfuds, sections)
+    _verify_derived(path, version, h.dfuds, sections)
     return h
 
 
@@ -354,22 +346,18 @@ def load_array_index(path):
 
 
 def save_interval_index(path, s):
-    bp_open, bp_close = s.weighted_bps()
     sections = [
         ("INTA", le_bytes(s.a)),
         ("INTB", le_bytes(s.b)),
         ("BITS", _bits_section(s.heap.dfuds)),
-        ("RK64", _rank_section(s.heap.dfuds)),
         ("EMIN", _emin_section(s.heap.dfuds)),
-        ("WOPN", _weight_section(bp_open)),
-        ("WCLS", _weight_section(bp_close)),
     ]
     _write_blob(path, KIND_INTERVALS, sections)
     return stats_for(s.heap.dfuds, extra_values=2 * s.n)
 
 
 def load_interval_index(path):
-    kind, sections = _read_blob(path)
+    version, kind, sections = _read_blob(path)
     if kind != KIND_INTERVALS:
         raise ParseError(f"{path}: blob holds an array index, not an interval index")
     a = _i64_table(path, "INTA", _section(path, sections, "INTA"))
@@ -377,7 +365,9 @@ def load_interval_index(path):
     if len(a) != len(b):
         raise ParseError(f"{path}: {len(a)} left endpoints but {len(b)} right endpoints")
     s = intervals_from_arrays(a, b)
-    _verify_derived(path, s.heap.dfuds, sections)
+    _verify_derived(path, version, s.heap.dfuds, sections)
+    if version >= 3:
+        return s
     opens, closes = s.weighted_positions()
     _check_weights(path, sections, "WOPN", opens, s.a, "open weights do not match the rebuilt index")
     # read from the end, the close side's weights are b_1, the gaps of b,
@@ -387,12 +377,17 @@ def load_interval_index(path):
     return s
 
 
-def _verify_derived(path, parenseq, sections):
+def _verify_derived(path, version, parenseq, sections):
+    """Compare the DFUDS tables a blob of ``version`` stores with the rebuilt
+    ones; a version-3 blob must then hold nothing else."""
     _check_section(path, sections, "BITS", _bits_section(parenseq), "bits do not match the rebuilt structure")
-    _check_section(path, sections, "RK64", _rank_section(parenseq),
-                   "rank table does not match the rebuilt structure")
+    if version < 3:
+        _check_section(path, sections, "RK64", _rank_section(parenseq),
+                       "rank table does not match the rebuilt structure")
     _check_section(path, sections, "EMIN", _emin_section(parenseq),
                    "excess minima do not match the rebuilt structure")
+    if version >= 3 and sections:
+        raise ParseError(f"{path}: unexpected section {next(iter(sections))}")
 
 
 def stats_for(parenseq, extra_values=0):

@@ -43,7 +43,9 @@ brute-force oracle asks for them: the heap is built from b - a, which
 orders the intervals the same way, read once and never held. The weighted
 positions, where the bpselects would land, are computed only when asked
 for (``IntervalSet.weighted_positions``, ``IntervalSet.weighted_bps``): by
-``verify``, the tests, and the blob's WOPN/WCLS sections on save and load.
+``verify``, the tests, and the load of a version-1 or -2 blob, which
+compares its stored WOPN/WCLS sections with them. A version-3 blob stores
+neither table, so no save and no version-3 load computes them.
 A node's opener in the heap's BP lies at a closed form of its preorder
 index and depth, and the BP of the reversed heap is the mirror of the
 heap's BP, so they are read off the DFUDS with one pass for the depths;

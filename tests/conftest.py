@@ -7,12 +7,15 @@ and are frozen here; encoder/decoder tests must reproduce them byte for byte.
 
 import os
 import random
+import struct
 from bisect import bisect_right
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
 import dualtree
+from dualtree import index_io
 from dualtree.tree import OrdinalTree
 
 # Tests that run `python -m dualtree.cli` in a subprocess need the package
@@ -33,6 +36,16 @@ FIX_DFUDS = "((()()())((()))())"
 FIX_DFUDS_TSTAR = "(((())()())((())))"
 
 FIX_INTERVALS = [(1, 4), (3, 6), (5, 9), (8, 10)]
+
+DATA = Path(__file__).parent / "data"
+
+# Blobs as version-2 saves wrote them, kept to load and damage; the inputs
+# they were saved from are listed in test_index_io.V2_FIXTURES.
+V2_FIX_A = DATA / "v2-fix-a.idx"
+V2_ARRAY_600 = DATA / "v2-array-600.idx"
+V2_FIX_INTERVALS = DATA / "v2-fix-intervals.idx"
+V2_INTERVALS_600 = DATA / "v2-intervals-600.idx"
+V2_INTERVALS_12 = DATA / "v2-intervals-12.idx"
 
 CRITERION_LINES = []
 
@@ -84,6 +97,14 @@ def weight_prefix(w, x):
     over its tables."""
     k = bisect_right(w.positions, x)
     return w.cum[k - 1] if k else 0
+
+
+def write_blob(path, version, kind, sections):
+    """Write a blob of ``version`` holding the (tag, payload) ``sections``."""
+    with open(path, "wb") as fh:
+        fh.write(index_io.MAGIC + struct.pack("<HHI", version, kind, len(sections)))
+        for tag, payload in sections:
+            fh.write(tag.encode("ascii") + struct.pack("<Q", len(payload)) + payload)
 
 
 class Counted(list):

@@ -9,7 +9,7 @@ import pytest
 from dualtree import cli, index_io, mliq, rmq
 from dualtree.minheap import build_minheap
 
-from conftest import FIX_A, FIX_DFUDS, FIX_INTERVALS
+from conftest import FIX_A, FIX_DFUDS, FIX_INTERVALS, V2_FIX_INTERVALS, write_blob
 
 
 def run_cli(capsys, *argv):
@@ -54,13 +54,13 @@ def test_build_stats_lines_are_pinned(tmp_path, capsys):
     # 64 bits per packed table entry.
     cases = [
         ("array", " ".join(map(str, FIX_A)) + "\n",
-         "array 8 18 256 64 64 8 180"),
+         "array 8 18 256 64 64 8 152"),
         ("array", " ".join(str(37 * i % 1000) for i in range(1, 400)) + "\n",
-         "array 399 800 1792 832 2624 399 3596"),
+         "array 399 800 1792 832 2624 399 3472"),
         ("intervals", "".join(f"{a} {b}\n" for a, b in FIX_INTERVALS),
-         "intervals 4 10 256 64 64 8 368"),
+         "intervals 4 10 256 64 64 8 156"),
         ("intervals", "".join(f"{3 * i} {3 * i + 2 + i % 3}\n" for i in range(300)),
-         "intervals 300 602 1408 640 1856 600 14792"),
+         "intervals 300 602 1408 640 1856 600 5036"),
     ]
     for kind, text, want in cases:
         src = tmp_path / "in.txt"
@@ -186,6 +186,47 @@ def test_loaded_index_matches_memory(array_index, interval_index):
     for a in range(0, 11):
         for b in range(a, 11):
             assert mliq.mliq_weighted(s_disk, a, b) == mliq.mliq_weighted(s_mem, a, b)
+
+
+def test_inspect_prints_the_version_kind_and_sections(array_index, interval_index, tmp_path, capsys):
+    h = build_minheap(FIX_A)
+    v1 = tmp_path / "v1.idx"
+    write_blob(v1, 1, index_io.KIND_ARRAY, [
+        ("VALS", struct.pack(f"<Q{h.n}q", h.n, *h.values)), ("BITS", index_io._bits_section(h.dfuds)),
+        ("RK64", index_io._rank_section(h.dfuds)), ("EMIN", index_io._emin_section(h.dfuds)),
+        ("PMAP", struct.pack(f"<{h.n}Q", *range(h.n)))])
+    cases = [
+        (v1, "version: 1\nkind: array\nVALS: 72 bytes\nBITS: 16 bytes\nRK64: 16 bytes\nEMIN: 16 bytes\n"
+             "PMAP: 64 bytes\n"),
+        (V2_FIX_INTERVALS, "version: 2\nkind: intervals\nINTA: 32 bytes\nINTB: 32 bytes\nBITS: 16 bytes\n"
+                           "RK64: 16 bytes\nEMIN: 16 bytes\nWOPN: 72 bytes\nWCLS: 88 bytes\n"),
+        (array_index, "version: 3\nkind: array\nVALS: 72 bytes\nBITS: 16 bytes\nEMIN: 16 bytes\n"),
+        (interval_index, "version: 3\nkind: intervals\nINTA: 32 bytes\nINTB: 32 bytes\nBITS: 16 bytes\n"
+                         "EMIN: 16 bytes\n"),
+    ]
+    for path, want in cases:
+        assert run_cli(capsys, "inspect", str(path)) == (0, want, "")
+
+
+def test_inspect_builds_nothing(array_index, interval_index, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("inspect builds no index")
+
+    monkeypatch.setattr(index_io, "heap_of_table", refuse)
+    monkeypatch.setattr(index_io, "intervals_from_arrays", refuse)
+    for path in (array_index, interval_index):
+        code, out, _ = run_cli(capsys, "inspect", str(path))
+        assert code == 0 and out.startswith("version: 3\n")
+
+
+def test_inspect_truncated_blob_exits_2(interval_index, tmp_path, capsys):
+    data = interval_index.read_bytes()
+    cut = tmp_path / "cut.idx"
+    for length in (0, 10, 20, len(data) - 1):
+        cut.write_bytes(data[:length])
+        code, out, err = run_cli(capsys, "inspect", str(cut))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {cut}: ") and err.count("\n") == 1
 
 
 def test_corrupt_blob_rejected(array_index, capsys):

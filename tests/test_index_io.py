@@ -1,10 +1,13 @@
 import gc
 import hashlib
 import itertools
+import os
 import random
 import struct
+import tempfile
 import tracemalloc
 from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,7 +17,8 @@ from dualtree.errors import ParseError, ValidationError
 from dualtree.minheap import build_minheap
 from dualtree.randgen import random_array, random_intervals
 
-from conftest import FIX_A, FIX_INTERVALS
+from conftest import (FIX_A, FIX_INTERVALS, V2_ARRAY_600, V2_FIX_A, V2_FIX_INTERVALS, V2_INTERVALS_12,
+                      V2_INTERVALS_600, write_blob)
 from interval_oracle import I64_MAX, STORABLE, breached_families, check_pairs, raised
 
 I64_MIN = -(1 << 63)
@@ -28,20 +32,29 @@ def blob_bytes(tmp_path, build, save, data):
     return path.read_bytes()
 
 
-def write_blob(path, version, kind, sections):
-    with open(path, "wb") as fh:
-        fh.write(index_io.MAGIC + struct.pack("<HHI", version, kind, len(sections)))
-        for tag, payload in sections:
-            fh.write(tag.encode("ascii") + struct.pack("<Q", len(payload)) + payload)
+def fresh_path(tmp):
+    """A new, empty file in ``tmp``: rewriting one path for every example
+    would wait each time for the writeback of the bytes written before."""
+    fd, name = tempfile.mkstemp(suffix=".idx", dir=tmp)
+    os.close(fd)
+    return Path(name)
 
 
 def test_array_blob_holds_the_values_and_the_dfuds_tables(tmp_path):
     path = tmp_path / "a.idx"
     index_io.save_array_index(str(path), build_minheap(FIX_A))
     data = path.read_bytes()
-    assert struct.unpack_from("<HH", data, 4) == (index_io.VERSION, index_io.KIND_ARRAY) == (2, 1)
-    _, sections = index_io._read_blob(str(path))
-    assert list(sections) == ["VALS", "BITS", "RK64", "EMIN"]
+    assert struct.unpack_from("<HH", data, 4) == (index_io.VERSION, index_io.KIND_ARRAY) == (3, 1)
+    _, _, sections = index_io._read_blob(str(path))
+    assert list(sections) == ["VALS", "BITS", "EMIN"]
+
+
+def test_interval_blob_holds_the_endpoints_and_the_dfuds_tables(tmp_path):
+    path = tmp_path / "iv.idx"
+    index_io.save_interval_index(str(path), mliq.build_intervals(FIX_INTERVALS))
+    version, kind, sections = index_io._read_blob(str(path))
+    assert (version, kind) == (3, index_io.KIND_INTERVALS)
+    assert list(sections) == ["INTA", "INTB", "BITS", "EMIN"]
 
 
 def test_version_1_blob_still_loads(tmp_path):
@@ -64,7 +77,7 @@ def test_load_reads_sections_as_views_and_holds_typed_tables(tmp_path):
     path = str(tmp_path / "a.idx")
     h = build_minheap(ARRAY)
     index_io.save_array_index(path, h)
-    _, sections = index_io._read_blob(path)
+    _, _, sections = index_io._read_blob(path)
     assert {type(payload) for payload in sections.values()} == {memoryview}
     loaded = index_io.load_array_index(path)
     assert type(loaded.values) is array and loaded.values.typecode == "q" and loaded.values == h.values
@@ -73,14 +86,16 @@ def test_load_reads_sections_as_views_and_holds_typed_tables(tmp_path):
     assert (p._words.typecode, p._cum1.typecode, p._cum0.typecode) == ("Q", "q", "q")
 
 
-@pytest.mark.parametrize("kind, n, bound", [("array", 100_000, 15), ("intervals", 20_000, 81)])
+@pytest.mark.parametrize("kind, n, bound", [("array", 100_000, 15), ("intervals", 20_000, 15)])
 def test_load_frees_each_section_once_read(tmp_path, kind, n, bound):
     # How far a load's tracemalloc peak rises above the index it returns,
     # in bytes per element.
     # With every section a view into one read of the whole file, the file
     # stayed held through the rebuild: 19.4 for the array and 89.9 for the
     # intervals here. Read one by one, each section is freed once read or
-    # compared: 11.4 and 73.1.
+    # compared: 11.4 and 73.1, and 5.7 and 64.0 for version-2 blobs, whose
+    # interval load computes the weighted positions to compare WOPN/WCLS.
+    # A version-3 blob stores neither RK64 nor WOPN/WCLS: 5.5 and 7.0.
     path = str(tmp_path / "blob.idx")
     rng = random.Random(0x10AD)
     if kind == "array":
@@ -111,6 +126,54 @@ def test_missing_section_is_a_parse_error(tmp_path):
     with pytest.raises(ParseError, match="missing section RK64"):
         index_io.load_array_index(str(path))
     assert cli.main(["query", str(path), "rmq", "1", "2"]) == 2
+    # version 3 stores no RK64, and must carry EMIN whatever tags are present
+    v3 = tmp_path / "short-v3.idx"
+    write_blob(v3, 3, index_io.KIND_ARRAY, sections + [("RK64", index_io._rank_section(h.dfuds))])
+    with pytest.raises(ParseError, match="missing section EMIN"):
+        index_io.load_array_index(str(v3))
+    assert cli.main(["query", str(v3), "rmq", "1", "2"]) == 2
+
+
+def test_version_3_blob_holds_no_section_a_load_does_not_read(tmp_path):
+    # every stored byte is checked input or compared against the rebuild
+    path = tmp_path / "iv.idx"
+    index_io.save_interval_index(str(path), mliq.build_intervals(FIX_INTERVALS))
+    _, _, sections = index_io._read_blob(str(path))
+    _, _, v2_sections = index_io._read_blob(str(V2_FIX_INTERVALS))
+    for tag in ("RK64", "WOPN", "PMAP"):
+        write_blob(path, 3, index_io.KIND_INTERVALS, [*sections.items(), (tag, v2_sections.get(tag, b""))])
+        with pytest.raises(ParseError, match=f"unexpected section {tag}"):
+            index_io.load_interval_index(str(path))
+
+
+DERIVED = {"BITS": "bits do not match the rebuilt structure",
+           "RK64": "rank table does not match the rebuilt structure",
+           "EMIN": "excess minima do not match the rebuilt structure"}
+
+
+@pytest.mark.parametrize("kind", ["array", "intervals"])
+def test_load_rejects_every_changed_byte_of_a_stored_dfuds_table(tmp_path, kind):
+    # a load rebuilds BITS, RK64 and EMIN and no query reads the stored
+    # ones, so only its comparison can catch a change
+    v3 = tmp_path / "v3.idx"
+    if kind == "array":
+        index_io.save_array_index(str(v3), build_minheap(FIX_A))
+        load, v2 = index_io.load_array_index, V2_FIX_A
+    else:
+        index_io.save_interval_index(str(v3), mliq.build_intervals(FIX_INTERVALS))
+        load, v2 = index_io.load_interval_index, V2_FIX_INTERVALS
+    for path in (v3, v2):
+        version, blob_kind, sections = index_io._read_blob(str(path))
+        for tag in DERIVED.keys() & sections.keys():
+            good = bytes(sections[tag])
+            for at, flip in itertools.product(range(len(good)), (0x01, 0x80)):
+                bad = bytearray(good)
+                bad[at] ^= flip
+                # a new file each: rewriting one waits for its writeback
+                damaged = tmp_path / f"{version}-{tag}-{at}-{flip}.idx"
+                write_blob(damaged, version, blob_kind, [(t, bad if t == tag else p) for t, p in sections.items()])
+                with pytest.raises(ParseError, match=f"stored {DERIVED[tag]}"):
+                    load(str(damaged))
 
 
 def test_truncated_prefix_exits_2(tmp_path):
@@ -158,12 +221,12 @@ def test_rmq_round_trip_never_decodes_the_tree(tmp_path):
 
 
 def test_interval_blob_bytes_are_unchanged(tmp_path):
-    # sha256 of the blobs written when the weighted BPs come from the decoded
-    # heap tree (tree_construction in test_mliq.py); the DFUDS construction
-    # must write the same bytes
+    # sha256 of the version-3 blobs; those of the version-2 blobs, which a
+    # decoded heap tree first wrote (tree_construction in test_mliq.py), are
+    # pinned on the fixtures in tests/data
     families = {
-        "860ec2c9d6ddf7d09fd3a9415c5c073e1e774c97155abcec5d4d66acea66e2a7": FIX_INTERVALS,
-        "59d7fe88787366e3ac459e8b1968c0add2405a5d1d810ccb1a00195f31e7ccdf": random_intervals(random.Random(0xB10B), 600),
+        "1a5123e81639406ce8e52845c7a72936700b5e3eda4901005ff5c84cbd9e36d3": FIX_INTERVALS,
+        "107f9476141ead5d95f0a7bedfd7addb382f45445093a8cbe1790122cc25a854": random_intervals(random.Random(0xB10B), 600),
     }
     for digest, pairs in families.items():
         data = blob_bytes(tmp_path, mliq.build_intervals, index_io.save_interval_index, pairs)
@@ -171,13 +234,14 @@ def test_interval_blob_bytes_are_unchanged(tmp_path):
 
 
 def test_array_blob_and_binary_file_bytes_are_unchanged(tmp_path):
-    # sha256 of the array blob and of the binary array file as written with
-    # one struct argument per value; the typed-array writers must write the
-    # same bytes
+    # sha256 of the version-3 array blob, and of the binary array file as
+    # written with one struct argument per value, which the typed-array
+    # writer must write byte for byte; the version-2 blobs are pinned on the
+    # fixtures in tests/data
     arrays = {
-        ("46cc2eee641e0a704b191535244a7243df1dc9a4a7f116ff2e90b42f3292a55a",
+        ("73b8e73efee79b5b999c01981edb55fa5b76b28daac8d07535e20857dbecca64",
          "b12b069f68aba9776f997f914a30bc6d46f02756ab875bf0940b0bc6ddf291ed"): FIX_A,
-        ("478bb51ce7663bfd4cd5679450220c965d09a9f1b0748c0912bb9ab8d7653287",
+        ("1b57b052af9af3d3ea56c683f496d1debdbadbd3f7e336d29f79ff6a27d7c981",
          "7175f408689fc4cde448688b17650886cf9698b7d1cc891643d95d1fc6b74853"):
             random_array(random.Random(0xB10B), 600, span=1 << 62),
     }
@@ -188,6 +252,75 @@ def test_array_blob_and_binary_file_bytes_are_unchanged(tmp_path):
         index_io.write_array_binary(str(binary), values)
         assert hashlib.sha256(binary.read_bytes()).hexdigest() == file_digest
         assert index_io.read_array_binary(str(binary)) == values
+
+
+# sha256 of each version-2 fixture, as the version-2 blob tests pinned it
+# (the 12-interval family's was first taken when the fixture was written),
+# and the input a build makes the same index of
+V2_FIXTURES = {
+    V2_FIX_A: ("46cc2eee641e0a704b191535244a7243df1dc9a4a7f116ff2e90b42f3292a55a", FIX_A),
+    V2_ARRAY_600: ("478bb51ce7663bfd4cd5679450220c965d09a9f1b0748c0912bb9ab8d7653287",
+                   random_array(random.Random(0xB10B), 600, span=1 << 62)),
+    V2_FIX_INTERVALS: ("860ec2c9d6ddf7d09fd3a9415c5c073e1e774c97155abcec5d4d66acea66e2a7", FIX_INTERVALS),
+    V2_INTERVALS_600: ("59d7fe88787366e3ac459e8b1968c0add2405a5d1d810ccb1a00195f31e7ccdf",
+                       random_intervals(random.Random(0xB10B), 600)),
+    V2_INTERVALS_12: ("c45a140ae154d55798714642f0882f1f26594ced4b44078a7f0b9ce2ff19249c",
+                      random_intervals(random.Random(0x5EC7), 12)),
+}
+
+
+@pytest.mark.parametrize("path", V2_FIXTURES, ids=lambda path: path.name)
+def test_version_2_blob_loads_to_the_index_a_build_gives(tmp_path, path):
+    digest, data = V2_FIXTURES[path]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    version, kind, sections = index_io._read_blob(str(path))
+    assert version == 2
+    # a version-3 save writes the same sections but RK64, WOPN and WCLS
+    stripped, saved = tmp_path / "stripped.idx", tmp_path / "saved.idx"
+    write_blob(stripped, 3, kind, [(tag, p) for tag, p in sections.items() if tag not in ("RK64", "WOPN", "WCLS")])
+    rng = random.Random(0x2B10B)
+    if kind == index_io.KIND_INTERVALS:
+        built, loaded = mliq.build_intervals(data), index_io.load_interval_index(str(path))
+        index_io.save_interval_index(str(saved), built)
+        assert (loaded.a, loaded.b, loaded.heap.dfuds) == (built.a, built.b, built.heap.dfuds)
+        for _ in range(300):
+            a = rng.randint(0, built.domain_max)
+            b = rng.randint(a, built.domain_max)
+            strict = rng.random() < 0.5
+            want = mliq.mliq_bruteforce(built, a, b, strict)
+            for engine in (mliq.mliq_naive, mliq.mliq_weighted):
+                assert engine(loaded, a, b, strict) == engine(built, a, b, strict) == want
+    else:
+        built, loaded = build_minheap(data), index_io.load_array_index(str(path))
+        index_io.save_array_index(str(saved), built)
+        assert (loaded.values, loaded.dfuds) == (built.values, built.dfuds)
+        for _ in range(300):
+            i = rng.randint(1, built.n)
+            j = rng.randint(i, built.n)
+            want = rmq.rmq_scan(built, i, j)
+            for engine in rmq.ENGINES:
+                assert rmq.range_min_index(loaded, i, j, engine=engine) == want
+    assert saved.read_bytes() == stripped.read_bytes()
+
+
+class DepthPass(Exception):
+    pass
+
+
+def test_only_a_version_2_interval_load_runs_the_depth_pass(tmp_path, monkeypatch):
+    # the weighted positions need the depth pass; a version-3 save or load
+    # never computes them, a version-2 load compares WOPN/WCLS with them
+    def refuse(dfuds):
+        raise DepthPass
+
+    monkeypatch.setattr(mliq, "_preorder_depths", refuse)
+    s = mliq.build_intervals(FIX_INTERVALS)
+    path = str(tmp_path / "iv.idx")
+    index_io.save_interval_index(path, s)
+    loaded = index_io.load_interval_index(path)
+    assert (loaded.a, loaded.b, loaded.heap.dfuds) == (s.a, s.b, s.heap.dfuds)
+    with pytest.raises(DepthPass):
+        index_io.load_interval_index(str(V2_FIX_INTERVALS))
 
 
 SAVES = {
@@ -299,29 +432,28 @@ def test_a_save_that_stops_part_way_leaves_a_file_a_load_rejects(tmp_path, kind,
 
 @pytest.mark.parametrize("tag, side", [("WOPN", "open"), ("WCLS", "close")])
 def test_interval_load_compares_the_weight_tables(tmp_path, tag, side):
+    # version 2 stores the weight tables, version 3 does not
     path = tmp_path / "iv.idx"
     s = mliq.build_intervals(FIX_INTERVALS)
-    index_io.save_interval_index(str(path), s)
-    _, sections = index_io._read_blob(str(path))
+    _, _, sections = index_io._read_blob(str(V2_FIX_INTERVALS))
     good = bytes(sections[tag])
     count = len(good) // 16
     for bad in (good[:-1], good + bytes(16), good[:-8] + struct.pack("<q", 99), struct.pack("<Q", count + 1) + good[8:]):
         sections[tag] = bad
-        write_blob(path, index_io.VERSION, index_io.KIND_INTERVALS, list(sections.items()))
+        write_blob(path, 2, index_io.KIND_INTERVALS, list(sections.items()))
         with pytest.raises(ParseError, match=f"stored {side} weights do not match the rebuilt index"):
             index_io.load_interval_index(str(path))
     sections[tag] = good
-    write_blob(path, index_io.VERSION, index_io.KIND_INTERVALS, list(sections.items()))
+    write_blob(path, 2, index_io.KIND_INTERVALS, list(sections.items()))
     assert index_io.load_interval_index(str(path)).a == s.a
 
 
 @pytest.mark.parametrize("tag, side", [("WOPN", "open"), ("WCLS", "close")])
 def test_interval_load_rejects_every_changed_weight_entry(tmp_path, tag, side):
-    # the count, each position and each weight, one at a time; no query
-    # reads a position, so only the load's comparison can catch them
-    path = tmp_path / "iv.idx"
-    index_io.save_interval_index(str(path), mliq.build_intervals(random_intervals(random.Random(0x5EC7), 12)))
-    _, sections = index_io._read_blob(str(path))
+    # the count, each position and each weight of a version-2 blob, one at
+    # a time; no query reads a position, so only the load's comparison can
+    # catch them
+    _, _, sections = index_io._read_blob(str(V2_INTERVALS_12))
     good = array("q", bytes(sections[tag]))
     for k in range(len(good)):
         for delta in (-1, 1):
@@ -329,7 +461,7 @@ def test_interval_load_rejects_every_changed_weight_entry(tmp_path, tag, side):
             bad[k] += delta
             sections[tag] = bad.tobytes()
             damaged = tmp_path / f"{k}{delta:+}.idx"  # a new file each: rewriting one waits for its writeback
-            write_blob(damaged, index_io.VERSION, index_io.KIND_INTERVALS, list(sections.items()))
+            write_blob(damaged, 2, index_io.KIND_INTERVALS, list(sections.items()))
             with pytest.raises(ParseError, match=f"stored {side} weights do not match the rebuilt index"):
                 index_io.load_interval_index(str(damaged))
 
@@ -341,13 +473,14 @@ def test_load_checks_stored_endpoints_as_the_per_pair_oracle(valid_blobs, case):
     want = raised(check_pairs, pairs)
     assume(want is not None and all(I64_MIN <= v <= I64_MAX for pair in pairs for v in pair))
     blobs, tmp = valid_blobs
-    path = tmp / "endpoints.idx"
-    path.write_bytes(blobs["intervals"])
-    _, sections = index_io._read_blob(str(path))
+    source = fresh_path(tmp)
+    source.write_bytes(blobs["intervals"])
+    _, _, sections = index_io._read_blob(str(source))
     a = [ai for ai, _ in pairs]
     b = [bi for _, bi in pairs]
     sections["INTA"] = struct.pack(f"<{len(a)}q", *a)
     sections["INTB"] = struct.pack(f"<{len(b)}q", *b)
+    path = fresh_path(tmp)
     write_blob(path, index_io.VERSION, index_io.KIND_INTERVALS, list(sections.items()))
     assert raised(index_io.load_interval_index, str(path)) == want
     assert cli.main(["query", str(path), "mliq", "0", "0"]) == 2
@@ -366,7 +499,7 @@ def valid_blobs(tmp_path_factory):
 
 
 def check_damaged(data, kind, tmp):
-    path = tmp / f"damaged-{kind}.idx"
+    path = fresh_path(tmp)
     path.write_bytes(data)
     query = ["rmq", "1", "1"] if kind == "array" else ["mliq", "0", "0"]
     code = cli.main(["query", str(path), *query])

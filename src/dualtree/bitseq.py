@@ -1,18 +1,25 @@
 """Plain bit sequences with rank and select support.
 
 Positions are 1-based throughout. Bits are packed into 64-bit words with
-per-word cumulative counts, so ``rank`` costs one popcount and ``select`` a
-binary search over the cumulative table plus six popcounts inside the word,
-each keeping the half (32, 16, ... bits) that holds the wanted bit. The
-tables are derived from the bits alone; rebuilding a sequence always
-reproduces them.
+per-word cumulative counts, so ``rank`` costs one popcount. ``select`` reads
+a directory that samples every 256th occurrence of its symbol (the
+cumulative-count index reached there), binary-searches the cumulative table
+only between two samples, and inside the word takes three popcounts, each
+keeping the half (32, 16, 8 bits) that holds the wanted bit, then one
+lookup in a 2 KB table of in-byte selects (sampled select, as in Navarro &
+Providel, SEA 2012). A window of 256 occurrences spans few words unless its
+symbol is sparse there, so the search takes a few probes, and never more
+than the O(log n) of a search over the whole table. Each symbol's directory,
+about one entry per 256 occurrences, is built in bulk by its first select,
+so a sequence that is never searched never holds one. The tables are
+derived from the bits alone; rebuilding a sequence always reproduces them.
 Construction runs in bulk steps: the bits become one big integer, whose
 little-endian bytes are read straight into the words, and the cumulative
 counts come from ``accumulate``.
 
 The tables are typed arrays, so a sequence's size is fixed bytes per bit:
-the words are an ``array('Q')`` and the cumulative one- and zero-counts
-``array('q')``. ``le_bytes`` and ``from_le`` move such a table to and from
+the words are an ``array('Q')`` and the cumulative one- and zero-counts and
+the select directories ``array('q')``. ``le_bytes`` and ``from_le`` move such a table to and from
 little-endian bytes on any host.
 
 A balanced parenthesis sequence is a BitSeq too: ``parens.ParenSeq``
@@ -24,7 +31,7 @@ import re
 import sys
 from array import array
 from bisect import bisect_left
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import sub
 
 from .errors import NotFoundError, RangeError
@@ -32,6 +39,8 @@ from .errors import NotFoundError, RangeError
 WORD = 64
 _MASKS = [(1 << (r + 1)) - 1 for r in range(WORD)]
 _FULL = (1 << WORD) - 1
+_SAMPLE_SHIFT = 8
+_SAMPLE = 1 << _SAMPLE_SHIFT  # occurrences between two select directory entries
 
 _NOT_A_BIT = re.compile(r"[^01()]")
 _CHAR_TO_DIGIT = bytes.maketrans(b"()", b"10")
@@ -40,10 +49,23 @@ _BYTE_TO_DIGIT = bytes.maketrans(b"\0\1", b"01")
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
+def _select_in_byte():
+    """Entry 8b + r is the offset in byte b of its (r + 1)-th one bit, 0 when
+    b has fewer ones."""
+    table = bytearray(256 * 8)
+    for b in range(256):
+        ones = bytes(k for k in range(8) if b >> k & 1)
+        table[8 * b : 8 * b + len(ones)] = ones
+    return bytes(table)
+
+
+_SELECT_IN_BYTE = _select_in_byte()
+
+
 class BitSeq:
     """Immutable sequence of {0,1} symbols supporting rank/select."""
 
-    __slots__ = ("n", "_words", "_cum1", "_cum0")
+    __slots__ = ("n", "_words", "_cum1", "_cum0", "_sel1", "_sel0")
 
     def __init__(self, bits):
         self._fill(text_of(bits))
@@ -57,6 +79,7 @@ class BitSeq:
         self._cum1 = array("q", accumulate(map(int.bit_count, self._words), initial=0))
         self._cum0 = array("q", map(sub, range(0, WORD * nwords + 1, WORD), self._cum1))
         self._cum0[-1] = self.n - self._cum1[-1]
+        self._sel1 = self._sel0 = None  # select directories, built by the first select of each symbol
 
     def __len__(self):
         return self.n
@@ -90,14 +113,21 @@ class BitSeq:
         """Position of the i-th occurrence of ``s`` (smallest such position)."""
         if i < 1:
             raise RangeError(f"occurrence index {i} must be >= 1")
-        cum = self._cum1 if s else self._cum0
+        if s:
+            cum, sel = self._cum1, self._sel1
+        else:
+            cum, sel = self._cum0, self._sel0
         if i > cum[-1]:
             raise NotFoundError(f"sequence holds only {cum[-1]} occurrences of {s}, asked for {i}")
-        w = bisect_left(cum, i) - 1
+        if sel is None:
+            sel = self._select_directory(s)
+        k = (i - 1) >> _SAMPLE_SHIFT
+        w = bisect_left(cum, i, sel[k], sel[k + 1]) - 1
         need = i - cum[w]
         word = self._words[w] if s else ~self._words[w] & _FULL
         pos = w * WORD + 1
-        # halve the word six times, keeping the half that holds the bit
+        # halve the word three times, keeping the half that holds the bit,
+        # then look the bit up in its byte
         c = (word & 0xFFFFFFFF).bit_count()
         if c < need:
             need -= c
@@ -113,17 +143,22 @@ class BitSeq:
             need -= c
             word >>= 8
             pos += 8
-        c = (word & 0xF).bit_count()
-        if c < need:
-            need -= c
-            word >>= 4
-            pos += 4
-        c = (word & 0x3).bit_count()
-        if c < need:
-            need -= c
-            word >>= 2
-            pos += 2
-        return pos + (word & 1 < need)
+        return pos + _SELECT_IN_BYTE[(word & 0xFF) << 3 | need - 1]
+
+    def _select_directory(self, s):
+        """Build and keep symbol s's select directory. Entry k is the first
+        index of the cumulative counts that reaches occurrence 256k + 1, one
+        past the word that holds it; a last entry, the same index for the
+        last occurrence, closes the last window."""
+        cum = self._cum1 if s else self._cum0
+        total = cum[-1]
+        sel = array("q", map(bisect_left, repeat(cum), range(1, total + 1, _SAMPLE)))
+        sel.append(bisect_left(cum, total))
+        if s:
+            self._sel1 = sel
+        else:
+            self._sel0 = sel
+        return sel
 
     def table_bits(self) -> int:
         """Size of the acceleration tables, in bits (reported, not bounded)."""

@@ -37,6 +37,7 @@ DFUDS = "dfuds"
 _FLIP = str.maketrans("()01", ")(10")
 _NOT_PAREN = re.compile(r"[^()01]")
 _PAREN_TO_DIGIT = str.maketrans("()", "10")
+_TEXT_CHUNK = 1 << 10  # nodes whose DFUDS text is joined at a time
 
 
 class NodeParenMap:
@@ -184,10 +185,17 @@ def _bp_of_depths(depths):
 def _dfuds_of_degrees(degrees):
     """DFUDS as 0/1 text of the tree whose preorder degrees are ``degrees``.
 
-    Each distinct degree's run of ones is made once (a tree of n nodes has
-    fewer than sqrt(2n) + 1 distinct degrees), not once per node."""
-    ones = {d: "1" * d for d in set(degrees)}
-    return "1" + "0".join(map(ones.__getitem__, degrees)) + "0"
+    Each distinct degree's piece, its run of ones and a zero, is made once (a
+    tree of n nodes has fewer than sqrt(2n) + 1 distinct degrees), not once
+    per node. The pieces are joined ``_TEXT_CHUNK`` nodes at a time: one join
+    over all nodes would hold a pointer per node next to the degrees, while
+    the chunks are joined after the degrees are read to their end, which
+    frees them when the caller holds them no more."""
+    pieces = {d: "1" * d + "0" for d in set(degrees)}
+    chunks = range(0, len(degrees), _TEXT_CHUNK)
+    steps = map(pieces.__getitem__, degrees)
+    del degrees  # steps holds them until it is read to the end
+    return "".join(["1"] + ["".join(islice(steps, _TEXT_CHUNK)) for _ in chunks])
 
 
 # -- decoding --------------------------------------------------------------------

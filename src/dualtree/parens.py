@@ -15,40 +15,55 @@ each next level is ``map(min, row, row shifted by 2^j)``, which returns one of
 its arguments: building the table allocates no tuple per entry and no list
 per block (the block minima come from one slice at a time), so the first
 search neither holds every slice at once nor wakes the garbage collector.
-Inside a block every step is one C-level slice operation on the excess array:
-``min`` of the slice and ``index`` of its value; ``rmq_excess`` takes the
-minimum of the whole blocks from the table and scans an end block only when
-its block minimum could beat or tie that. Adjacent excess values differ by
-exactly one, so the matching searches (open/close) look for the nearest
-block, forward or backward, whose minimum is <= the target excess: they
+Inside a block every step is one C-level operation on the excess bytes:
+``min`` of a translated slice and ``index`` of its value; ``rmq_excess``
+takes the minimum of the whole blocks from the table and scans an end block
+only when its block minimum could beat or tie that. Adjacent excess values
+differ by exactly one, so the matching searches (open/close) look for the
+nearest block, forward or backward, whose minimum is <= the target excess: they
 descend the same sparse table from its top level, skipping each window of
 2^j blocks whose entries are above ``((target + 1) << shift) - 1``, which
 reads at most log2(blocks) + 1 table entries, and finish with one ``index``
 inside that block.
-The excess array is typed, ``array('I')`` (``'Q'`` from 2^32 bits on), so it
-takes four bytes per bit however deep the sequence nests; the constructor
-sums it from the text it was given, in chunks, and checks the balance. The
-block minima and sparse table are built on the first search (rmq_excess,
-open or close) or when ``block_tables`` is asked for them, so a sequence
-that is only compared, decoded or stored as bits never pays for them.
+The excess is held as ``bytes`` of its values mod 256, one byte per bit,
+however deep the sequence nests. A block is one 64-bit word, so the excess
+at block k's start is ``2 * _cum1[k] - 64k``, from the rank table, and
+inside the block the excess lies within 64 of it: 129 values, whose residues
+are distinct. ``excess(x)`` adds x's offset from its block's start, read
+from the two residues; the in-block searches of open/close and the placement
+of ``rmq_excess``'s answer are ``bytes.index``/``rindex`` (memchr) of the
+target's residue; and a range minimum translates the slice by one of 256
+order-preserving tables, ``(v - start + 128) & 255``, before ``min`` and
+``index``. The constructor sums the excess from the text it was given, a
+chunk at a time, and checks the balance. The block minima and sparse table
+are built on the first search (rmq_excess, open or close) or when
+``block_tables`` is asked for them, so a sequence that is only compared,
+decoded or stored as bits never pays for them.
 """
 
+import sys
 from array import array
 from bisect import bisect_right
 from itertools import accumulate, islice, repeat
-from operator import add, lshift
+from operator import add, lshift, sub
 
-from .bitseq import BitSeq, text_of
+from .bitseq import WORD, BitSeq, text_of
 from .errors import ContractError, RangeError, ValidationError
 
 OPEN = 1
 CLOSE = 0
 
-_BLOCK = 64
-_CHUNK = 1 << 12  # excess steps summed into one list at a time; few, so a deep excess holds few ints
+_BLOCK = WORD  # one block per word, so _cum1[k] is the rank at block k's start
+_CHUNK = 1 << 11  # excess steps summed into one list at a time; few, so a deep excess holds few ints
 
 _STEPS = bytes.maketrans(b"01", b"\xff\x01")  # '0' -> -1, '1' -> +1 as signed bytes
 _DIGIT_TO_PAREN = str.maketrans("10", "()")
+_LOW_BYTES = slice(7 if sys.byteorder == "big" else 0, None, 8)  # of an array('Q')'s bytes
+
+# _ORDER[b] maps a residue v to (v - b + 128) & 255. Inside a block the excess
+# lies within 64 of its value at the block's start, whose residue is b, so
+# this map preserves the order of the block's excess values.
+_ORDER = [bytes((v - b + 128) & 255 for v in range(256)) for b in range(256)]
 
 
 class ParenSeq(BitSeq):
@@ -67,8 +82,15 @@ class ParenSeq(BitSeq):
     def _build_blocks(self):
         """Block minima and the sparse table of packed entries over them."""
         exc = self._exc
-        nblocks = (self.n + _BLOCK - 1) // _BLOCK
-        self._bmin = bmin = list(map(min, (exc[lo : lo + _BLOCK] for lo in range(1, self.n + 1, _BLOCK))))
+        n = self.n
+        nblocks = (n + _BLOCK - 1) // _BLOCK
+        # block k's minimum is its start's excess, 2 * _cum1[k] - 64k, plus
+        # the minimum of its translated residues less 128
+        cum1 = self._cum1
+        starts = map(sub, map(add, cum1, cum1), range(128, 128 + _BLOCK * nblocks, _BLOCK))
+        blocks = (exc[lo : lo + _BLOCK] for lo in range(1, n + 1, _BLOCK))
+        orders = map(_ORDER.__getitem__, exc[0:n:_BLOCK])
+        self._bmin = bmin = list(map(add, starts, map(min, map(bytes.translate, blocks, orders))))
         # table[j][k] = (min << shift) | leftmost block, over blocks [k, k + 2^j)
         self._shift = shift = nblocks.bit_length()
         table = [list(map(add, map(lshift, bmin, repeat(shift)), range(nblocks)))]
@@ -94,7 +116,15 @@ class ParenSeq(BitSeq):
     def excess(self, x: int) -> int:
         """rank_1(x) - rank_0(x); the depth profile of the sequence."""
         self._check_pos(x)
-        return self._exc[x]
+        return self._depth(x)
+
+    def _depth(self, x):
+        """excess(x) for 1 <= x <= n: the excess at the start of x's block
+        plus x's offset from it, read from the two residues."""
+        k = (x - 1) // _BLOCK
+        lo = k * _BLOCK
+        exc = self._exc
+        return 2 * self._cum1[k] - lo + ((exc[x] - exc[lo] + 128) & 255) - 128
 
     # -- matching --------------------------------------------------------------
 
@@ -104,7 +134,7 @@ class ParenSeq(BitSeq):
             raise ContractError(f"position {x} is not an opening parenthesis")
         if self._table is None:
             self._build_blocks()
-        return self._fwd_to(x + 1, self._exc[x] - 1)
+        return self._fwd_to(x + 1, self._depth(x) - 1)
 
     def open(self, x: int) -> int:
         """Position of the opening parenthesis matching the closing one at x."""
@@ -112,14 +142,19 @@ class ParenSeq(BitSeq):
             raise ContractError(f"position {x} is not a closing parenthesis")
         if self._table is None:
             self._build_blocks()
-        return self._bwd_to(x - 1, self._exc[x]) + 1
+        return self._bwd_to(x - 1, self._depth(x)) + 1
 
     def _fwd_to(self, start: int, target: int) -> int:
-        """Smallest y >= start with excess(y) == target; target < excess(start-1)."""
+        """Smallest y >= start with excess(y) == target; target < excess(start-1).
+
+        Each searched range lies in one block, where the excess takes at
+        most 129 values around target's, so their residues are distinct and
+        the first byte equal to target's residue is the match."""
         exc = self._exc
+        low = target & 255
         kb = (start - 1) // _BLOCK
         try:
-            return exc.index(target, start, (kb + 1) * _BLOCK + 1)
+            return exc.index(low, start, (kb + 1) * _BLOCK + 1)
         except ValueError:
             pass
         # The excess stays above target up to the end of block kb and moves
@@ -135,7 +170,7 @@ class ParenSeq(BitSeq):
                 k += 1 << j
         if k == nb:
             raise ContractError(f"no matching excess {target} forward of position {start}")
-        return exc.index(target, k * _BLOCK + 1, (k + 1) * _BLOCK + 1)
+        return exc.index(low, k * _BLOCK + 1, (k + 1) * _BLOCK + 1)
 
     def _bwd_to(self, start: int, target: int) -> int:
         """Largest y <= start (possibly 0) with excess(y) == target; target < excess(start)."""
@@ -144,9 +179,10 @@ class ParenSeq(BitSeq):
             if target == 0:
                 return 0
             raise ContractError("no matching excess before the sequence start")
+        low = target & 255
         kb = (start - 1) // _BLOCK
         try:
-            return _rindex(exc, target, kb * _BLOCK + 1, start)
+            return exc.rindex(low, kb * _BLOCK + 1, start + 1)
         except ValueError:
             pass
         # Mirror of _fwd_to: the last earlier block whose minimum is <= target
@@ -161,7 +197,7 @@ class ParenSeq(BitSeq):
             if target == 0:
                 return 0
             raise ContractError(f"no matching excess {target} backward of position {start}")
-        return _rindex(exc, target, (k - 1) * _BLOCK + 1, k * _BLOCK)
+        return exc.rindex(low, (k - 1) * _BLOCK + 1, k * _BLOCK + 1)
 
     # -- range minimum over the excess array ------------------------------------
 
@@ -194,14 +230,19 @@ class ParenSeq(BitSeq):
                 return p
         if best_p is None:
             lo = mk * _BLOCK + 1
-            return self._exc.index(best_v, lo, lo + _BLOCK)
+            return self._exc.index(best_v & 255, lo, lo + _BLOCK)
         return best_p
 
     def _scan_value(self, l, r):
-        """(minimum excess over [l, r], its leftmost position)."""
-        seg = self._exc[l : r + 1]
+        """(minimum excess over [l, r], its leftmost position), l and r in
+        one block: min and index on the residues, translated by the order of
+        the block's start."""
+        exc = self._exc
+        k = (l - 1) // _BLOCK
+        lo = k * _BLOCK
+        seg = exc[l : r + 1].translate(_ORDER[exc[lo]])
         m = min(seg)
-        return m, l + seg.index(m)
+        return 2 * self._cum1[k] - lo + m - 128, l + seg.index(m)
 
     def _block_min(self, kl, kr):
         """(min value, leftmost block attaining it) over blocks [kl, kr]."""
@@ -223,42 +264,38 @@ class ParenSeq(BitSeq):
         return f"ParenSeq({s})"
 
 
-def excess_typecode(n):
-    """Typecode of the excess array of a sequence of n bits. A balanced
-    sequence's excess lies in 0..n, so it takes unsigned 32-bit entries below
-    2^32 bits and 64-bit ones from there on."""
-    return "I" if n < 1 << 8 * array("I").itemsize else "Q"
-
-
 def _excess(text):
-    """The excess array of a 0/1 text, checked for balance.
+    """The excess of a 0/1 text mod 256, one byte per position 0..n,
+    checked for balance.
 
-    It is summed ``_CHUNK`` steps at a time into a list, which joins the
-    array in one ``fromlist``: an array filled from ``accumulate`` directly
-    converts one int at a time, several times slower, and unsigned entries
-    convert about four times faster than signed ones. A negative excess
-    cannot join them, so the OverflowError is the check that the excess
-    never drops below zero."""
+    It is summed ``_CHUNK`` steps at a time into a list, which joins an
+    ``array('Q')`` in one ``fromlist``, whose low bytes are the chunk's
+    residues: an array filled from ``accumulate`` directly converts one int
+    at a time, several times slower, and unsigned entries convert about four
+    times faster than signed ones. A negative excess cannot join them, so the
+    OverflowError is the check that the excess never drops below zero. Only
+    one chunk's ints and entries are alive at a time."""
     steps = memoryview(text.encode("ascii").translate(_STEPS)).cast("b")
-    exc = array(excess_typecode(len(text)), [0])
+    pieces = [b"\0"]  # excess(0) = 0
+    depth = 0
     for lo in range(0, len(steps), _CHUNK):
-        part = list(accumulate(steps[lo : lo + _CHUNK], initial=exc[-1]))
-        del part[0]  # exc[-1], already in
+        part = list(accumulate(steps[lo : lo + _CHUNK], initial=depth))
+        del part[0]  # depth, already in
+        chunk = array("Q")
         try:
-            exc.fromlist(part)
+            chunk.fromlist(part)
         except OverflowError:
             # steps are +-1, so the first negative excess is the first -1
             raise ValidationError(
                 f"unbalanced sequence: excess drops below zero at position {lo + 1 + part.index(-1)}"
             ) from None
-    if exc[-1] != 0:
-        raise ValidationError(f"unbalanced sequence: {exc[-1]} unmatched opening parentheses")
-    return exc
-
-
-def _rindex(seq, v, lo, hi):
-    """Largest y in [lo, hi] with seq[y] == v (lo >= 1); ValueError if none."""
-    return hi - seq[hi : lo - 1 : -1].index(v)
+        depth = part[-1]
+        pieces.append(chunk.tobytes()[_LOW_BYTES])
+        del part, chunk
+    if depth != 0:
+        raise ValidationError(f"unbalanced sequence: {depth} unmatched opening parentheses")
+    del steps
+    return b"".join(pieces)
 
 
 class WeightedBits:

@@ -253,7 +253,7 @@ def _equivalence_holds(h, i, j):
     lo1 = p.select(i + 1, CLOSE)
     hi = p.select(j, CLOSE)
     anchor = p.excess(p.select(i, CLOSE))
-    cond_i = min(p._exc[lo1 : hi + 1]) >= anchor
+    cond_i = min(map(p.excess, range(lo1, hi + 1))) >= anchor
     w1 = p.rmq_excess(lo1, hi)
     cond_ii = p.rank(p.open(w1), CLOSE) == i
     return cond_i == cond_ii

@@ -1,3 +1,4 @@
+import math
 import random
 import struct
 from bisect import bisect_left
@@ -5,10 +6,11 @@ from bisect import bisect_left
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dualtree import bitseq, codec
 from dualtree.bitseq import BitSeq, from_le, le_bytes
 from dualtree.errors import NotFoundError, RangeError
 
-from conftest import FIX_DFUDS
+from conftest import FIX_DFUDS, Counted, chain, star
 
 
 def rank_oracle(bits, x, s):
@@ -53,10 +55,12 @@ def test_rank_out_of_range():
 
 def test_select_beyond_count_is_not_found():
     b = BitSeq("101100")
-    with pytest.raises(NotFoundError):
+    with pytest.raises(NotFoundError, match=r"^sequence holds only 3 occurrences of 1, asked for 4$"):
         b.select(4, 1)
-    with pytest.raises(RangeError):
+    with pytest.raises(RangeError, match=r"^occurrence index 0 must be >= 1$"):
         b.select(0, 1)
+    with pytest.raises(NotFoundError, match=r"^sequence holds only 0 occurrences of 0, asked for 1$"):
+        BitSeq("111").select(1, 0)
     assert not issubclass(NotFoundError, RangeError)
 
 
@@ -218,3 +222,88 @@ def test_tables_are_typed_and_round_trip_through_little_endian_bytes():
         assert from_le(le_bytes(b._words), "Q") == b._words
         assert from_le(memoryview(le_bytes(b._cum1))) == b._cum1
         assert BitSeq(b.to_text()) == b and hash(BitSeq(b.to_text())) == hash(b)
+
+
+# -- the select directory ----------------------------------------------------------
+
+
+def test_select_in_byte_table_against_a_bit_loop():
+    table = bitseq._SELECT_IN_BYTE
+    assert type(table) is bytes and len(table) == 256 * 8
+    for b in range(256):
+        ones = [k for k in range(8) if b >> k & 1]
+        for r in range(8):
+            assert table[8 * b + r] == (ones[r] if r < len(ones) else 0), (b, r)
+
+
+def long_runs():
+    """Sequences with long runs of one symbol: the DFUDS of a 10^4-leaf star
+    and of a 10^4-node chain, and all ones then all zeros."""
+    return {
+        "star": codec.dfuds_encode(star(10_000))[0],
+        "chain": codec.dfuds_encode(chain(*range(10_000)))[0],
+        "ones-then-zeros": BitSeq([1] * 20_000 + [0] * 20_000),
+    }
+
+
+def sampled_ranks(total):
+    """1, every k·256 and k·256 + 1, and the last occurrence."""
+    ranks = {1, total}
+    for k in range(1, total // 256 + 1):
+        ranks.update((256 * k, 256 * k + 1))
+    return sorted(i for i in ranks if 1 <= i <= total)
+
+
+def test_select_at_the_directory_samples_matches_a_naive_scan():
+    rng = random.Random(0x5E1)
+    seqs = list(long_runs().values())
+    for n, density in ((1, 0.5), (255, 0.5), (256, 1.0), (257, 0.5), (5_000, 0.5), (20_000, 0.02), (20_000, 0.98)):
+        seqs.append(BitSeq([int(rng.random() < density) for _ in range(n)]))
+    for b in seqs:
+        bits = list(b.iter_bits())
+        for s in (0, 1):
+            positions = [x for x, bit in enumerate(bits, start=1) if bit == s]
+            assert (b._sel1, b._sel0)[1 - s] is None  # built by the first select of its symbol
+            for i in sampled_ranks(len(positions)):
+                assert b.select(i, s) == positions[i - 1] == select_oracle(bits, i, s), (i, s)
+            if positions:
+                sel = b._sel1 if s else b._sel0
+                assert sel.typecode == "q" and len(sel) == (len(positions) - 1) // 256 + 2
+            with pytest.raises(NotFoundError, match=rf"^sequence holds only {len(positions)} occurrences of {s}, asked for {len(positions) + 1}$"):
+                b.select(len(positions) + 1, s)
+            with pytest.raises(RangeError, match=r"^occurrence index 0 must be >= 1$"):
+                b.select(0, s)
+
+
+def counted_select_reads(b, s, ranks):
+    """The most reads of the cumulative counts and the directory that one
+    select of ``s`` makes over ``ranks``."""
+    b.select(1, s)  # builds the directory
+    cum, sel = (Counted(b._cum1), Counted(b._sel1)) if s else (Counted(b._cum0), Counted(b._sel0))
+    if s:
+        b._cum1, b._sel1 = cum, sel
+    else:
+        b._cum0, b._sel0 = cum, sel
+    worst = 0
+    for i in ranks:
+        Counted.reads = 0
+        b.select(i, s)
+        worst = max(worst, Counted.reads)
+    return worst, len(cum)
+
+
+def test_select_reads_few_counts_and_logarithmically_many_on_long_runs():
+    # Four reads besides the bisect: the total, two directory entries and the
+    # count before the word. Where every directory window spans few words the
+    # bisect takes at most four probes; where one symbol is sparse, a window
+    # spans many words, and the bisect is still logarithmic.
+    rng = random.Random(0x9E0B)
+    seqs = long_runs()
+    seqs["random"] = BitSeq([rng.randint(0, 1) for _ in range(100_000)])
+    for name, b in seqs.items():
+        for s in (0, 1):
+            worst, words = counted_select_reads(b, s, sampled_ranks(b.count(s)))
+            assert worst <= 8, (name, s, worst)
+    sparse = BitSeq([0 if x % 3000 == 0 else 1 for x in range(100_000)])
+    worst, words = counted_select_reads(sparse, 0, range(1, sparse.count(0) + 1))
+    assert worst <= math.ceil(math.log2(words)) + 4, worst

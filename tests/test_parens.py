@@ -51,6 +51,17 @@ def match_oracle(bits):
     return partner
 
 
+def excess_oracle(bits):
+    """The excess as the sequence held it before it held residues: an
+    ``array('I')`` with one entry per position 0..n."""
+    return array("I", accumulate((1 if b else -1 for b in bits), initial=0))
+
+
+def residues(exc):
+    """The excess values mod 256, as the bytes a ParenSeq holds."""
+    return bytes(e & 255 for e in exc)
+
+
 def rmq_oracle(exc, l, r):
     """Leftmost position of the minimum excess in [l, r]."""
     return min(range(l, r + 1), key=exc.__getitem__)
@@ -257,7 +268,7 @@ def test_block_tables_match_a_direct_scan():
         bits = random_balanced(rng, pairs)
         p = ParenSeq(bits)
         exc, bmin, table = block_oracle(bits)
-        assert p._exc.typecode == "I" and p._exc.tolist() == exc
+        assert type(p._exc) is bytes and p._exc == residues(exc) == residues(excess_oracle(bits))
         got_bmin, got_table = p.block_tables()
         assert got_bmin == bmin
         assert unpacked(bmin, got_table) == table
@@ -365,14 +376,7 @@ def test_excess_is_summed_exactly_across_chunk_seams():
                 ParenSeq(text)
         else:
             p = ParenSeq(text)
-            assert p._exc.typecode == "I" and p._exc.tolist() == exc
-
-
-def test_excess_typecode_holds_every_excess_of_its_length():
-    # a balanced sequence of n bits has its excess in 0..n
-    assert parens.excess_typecode(0) == parens.excess_typecode((1 << 32) - 1) == "I"
-    assert array("I", [(1 << 32) - 1])[0] == (1 << 32) - 1
-    assert parens.excess_typecode(1 << 32) == parens.excess_typecode(1 << 40) == "Q"
+            assert type(p._exc) is bytes and p._exc == residues(exc)
 
 
 # -- the searches against the block-by-block walk they replaced ------------------
@@ -541,3 +545,45 @@ def test_rmq_excess_reads_logarithmically_many_table_entries():
             p.rmq_excess(l, r)
             worst = max(worst, Counted.reads)
         assert worst <= bound, (name, worst, bound)
+
+
+# -- the excess held as residues mod 256 -------------------------------------------
+
+
+def wrapping_sequences(rng):
+    """Sequences whose excess crosses multiples of 256 inside 64-bit blocks
+    at many offsets: random walks above a climb to near 256 or 512, and a
+    sawtooth across 256 shifted along the blocks."""
+    out = [[1] * a + random_balanced(rng, 400) + [0] * a for a in (250, 255, 256, 257, 500, 511)]
+    out += [[1, 0] * shift + [1] * 250 + ([1] * 9 + [0] * 9) * 30 + [0] * 250 for shift in range(0, 64, 7)]
+    return out
+
+
+def blocks_crossing_256(exc):
+    """How many 64-bit blocks hold excess values on both sides of a multiple of 256."""
+    return sum(len({e >> 8 for e in exc[lo : lo + 64]}) > 1 for lo in range(1, len(exc), 64))
+
+
+def test_excess_residues_wrap_inside_a_block():
+    # The excess is held mod 256 and read relative to its block's start; the
+    # array('I') oracle holds it whole. Every query must agree with it, and
+    # the matches with the block walk, wherever the residues wrap.
+    rng = random.Random(0x256)
+    shapes = dfuds_shapes(3000)
+    cases = [(bits, True) for bits in wrapping_sequences(rng)]
+    cases += [(list(shapes[name].iter_bits()), name != "chain") for name in ("star", "chain", "decreasing")]
+    for bits, deep in cases:
+        p = ParenSeq(bits)
+        exc = excess_oracle(bits)
+        assert type(p._exc) is bytes and p._exc == residues(exc)
+        if deep:
+            assert max(exc) >= 256 and blocks_crossing_256(exc) > 0
+        assert [p.excess(x) for x in range(1, p.n + 1)] == exc[1:].tolist()
+        partner = match_oracle(bits)
+        for x in far_and_random_positions(bits, rng):
+            if bits[x - 1]:
+                assert p.close(x) == partner[x] == walk_fwd(exc, x + 1, exc[x] - 1), x
+            else:
+                assert p.open(x) == partner[x] == walk_bwd(exc, x - 1, exc[x]) + 1, x
+        for l, r in rmq_ranges(p.n, rng, 300):
+            assert p.rmq_excess(l, r) == rmq_oracle(exc, l, r), (l, r)

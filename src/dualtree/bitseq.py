@@ -43,6 +43,7 @@ _SAMPLE_SHIFT = 8
 _SAMPLE = 1 << _SAMPLE_SHIFT  # occurrences between two select directory entries
 
 _NOT_A_BIT = re.compile(r"[^01()]")
+_ALL_DIGITS = re.compile(r"[01]*")
 _CHAR_TO_DIGIT = bytes.maketrans(b"()", b"10")
 _BYTE_TO_DIGIT = bytes.maketrans(b"\0\1", b"01")
 
@@ -212,6 +213,8 @@ def le_view(payload):
 
 
 def _text_of_chars(s: str) -> str:
+    if _ALL_DIGITS.fullmatch(s):
+        return s  # digit text already: the caller's string, not a copy
     if s.isascii():
         raw = s.encode("ascii")
         if not raw.translate(None, b"01()"):

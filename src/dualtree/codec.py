@@ -9,7 +9,9 @@ Both encodings are fixed by an OrdinalTree's preorder arrays, so the
 encoders write them in bulk: BP from the depths (before each opener come
 depth(prev) + 1 - depth(v) closers, and depth(last) + 1 closers end the
 text), DFUDS from the degrees. Each decoder fills the tree's arrays in one
-stack pass over the text.
+stack pass over the text. A decoder's labels are depth-first ranks, which
+cannot repeat, and ``tree_from_text`` checks the labels it reads are
+distinct, so no decoder makes the tree's label -> rank map.
 
 Node anchors: in BP a node owns its opening/closing pair. In DFUDS a node is
 anchored at the parenthesis preceding its block of child openers — a closing
@@ -166,6 +168,8 @@ def tree_from_text(text: str) -> OrdinalTree:
     labels = lines[1].split()
     if len(labels) != n:
         raise ParseError(f"label line has {len(labels)} entries for {n} nodes")
+    if len(set(labels)) != n:
+        raise ParseError("labels are not unique")
     return _bp_tree(bits, labels)
 
 
@@ -242,7 +246,8 @@ def _check_bp(text):
 
 
 def _bp_tree(text, labels):
-    """The tree of a checked BP text whose nodes in preorder are ``labels``.
+    """The tree of a checked BP text whose nodes in preorder are the
+    distinct ``labels``.
     The closers before the opener of rank v pop the stack of open ranks (a
     popped rank x has size v - x); then its parent is on top, and the
     stack's height is its depth."""
@@ -262,10 +267,7 @@ def _bp_tree(text, labels):
         stack.append(v)
     for x in stack:
         size[x] = n - x
-    tree = OrdinalTree(labels, parent, depth, size)
-    if len(tree._rank) != n:
-        raise ParseError("labels are not unique")
-    return tree
+    return OrdinalTree(labels, parent, depth, size)
 
 
 def _dfuds_tree(text, first):

@@ -5,19 +5,22 @@ The dual exchanges parent/sibling and left/right roles: the dual parent of a
 non-root node is the first node after its subtree in depth-first order (the
 root when none follows), and dual siblings come in descending depth-first
 order, so the dual's preorder is the root and then the other nodes in
-reverse. ``dual``, ``reverse`` and ``reversed_dual`` each list the nodes
-in their new preorder with their child counts, as a DFUDS does, and the tree
-fills its arrays from those. The reversed dual's preorder is the root, then
-each node's children right to left, taking the nodes in the primal's
-preorder, which is why its BP is the primal's DFUDS; it is built in that one
-pass, and ``reverse(dual(t))`` stays as its oracle in verify and the tests.
-Two independent constructions of the dual stay as oracles: ``_dual_by_rules``
-(whose certificate ``dual_certified`` returns) and
-``_dual_by_right_neighbour``; verify and the tests check all three agree.
+reverse. BP of the dual is the reversed DFUDS of the primal, so ``dual``
+reads each of its arrays off the primal's sizes, parents and degrees by
+arithmetic, with no pass over a stack. ``reverse`` and ``reversed_dual``
+list the nodes in their new preorder with their child counts, as a DFUDS
+does, and the tree fills its arrays from those. The reversed dual's
+preorder is the root, then each node's children right to left, taking the
+nodes in the primal's preorder, which is why its BP is the primal's DFUDS;
+it is built in that one pass, and ``reverse(dual(t))`` stays as its oracle
+in verify and the tests. Two independent constructions of the dual stay as
+oracles: ``_dual_by_rules`` (whose certificate ``dual_certified`` returns)
+and ``_dual_by_right_neighbour``; verify and the tests check all three
+agree.
 """
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from operator import add, sub
 
 from .errors import ContractError
@@ -39,10 +42,18 @@ class DualityCertificate:
 
 def dual(t: OrdinalTree) -> OrdinalTree:
     """The dual tree; same node set, parenthood and sibling order exchanged."""
-    # primal rank k > 0 has dual rank n - k
+    # Primal rank k > 0 has dual rank n - k. Its dual parent is the node
+    # after its subtree, k + size(k), the root when that is n; its dual
+    # subtree is itself and its left siblings with their subtrees, the ranks
+    # parent(k) + 1 .. k; its dual depth is the count of children the DFUDS
+    # still awaits before k, 1 + the sum of degree - 1 over the ranks before.
+    n = t.n_nodes
     order = t._order
-    degree = _dual_degrees(t)
-    return OrdinalTree._from_degrees(order[:1] + order[:0:-1], degree[:1] + degree[:0:-1])
+    awaited = list(accumulate(map((-1).__add__, t._degrees()), initial=1))
+    return OrdinalTree(order[:1] + order[:0:-1],
+                       [-1, *map(sub, range(1, n), t._size[:0:-1])],
+                       [0, *awaited[n - 1:0:-1]],
+                       [n, *map(sub, range(n - 1, 0, -1), t._parent[:0:-1])])
 
 
 def reversed_dual(t: OrdinalTree) -> OrdinalTree:

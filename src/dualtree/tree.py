@@ -2,13 +2,15 @@
 
 OrdinalTree is the ground truth every parenthesis structure is checked
 against. A tree is fixed by its preorder and subtree sizes, as BP and DFUDS
-show, and it holds the labels in depth-first order, one label -> rank dict,
-and rank-indexed int arrays of size, depth and parent rank (an O(1)
-``parent``). The rest is arithmetic (Navarro, Compact Data Structures, ch.
-8): the children of rank r start at r + 1, each after the previous one's
-subtree; a subtree is a slice; a left sibling is a climb from rank r - 1,
-O(height) for one node and fewer than n steps over all nodes. Equal trees
-have equal labels and sizes.
+show, and it holds the labels in depth-first order and rank-indexed int
+arrays of size, depth and parent rank (an O(1) ``parent``). The label ->
+rank dict that every lookup by label reads is made by the first such
+lookup and kept, so a tree that is only built, encoded or dualized holds no
+per-node container but its preorder. The rest is arithmetic (Navarro,
+Compact Data Structures, ch. 8): the children of rank r start at r + 1,
+each after the previous one's subtree; a subtree is a slice; a left sibling
+is a climb from rank r - 1, O(height) for one node and fewer than n steps
+over all nodes. Equal trees have equal labels and sizes.
 """
 
 from array import array
@@ -33,10 +35,11 @@ class OrdinalTree:
 
     def __init__(self, order, parent, depth, size):
         """The tree with preorder ``order`` and, in that order, the parent
-        ranks (-1 at the root), depths and sizes; callers make them agree."""
+        ranks (-1 at the root), depths and sizes; callers make them agree
+        and the labels distinct."""
         self.root = order[0]
         self._order = order
-        self._rank = dict(zip(order, range(len(order))))
+        self._rank = None  # label -> rank, made by the first lookup
         self._parent = array(_INT, parent)
         self._depth = array(_INT, depth)
         self._size = array(_INT, size)
@@ -143,7 +146,7 @@ class OrdinalTree:
         return iter(self._order)
 
     def has_node(self, v):
-        return v in self._rank
+        return v in self._ranks()
 
     def children(self, v):
         r = self._rank_of(v)
@@ -267,8 +270,14 @@ class OrdinalTree:
     def __repr__(self):
         return f"OrdinalTree(root={self.root!r}, nodes={self.n_nodes})"
 
+    def _ranks(self):
+        """The label -> rank dict, made on the first call and kept."""
+        if self._rank is None:
+            self._rank = dict(zip(self._order, range(len(self._order))))
+        return self._rank
+
     def _rank_of(self, v):
         try:
-            return self._rank[v]
+            return self._ranks()[v]
         except KeyError:
             raise ContractError(f"unknown node {v!r}") from None

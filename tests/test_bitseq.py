@@ -164,6 +164,17 @@ def test_rejection_names_the_first_bad_position():
         BitSeq("01x0y")
 
 
+def test_digit_text_is_taken_as_given_and_parentheses_translated():
+    digits = "1101001110" * 50
+    assert bitseq.text_of(digits) is digits
+    assert bitseq.text_of("") == ""
+    assert bitseq.text_of(digits.translate(str.maketrans("10", "()"))) == digits
+    assert bitseq.text_of("(0)1") == "1001"
+    for bad, at in (("01\n", 3), ("0٠1", 2), ("10 ", 3)):
+        with pytest.raises(RangeError, match=rf"^character .* at position {at} is not a bit or parenthesis$"):
+            bitseq.text_of(bad)
+
+
 FULL = (1 << 64) - 1
 
 

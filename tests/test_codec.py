@@ -83,6 +83,15 @@ def test_decode_parse_errors():
         codec.dfuds_decode(")(")
 
 
+def test_repeated_text_labels_are_refused_and_distinct_ones_make_no_label_map():
+    for text in ("(()())\na b a\n", "((()))\nx y y\n", "(()(()))\nr s t s\n"):
+        with pytest.raises(ParseError, match=r"^labels are not unique$"):
+            codec.tree_from_text(text)
+    t = codec.tree_from_text("(()())\na b c\n")
+    assert t._rank is None
+    assert t.children("a") == ("b", "c") and t.dft("c") == 3
+
+
 def test_mirror_examples():
     assert codec.mirror_string("(()") == "())"
     assert codec.mirror_string(")()") == "()("

@@ -204,16 +204,46 @@ def test_dual_involution_random():
         assert duality.dual(duality.dual(t)) == t
 
 
+def dual_by_degrees(t):
+    """The dual as it was built before the arithmetic one: its nodes in the
+    dual's preorder with their dual child counts, through the waiting-stack
+    pass of ``OrdinalTree._from_degrees``."""
+    order = t._order
+    degree = duality._dual_degrees(t)
+    return OrdinalTree._from_degrees(order[:1] + order[:0:-1], degree[:1] + degree[:0:-1])
+
+
+def arrays(t):
+    """A tree's preorder and its three rank-indexed arrays, as lists."""
+    return list(t._order), list(t._parent), list(t._depth), list(t._size)
+
+
+def dict_arrays(o):
+    """The four arrays of the DictTree ``o``, read through its accessors."""
+    order = list(o.nodes())
+    parent = [o.dft(o.parent(v)) - 1 if v != o.root else -1 for v in order]
+    return order, parent, [o.depth(v) for v in order], [o.subtree_size(v) for v in order]
+
+
+def check_arithmetic_dual(t, o):
+    """``dual(t)`` equals, array by array, the degree-pass dual, both local
+    oracles and the dual of the DictTree ``o`` of the same tree, and its own
+    dual is ``t``."""
+    d = duality.dual(t)
+    want = arrays(d)
+    assert want == arrays(dual_by_degrees(t))
+    assert want == arrays(duality._dual_by_rules(t)[0]) == arrays(duality._dual_by_right_neighbour(t))
+    assert want == dict_arrays(dict_tree.dual(o))
+    assert arrays(duality.dual(d)) == arrays(t)
+
+
 @settings(max_examples=200, deadline=None)
 @given(t=trees())
 def test_one_pass_dual_matches_both_oracles(t):
+    check_arithmetic_dual(t, dict_tree.DictTree.from_children(t.root, t.children_map()))
     d = duality.dual(t)
-    by_rules, _ = duality._dual_by_rules(t)
-    assert d == by_rules == duality._dual_by_right_neighbour(t)
-    assert d.parent_map() == by_rules.parent_map()
     rd = duality.reversed_dual(t)
     assert rd == duality.reverse(d) and rd.parent_map() == d.parent_map()
-    assert duality.dual(d) == t
 
 
 def test_dual_builds_without_navigate_or_validation(monkeypatch):
@@ -233,6 +263,20 @@ def test_dual_builds_without_navigate_or_validation(monkeypatch):
     assert duality.dual(wide).children(2) == (1,)
     assert duality.dual(deep).children(0) == tuple(range(5000, 0, -1))
     assert duality.reversed_dual(deep).children(0) == tuple(range(1, 5001))
+
+
+def test_dual_runs_no_degree_pass_and_makes_no_label_map(monkeypatch):
+    made = (star(5000), chain(*range(5001)), random_tree(random.Random(4), 5000), chain("only"), relabel(star(30), str))
+    cases = [(t, arrays(dual_by_degrees(t))) for t in made]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the arithmetic dual must not call this")
+
+    monkeypatch.setattr(OrdinalTree, "_from_degrees", refuse)
+    for t, want in cases:
+        d = duality.dual(t)
+        assert arrays(d) == want
+        assert d._rank is None and t._rank is None
 
 
 @settings(max_examples=200, deadline=None)

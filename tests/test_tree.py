@@ -142,3 +142,30 @@ def test_subtree_extraction(fix_t):
     assert list(sub.nodes()) == [4, 5, 6, 7, 8]
     assert sub.children(7) == (8,)
     assert sub.depth(8) == 2
+
+
+def _fresh(t):
+    """A copy of ``t`` built from its maps, which has made no label map yet."""
+    copy = OrdinalTree.from_children(t.root, t.children_map())
+    assert copy._rank is None
+    return copy
+
+
+def test_has_node_answers_alike_before_and_after_the_label_map_exists():
+    for t in (random_tree(random.Random(9), 40), OrdinalTree.from_children("a", {"a": ("b", "c"), "c": ("d",)})):
+        labels = list(t.nodes())
+        for v in [*labels, "x", 0, 41, None, ("a",)]:
+            want = v in labels
+            x = _fresh(t)
+            assert x.has_node(v) == want and x._rank is not None
+            assert x.has_node(v) == want
+
+
+def test_unknown_labels_raise_the_same_contract_error_before_and_after_the_label_map_exists():
+    t = random_tree(random.Random(10), 30)
+    calls = (lambda x: x.dft("zz"), lambda x: x.navigate("zz", "parent"), lambda x: x.depth("zz"))
+    for call in calls:
+        for x in (_fresh(t), t):
+            with pytest.raises(ContractError, match=r"^unknown node 'zz'$"):
+                call(x)
+            assert x._rank is not None

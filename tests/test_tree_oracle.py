@@ -2,6 +2,7 @@
 
 import gc
 import random
+import tracemalloc
 from array import array
 
 from hypothesis import given, settings
@@ -73,20 +74,64 @@ def test_heap_tree_matches_the_dict_oracle(values):
     assert_same(h.tree, dict_tree.dfuds_tree(h.dfuds.to_text(), ROOT_LABEL))
 
 
-def test_trees_hold_no_per_node_dict_but_the_rank():
-    t = random_tree(random.Random(3), 400)
-    named = OrdinalTree.from_children(f"v{t.root}", {f"v{v}": tuple(f"v{c}" for c in t.children(v)) for v in t.nodes()})
-    built = OrdinalTree.build({v: t.parent(v) for v in t.nodes()}, {v: t.children(v) for v in t.nodes()})
-    made = [t, named, built, duality.dual(t), duality.reversed_dual(t), duality.reverse(t), t.subtree(t.node_at(2)),
+def _held(x):
+    """What tree ``x`` refers to, but its class and an empty slot."""
+    return [r for r in gc.get_referents(x) if r is not None and not isinstance(r, type)]
+
+
+def test_trees_hold_no_dict_until_a_label_is_looked_up():
+    # The first lookup by label makes the label -> rank dict; the inputs
+    # come from maps, which make none.
+    src = random_tree(random.Random(3), 400)
+    kids = src.children_map()
+    t = OrdinalTree.from_children(src.root, kids)
+    named = OrdinalTree.from_children(f"v{t.root}", {f"v{v}": tuple(f"v{c}" for c in cs) for v, cs in kids.items()})
+    built = OrdinalTree.build(src.parent_map(), kids)
+    made = [t, named, built, duality.dual(t), duality.reversed_dual(t), duality.reverse(t), src.subtree(src.node_at(2)),
             codec.bp_decode(codec.bp_encode(t)[0]), codec.dfuds_decode(codec.dfuds_encode(t)[0]),
             codec.tree_from_text(codec.tree_to_text(named)), build_minheap(list(range(300, 0, -3))).tree]
     for x in made:
-        held = [r for r in gc.get_referents(x) if not isinstance(r, type)]
-        assert [r for r in held if isinstance(r, dict)] == [x._rank]
+        held = _held(x)
+        assert not [r for r in held if isinstance(r, dict)]
         assert x._order in held and isinstance(x._order, list)
         for table in (x._parent, x._depth, x._size):
             assert isinstance(table, array) and len(table) == x.n_nodes
-        assert len(held) == 6  # root label, preorder, rank dict, three arrays
+        assert len(held) == 5  # root label, preorder, three arrays
+        last = x.node_at(x.n_nodes)
+        assert x.dft(last) == x.n_nodes
+        held = _held(x)
+        assert [r for r in held if isinstance(r, dict)] == [x._rank]
+        assert x._rank == dict(zip(x.nodes(), range(x.n_nodes))) and len(held) == 6
+
+
+def _held_per_node(make, n):
+    """(what ``make()`` returns, the bytes per node it holds under tracemalloc)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        made = make()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return made, held / n
+
+
+def test_built_and_decoded_trees_hold_few_bytes_per_node():
+    # With the label -> rank dict made by every constructor, the built trees
+    # held about 104 B per node here and the decoded ones 136. Without it a
+    # tree holds a pointer per node in its preorder and three 4-B arrays, and
+    # a decoded one also its int labels.
+    n = 100_000
+    t = random_tree(random.Random(19), n)
+    kids = t.children_map()
+    bp, df = codec.bp_encode(t)[0], codec.dfuds_encode(t)[0]
+    for make, bound in ((lambda: OrdinalTree.from_children(t.root, kids), 24), (lambda: duality.dual(t), 24),
+                        (lambda: duality.reversed_dual(t), 24), (lambda: codec.bp_decode(bp), 60),
+                        (lambda: codec.dfuds_decode(df), 60)):
+        made, per_node = _held_per_node(make, n)
+        assert made.n_nodes == n and made._rank is None
+        assert per_node <= bound, per_node
 
 
 def _reads_of(fn, *trees):

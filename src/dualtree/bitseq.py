@@ -4,23 +4,25 @@ Positions are 1-based throughout. Bits are packed into 64-bit words with
 per-word cumulative counts, so ``rank`` costs one popcount. ``select`` reads
 a directory that samples every 256th occurrence of its symbol (the
 cumulative-count index reached there), binary-searches the cumulative table
-only between two samples, and inside the word takes three popcounts, each
-keeping the half (32, 16, 8 bits) that holds the wanted bit, then one
-lookup in a 2 KB table of in-byte selects (sampled select, as in Navarro &
-Providel, SEA 2012). A window of 256 occurrences spans few words unless its
-symbol is sparse there, so the search takes a few probes, and never more
-than the O(log n) of a search over the whole table. Each symbol's directory,
-about one entry per 256 occurrences, is built in bulk by its first select,
-so a sequence that is never searched never holds one. The tables are
-derived from the bits alone; rebuilding a sequence always reproduces them.
+only between two samples for the word that holds the occurrence, and reads
+the occurrence's offset inside that word from a table of one byte per
+occurrence (sampled select, as in Navarro & Providel, SEA 2012, with the
+in-word select stored rather than computed). A window of 256 occurrences
+spans few words unless its symbol is sparse there, so the search takes a few
+probes, and never more than the O(log n) of a search over the whole table.
+Each symbol's directory, about one entry per 256 occurrences, and its
+offsets are built in bulk by its first select, so a sequence that is never
+searched never holds them. The tables are derived from the bits alone;
+rebuilding a sequence always reproduces them.
 Construction runs in bulk steps: the bits become one big integer, whose
 little-endian bytes are read straight into the words, and the cumulative
 counts come from ``accumulate``.
 
 The tables are typed arrays, so a sequence's size is fixed bytes per bit:
-the words are an ``array('Q')`` and the cumulative one- and zero-counts and
-the select directories ``array('q')``. ``le_bytes`` and ``from_le`` move such a table to and from
-little-endian bytes on any host.
+the words are an ``array('Q')``, the cumulative one- and zero-counts and
+the select directories ``array('q')``, and the in-word offsets ``bytes``.
+``le_bytes`` and ``from_le`` move such a table to and from little-endian
+bytes on any host.
 
 A balanced parenthesis sequence is a BitSeq too: ``parens.ParenSeq``
 subclasses it, packs its text the same way and adds the excess tables. A
@@ -31,14 +33,13 @@ import re
 import sys
 from array import array
 from bisect import bisect_left
-from itertools import accumulate, repeat
-from operator import sub
+from itertools import accumulate, cycle, repeat
+from operator import getitem, sub
 
 from .errors import NotFoundError, RangeError
 
 WORD = 64
 _MASKS = [(1 << (r + 1)) - 1 for r in range(WORD)]
-_FULL = (1 << WORD) - 1
 _SAMPLE_SHIFT = 8
 _SAMPLE = 1 << _SAMPLE_SHIFT  # occurrences between two select directory entries
 
@@ -50,23 +51,22 @@ _BYTE_TO_DIGIT = bytes.maketrans(b"\0\1", b"01")
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
-def _select_in_byte():
-    """Entry 8b + r is the offset in byte b of its (r + 1)-th one bit, 0 when
-    b has fewer ones."""
-    table = bytearray(256 * 8)
-    for b in range(256):
-        ones = bytes(k for k in range(8) if b >> k & 1)
-        table[8 * b : 8 * b + len(ones)] = ones
-    return bytes(table)
+def _offset_tables():
+    """Table k maps a byte value to the offsets 8k + bit of its set bits, in
+    increasing order: the in-word offsets of the ones of a word's k-th
+    little-endian byte."""
+    return [[bytes(8 * k + bit for bit in range(8) if v >> bit & 1) for v in range(256)] for k in range(8)]
 
 
-_SELECT_IN_BYTE = _select_in_byte()
+_OFFSETS = _offset_tables()
+_COMPLEMENT = bytes(range(255, -1, -1))  # a byte's bits flipped, by translate
+_JOIN = 1 << 10  # word bytes mapped and joined at a time: a join holds about 88 B per piece it joins
 
 
 class BitSeq:
     """Immutable sequence of {0,1} symbols supporting rank/select."""
 
-    __slots__ = ("n", "_words", "_cum1", "_cum0", "_sel1", "_sel0")
+    __slots__ = ("n", "_words", "_cum1", "_cum0", "_sel1", "_sel0", "_off1", "_off0")
 
     def __init__(self, bits):
         self._fill(text_of(bits))
@@ -80,7 +80,8 @@ class BitSeq:
         self._cum1 = array("q", accumulate(map(int.bit_count, self._words), initial=0))
         self._cum0 = array("q", map(sub, range(0, WORD * nwords + 1, WORD), self._cum1))
         self._cum0[-1] = self.n - self._cum1[-1]
-        self._sel1 = self._sel0 = None  # select directories, built by the first select of each symbol
+        # select directories and in-word offsets, built by the first select of each symbol
+        self._sel1 = self._sel0 = self._off1 = self._off0 = None
 
     def __len__(self):
         return self.n
@@ -115,51 +116,43 @@ class BitSeq:
         if i < 1:
             raise RangeError(f"occurrence index {i} must be >= 1")
         if s:
-            cum, sel = self._cum1, self._sel1
+            cum, sel, off = self._cum1, self._sel1, self._off1
         else:
-            cum, sel = self._cum0, self._sel0
+            cum, sel, off = self._cum0, self._sel0, self._off0
         if i > cum[-1]:
             raise NotFoundError(f"sequence holds only {cum[-1]} occurrences of {s}, asked for {i}")
         if sel is None:
-            sel = self._select_directory(s)
+            sel, off = self._select_tables(s)
         k = (i - 1) >> _SAMPLE_SHIFT
-        w = bisect_left(cum, i, sel[k], sel[k + 1]) - 1
-        need = i - cum[w]
-        word = self._words[w] if s else ~self._words[w] & _FULL
-        pos = w * WORD + 1
-        # halve the word three times, keeping the half that holds the bit,
-        # then look the bit up in its byte
-        c = (word & 0xFFFFFFFF).bit_count()
-        if c < need:
-            need -= c
-            word >>= 32
-            pos += 32
-        c = (word & 0xFFFF).bit_count()
-        if c < need:
-            need -= c
-            word >>= 16
-            pos += 16
-        c = (word & 0xFF).bit_count()
-        if c < need:
-            need -= c
-            word >>= 8
-            pos += 8
-        return pos + _SELECT_IN_BYTE[(word & 0xFF) << 3 | need - 1]
+        return (bisect_left(cum, i, sel[k], sel[k + 1]) - 1) * WORD + 1 + off[i - 1]
 
-    def _select_directory(self, s):
-        """Build and keep symbol s's select directory. Entry k is the first
-        index of the cumulative counts that reaches occurrence 256k + 1, one
-        past the word that holds it; a last entry, the same index for the
-        last occurrence, closes the last window."""
+    def _select_tables(self, s):
+        """Build and keep symbol s's select directory and in-word offsets.
+
+        Directory entry k is the first index of the cumulative counts that
+        reaches occurrence 256k + 1, one past the word that holds it; a last
+        entry, the same index for the last occurrence, closes the last
+        window. Offset i - 1 is the i-th occurrence's bit offset inside its
+        word: the words' little-endian bytes (complemented for symbol 0),
+        each mapped to its set bits by the table of its place in the word,
+        and cut to the count, since the last word's padding complements to
+        ones."""
         cum = self._cum1 if s else self._cum0
         total = cum[-1]
         sel = array("q", map(bisect_left, repeat(cum), range(1, total + 1, _SAMPLE)))
         sel.append(bisect_left(cum, total))
+        raw = le_bytes(self._words)
+        if not s:
+            raw = raw.translate(_COMPLEMENT)
+        pieces = (map(getitem, cycle(_OFFSETS), raw[lo : lo + _JOIN]) for lo in range(0, len(raw), _JOIN))
+        off = b"".join([b"".join(piece) for piece in pieces])
+        if len(off) > total:
+            off = off[:total]
         if s:
-            self._sel1 = sel
+            self._sel1, self._off1 = sel, off
         else:
-            self._sel0 = sel
-        return sel
+            self._sel0, self._off0 = sel, off
+        return sel, off
 
     def table_bits(self) -> int:
         """Size of the acceleration tables, in bits (reported, not bounded)."""

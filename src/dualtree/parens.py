@@ -3,9 +3,13 @@
 A ParenSeq is a balanced BitSeq (1 = opening, 0 = closing): it inherits the
 packed words and the rank/select tables, and adds the excess profile,
 matching (open/close) and leftmost range-minimum queries over the excess
-array. A WeightedBits answers weighted prefix select (``bpselect``) over
-the weights on one side, opening or closing, of a sequence of n bits; it
-holds only the weight tables, not the bits.
+array. ``rmq_closers(i, j)`` is the range-min between the i-th and j-th
+closing parentheses read back as a rank_0, in one call: two selects, one
+range-min that also yields the minimum's excess, and rank_0(x) = (x -
+excess(x)) / 2 with no rank table read. A WeightedBits answers weighted
+prefix select (``bpselect``) over the weights on one side, opening or
+closing, of a sequence of n bits; it holds only the weight tables, not the
+bits.
 
 The excess RMQ uses fixed-size block minima plus a sparse table over blocks.
 Each table entry is one Python int, ``(block minimum << shift) | block`` with
@@ -205,12 +209,26 @@ class ParenSeq(BitSeq):
         """Leftmost position in [l, r] with minimal excess."""
         if not 1 <= l <= r <= self.n:
             raise RangeError(f"range [{l}, {r}] invalid for length {self.n}")
+        return self._range_min(l, r)[1]
+
+    def rmq_closers(self, i: int, j: int) -> int:
+        """rank_0 of the leftmost position of minimal excess between the i-th
+        and the j-th closing parentheses: the kernel that every engine's
+        2 select + 1 rmq + 1 rank runs, in one call. Since excess = rank_1 -
+        rank_0 and x = rank_1 + rank_0, rank_0(x) is (x - excess(x)) / 2."""
+        if not 1 <= i <= j <= self._cum0[-1]:
+            raise RangeError(f"closers [{i}, {j}] invalid for {self._cum0[-1]} closing parentheses")
+        v, x = self._range_min(self.select(i, CLOSE), self.select(j, CLOSE))
+        return (x - v) >> 1
+
+    def _range_min(self, l, r):
+        """(minimal excess over [l, r], its leftmost position), 1 <= l <= r <= n."""
         if self._table is None:
             self._build_blocks()
         kb_l = (l - 1) // _BLOCK
         kb_r = (r - 1) // _BLOCK
         if kb_l == kb_r:
-            return self._scan_value(l, r)[1]
+            return self._scan_value(l, r)
         bmin = self._bmin
         if kb_r == kb_l + 1:
             best_v, best_p = self._scan_value(l, (kb_l + 1) * _BLOCK)
@@ -227,11 +245,11 @@ class ParenSeq(BitSeq):
         if bmin[kb_r] < best_v:
             v, p = self._scan_value(kb_r * _BLOCK + 1, r)
             if v < best_v:
-                return p
+                return v, p
         if best_p is None:
             lo = mk * _BLOCK + 1
-            return self._exc.index(best_v & 255, lo, lo + _BLOCK)
-        return best_p
+            return best_v, self._exc.index(best_v & 255, lo, lo + _BLOCK)
+        return best_v, best_p
 
     def _scan_value(self, l, r):
         """(minimum excess over [l, r], its leftmost position), l and r in

@@ -12,6 +12,11 @@ the one stored DFUDS bit sequence:
   ancestor, maps back; node ranks are arithmetic, so no tree is decoded.
 * ``scan`` — linear scan of the values; the oracle the others are held to.
 
+``direct`` and ``ancestor``, and through them both interval engines, run
+one kernel over the DFUDS: 2 select + 1 rmq + 1 rank, the range-min of the
+excess between the i-th and j-th closes and the rank_0 of its position. It
+is one call, ``ParenSeq.rmq_closers``, which checks its range once.
+
 Every primitive touched on the query path is tallied in an OpCounters so
 per-query budgets can be asserted exactly.
 """
@@ -75,14 +80,10 @@ def rmq_direct(h, i, j, counters=None):
     """Single range-min from the i-th close; one rank reads off the answer."""
     c = counters if counters is not None else OpCounters()
     _check_range(h, i, j)
-    p = h.dfuds
-    lo = p.select(i, CLOSE)
-    hi = p.select(j, CLOSE)
     c.select += 2
-    w2 = p.rmq_excess(lo, hi)
     c.rmq += 1
     c.rank += 1
-    return p.rank(w2, CLOSE)
+    return h.dfuds.rmq_closers(i, j)
 
 
 def pda_fast(tree, dfuds, v1, v2, counters=None):
@@ -99,13 +100,10 @@ def pda_fast(tree, dfuds, v1, v2, counters=None):
     j = tree.dft(v2) - 1
     if i > j:
         raise ContractError(f"{v1!r} does not precede {v2!r} in depth-first order")
-    lo = dfuds.select(i, CLOSE)
-    hi = dfuds.select(j, CLOSE)
     c.select += 2
-    w = dfuds.rmq_excess(lo, hi)
     c.rmq += 1
     c.rank += 1
-    return tree.node_at(dfuds.rank(w, CLOSE) + 1)
+    return tree.node_at(dfuds.rmq_closers(i, j) + 1)
 
 
 def rmq_ancestor(h, i, j, counters=None):

@@ -1,6 +1,8 @@
+import gc
 import math
 import random
 import struct
+import tracemalloc
 from bisect import bisect_left
 
 import pytest
@@ -179,7 +181,7 @@ FULL = (1 << 64) - 1
 
 
 def select_bit_by_bit(b, i, s):
-    """The in-word select the halving replaced: clear the lowest bits of the
+    """An in-word select by a bit loop: clear the lowest bits of the
     word one at a time until the i-th occurrence is the lowest."""
     cum = b._cum1 if s else b._cum0
     w = bisect_left(cum, i) - 1
@@ -238,13 +240,19 @@ def test_tables_are_typed_and_round_trip_through_little_endian_bytes():
 # -- the select directory ----------------------------------------------------------
 
 
-def test_select_in_byte_table_against_a_bit_loop():
-    table = bitseq._SELECT_IN_BYTE
-    assert type(table) is bytes and len(table) == 256 * 8
-    for b in range(256):
-        ones = [k for k in range(8) if b >> k & 1]
-        for r in range(8):
-            assert table[8 * b + r] == (ones[r] if r < len(ones) else 0), (b, r)
+def test_offset_tables_against_a_bit_loop():
+    tables = bitseq._OFFSETS
+    assert len(tables) == 8
+    for k, table in enumerate(tables):
+        assert len(table) == 256
+        for v in range(256):
+            offsets = []
+            rest = v
+            while rest:  # clear the lowest set bit, one at a time
+                low = rest & -rest
+                offsets.append(8 * k + low.bit_length() - 1)
+                rest ^= low
+            assert type(table[v]) is bytes and list(table[v]) == offsets, (k, v)
 
 
 def long_runs():
@@ -286,6 +294,87 @@ def test_select_at_the_directory_samples_matches_a_naive_scan():
                 b.select(0, s)
 
 
+def offsets_of(b, s):
+    """Symbol s's in-word offsets after a first select, or None where s does not occur."""
+    if b.count(s):
+        b.select(1, s)
+    return b._off1 if s else b._off0
+
+
+def assert_offsets_are_in_word_positions(b):
+    bits = list(b.iter_bits())
+    for s in (0, 1):
+        positions = [x for x, bit in enumerate(bits, start=1) if bit == s]
+        off = offsets_of(b, s)
+        if not positions:
+            assert off is None  # no occurrence: no select gets to build a table
+            continue
+        # one byte per occurrence, the padding of a partial last word adding none
+        assert type(off) is bytes and len(off) == len(positions) == b.count(s)
+        assert list(off) == [(x - 1) % 64 for x in positions]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ws=st.lists(words, min_size=1, max_size=6), tail=st.integers(1, 64))
+def test_offsets_are_the_in_word_positions_of_every_occurrence(ws, tail):
+    bits = [(w >> k) & 1 for w in ws for k in range(64)][: 64 * (len(ws) - 1) + tail]
+    assert_offsets_are_in_word_positions(BitSeq(bits))
+
+
+def test_offsets_on_aligned_partial_uniform_and_long_run_sequences():
+    rng = random.Random(0x0FF5)
+    seqs = list(long_runs().values())
+    for n in (1, 63, 64, 65, 100, 128, 130, 640, 5_000, 4_096 * 8 + 3):  # word-aligned and partial last words
+        seqs.append(BitSeq([rng.randint(0, 1) for _ in range(n)]))
+        seqs.append(BitSeq([1] * n))
+        seqs.append(BitSeq([0] * n))
+    for b in seqs:
+        assert_offsets_are_in_word_positions(b)
+
+
+def test_each_symbols_offsets_are_built_by_its_own_first_select():
+    rng = random.Random(0xB17)
+    b = BitSeq([rng.randint(0, 1) for _ in range(1000)])
+    assert (b._sel1, b._off1, b._sel0, b._off0) == (None,) * 4
+    b.rank(500, 1)
+    b.rank(500, 0)
+    assert (b._off1, b._off0) == (None, None)  # rank builds no select table
+    b.select(1, 1)
+    off1 = b._off1
+    assert type(off1) is bytes and (b._sel0, b._off0) == (None, None)
+    b.select(b.count(1), 1)
+    assert b._off1 is off1 and b._off0 is None  # built once
+    b.select(7, 0)
+    assert b._off1 is off1 and type(b._off0) is bytes
+    ones = BitSeq([1] * 100)
+    with pytest.raises(NotFoundError):
+        ones.select(1, 0)
+    assert ones._off0 is None and ones._sel0 is None  # a failed select builds nothing
+
+
+def test_first_select_holds_one_byte_per_occurrence_and_peaks_near_it():
+    # The offsets are joined a chunk of word bytes at a time: one join over
+    # every piece holds a buffer of about 88 bytes per piece of 8 bits, about
+    # 21 bytes per occurrence here, and fails the peak bound.
+    rng = random.Random(0x9EA)
+    b = BitSeq([rng.randint(0, 1) for _ in range(400_000)])
+    for s in (0, 1):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            b.select(1, s)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        occurrences = b.count(s)
+        sel, off = (b._sel1, b._off1) if s else (b._sel0, b._off0)
+        directory = sel.buffer_info()[1] * sel.itemsize
+        assert len(off) == occurrences
+        assert held - before <= occurrences + directory + 1024, (s, held - before)
+        assert peak - before <= 3 * occurrences, (s, (peak - before) / occurrences)
+
+
 def counted_select_reads(b, s, ranks):
     """The most reads of the cumulative counts and the directory that one
     select of ``s`` makes over ``ranks``."""
@@ -304,17 +393,18 @@ def counted_select_reads(b, s, ranks):
 
 
 def test_select_reads_few_counts_and_logarithmically_many_on_long_runs():
-    # Four reads besides the bisect: the total, two directory entries and the
-    # count before the word. Where every directory window spans few words the
-    # bisect takes at most four probes; where one symbol is sparse, a window
-    # spans many words, and the bisect is still logarithmic.
+    # Three reads besides the bisect: the total and two directory entries;
+    # the offset inside the word is one byte of the offsets, not a count.
+    # Where every directory window spans few words the bisect takes at most
+    # four probes; where one symbol is sparse, a window spans many words, and
+    # the bisect is still logarithmic.
     rng = random.Random(0x9E0B)
     seqs = long_runs()
     seqs["random"] = BitSeq([rng.randint(0, 1) for _ in range(100_000)])
     for name, b in seqs.items():
         for s in (0, 1):
             worst, words = counted_select_reads(b, s, sampled_ranks(b.count(s)))
-            assert worst <= 8, (name, s, worst)
+            assert worst <= 7, (name, s, worst)
     sparse = BitSeq([0 if x % 3000 == 0 else 1 for x in range(100_000)])
     worst, words = counted_select_reads(sparse, 0, range(1, sparse.count(0) + 1))
-    assert worst <= math.ceil(math.log2(words)) + 4, worst
+    assert worst <= math.ceil(math.log2(words)) + 3, worst

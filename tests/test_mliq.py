@@ -430,11 +430,13 @@ def test_interval_index_holds_typed_tables_and_no_dict(tmp_path):
         held = {id(o) for o in reachable(s) if isinstance(o, (array, bytes))}
         assert type(dfuds._exc) is bytes and held == {id(t) for t in (*tables, dfuds._exc)}
         # a query selects closes, which builds that symbol's select directory
+        # and in-word offsets, and no table of the opening symbol
         mliq.mliq_naive(s, s.a[0], s.b[0])
         mliq.mliq_weighted(s, s.a[0], s.b[0])
         held = {id(o) for o in reachable(s) if isinstance(o, (array, bytes))}
         assert dfuds._sel1 is None and dfuds._sel0.typecode == "q"
-        assert held == {id(t) for t in (*tables, dfuds._exc, dfuds._sel0)}
+        assert dfuds._off1 is None and type(dfuds._off0) is bytes and len(dfuds._off0) == dfuds.count(0)
+        assert held == {id(t) for t in (*tables, dfuds._exc, dfuds._sel0, dfuds._off0)}
         lengths = s.lengths
         assert lengths.typecode == "q" and lengths.tolist() == [y - x + 1 for x, y in zip(s.a, s.b)]
         bp_open, bp_close = s.weighted_bps()

@@ -506,6 +506,53 @@ def test_rmq_excess_matches_a_direct_scan_with_ties(pairs, seed, shape):
         assert p.rmq_excess(l, r) == rmq_oracle(exc, l, r), (l, r)
 
 
+def closers_oracle(p, i, j):
+    """The kernel as four calls: rank_0 of the range-min between two closers."""
+    return p.rank(p.rmq_excess(p.select(i, 0), p.select(j, 0)), 0)
+
+
+def closer_pairs(p, rng, count):
+    """Closer ranks i <= j whose closers lie in one block, in adjacent blocks
+    and anywhere after, each kind where the sequence has one."""
+    block = [(x - 1) // 64 for x, b in enumerate(p.iter_bits(), start=1) if b == 0]
+    total = len(block)
+    out = [(1, 1), (1, total), (total, total)]
+    for _ in range(count):
+        i = rng.randint(1, total)
+        same = [j for j in range(i, total + 1) if block[j - 1] == block[i - 1]]
+        next_ = [j for j in range(i, min(total, i + 130) + 1) if block[j - 1] == block[i - 1] + 1]
+        out += [(i, rng.choice(same)), (i, rng.randint(i, total))]
+        if next_:
+            out.append((i, rng.choice(next_)))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs=st.integers(1, 2000), seed=st.integers(0, 2**32))
+def test_rmq_closers_is_the_rank_of_the_range_min_between_two_selects(pairs, seed):
+    rng = random.Random(seed)
+    p = ParenSeq(random_balanced(rng, pairs))
+    for i, j in closer_pairs(p, rng, 60):
+        assert p.rmq_closers(i, j) == closers_oracle(p, i, j), (i, j)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 3000), seed=st.integers(0, 2**32))
+def test_rmq_closers_on_dfuds_shapes(n, seed):
+    rng = random.Random(seed)
+    for shape, p in dfuds_shapes(n).items():
+        for i, j in closer_pairs(p, rng, 30):
+            assert p.rmq_closers(i, j) == closers_oracle(p, i, j), (shape, i, j)
+
+
+def test_rmq_closers_rejects_a_range_outside_the_closers():
+    p = ParenSeq("(()(()))")  # four closers
+    assert [p.rmq_closers(i, 4) for i in range(1, 5)] == [closers_oracle(p, i, 4) for i in range(1, 5)]
+    for i, j in ((0, 2), (-1, 1), (3, 2), (1, 5), (5, 5)):
+        with pytest.raises(RangeError, match=rf"^closers \[{i}, {j}\] invalid for 4 closing parentheses$"):
+            p.rmq_closers(i, j)
+
+
 def counted_tables(p):
     """Swap p's block minima and table rows for read-counting lists; returns
     the read bound 2 * ceil(log2 blocks) + 4."""

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from dualtree import codec, duality, rmq
+from dualtree import codec, duality, mliq, rmq
 from dualtree.errors import ContractError
 from dualtree.minheap import build_minheap
-from dualtree.randgen import random_array, random_tree
+from dualtree.parens import ParenSeq
+from dualtree.randgen import random_array, random_intervals, random_tree
 from dualtree.tree import OrdinalTree
 
 from conftest import FIX_A
@@ -120,6 +121,38 @@ def test_ancestor_budget_matches_direct(fix_heap):
     c = rmq.OpCounters()
     rmq.rmq_ancestor(fix_heap, 2, 7, c)
     assert c.as_dict() == {"rank": 1, "select": 2, "rmq": 1, "open": 0, "close": 0, "bpselect": 0}
+
+
+def test_engines_run_one_kernel_call_with_unchanged_counts(monkeypatch):
+    # direct and ancestor, and through them naive and weighted, take the
+    # range-min and its rank_0 from ParenSeq.rmq_closers: no rank or
+    # rmq_excess call of their own, and the same 2 select + 1 rmq + 1 rank
+    def refuse(*args):
+        raise AssertionError("the kernel is one rmq_closers call")
+
+    rng = random.Random(0x4E7)
+    h = build_minheap(random_array(rng, 300, 50))
+    fam = mliq.build_intervals(random_intervals(rng, 200))
+    ranges = ((1, 300), (7, 7), (40, 230))
+    expected = [rmq.rmq_scan(h, i, j) for i, j in ranges]
+    answers = [mliq.mliq_bruteforce(fam, x, x + 3) for x in range(0, fam.domain_max, 17)]
+    monkeypatch.setattr(ParenSeq, "rank", refuse)
+    monkeypatch.setattr(ParenSeq, "rmq_excess", refuse)
+    kernel = {"rank": 1, "select": 2, "rmq": 1, "open": 0, "close": 0, "bpselect": 0}
+    for fn in (rmq.rmq_direct, rmq.rmq_ancestor):
+        for (i, j), want in zip(ranges, expected):
+            c = rmq.OpCounters()
+            assert fn(h, i, j, c) == want and c.as_dict() == kernel
+    for x, want in zip(range(0, fam.domain_max, 17), answers):
+        c = rmq.OpCounters()
+        assert mliq.mliq_naive(fam, x, x + 3, counters=c) == want
+        if want is not None:
+            assert c.as_dict() == {**kernel, "rank": 3}
+        c = rmq.OpCounters()
+        assert mliq.mliq_weighted(fam, x, x + 3, counters=c) == want
+        if want is not None:
+            assert c.as_dict() == {**kernel, "bpselect": 2}
+    assert any(want is not None for want in answers)
 
 
 def test_counters_accumulate(fix_heap):

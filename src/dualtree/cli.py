@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import dataclass
 
 from . import index_io, mliq, randgen, rmq, verify
 from .errors import ContractError, NotFoundError, ParseError, RangeError, ValidationError
@@ -20,18 +21,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_QUERY_ERROR = 3
-
-RMQ_ENGINES = rmq.ENGINES
-MLIQ_SOLVERS = {"naive": mliq.mliq_naive, "weighted": mliq.mliq_weighted, "brute": mliq.mliq_bruteforce}
-MLIQ_ENGINES = tuple(MLIQ_SOLVERS)
-
-
-def _solve_mliq(engine, index, a, b, strict, counters):
-    """Run one MLIQ solver; the brute-force oracle counts no primitives."""
-    solver = MLIQ_SOLVERS[engine]
-    if engine == "brute":
-        return solver(index, a, b, strict=strict)
-    return solver(index, a, b, strict=strict, counters=counters)
 
 
 def _default_seed():
@@ -60,10 +49,11 @@ def build_parser():
 
     q = sub.add_parser("query", help="run one query against a built index")
     q.add_argument("index")
-    q.add_argument("kind", choices=("rmq", "mliq"))
+    q.add_argument("kind", choices=tuple(QUERY_KINDS))
     q.add_argument("left", type=int, help="i (rmq) or a (mliq)")
     q.add_argument("right", type=int, help="j (rmq) or b (mliq)")
-    q.add_argument("--engine", default=None, help="rmq: checked|direct|ancestor|scan; mliq: naive|weighted|brute")
+    q.add_argument("--engine", default=None,
+                   help="; ".join(f"{kind}: {'|'.join(qk.engines)}" for kind, qk in QUERY_KINDS.items()))
     q.add_argument("--strict", action="store_true", help="mliq: strict containment (a_i < a and b_i > b)")
     q.add_argument("--stats", action="store_true", help="print primitive-operation counts")
     q.add_argument("--output", choices=("human", "tsv", "jsonl"), default="human")
@@ -80,7 +70,7 @@ def build_parser():
 
     be = sub.add_parser("bench", help="benchmark engines over a built index")
     be.add_argument("index")
-    be.add_argument("kind", choices=("rmq", "mliq"))
+    be.add_argument("kind", choices=tuple(QUERY_KINDS))
     be.add_argument("--engine", default="all", help="comma list of engines, or 'all'")
     be.add_argument("--queries", type=int, default=10_000)
     be.add_argument("--seed", type=int, default=None)
@@ -132,29 +122,64 @@ def cmd_inspect(args):
 # -- query -------------------------------------------------------------------------
 
 
-def _load_any(path):
-    if index_io.read_kind(path) == index_io.KIND_ARRAY:
-        return "array", index_io.load_array_index(path)
-    return "intervals", index_io.load_interval_index(path)
+@dataclass(frozen=True)
+class QueryKind:
+    """What the CLI knows of one query kind: its engines, each called as
+    ``engine(index, left, right, strict, counters)``, the engine a query runs
+    unless told, the engines ``bench`` runs for 'all', the blob kind its
+    index comes from, and ``bounds(index)``, the least and the greatest
+    bound of a query."""
+
+    engines: dict
+    default: str
+    bench_all: tuple
+    blob: str
+    bounds: object
+
+
+def _rmq_engine(name):
+    """The rmq engine ``name`` as the CLI calls an engine; strict has no
+    meaning for a range minimum."""
+    return lambda h, i, j, strict, counters: rmq.range_min_index(h, i, j, engine=name, counters=counters)
+
+
+QUERY_KINDS = {
+    "rmq": QueryKind({name: _rmq_engine(name) for name in rmq.ENGINES}, "direct", rmq.ENGINES,
+                     "array", lambda h: (1, h.n)),
+    "mliq": QueryKind({"naive": mliq.mliq_naive, "weighted": mliq.mliq_weighted, "brute": mliq.mliq_bruteforce},
+                      "naive", ("naive", "weighted"), "interval", lambda s: (0, s.domain_max)),
+}
+
+
+def _load_for(args, needs):
+    """The table entry of the query kind ``args.kind`` and the index of the
+    blob ``args.index``, which must be of the entry's blob kind;
+    ValidationError ``<kind> <needs> an <blob> index blob`` otherwise."""
+    qk = QUERY_KINDS[args.kind]
+    if index_io.read_kind(args.index) == index_io.KIND_ARRAY:
+        blob, index = "array", index_io.load_array_index(args.index)
+    else:
+        blob, index = "interval", index_io.load_interval_index(args.index)
+    if blob != qk.blob:
+        raise ValidationError(f"{args.kind} {needs} an {qk.blob} index blob")
+    return qk, index
+
+
+def _engines(kind, names):
+    """The engines of query ``kind`` called ``names``, in order;
+    ContractError names an unknown one and lists the kind's engines."""
+    engines = QUERY_KINDS[kind].engines
+    for name in names:
+        if name not in engines:
+            raise ContractError(f"unknown {kind} engine {name!r}; expected one of {tuple(engines)}")
+    return [engines[name] for name in names]
 
 
 def cmd_query(args):
-    blob_kind, index = _load_any(args.index)
+    qk, index = _load_for(args, "queries need")
+    [engine] = _engines(args.kind, [args.engine or qk.default])
     counters = rmq.OpCounters()
-    if args.kind == "rmq":
-        if blob_kind != "array":
-            raise ValidationError("rmq queries need an array index blob")
-        engine = args.engine or "direct"
-        if engine not in RMQ_ENGINES:
-            raise ContractError(f"unknown rmq engine {engine!r}; expected one of {RMQ_ENGINES}")
-        answer = rmq.range_min_index(index, args.left, args.right, engine=engine, counters=counters)
-    else:
-        if blob_kind != "intervals":
-            raise ValidationError("mliq queries need an interval index blob")
-        engine = args.engine or "naive"
-        if engine not in MLIQ_ENGINES:
-            raise ContractError(f"unknown mliq engine {engine!r}; expected one of {MLIQ_ENGINES}")
-        answer = _solve_mliq(engine, index, args.left, args.right, args.strict, counters)
+    answer = engine(index, args.left, args.right, args.strict, counters)
     text_answer = "None" if answer is None else str(answer)
     if args.output == "jsonl":
         record = {"answer": answer}
@@ -237,65 +262,39 @@ def _tree_text(t):
 def cmd_bench(args):
     _check_non_negative(queries=args.queries)
     seed = args.seed if args.seed is not None else _default_seed()
-    blob_kind, index = _load_any(args.index)
-    if args.kind == "rmq":
-        if blob_kind != "array":
-            raise ValidationError("rmq bench needs an array index blob")
-        engines = RMQ_ENGINES if args.engine == "all" else tuple(args.engine.split(","))
-        for e in engines:
-            if e not in RMQ_ENGINES:
-                raise ContractError(f"unknown rmq engine {e!r}")
-        queries = _rmq_workload(index, seed, args.queries)
-        runner = lambda e, q, c: rmq.range_min_index(index, q[0], q[1], engine=e, counters=c)
-    else:
-        if blob_kind != "intervals":
-            raise ValidationError("mliq bench needs an interval index blob")
-        engines = ("naive", "weighted") if args.engine == "all" else tuple(args.engine.split(","))
-        for e in engines:
-            if e not in MLIQ_ENGINES:
-                raise ContractError(f"unknown mliq engine {e!r}")
-        queries = _mliq_workload(index, seed, args.queries)
-        runner = lambda e, q, c: _solve_mliq(e, index, q[0], q[1], args.strict, c)
+    qk, index = _load_for(args, "bench needs")
+    names = qk.bench_all if args.engine == "all" else tuple(args.engine.split(","))
+    engines = _engines(args.kind, names)
+    queries = _workload(args.kind, *qk.bounds(index), seed, args.queries)
 
     cols = ["engine", "queries", "qps", "answers_sha256", "mean_rank", "mean_select",
             "mean_rmq", "mean_open", "mean_close", "mean_bpselect"]
     print("\t".join(cols))
     if not queries:
         return EXIT_OK
-    for e in engines:
+    for name, engine in zip(names, engines):
         totals = rmq.OpCounters()
         digest = hashlib.sha256()
         t0 = time.perf_counter()
-        for q in queries:
-            ans = runner(e, q, totals)
+        for left, right in queries:
+            ans = engine(index, left, right, args.strict, totals)
             digest.update(str(ans).encode())
         elapsed = time.perf_counter() - t0
         k = len(queries) or 1
         qps = f"{len(queries) / elapsed:.0f}" if elapsed > 0 and queries else "0"
-        row = [e, str(len(queries)), qps, digest.hexdigest()[:12]]
+        row = [name, str(len(queries)), qps, digest.hexdigest()[:12]]
         row += [f"{getattr(totals, f) / k:.3f}" for f in ("rank", "select", "rmq", "open", "close", "bpselect")]
         print("\t".join(row))
     return EXIT_OK
 
 
-def _rmq_workload(index, seed, count):
-    rng = randgen.rng_for(seed, "bench-rmq")
+def _workload(kind, lo, hi, seed, count):
+    """``count`` random queries (left, right), lo <= left <= right <= hi."""
+    rng = randgen.rng_for(seed, f"bench-{kind}")
     out = []
     for _ in range(count):
-        i = rng.randint(1, index.n)
-        j = rng.randint(i, index.n)
-        out.append((i, j))
-    return out
-
-
-def _mliq_workload(index, seed, count):
-    rng = randgen.rng_for(seed, "bench-mliq")
-    hi = index.domain_max
-    out = []
-    for _ in range(count):
-        a = rng.randint(0, hi)
-        b = rng.randint(a, hi)
-        out.append((a, b))
+        left = rng.randint(lo, hi)
+        out.append((left, rng.randint(left, hi)))
     return out
 
 

@@ -7,16 +7,17 @@ root when none follows), and dual siblings come in descending depth-first
 order, so the dual's preorder is the root and then the other nodes in
 reverse. BP of the dual is the reversed DFUDS of the primal, so ``dual``
 reads each of its arrays off the primal's sizes, parents and degrees by
-arithmetic, with no pass over a stack. ``reverse`` and ``reversed_dual``
-list the nodes in their new preorder with their child counts, as a DFUDS
-does, and the tree fills its arrays from those. The reversed dual's
-preorder is the root, then each node's children right to left, taking the
-nodes in the primal's preorder, which is why its BP is the primal's DFUDS;
-it is built in that one pass, and ``reverse(dual(t))`` stays as its oracle
-in verify and the tests. Two independent constructions of the dual stay as
-oracles: ``_dual_by_rules`` (whose certificate ``dual_certified`` returns)
-and ``_dual_by_right_neighbour``; verify and the tests check all three
-agree.
+arithmetic, with no pass over a stack. ``reverse`` permutes the primal's
+arrays: a node keeps its depth and size and moves to its mirrored rank.
+``reversed_dual`` lists the nodes in its preorder with their child counts,
+as a DFUDS does, and the tree fills its arrays from those. The reversed
+dual's preorder is the root, then each node's children right to left,
+taking the nodes in the primal's preorder, which is why its BP is the
+primal's DFUDS; it is built in that one pass, and ``reverse(dual(t))``
+stays as its oracle in verify and the tests. Two independent constructions
+of the dual stay as oracles: ``_dual_by_rules`` (whose certificate
+``dual_certified`` returns) and ``_dual_by_right_neighbour``; verify and
+the tests check all three agree.
 """
 
 from dataclasses import dataclass
@@ -150,12 +151,16 @@ def reverse(t: OrdinalTree) -> OrdinalTree:
     """Same parents, every child list reversed."""
     # Reversing the children mirrors the BP: the node at rank r, last in
     # postorder among r + size - depth nodes, moves to rank n - r - size + depth.
+    # It keeps its depth and size, and its parent moves the same way.
     n = t.n_nodes
+    size, depth = t._size.tolist(), t._depth.tolist()
+    to = list(map(add, map(sub, range(n, 0, -1), size), depth))
     at = [0] * n
-    for r, k in enumerate(map(add, map(sub, range(n, 0, -1), t._size), t._depth)):
+    for r, k in enumerate(to):
         at[k] = r
-    degree = t._degrees()
-    return OrdinalTree._from_degrees(list(map(t._order.__getitem__, at)), list(map(degree.__getitem__, at)))
+    return OrdinalTree(list(map(t._order.__getitem__, at)),
+                       [-1, *map(to.__getitem__, map(t._parent.tolist().__getitem__, islice(at, 1, None)))],
+                       list(map(depth.__getitem__, at)), list(map(size.__getitem__, at)))
 
 
 def dual_of_reversed(t: OrdinalTree) -> OrdinalTree:

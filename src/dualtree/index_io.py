@@ -39,17 +39,16 @@ once, into an ``array('q')``, which the rebuilt index keeps as its values,
 and an interval blob's INTA and INTB into two more, which the rebuild
 checks in bulk with the rules and messages of ``mliq.build_intervals`` and
 then keeps as the index's endpoints. A version-1 or -2 interval load
-computes the weighted positions off the rebuilt DFUDS and compares WOPN
-and WCLS where they lie, as 64-bit integers read from the stored bytes:
-the count, the positions against the computed ones, and the running sums
-of the weights against ``a``, and against ``b`` with the close side's
-weights read from the end; a version-3 load computes no position. Every
-64-bit section, like the binary array file, is written from a typed array
-in one step (the index's own values, endpoints and bit words, uncopied),
-little-endian on any host, and read back as one. A blob that is truncated,
-corrupt or missing a section raises ParseError. Values and endpoints must
-be signed 64-bit integers; others raise ValidationError when read, built
-or saved.
+takes the weighted BPs of the rebuilt index (``weighted_bps``) and
+compares WOPN and WCLS where they lie, as 64-bit integers read from the
+stored bytes: the count, the positions, and the running sums of the
+weights against each side's cumulative weights; a version-3 load computes
+no position. Every 64-bit section, like the binary array file, is written
+from a typed array in one step (the index's own values, endpoints and bit
+words, uncopied), little-endian on any host, and read back as one. A blob
+that is truncated, corrupt or missing a section raises ParseError. Values
+and endpoints must be signed 64-bit integers; others raise ValidationError
+when read, built or saved.
 
 A save, like ``write_array_binary``, makes every byte first and then writes
 over the file in place: opened without truncating it, cut to the new
@@ -62,7 +61,7 @@ leaves a file whose header a load rejects.
 import os
 import struct
 from array import array
-from itertools import accumulate, chain
+from itertools import accumulate
 from operator import eq
 
 from .bitseq import from_le, le_bytes, le_view
@@ -200,19 +199,19 @@ def _emin_section(parenseq):
     return struct.pack("<Q", _BLOCK) + _i64_bytes(parenseq.block_tables()[0])
 
 
-def _check_weights(path, sections, tag, positions, sums, what, reverse=False):
+def _check_weights(path, sections, tag, side, what):
     """ParseError ``what ...`` unless section ``tag`` of a version-1 or -2
-    blob holds the entries of a side with these ``positions`` whose
-    weights, read last to first if ``reverse``, have the running sums
-    ``sums``. The stored entries are compared where they lie, the count,
-    then every position, then the running sums, so none is rebuilt."""
+    blob holds the entries of ``side``, a WeightedBits: its positions, with
+    weights whose running sums are its cumulative weights. The stored
+    entries are compared where they lie, the count, then every position,
+    then the running sums."""
     stored = _section(path, sections, tag)
-    count = len(positions)
+    count = len(side.positions)
     if len(stored) != 8 + 16 * count:
         raise ParseError(f"{path}: stored {what}")
     entries = le_view(stored)
-    weights = entries[:0:-2] if reverse else entries[2::2]
-    if not (entries[0] == count and entries[1::2] == positions and all(map(eq, accumulate(weights), sums))):
+    if not (entries[0] == count and entries[1::2] == side.positions
+            and all(map(eq, accumulate(entries[2::2]), side.cum))):
         raise ParseError(f"{path}: stored {what}")
 
 
@@ -368,12 +367,9 @@ def load_interval_index(path):
     _verify_derived(path, version, s.heap.dfuds, sections)
     if version >= 3:
         return s
-    opens, closes = s.weighted_positions()
-    _check_weights(path, sections, "WOPN", opens, s.a, "open weights do not match the rebuilt index")
-    # read from the end, the close side's weights are b_1, the gaps of b,
-    # and the 1 that reaches the sentinel b_n + 1
-    _check_weights(path, sections, "WCLS", closes, chain(s.b, [s.b[-1] + 1]),
-                   "close weights do not match the rebuilt index", reverse=True)
+    opens, closes = s.weighted_bps()
+    _check_weights(path, sections, "WOPN", opens, "open weights do not match the rebuilt index")
+    _check_weights(path, sections, "WCLS", closes, "close weights do not match the rebuilt index")
     return s
 
 

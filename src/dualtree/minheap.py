@@ -28,11 +28,11 @@ make a new int for every value that waits on the stack.
 """
 
 from array import array
+from itertools import islice
 
 from . import codec, duality
 from .errors import ContractError
 from .parens import ParenSeq
-from .tree import OrdinalTree
 
 ROOT_LABEL = 0
 
@@ -168,11 +168,7 @@ def reversal_dual_check(values) -> bool:
         raise ContractError("values must be distinct")
     n = len(values)
     d = duality.dual(build_minheap(values).tree)
-    relabeled = {
-        (ROOT_LABEL if v == ROOT_LABEL else n + 1 - v): tuple(
-            ROOT_LABEL if c == ROOT_LABEL else n + 1 - c for c in d.children(v)
-        )
-        for v in d.nodes()
-    }
-    mirrored = OrdinalTree.from_children(ROOT_LABEL, relabeled)
-    return mirrored == build_minheap(values[::-1]).tree
+    # two trees are equal when their labels in preorder and their sizes are
+    mirrored = [ROOT_LABEL, *map((n + 1).__sub__, islice(d._order, 1, None))]
+    heap = build_minheap(values[::-1]).tree
+    return mirrored == heap._order and d._size == heap._size

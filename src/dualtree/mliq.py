@@ -254,8 +254,9 @@ STRICT = "strict"
 CLOSED = "closed"
 
 
-def mliq_bruteforce(s, a, b, strict=False):
-    """Scan every interval under the active convention; leftmost shortest."""
+def mliq_bruteforce(s, a, b, strict=False, counters=None):
+    """Scan every interval under the active convention; leftmost shortest.
+    The oracle runs no primitive, so ``counters`` is left as it is."""
     _check_query(s, a, b)
     lengths = s.lengths
     best = None

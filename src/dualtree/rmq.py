@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from .errors import ContractError
 from .parens import CLOSE
 
-ENGINES = ("checked", "direct", "ancestor", "scan")
-
 
 @dataclass
 class OpCounters:
@@ -127,6 +125,7 @@ _DISPATCH = {
     "ancestor": rmq_ancestor,
     "scan": rmq_scan,
 }
+ENGINES = tuple(_DISPATCH)
 
 
 def range_min_index(h, i, j, engine="direct", counters=None):

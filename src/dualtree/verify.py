@@ -212,8 +212,8 @@ def _check_encodings(s, t, d):
 
 
 def _shape_of(t):
-    relabel = {v: t.dft(v) for v in t.nodes()}
-    return {relabel[v]: tuple(relabel[c] for c in t.children(v)) for v in t.nodes()}
+    """The subtree sizes in preorder, which fix an ordered tree's shape."""
+    return t._size
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +424,14 @@ def _random_multi_subtree_root(rng, max_size):
 
 
 def _root_prefix(t, keep):
-    """Root plus the subtrees of its first `keep` children (a quasi-subtree)."""
-    children = {t.root: t.children(t.root)[:keep]}
-    stack = list(children[t.root])
-    while stack:
-        v = stack.pop()
-        children[v] = t.children(v)
-        stack.extend(children[v])
-    return OrdinalTree.from_children(t.root, children)
+    """Root plus the subtrees of its first `keep` children (a quasi-subtree):
+    the first 1 + (their sizes) ranks of the preorder, the root's size cut
+    to that count."""
+    size = t._size
+    m = 1
+    for _ in range(keep):
+        m += size[m]
+    return OrdinalTree(t._order[:m], t._parent[:m], t._depth[:m], [m, *size[1:m]])
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,26 @@ def test_query_kind_mismatch_exit_2(array_index, capsys):
     assert code == 2
 
 
+def test_unknown_engines_exit_3_with_one_line_listing_the_engines(array_index, interval_index, capsys):
+    cases = [(("query", str(array_index), "rmq", "1", "2", "--engine", "bogus"), "rmq", rmq.ENGINES),
+             (("query", str(interval_index), "mliq", "1", "2", "--engine", "bogus"), "mliq",
+              ("naive", "weighted", "brute")),
+             (("bench", str(array_index), "rmq", "--engine", "direct,bogus"), "rmq", rmq.ENGINES),
+             (("bench", str(interval_index), "mliq", "--engine", "naive,bogus"), "mliq",
+              ("naive", "weighted", "brute"))]
+    for argv, kind, engines in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (3, f"query error: unknown {kind} engine 'bogus'; expected one of {engines}\n")
+        assert out == ""
+
+
+def test_bench_kind_mismatch_exits_2_with_one_line(array_index, interval_index, capsys):
+    for blob, kind, want in ((array_index, "mliq", "mliq bench needs an interval index blob"),
+                             (interval_index, "rmq", "rmq bench needs an array index blob")):
+        code, out, err = run_cli(capsys, "bench", str(blob), kind, "--queries", "5")
+        assert (code, out, err) == (2, "", f"error: {want}\n")
+
+
 def test_loaded_index_matches_memory(array_index, interval_index):
     h_mem = build_minheap(FIX_A)
     h_disk = index_io.load_array_index(str(array_index))

@@ -64,6 +64,30 @@ def test_decode_roundtrips(fix_t):
     assert shape(codec.dfuds_decode(FIX_DFUDS)) == shape(fix_t)
 
 
+def test_bp_and_dfuds_decoders_accept_the_same_strings_and_read_t_hat():
+    # The paper's characterization of T-hat on the decode side: a 0/1 string
+    # is a BP exactly when it is a DFUDS, and read as a BP it is the tree
+    # whose reversed dual it is read as a DFUDS. 2^17 - 1 strings of length
+    # up to 16; the valid ones are the trees of 1 to 8 nodes, the Catalan
+    # numbers C_0 + ... + C_7.
+    def decoded(decode, text):
+        try:
+            return decode(text)
+        except ParseError:
+            return None
+
+    valid = 0
+    for length in range(17):
+        for k in range(1 << length):
+            text = format(k, "b").zfill(length) if length else ""
+            bp, df = decoded(codec.bp_decode, text), decoded(codec.dfuds_decode, text)
+            assert (bp is None) == (df is None), text
+            if bp is not None:
+                valid += 1
+                assert shape(bp) == shape(duality.reversed_dual(df)), text
+    assert valid == 1 + 1 + 2 + 5 + 14 + 42 + 132 + 429
+
+
 def test_decode_parse_errors():
     with pytest.raises(ParseError):
         codec.bp_decode("())(")

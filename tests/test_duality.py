@@ -59,6 +59,27 @@ def test_reverse_examples(fix_tstar, fix_hat):
         assert duality.reverse(duality.reverse(t)) == t
 
 
+def test_reverse_permutes_the_arrays_without_a_degree_pass(monkeypatch):
+    # the reversal of the dict oracle, array by array, on stars, chains,
+    # random trees, a single node and string labels
+    rng = random.Random(21)
+    made = [star(3000), chain(*range(3001)), chain("only"), relabel(star(40), str),
+            *(random_tree(rng, rng.randint(1, 400)) for _ in range(30))]
+    cases = [(t, dict_arrays(dict_tree.reverse(dict_tree.DictTree.from_children(t.root, t.children_map()))))
+             for t in made]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reverse permutes the arrays it has")
+
+    monkeypatch.setattr(OrdinalTree, "_degrees", refuse)
+    monkeypatch.setattr(OrdinalTree, "_from_degrees", refuse)
+    for t, want in cases:
+        r = duality.reverse(t)
+        assert arrays(r) == want
+        assert arrays(duality.reverse(r)) == arrays(t)
+        assert r._rank is None and t._rank is None
+
+
 def test_reversed_dual_examples(fix_t, fix_hat):
     assert duality.reversed_dual(fix_t) == fix_hat
     single = OrdinalTree.from_children("r", {"r": ()})

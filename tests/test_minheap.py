@@ -6,7 +6,7 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualtree import codec, index_io, rmq
+from dualtree import codec, duality, index_io, rmq
 from dualtree.errors import ContractError
 from dualtree.minheap import ROOT_LABEL, build_minheap, reversal_dual_check
 from dualtree.randgen import random_array, random_distinct_array
@@ -72,6 +72,25 @@ def test_reversal_dual_random():
     rng = random.Random(0x2F)
     for _ in range(60):
         assert reversal_dual_check(random_distinct_array(rng, rng.randint(1, 150)))
+
+
+def test_reversal_dual_check_builds_no_third_tree(monkeypatch):
+    rng = random.Random(0x30)
+    arrays = [FIX_A, [1], [2, 1], *(random_distinct_array(rng, rng.randint(1, 300)) for _ in range(40))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the check compares the preorder arrays it has")
+
+    monkeypatch.setattr(OrdinalTree, "from_children", refuse)
+    for values in arrays:
+        assert reversal_dual_check(values)
+    with pytest.raises(ContractError):
+        reversal_dual_check([3, 1, 3])
+    # with the dual swapped for another tree, the check answers no
+    monkeypatch.setattr(duality, "dual", duality.reversed_dual)
+    assert not reversal_dual_check(FIX_A)
+    monkeypatch.setattr(duality, "dual", lambda t: t)
+    assert not reversal_dual_check([1, 2])
 
 
 def test_reversal_dual_rejects_duplicates():

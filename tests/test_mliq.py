@@ -107,6 +107,15 @@ def test_query_contract_and_domain(fam):
             fn(fam, -1, 4)
 
 
+def test_bruteforce_takes_counters_and_counts_nothing(fam):
+    # the oracle runs no primitive, as rmq_scan does
+    c = OpCounters()
+    for strict in (False, True):
+        assert mliq.mliq_bruteforce(fam, 4, 5, strict, c) == mliq.mliq_bruteforce(fam, 4, 5, strict=strict)
+        assert mliq.mliq_bruteforce(fam, 1, 10, strict=strict, counters=c) is None
+    assert c.as_dict() == OpCounters().as_dict() and c.total() == 0
+
+
 def test_strict_vs_closed(fam):
     # (3, 6) contains [3, 6] under the closed convention but not strictly
     assert mliq.mliq_bruteforce(fam, 3, 6, strict=False) == 2

@@ -123,8 +123,7 @@ class BitSeq:
             raise NotFoundError(f"sequence holds only {cum[-1]} occurrences of {s}, asked for {i}")
         if sel is None:
             sel, off = self._select_tables(s)
-        k = (i - 1) >> _SAMPLE_SHIFT
-        return (bisect_left(cum, i, sel[k], sel[k + 1]) - 1) * WORD + 1 + off[i - 1]
+        return _select_at(cum, sel, off, i)
 
     def _select_tables(self, s):
         """Build and keep symbol s's select directory and in-word offsets.
@@ -168,6 +167,14 @@ class BitSeq:
 
     def __hash__(self):
         return hash((self.n, self._words.tobytes()))
+
+
+def _select_at(cum, sel, off, i):
+    """Position of a symbol's i-th occurrence, 1 <= i <= its count, from its
+    cumulative counts, select directory and in-word offsets: a bisect for the
+    word inside the directory's window of i, then the stored offset."""
+    k = (i - 1) >> _SAMPLE_SHIFT
+    return (bisect_left(cum, i, sel[k], sel[k + 1]) - 1) * WORD + 1 + off[i - 1]
 
 
 def text_of(bits) -> str:

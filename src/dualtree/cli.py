@@ -154,15 +154,15 @@ QUERY_KINDS = {
 def _load_for(args, needs):
     """The table entry of the query kind ``args.kind`` and the index of the
     blob ``args.index``, which must be of the entry's blob kind;
-    ValidationError ``<kind> <needs> an <blob> index blob`` otherwise."""
+    ValidationError ``<kind> <needs> an <blob> index blob`` otherwise. The
+    kind is read from the header first, so a blob of the wrong kind is never
+    loaded."""
     qk = QUERY_KINDS[args.kind]
-    if index_io.read_kind(args.index) == index_io.KIND_ARRAY:
-        blob, index = "array", index_io.load_array_index(args.index)
-    else:
-        blob, index = "interval", index_io.load_interval_index(args.index)
+    blob = "array" if index_io.read_kind(args.index) == index_io.KIND_ARRAY else "interval"
     if blob != qk.blob:
         raise ValidationError(f"{args.kind} {needs} an {qk.blob} index blob")
-    return qk, index
+    load = index_io.load_array_index if blob == "array" else index_io.load_interval_index
+    return qk, load(args.index)
 
 
 def _engines(kind, names):

@@ -196,7 +196,7 @@ def _rank_section(parenseq):
 
 
 def _emin_section(parenseq):
-    return struct.pack("<Q", _BLOCK) + _i64_bytes(parenseq.block_tables()[0])
+    return struct.pack("<Q", _BLOCK) + _i64_bytes(parenseq.block_minima())
 
 
 def _check_weights(path, sections, tag, side, what):
@@ -387,12 +387,15 @@ def _verify_derived(path, version, parenseq, sections):
 
 
 def stats_for(parenseq, extra_values=0):
-    """Bit counts reported after a build."""
-    bmin, table = parenseq.block_tables()
+    """Bit counts reported after a build, counted from the length alone: the
+    sparse table's level j holds blocks - 2^j + 1 packed ints, one per entry,
+    for each 2^j <= blocks, whether or not a search has built it."""
+    blocks = (parenseq.n + _BLOCK - 1) // _BLOCK
+    levels = blocks.bit_length()
     return {
         "raw_bits": parenseq.n,
         "rank_table_bits": parenseq.table_bits(),
-        "excess_block_bits": 64 * len(bmin),
-        "sparse_table_bits": 64 * sum(map(len, table)),  # one packed int per entry
+        "excess_block_bits": 64 * blocks,
+        "sparse_table_bits": 64 * (levels * (blocks + 1) - (1 << levels) + 1),
         "value_words": extra_values,
     }

@@ -4,9 +4,14 @@ A ParenSeq is a balanced BitSeq (1 = opening, 0 = closing): it inherits the
 packed words and the rank/select tables, and adds the excess profile,
 matching (open/close) and leftmost range-minimum queries over the excess
 array. ``rmq_closers(i, j)`` is the range-min between the i-th and j-th
-closing parentheses read back as a rank_0, in one call: two selects, one
+closing parentheses read back as a rank_0, in one call. One closer (i == j)
+is its own answer, i, with no select and no table built. Otherwise one
+range check covers both selects, which run select's own arithmetic on the
+closers' directory and in-word offsets (``bitseq._select_at``), then one
 range-min that also yields the minimum's excess, and rank_0(x) = (x -
-excess(x)) / 2 with no rank table read. A WeightedBits answers weighted
+excess(x)) / 2 with no rank table read. The engines that run this kernel
+still tally 2 select + 1 rmq + 1 rank per query: the tally is the query's
+budget, not a count of calls made. A WeightedBits answers weighted
 prefix select (``bpselect``) over the weights on one side, opening or
 closing, of a sequence of n bits; it holds only the weight tables, not the
 bits.
@@ -20,11 +25,12 @@ its arguments: building the table allocates no tuple per entry and no list
 per block (the block minima come from one slice at a time), so the first
 search neither holds every slice at once nor wakes the garbage collector.
 Inside a block every step is one C-level operation on the excess bytes:
-``min`` of a translated slice and ``index`` of its value; ``rmq_excess``
-takes the minimum of the whole blocks from the table and scans an end block
-only when its block minimum could beat or tie that. Adjacent excess values
-differ by exactly one, so the matching searches (open/close) look for the
-nearest block, forward or backward, whose minimum is <= the target excess: they
+``min`` of a translated slice and ``index`` of its value. The range minimum
+is one body, ``_range_min``, shared by ``rmq_excess`` and ``rmq_closers``:
+it takes the minimum of the whole blocks from the table and scans an end
+block only when its block minimum could beat or tie that. Adjacent excess
+values differ by exactly one, so the matching searches (open/close) look for
+the nearest block, forward or backward, whose minimum is <= the target excess: they
 descend the same sparse table from its top level, skipping each window of
 2^j blocks whose entries are above ``((target + 1) << shift) - 1``, which
 reads at most log2(blocks) + 1 table entries, and finish with one ``index``
@@ -39,10 +45,12 @@ of ``rmq_excess``'s answer are ``bytes.index``/``rindex`` (memchr) of the
 target's residue; and a range minimum translates the slice by one of 256
 order-preserving tables, ``(v - start + 128) & 255``, before ``min`` and
 ``index``. The constructor sums the excess from the text it was given, a
-chunk at a time, and checks the balance. The block minima and sparse table
-are built on the first search (rmq_excess, open or close) or when
-``block_tables`` is asked for them, so a sequence that is only compared,
-decoded or stored as bits never pays for them.
+chunk at a time, and checks the balance. The block minima are built when
+``block_minima`` is first asked for them, as a save or a load does for the
+blob's EMIN section, and the sparse table on the first search (a range
+minimum, open or close) or ``block_tables``, so a sequence that is only
+compared, decoded or stored as bits never pays for either, and one that is
+only saved or loaded never pays for the table.
 """
 
 import sys
@@ -51,7 +59,7 @@ from bisect import bisect_right
 from itertools import accumulate, islice, repeat
 from operator import add, lshift, sub
 
-from .bitseq import WORD, BitSeq, text_of
+from .bitseq import WORD, BitSeq, _select_at, text_of
 from .errors import ContractError, RangeError, ValidationError
 
 OPEN = 1
@@ -83,18 +91,26 @@ class ParenSeq(BitSeq):
 
     # -- construction helpers -------------------------------------------------
 
-    def _build_blocks(self):
-        """Block minima and the sparse table of packed entries over them."""
-        exc = self._exc
-        n = self.n
-        nblocks = (n + _BLOCK - 1) // _BLOCK
-        # block k's minimum is its start's excess, 2 * _cum1[k] - 64k, plus
-        # the minimum of its translated residues less 128
-        cum1 = self._cum1
-        starts = map(sub, map(add, cum1, cum1), range(128, 128 + _BLOCK * nblocks, _BLOCK))
-        blocks = (exc[lo : lo + _BLOCK] for lo in range(1, n + 1, _BLOCK))
-        orders = map(_ORDER.__getitem__, exc[0:n:_BLOCK])
-        self._bmin = bmin = list(map(add, starts, map(min, map(bytes.translate, blocks, orders))))
+    def block_minima(self):
+        """The excess minimum of each 64-bit block, a list built on first use;
+        the sparse table over them is not built."""
+        if self._bmin is None:
+            exc = self._exc
+            n = self.n
+            nblocks = (n + _BLOCK - 1) // _BLOCK
+            # block k's minimum is its start's excess, 2 * _cum1[k] - 64k, plus
+            # the minimum of its translated residues less 128
+            cum1 = self._cum1
+            starts = map(sub, map(add, cum1, cum1), range(128, 128 + _BLOCK * nblocks, _BLOCK))
+            blocks = (exc[lo : lo + _BLOCK] for lo in range(1, n + 1, _BLOCK))
+            orders = map(_ORDER.__getitem__, exc[0:n:_BLOCK])
+            self._bmin = list(map(add, starts, map(min, map(bytes.translate, blocks, orders))))
+        return self._bmin
+
+    def _build_table(self):
+        """The sparse table of packed entries over the block minima."""
+        bmin = self.block_minima()
+        nblocks = len(bmin)
         # table[j][k] = (min << shift) | leftmost block, over blocks [k, k + 2^j)
         self._shift = shift = nblocks.bit_length()
         table = [list(map(add, map(lshift, bmin, repeat(shift)), range(nblocks)))]
@@ -109,7 +125,7 @@ class ParenSeq(BitSeq):
         """(block minima, sparse table), built on first use. A table entry is
         ``(min << shift) | leftmost block`` with ``shift = len(bmin).bit_length()``."""
         if self._table is None:
-            self._build_blocks()
+            self._build_table()
         return self._bmin, self._table
 
     # -- basic queries ---------------------------------------------------------
@@ -137,7 +153,7 @@ class ParenSeq(BitSeq):
         if self.bit(x) != OPEN:
             raise ContractError(f"position {x} is not an opening parenthesis")
         if self._table is None:
-            self._build_blocks()
+            self._build_table()
         return self._fwd_to(x + 1, self._depth(x) - 1)
 
     def open(self, x: int) -> int:
@@ -145,7 +161,7 @@ class ParenSeq(BitSeq):
         if self.bit(x) != CLOSE:
             raise ContractError(f"position {x} is not a closing parenthesis")
         if self._table is None:
-            self._build_blocks()
+            self._build_table()
         return self._bwd_to(x - 1, self._depth(x)) + 1
 
     def _fwd_to(self, start: int, target: int) -> int:
@@ -213,67 +229,73 @@ class ParenSeq(BitSeq):
 
     def rmq_closers(self, i: int, j: int) -> int:
         """rank_0 of the leftmost position of minimal excess between the i-th
-        and the j-th closing parentheses: the kernel that every engine's
-        2 select + 1 rmq + 1 rank runs, in one call. Since excess = rank_1 -
-        rank_0 and x = rank_1 + rank_0, rank_0(x) is (x - excess(x)) / 2."""
-        if not 1 <= i <= j <= self._cum0[-1]:
-            raise RangeError(f"closers [{i}, {j}] invalid for {self._cum0[-1]} closing parentheses")
-        v, x = self._range_min(self.select(i, CLOSE), self.select(j, CLOSE))
+        and the j-th closing parentheses: the kernel of every engine's 2
+        select + 1 rmq + 1 rank, in one call. One closer is its own answer.
+        Otherwise both closers are found from the closers' select directory
+        and in-word offsets, the range check having covered select's, and
+        since excess = rank_1 - rank_0 and x = rank_1 + rank_0, rank_0(x) is
+        (x - excess(x)) / 2."""
+        cum = self._cum0
+        if not 1 <= i <= j <= cum[-1]:
+            raise RangeError(f"closers [{i}, {j}] invalid for {cum[-1]} closing parentheses")
+        if i == j:
+            return i
+        sel, off = self._sel0, self._off0
+        if sel is None:
+            sel, off = self._select_tables(CLOSE)
+        v, x = self._range_min(_select_at(cum, sel, off, i), _select_at(cum, sel, off, j))
         return (x - v) >> 1
 
     def _range_min(self, l, r):
-        """(minimal excess over [l, r], its leftmost position), 1 <= l <= r <= n."""
-        if self._table is None:
-            self._build_blocks()
-        kb_l = (l - 1) // _BLOCK
-        kb_r = (r - 1) // _BLOCK
-        if kb_l == kb_r:
-            return self._scan_value(l, r)
+        """(minimal excess over [l, r], its leftmost position), 1 <= l <= r <= n.
+
+        An end block is scanned by min and index on its residues, translated
+        by the order of the block's start. The whole blocks between the ends
+        take their minimum from two entries of one table row; an end block is
+        then scanned only if its block minimum could win against it, and the
+        winning whole block only to place it."""
+        table = self._table
+        if table is None:
+            self._build_table()
+            table = self._table
+        exc = self._exc
+        cum1 = self._cum1
+        kl = (l - 1) // _BLOCK
+        kr = (r - 1) // _BLOCK
+        lo = kl * _BLOCK
+        if kl == kr:
+            seg = exc[l : r + 1].translate(_ORDER[exc[lo]])
+            m = min(seg)
+            return 2 * cum1[kl] - lo + m - 128, l + seg.index(m)
         bmin = self._bmin
-        if kb_r == kb_l + 1:
-            best_v, best_p = self._scan_value(l, (kb_l + 1) * _BLOCK)
-        else:
-            # The table gives the minimum of the whole blocks between the two
-            # ends. An end block is scanned only if its block minimum could
-            # win against it, and the winning whole block only to place it.
-            best_v, mk = self._block_min(kb_l + 1, kb_r - 1)
-            best_p = None
-            if bmin[kb_l] <= best_v:
-                v, p = self._scan_value(l, (kb_l + 1) * _BLOCK)
-                if v <= best_v:
-                    best_v, best_p = v, p
-        if bmin[kb_r] < best_v:
-            v, p = self._scan_value(kb_r * _BLOCK + 1, r)
+        best_v = best_p = None  # best_p stays None while best_v is a whole block's
+        if kr - kl > 1:
+            j = (kr - kl - 1).bit_length() - 1
+            row = table[j]
+            best = row[kl + 1]
+            other = row[kr - (1 << j)]
+            if other < best:
+                best = other
+            shift = self._shift
+            best_v = best >> shift
+            mk = best - (best_v << shift)
+        if best_v is None or bmin[kl] <= best_v:
+            seg = exc[l : lo + _BLOCK + 1].translate(_ORDER[exc[lo]])
+            m = min(seg)
+            v = 2 * cum1[kl] - lo + m - 128
+            if best_v is None or v <= best_v:
+                best_v, best_p = v, l + seg.index(m)
+        if bmin[kr] < best_v:
+            hi = kr * _BLOCK
+            seg = exc[hi + 1 : r + 1].translate(_ORDER[exc[hi]])
+            m = min(seg)
+            v = 2 * cum1[kr] - hi + m - 128
             if v < best_v:
-                return v, p
+                return v, hi + 1 + seg.index(m)
         if best_p is None:
             lo = mk * _BLOCK + 1
-            return best_v, self._exc.index(best_v & 255, lo, lo + _BLOCK)
+            return best_v, exc.index(best_v & 255, lo, lo + _BLOCK)
         return best_v, best_p
-
-    def _scan_value(self, l, r):
-        """(minimum excess over [l, r], its leftmost position), l and r in
-        one block: min and index on the residues, translated by the order of
-        the block's start."""
-        exc = self._exc
-        k = (l - 1) // _BLOCK
-        lo = k * _BLOCK
-        seg = exc[l : r + 1].translate(_ORDER[exc[lo]])
-        m = min(seg)
-        return 2 * self._cum1[k] - lo + m - 128, l + seg.index(m)
-
-    def _block_min(self, kl, kr):
-        """(min value, leftmost block attaining it) over blocks [kl, kr]."""
-        span = kr - kl + 1
-        j = span.bit_length() - 1
-        row = self._table[j]
-        best = row[kl]
-        other = row[kr - (1 << j) + 1]
-        if other < best:
-            best = other
-        shift = self._shift
-        v = best >> shift
-        return v, best - (v << shift)
 
     def __repr__(self):
         s = self.to_string()

@@ -15,10 +15,16 @@ the one stored DFUDS bit sequence:
 ``direct`` and ``ancestor``, and through them both interval engines, run
 one kernel over the DFUDS: 2 select + 1 rmq + 1 rank, the range-min of the
 excess between the i-th and j-th closes and the rank_0 of its position. It
-is one call, ``ParenSeq.rmq_closers``, which checks its range once.
+is one call, ``ParenSeq.rmq_closers``, which checks its range once, runs
+the one range-min body that ``rmq_excess`` runs, and answers a range of one
+close (i == j) by arithmetic: i, with no select.
 
-Every primitive touched on the query path is tallied in an OpCounters so
-per-query budgets can be asserted exactly.
+Every primitive on the query path is tallied in an OpCounters so per-query
+budgets can be asserted exactly. ``checked`` tallies the calls it makes.
+The kernel's engines tally 2 select + 1 rmq + 1 rank per query whatever the
+kernel does inside, including a one-close range: the tally is the plan's
+budget, as rank_0 is, which the kernel reads off the excess with no rank
+call.
 """
 
 from dataclasses import dataclass

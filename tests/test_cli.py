@@ -195,6 +195,20 @@ def test_bench_kind_mismatch_exits_2_with_one_line(array_index, interval_index, 
         assert (code, out, err) == (2, "", f"error: {want}\n")
 
 
+def test_wrong_kind_blob_is_never_loaded(array_index, interval_index, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a blob of the wrong kind is not loaded")
+
+    monkeypatch.setattr(index_io, "load_array_index", refuse)
+    monkeypatch.setattr(index_io, "load_interval_index", refuse)
+    cases = [(("query", str(array_index), "mliq", "1", "2"), "mliq queries need an interval index blob"),
+             (("query", str(interval_index), "rmq", "1", "2"), "rmq queries need an array index blob"),
+             (("bench", str(array_index), "mliq", "--queries", "5"), "mliq bench needs an interval index blob"),
+             (("bench", str(interval_index), "rmq", "--queries", "5"), "rmq bench needs an array index blob")]
+    for argv, want in cases:
+        assert run_cli(capsys, *argv) == (2, "", f"error: {want}\n")
+
+
 def test_loaded_index_matches_memory(array_index, interval_index):
     h_mem = build_minheap(FIX_A)
     h_disk = index_io.load_array_index(str(array_index))

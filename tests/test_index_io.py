@@ -57,6 +57,28 @@ def test_interval_blob_holds_the_endpoints_and_the_dfuds_tables(tmp_path):
     assert list(sections) == ["INTA", "INTB", "BITS", "EMIN"]
 
 
+@pytest.mark.parametrize("kind", ["array", "intervals"])
+def test_save_and_load_build_the_block_minima_and_no_sparse_table(tmp_path, kind):
+    # EMIN stores the block minima alone, so neither a save nor a load builds
+    # the sparse table; the minima a search would build are the bytes stored
+    if kind == "array":
+        build, save, load = build_minheap, index_io.save_array_index, index_io.load_array_index
+        data, dfuds = random_array(random.Random(0x5A7), 3000), lambda index: index.dfuds
+    else:
+        build, save, load = mliq.build_intervals, index_io.save_interval_index, index_io.load_interval_index
+        data, dfuds = random_intervals(random.Random(0x5A7), 3000), lambda index: index.heap.dfuds
+    path = str(tmp_path / "blob.idx")
+    built = build(data)
+    save(path, built)
+    loaded = load(path)
+    searched = dfuds(build(data))
+    bmin = searched.block_tables()[0]
+    emin = bytes(index_io._read_blob(path)[2]["EMIN"])
+    assert emin == struct.pack(f"<Q{len(bmin)}q", 64, *bmin)
+    for index in (built, loaded):
+        assert dfuds(index)._table is None and dfuds(index)._bmin == bmin
+
+
 def test_version_1_blob_still_loads(tmp_path):
     h = build_minheap(FIX_A)
     sections = [

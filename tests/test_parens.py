@@ -308,14 +308,17 @@ def test_first_search_builds_the_tables_of_the_direct_scan(search):
 
 def test_index_io_builds_the_tables_it_reads():
     rng = random.Random(0x10)
-    bits = random_balanced(rng, 700)
-    _, bmin, table = block_oracle(bits)
-    p = ParenSeq(bits)
-    assert index_io._emin_section(p) == struct.pack(f"<Q{len(bmin)}q", 64, *bmin)
-    p = ParenSeq(bits)
-    stats = index_io.stats_for(p)
-    assert stats["excess_block_bits"] == 64 * len(bmin)
-    assert stats["sparse_table_bits"] == 64 * sum(map(len, table))
+    for pairs in (0, 1, 32, 33, 64, 65, 700, 2048):  # 0, 1, 2, 3 and 64 blocks among them
+        bits = random_balanced(rng, pairs)
+        _, bmin, table = block_oracle(bits)
+        p = ParenSeq(bits)
+        assert index_io._emin_section(p) == struct.pack(f"<Q{len(bmin)}q", 64, *bmin)
+        assert p._bmin == bmin and p._table is None  # EMIN stores the minima alone
+        p = ParenSeq(bits)
+        stats = index_io.stats_for(p)
+        assert (p._bmin, p._table) == (None, None)  # the stats are counted from the length
+        assert stats["excess_block_bits"] == 64 * len(bmin)
+        assert stats["sparse_table_bits"] == 64 * sum(map(len, table))
 
 
 def test_block_tables_wake_no_collection_and_peak_near_what_they_hold():
@@ -553,6 +556,13 @@ def test_rmq_closers_rejects_a_range_outside_the_closers():
             p.rmq_closers(i, j)
 
 
+@pytest.mark.parametrize("n", [1, 2, 65, 3000])
+def test_rmq_closers_of_one_closer_is_its_rank_and_builds_no_table(n):
+    for shape, p in dfuds_shapes(n).items():
+        assert [p.rmq_closers(i, i) for i in range(1, p.count(0) + 1)] == list(range(1, p.count(0) + 1)), shape
+        assert (p._sel0, p._off0, p._bmin, p._table) == (None,) * 4, shape
+
+
 def counted_tables(p):
     """Swap p's block minima and table rows for read-counting lists; returns
     the read bound 2 * ceil(log2 blocks) + 4."""
@@ -590,6 +600,22 @@ def test_rmq_excess_reads_logarithmically_many_table_entries():
         for l, r in ranges:
             Counted.reads = 0
             p.rmq_excess(l, r)
+            worst = max(worst, Counted.reads)
+        assert worst <= bound, (name, worst, bound)
+
+
+def test_rmq_closers_reads_logarithmically_many_table_entries():
+    rng = random.Random(0xC105E)
+    shapes = dfuds_shapes(100_000)
+    for name in ("star", "chain", "decreasing"):
+        p = shapes[name]
+        pairs = closer_pairs(p, rng, 40)
+        want = [closers_oracle(p, i, j) for i, j in pairs]
+        bound = counted_tables(p)
+        worst = 0
+        for (i, j), answer in zip(pairs, want):
+            Counted.reads = 0
+            assert p.rmq_closers(i, j) == answer, (name, i, j)
             worst = max(worst, Counted.reads)
         assert worst <= bound, (name, worst, bound)
 

@@ -8,10 +8,14 @@ opening parenthesis up front to balance the sequence.
 Both encodings are fixed by an OrdinalTree's preorder arrays, so the
 encoders write them in bulk: BP from the depths (before each opener come
 depth(prev) + 1 - depth(v) closers, and depth(last) + 1 closers end the
-text), DFUDS from the degrees. Each decoder fills the tree's arrays in one
-stack pass over the text. A decoder's labels are depth-first ranks, which
-cannot repeat, and ``tree_from_text`` checks the labels it reads are
-distinct, so no decoder makes the tree's label -> rank map.
+text), DFUDS from the degrees. The decoders read the depths and hand them to
+the tree's one constructor pass. A BP text is checked by its excess, and a
+node's depth is the excess just before its opener. A DFUDS is the BP of a
+tree (the reversed dual's), so the same check accepts exactly the DFUDS
+texts; its blocks give the degrees and one stack pass their depths. A
+decoder's labels are depth-first ranks, which cannot repeat, and
+``tree_from_text`` checks the labels it reads are distinct, so no decoder
+makes the tree's label -> rank map.
 
 Node anchors: in BP a node owns its opening/closing pair. In DFUDS a node is
 anchored at the parenthesis preceding its block of child openers — a closing
@@ -25,13 +29,13 @@ starting at 1.
 
 import re
 from array import array
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, compress, islice
 from operator import add, sub
 
 from .bitseq import BitSeq
 from .errors import ParseError, ValidationError
 from .parens import _DIGIT_TO_PAREN, _STEPS, ParenSeq
-from .tree import OrdinalTree
+from .tree import OrdinalTree, _depths_of_degrees
 
 BP = "bp"
 DFUDS = "dfuds"
@@ -39,6 +43,7 @@ DFUDS = "dfuds"
 _FLIP = str.maketrans("()01", ")(10")
 _NOT_PAREN = re.compile(r"[^()01]")
 _PAREN_TO_DIGIT = str.maketrans("()", "10")
+_OPENERS = bytes.maketrans(b"01", b"\0\1")  # 0/1 text -> its openers as 0/1 bytes
 _TEXT_CHUNK = 1 << 10  # nodes whose DFUDS text is joined at a time
 
 
@@ -115,8 +120,7 @@ def dfuds_encode(t: OrdinalTree):
 def bp_decode(p) -> OrdinalTree:
     """Inverse of bp_encode up to relabeling; labels are depth-first ranks."""
     text = _digits(p)
-    _check_bp(text)
-    return _bp_tree(text, list(range(1, text.count("1") + 1)))
+    return _bp_tree(text, _check_bp(text), list(range(1, text.count("1") + 1)))
 
 
 def dfuds_decode(p) -> OrdinalTree:
@@ -161,16 +165,16 @@ def tree_from_text(text: str) -> OrdinalTree:
     if not lines:
         raise ParseError("no parenthesis line", 1)
     bits = _digits(lines[0].strip())
-    _check_bp(bits)
+    exc = _check_bp(bits)
     n = bits.count("1")
     if len(lines) == 1:
-        return _bp_tree(bits, list(range(1, n + 1)))
+        return _bp_tree(bits, exc, list(range(1, n + 1)))
     labels = lines[1].split()
     if len(labels) != n:
         raise ParseError(f"label line has {len(labels)} entries for {n} nodes")
     if len(set(labels)) != n:
         raise ParseError("labels are not unique")
-    return _bp_tree(bits, labels)
+    return _bp_tree(bits, exc, labels)
 
 
 # -- text of the encodings -------------------------------------------------------
@@ -227,74 +231,37 @@ def _digits(p):
 
 
 def _check_bp(text):
-    """ParseError at the first position where ``text`` stops being the BP of
+    """The excess before each position of ``text`` and after its last, or
+    ParseError at the first position where ``text`` stops being the BP of
     one tree: its excess must stay positive until the last position, where
     it reaches zero."""
     if not text:
         raise ParseError("empty sequence", 1)
     if text[0] == "0":
         raise ParseError("closing parenthesis without a match", 1)
-    exc = list(accumulate(array("b", text.encode("ascii").translate(_STEPS))))
+    exc = list(accumulate(array("b", text.encode("ascii").translate(_STEPS)), initial=0))
     try:
-        closed = exc.index(0)  # the root's closer, 0-based
+        closed = exc.index(0, 1)  # just after the root's closer
     except ValueError:
         raise ParseError(f"{exc[-1]} opening parentheses left unmatched", len(text)) from None
-    if closed + 1 < len(text):
-        if text[closed + 1] == "1":
-            raise ParseError("second tree starts after the first closed", closed + 2)
-        raise ParseError("closing parenthesis without a match", closed + 2)
+    if closed < len(text):
+        if text[closed] == "1":
+            raise ParseError("second tree starts after the first closed", closed + 1)
+        raise ParseError("closing parenthesis without a match", closed + 1)
+    return exc
 
 
-def _bp_tree(text, labels):
-    """The tree of a checked BP text whose nodes in preorder are the
-    distinct ``labels``.
-    The closers before the opener of rank v pop the stack of open ranks (a
-    popped rank x has size v - x); then its parent is on top, and the
-    stack's height is its depth."""
-    n = len(labels)
-    parent = [-1] * n
-    depth = [0] * n
-    size = [0] * n
-    stack = [0]
-    closers = map(len, text.split("1"))
-    for v, k in zip(range(1, n), islice(closers, 1, None)):
-        if k:
-            for x in stack[-k:]:
-                size[x] = v - x
-            del stack[-k:]
-        parent[v] = stack[-1]
-        depth[v] = len(stack)
-        stack.append(v)
-    for x in stack:
-        size[x] = n - x
-    return OrdinalTree(labels, parent, depth, size)
+def _bp_tree(text, exc, labels):
+    """The tree of the checked BP ``text`` with excesses ``exc`` whose nodes
+    in preorder are the distinct ``labels``: a node's depth is the excess
+    just before its opener."""
+    return OrdinalTree._from_depths(labels, list(compress(exc, text.encode("ascii").translate(_OPENERS))))
 
 
 def _dfuds_tree(text, first):
     """The tree of a DFUDS text whose nodes in preorder are labelled
-    ``first``, ``first + 1``, ... The blocks before node v's still wait for
-    1 + sum(degree - 1) children, which must stay positive up to the last
-    block and be zero after it."""
-    if not text:
-        raise ParseError("empty sequence", 1)
-    if text[0] != "1":
-        raise ParseError("must start with the balancing opening parenthesis", 1)
-    blocks = text[1:].split("0")
-    tail = blocks.pop()  # openers after the last closer: an unterminated block
-    degrees = list(map(len, blocks))
-    if not degrees:
-        if tail:
-            raise ParseError("degree block not terminated by a closing parenthesis", len(text))
-        raise ParseError("no nodes encoded", 1)
-    n = len(degrees)
-    waiting = list(accumulate(map((-1).__add__, degrees), initial=1))
-    if 0 in islice(waiting, 1, n):
-        v = waiting.index(0, 1)  # v - 1 openers so far: the block starts at 2v + 1
-        raise ParseError("block starts after all children were attached", 2 * v + 1)
-    if tail:
-        if not waiting[n]:
-            raise ParseError("block starts after all children were attached", len(text) - len(tail) + 1)
-        raise ParseError("degree block not terminated by a closing parenthesis", len(text))
-    if waiting[n]:
-        raise ParseError("children promised but sequence ended", len(text))
-    return OrdinalTree._from_degrees(list(range(first, first + n)), degrees)
+    ``first``, ``first + 1``, ... A DFUDS is the BP of a tree (the reversed
+    dual's), so ``_check_bp`` checks it; its blocks list the degrees."""
+    _check_bp(text)
+    depths = _depths_of_degrees(map(len, text[1:-1].split("0")))
+    return OrdinalTree._from_depths(list(range(first, first + len(depths))), depths)

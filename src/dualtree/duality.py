@@ -9,15 +9,16 @@ reverse. BP of the dual is the reversed DFUDS of the primal, so ``dual``
 reads each of its arrays off the primal's sizes, parents and degrees by
 arithmetic, with no pass over a stack. ``reverse`` permutes the primal's
 arrays: a node keeps its depth and size and moves to its mirrored rank.
-``reversed_dual`` lists the nodes in its preorder with their child counts,
-as a DFUDS does, and the tree fills its arrays from those. The reversed
-dual's preorder is the root, then each node's children right to left,
-taking the nodes in the primal's preorder, which is why its BP is the
-primal's DFUDS; it is built in that one pass, and ``reverse(dual(t))``
-stays as its oracle in verify and the tests. Two independent constructions
-of the dual stay as oracles: ``_dual_by_rules`` (whose certificate
-``dual_certified`` returns) and ``_dual_by_right_neighbour``; verify and
-the tests check all three agree.
+``reversed_dual`` lists the nodes in its preorder with the depths they have
+in the dual, which reversing keeps (a node's dual depth is the count of
+children the DFUDS still awaits before the node's block), and the tree
+fills its arrays from those. The reversed dual's preorder is the root, then
+each node's children right to left, taking the nodes in the primal's
+preorder, which is why its BP is the primal's DFUDS; it is built in that one
+pass, and ``reverse(dual(t))`` stays as its oracle in verify and the tests.
+Two independent constructions of the dual stay as oracles:
+``_dual_by_rules`` (whose certificate ``dual_certified`` returns) and
+``_dual_by_right_neighbour``; verify and the tests check all three agree.
 """
 
 from dataclasses import dataclass
@@ -50,7 +51,7 @@ def dual(t: OrdinalTree) -> OrdinalTree:
     # still awaits before k, 1 + the sum of degree - 1 over the ranks before.
     n = t.n_nodes
     order = t._order
-    awaited = list(accumulate(map((-1).__add__, t._degrees()), initial=1))
+    awaited = _awaited(t)
     return OrdinalTree(order[:1] + order[:0:-1],
                        [-1, *map(sub, range(1, n), t._size[:0:-1])],
                        [0, *awaited[n - 1:0:-1]],
@@ -62,20 +63,18 @@ def reversed_dual(t: OrdinalTree) -> OrdinalTree:
     equals DFUDS of t."""
     # Its preorder is the root, then each node's children right to left,
     # taking the nodes in t's preorder: the other ranks, last first, stably
-    # sorted by parent.
+    # sorted by parent. Reversing keeps the dual's depths.
     order = t._order
-    degree = _dual_degrees(t)
-    at = [0, *sorted(range(t.n_nodes - 1, 0, -1), key=t._parent.tolist().__getitem__)]
-    return OrdinalTree._from_degrees(list(map(order.__getitem__, at)), list(map(degree.__getitem__, at)))
+    awaited = _awaited(t)
+    at = sorted(range(t.n_nodes - 1, 0, -1), key=t._parent.tolist().__getitem__)
+    return OrdinalTree._from_depths([order[0], *map(order.__getitem__, at)], [0, *map(awaited.__getitem__, at)])
 
 
-def _dual_degrees(t: OrdinalTree) -> list:
-    """Dual child counts by primal rank. The dual children of rank k > 0 are
-    the nodes whose subtree ends just before it, k - 1 and its ancestors down
-    to depth(k): depth(k - 1) + 1 - depth(k) of them. The root's are those
-    whose subtree ends last, the depth(n - 1) non-root ancestors of rank n - 1."""
-    depth = t._depth.tolist()
-    return [depth[-1], *map(sub, map((1).__add__, depth), islice(depth, 1, None))]
+def _awaited(t: OrdinalTree) -> list:
+    """By rank, and once more at the end, the count of children the DFUDS of
+    t still awaits before the rank's block: 1 + the sum of degree - 1 over
+    the ranks before. For rank k > 0 it is k's depth in the dual."""
+    return list(accumulate(map((-1).__add__, t._degrees()), initial=1))
 
 
 def dual_certified(t: OrdinalTree) -> DualityCertificate:

@@ -68,6 +68,7 @@ from .errors import ContractError, RangeError, ValidationError
 from .minheap import heap_without_values, held_values
 from .parens import WeightedBits
 from .rmq import OpCounters, pda_fast, rmq_direct
+from .tree import _depths_of_degrees
 
 # Read only by the benchmark, which reports it next to the interval domain;
 # no index structure depends on it.
@@ -207,18 +208,9 @@ def _first(flags, end):
 
 
 def _preorder_depths(dfuds):
-    """The depth of every node in preorder. The DFUDS lists the degrees in
-    preorder; a stack that holds each node's depth + 1 once per child still
-    to attach gives every depth."""
-    depths = []
-    waiting = [0]
-    pop, put, wait = waiting.pop, depths.append, waiting.extend
-    for d in map(len, dfuds.to_text()[1:-1].split("0")):
-        depth = pop()
-        put(depth)
-        if d:
-            wait([depth + 1] * d)
-    return depths
+    """The depth of every node in preorder, from the degrees that the DFUDS
+    lists in preorder."""
+    return _depths_of_degrees(map(len, dfuds.to_text()[1:-1].split("0")))
 
 
 def _weighted_positions(dfuds):

@@ -193,12 +193,10 @@ class ParenSeq(BitSeq):
         return exc.index(low, k * _BLOCK + 1, (k + 1) * _BLOCK + 1)
 
     def _bwd_to(self, start: int, target: int) -> int:
-        """Largest y <= start (possibly 0) with excess(y) == target; target < excess(start)."""
+        """Largest y <= start (possibly 0) with excess(y) == target; target <
+        excess(start) and start >= 1, as position 1 of a balanced sequence
+        opens."""
         exc = self._exc
-        if start <= 0:
-            if target == 0:
-                return 0
-            raise ContractError("no matching excess before the sequence start")
         low = target & 255
         kb = (start - 1) // _BLOCK
         try:

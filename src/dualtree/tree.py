@@ -3,7 +3,10 @@
 OrdinalTree is the ground truth every parenthesis structure is checked
 against. A tree is fixed by its preorder and subtree sizes, as BP and DFUDS
 show, and it holds the labels in depth-first order and rank-indexed int
-arrays of size, depth and parent rank (an O(1) ``parent``). The label ->
+arrays of size, depth and parent rank (an O(1) ``parent``). Every
+constructor fills those arrays in one pass from the labels and depths in
+preorder (``_from_depths``), and ``_depths_of_degrees`` turns child counts
+in preorder, as a DFS or a DFUDS gives them, into depths. The label ->
 rank dict that every lookup by label reads is made by the first such
 lookup and kept, so a tree that is only built, encoded or dualized holds no
 per-node container but its preorder. The rest is arithmetic (Navarro,
@@ -28,6 +31,21 @@ IRS = "irs"
 _NAV_KINDS = (PARENT, RMC, LMC, ILS, IRS)
 
 _INT = "i"  # typecode of the rank-indexed arrays; C ints hold any rank a process can reach
+
+
+def _depths_of_degrees(degrees):
+    """The depth of every node in preorder, from the child counts in preorder
+    of a tree: a stack that holds each node's depth + 1 once per child still
+    to attach gives every depth."""
+    depths = []
+    waiting = [0]
+    pop, put, wait = waiting.pop, depths.append, waiting.extend
+    for d in degrees:
+        depth = pop()
+        put(depth)
+        if d:
+            wait([depth + 1] * d)
+    return depths
 
 
 class OrdinalTree:
@@ -68,25 +86,25 @@ class OrdinalTree:
         extra = set(children).difference(seen)
         if extra:
             raise ValidationError(f"child lists given for unreachable nodes: {sorted(map(repr, extra))}")
-        return cls._from_degrees(order, degree)
+        return cls._from_depths(order, _depths_of_degrees(degree))
 
     @classmethod
-    def _from_degrees(cls, order, degrees):
-        """The tree with preorder ``order`` whose nodes have ``degrees``
-        children, in that order (its DFUDS, well formed)."""
+    def _from_depths(cls, order, depths):
+        """The tree with preorder ``order`` whose nodes lie at ``depths``, in
+        that order (the depths of a tree: the root's 0, every later one at
+        least 1 and at most one more than the one before). A node's parent is
+        the latest earlier node one level up; the sizes are summed from the
+        last node back."""
         n = len(order)
         parent = [-1] * n
-        depth = [0] * n
-        waiting = [0] * degrees[0]  # a node's rank once per child still to attach
-        for v, d in zip(range(1, n), islice(degrees, 1, None)):
-            parent[v] = p = waiting.pop()
-            depth[v] = depth[p] + 1
-            if d:
-                waiting += [v] * d
+        latest = [0] * n  # the latest node at each depth so far
+        for v, d in zip(range(1, n), islice(depths, 1, None)):
+            parent[v] = latest[d - 1]
+            latest[d] = v
         size = [1] * n
         for v in range(n - 1, 0, -1):
             size[parent[v]] += size[v]
-        return cls(order, parent, depth, size)
+        return cls(order, parent, depths, size)
 
     def _degrees(self):
         """Child counts of the nodes in preorder."""

@@ -145,6 +145,25 @@ def test_query_rmq_stats(array_index, capsys):
     assert record["ops"] == {"rank": 1, "select": 2, "rmq": 1, "open": 0, "close": 0, "bpselect": 0}
 
 
+def test_query_outputs_are_pinned(array_index, interval_index, capsys):
+    cases = [
+        ((str(array_index), "rmq", "2", "7", "--stats"),
+         "4\nops: rank=1 select=2 rmq=1 open=0 close=0 bpselect=0\n"),
+        ((str(array_index), "rmq", "2", "7", "--output", "tsv"), "answer\n4\n"),
+        ((str(array_index), "rmq", "2", "7", "--output", "tsv", "--stats"),
+         "answer\trank\tselect\trmq\topen\tclose\tbpselect\n4\t1\t2\t1\t0\t0\t0\n"),
+        ((str(interval_index), "mliq", "4", "5", "--engine", "weighted", "--stats"),
+         "2\nops: rank=1 select=2 rmq=1 open=0 close=0 bpselect=2\n"),
+        ((str(interval_index), "mliq", "1", "10", "--output", "tsv"), "answer\nNone\n"),
+        ((str(interval_index), "mliq", "4", "5", "--output", "tsv", "--stats"),
+         "answer\trank\tselect\trmq\topen\tclose\tbpselect\n2\t3\t2\t1\t0\t0\t0\n"),
+        ((str(interval_index), "mliq", "1", "10", "--output", "tsv", "--stats"),
+         "answer\trank\tselect\trmq\topen\tclose\tbpselect\nNone\t2\t0\t0\t0\t0\t0\n"),
+    ]
+    for argv, want in cases:
+        assert run_cli(capsys, "query", *argv) == (0, want, ""), argv
+
+
 def test_query_mliq_none(interval_index, capsys):
     code, out, _ = run_cli(capsys, "query", str(interval_index), "mliq", "1", "10", "--engine", "weighted")
     assert code == 0 and out.strip() == "None"
@@ -284,6 +303,15 @@ def test_verify_all_matches_the_committed_report(capsys):
     assert out == (Path(__file__).parent / "data" / "verify_all_seed42.txt").read_text()
 
 
+def test_verify_tsv_and_jsonl_outputs_are_pinned(capsys):
+    checks = ("dual_decomposes_over_join", "prepended_root_dual_rmc_leaf", "subtree_is_quasi_subtree",
+              "quasi_subtree_dual_edges_included")
+    argv = ("verify", "join", "--seed", "7", "--trees", "5", "--max-size", "10", "--output")
+    assert run_cli(capsys, *argv, "tsv") == (0, "".join(f"join\t{c}\t5\t0\n" for c in checks), "")
+    want = "".join(f'{{"suite": "join", "check": "{c}", "passed": 5, "failed": 0, "failures": []}}\n' for c in checks)
+    assert run_cli(capsys, *argv, "jsonl") == (0, want, "")
+
+
 def test_verify_claim_prints_counterexample(capsys):
     code, out, _ = run_cli(capsys, "verify", "--claim", "reversal-commute")
     assert code == 0
@@ -297,6 +325,12 @@ def test_verify_env_seed(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DUALTREE_SEED", "9")
     code, out, _ = run_cli(capsys, "verify", "join", "--trees", "20", "--max-size", "30")
     assert code == 0 and "seed 9" in out
+
+
+def test_invalid_env_seed_exits_2_with_one_line(array_index, capsys, monkeypatch):
+    monkeypatch.setenv("DUALTREE_SEED", "abc")
+    for argv in (("verify", "join", "--trees", "5"), ("bench", str(array_index), "rmq")):
+        assert run_cli(capsys, *argv) == (2, "", "error: DUALTREE_SEED must be an integer, got 'abc'\n"), argv
 
 
 @pytest.mark.parametrize("suite, least, needy", [("all", 3, "join"), ("join", 3, "join"), ("pda", 2, "pda"),

@@ -1,4 +1,6 @@
 import random
+from itertools import islice
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -72,7 +74,7 @@ def test_reverse_permutes_the_arrays_without_a_degree_pass(monkeypatch):
         raise AssertionError("reverse permutes the arrays it has")
 
     monkeypatch.setattr(OrdinalTree, "_degrees", refuse)
-    monkeypatch.setattr(OrdinalTree, "_from_degrees", refuse)
+    monkeypatch.setattr(OrdinalTree, "_from_depths", refuse)
     for t, want in cases:
         r = duality.reverse(t)
         assert arrays(r) == want
@@ -228,10 +230,33 @@ def test_dual_involution_random():
 def dual_by_degrees(t):
     """The dual as it was built before the arithmetic one: its nodes in the
     dual's preorder with their dual child counts, through the waiting-stack
-    pass of ``OrdinalTree._from_degrees``."""
+    pass that filled a tree's arrays from its degrees. The dual children of
+    rank k > 0 are the nodes whose subtree ends just before it, k - 1 and its
+    ancestors down to depth(k): depth(k - 1) + 1 - depth(k) of them. The
+    root's are those whose subtree ends last, the depth(n - 1) non-root
+    ancestors of rank n - 1."""
     order = t._order
-    degree = duality._dual_degrees(t)
-    return OrdinalTree._from_degrees(order[:1] + order[:0:-1], degree[:1] + degree[:0:-1])
+    depth = t._depth.tolist()
+    degree = [depth[-1], *map(sub, map((1).__add__, depth), islice(depth, 1, None))]
+    return tree_of_degrees(order[:1] + order[:0:-1], degree[:1] + degree[:0:-1])
+
+
+def tree_of_degrees(order, degrees):
+    """The tree with preorder ``order`` whose nodes have ``degrees``
+    children, in that order (its DFUDS, well formed)."""
+    n = len(order)
+    parent = [-1] * n
+    depth = [0] * n
+    waiting = [0] * degrees[0]  # a node's rank once per child still to attach
+    for v, d in zip(range(1, n), islice(degrees, 1, None)):
+        parent[v] = p = waiting.pop()
+        depth[v] = depth[p] + 1
+        if d:
+            waiting += [v] * d
+    size = [1] * n
+    for v in range(n - 1, 0, -1):
+        size[parent[v]] += size[v]
+    return OrdinalTree(order, parent, depth, size)
 
 
 def arrays(t):
@@ -293,7 +318,7 @@ def test_dual_runs_no_degree_pass_and_makes_no_label_map(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the arithmetic dual must not call this")
 
-    monkeypatch.setattr(OrdinalTree, "_from_degrees", refuse)
+    monkeypatch.setattr(OrdinalTree, "_from_depths", refuse)
     for t, want in cases:
         d = duality.dual(t)
         assert arrays(d) == want

@@ -199,6 +199,73 @@ def test_load_rejects_every_changed_byte_of_a_stored_dfuds_table(tmp_path, kind)
                     load(str(damaged))
 
 
+def test_interval_text_errors_exit_2_naming_the_file_and_line(tmp_path, capsys):
+    src = tmp_path / "iv.txt"
+    cases = [
+        ("1 4\n5\n", ":2: expected 'a b', got '5'"),
+        ("1 4 7\n", ":1: expected 'a b', got '1 4 7'"),
+        ("\n1 4\n-1 6\n", ":3: endpoints must be non-negative"),
+        ("1 4\n2 -6\n", ":2: endpoints must be non-negative"),
+        ("5 4\n", ":1: left endpoint 5 exceeds right endpoint 4"),
+        ("1 6\n1 7\n", ":2: left endpoints not strictly increasing"),
+        ("1 6\n\n2 6\n", ":3: right endpoints not strictly increasing"),
+        ("", ": empty interval file"),
+        ("\n  \n", ": empty interval file"),
+    ]
+    for text, message in cases:
+        src.write_text(text)
+        code, out = cli.main(["build", "intervals", str(src), "-o", str(tmp_path / "x.idx")]), capsys.readouterr()
+        assert (code, out.out, out.err) == (2, "", f"error: {src}{message}\n"), text
+    src.write_text("1 4\n\n   \n3 6\n")  # blank lines are skipped
+    assert index_io.read_intervals_text(str(src)) == [(1, 4), (3, 6)]
+    assert cli.main(["build", "intervals", str(src), "-o", str(tmp_path / "x.idx")]) == 0
+
+
+def test_malformed_blobs_exit_2_with_one_line(tmp_path, capsys):
+    h = build_minheap(FIX_A)
+    s = mliq.build_intervals(FIX_INTERVALS)
+    array_path, interval_path = tmp_path / "a.idx", tmp_path / "iv.idx"
+    index_io.save_array_index(str(array_path), h)
+    index_io.save_interval_index(str(interval_path), s)
+    _, _, vals = index_io._read_blob(str(array_path))
+    _, _, ivs = index_io._read_blob(str(interval_path))
+    array_sections = [(tag, bytes(payload)) for tag, payload in vals.items()]
+    interval_sections = [(tag, bytes(payload)) for tag, payload in ivs.items()]
+    A, IV = index_io.KIND_ARRAY, index_io.KIND_INTERVALS
+    cases = [
+        (A, 3, [("VALS", array_sections[0][1] + b"\0" * 4), *array_sections[1:]],
+         "VALS section length 68 is not a multiple of 8"),
+        (IV, 3, [("INTA", interval_sections[0][1][:-4]), *interval_sections[1:]],
+         "INTA section length 28 is not a multiple of 8"),
+        (A, 9, array_sections, "unsupported version 9"),
+        (A, 3, [*array_sections, array_sections[1]], "section 'BITS' appears twice"),
+        (A, 3, [("VALS", b"\1\0\0\0"), *array_sections[1:]], "VALS section too short for its length prefix"),
+        (A, 3, [("VALS", bytes(8)), *array_sections[1:]], "VALS section holds no values"),
+        (IV, 3, [interval_sections[0], ("INTB", interval_sections[1][1][:-8]), *interval_sections[2:]],
+         "4 left endpoints but 3 right endpoints"),
+    ]
+    path = tmp_path / "bad.idx"
+    for kind, version, sections, message in cases:
+        write_blob(path, version, kind, sections)
+        load = index_io.load_array_index if kind == A else index_io.load_interval_index
+        with pytest.raises(ParseError) as exc:
+            load(str(path))
+        assert str(exc.value) == f"{path}: {message}"
+        code = cli.main(["query", str(path), "rmq" if kind == A else "mliq", "1", "2"])
+        assert (code, capsys.readouterr().err) == (2, f"error: {path}: {message}\n"), message
+    path.write_bytes(array_path.read_bytes() + b"xy")
+    with pytest.raises(ParseError) as exc:
+        index_io.load_array_index(str(path))
+    assert str(exc.value) == f"{path}: 2 trailing bytes"
+    code = cli.main(["query", str(path), "rmq", "1", "2"])
+    assert (code, capsys.readouterr().err) == (2, f"error: {path}: 2 trailing bytes\n")
+    # the wrong kind, passed straight to a load
+    with pytest.raises(ParseError, match="blob holds an interval index, not an array index"):
+        index_io.load_array_index(str(interval_path))
+    with pytest.raises(ParseError, match="blob holds an array index, not an interval index"):
+        index_io.load_interval_index(str(array_path))
+
+
 def test_truncated_prefix_exits_2(tmp_path):
     data = blob_bytes(tmp_path, build_minheap, index_io.save_array_index, FIX_A)
     path = tmp_path / "cut.idx"

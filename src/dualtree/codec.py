@@ -119,8 +119,8 @@ def dfuds_encode(t: OrdinalTree):
 
 def bp_decode(p) -> OrdinalTree:
     """Inverse of bp_encode up to relabeling; labels are depth-first ranks."""
-    text = _digits(p)
-    return _bp_tree(text, _check_bp(text), list(range(1, text.count("1") + 1)))
+    depths = _bp_depths(_digits(p))
+    return OrdinalTree._from_depths(list(range(1, len(depths) + 1)), depths)
 
 
 def dfuds_decode(p) -> OrdinalTree:
@@ -165,16 +165,16 @@ def tree_from_text(text: str) -> OrdinalTree:
     if not lines:
         raise ParseError("no parenthesis line", 1)
     bits = _digits(lines[0].strip())
-    exc = _check_bp(bits)
-    n = bits.count("1")
+    depths = _bp_depths(bits)
+    n = len(depths)
     if len(lines) == 1:
-        return _bp_tree(bits, exc, list(range(1, n + 1)))
+        return OrdinalTree._from_depths(list(range(1, n + 1)), depths)
     labels = lines[1].split()
     if len(labels) != n:
         raise ParseError(f"label line has {len(labels)} entries for {n} nodes")
     if len(set(labels)) != n:
         raise ParseError("labels are not unique")
-    return _bp_tree(bits, exc, labels)
+    return OrdinalTree._from_depths(labels, depths)
 
 
 # -- text of the encodings -------------------------------------------------------
@@ -251,11 +251,12 @@ def _check_bp(text):
     return exc
 
 
-def _bp_tree(text, exc, labels):
-    """The tree of the checked BP ``text`` with excesses ``exc`` whose nodes
-    in preorder are the distinct ``labels``: a node's depth is the excess
-    just before its opener."""
-    return OrdinalTree._from_depths(labels, list(compress(exc, text.encode("ascii").translate(_OPENERS))))
+def _bp_depths(text):
+    """The depths in preorder of the nodes of the BP ``text``, which
+    ``_check_bp`` checks: a node's depth is the excess just before its
+    opener. The excesses are dropped on return, before the tree's arrays are
+    made."""
+    return list(compress(_check_bp(text), text.encode("ascii").translate(_OPENERS)))
 
 
 def _dfuds_tree(text, first):

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from . import index_io, mliq, randgen, rmq, verify
 from .errors import ContractError, NotFoundError, ParseError, RangeError, ValidationError
@@ -91,8 +91,7 @@ def cmd_build(args):
         stats = index_io.save_array_index(args.out, h)
         stats = {"kind": "array", "n": h.n, **stats}
     else:
-        pairs = index_io.read_intervals_text(args.input)
-        s = mliq.build_intervals(pairs)
+        s = index_io.read_intervals_text(args.input)
         stats = index_io.save_interval_index(args.out, s)
         stats = {"kind": "intervals", "n": s.n, **stats}
     stats["blob_bytes"] = os.path.getsize(args.out)
@@ -267,8 +266,7 @@ def cmd_bench(args):
     engines = _engines(args.kind, names)
     queries = _workload(args.kind, *qk.bounds(index), seed, args.queries)
 
-    cols = ["engine", "queries", "qps", "answers_sha256", "mean_rank", "mean_select",
-            "mean_rmq", "mean_open", "mean_close", "mean_bpselect"]
+    cols = ["engine", "queries", "qps", "answers_sha256", *(f"mean_{op}" for op in rmq.OpCounters().as_dict())]
     print("\t".join(cols))
     if not queries:
         return EXIT_OK
@@ -283,7 +281,7 @@ def cmd_bench(args):
         k = len(queries) or 1
         qps = f"{len(queries) / elapsed:.0f}" if elapsed > 0 and queries else "0"
         row = [name, str(len(queries)), qps, digest.hexdigest()[:12]]
-        row += [f"{getattr(totals, f) / k:.3f}" for f in ("rank", "select", "rmq", "open", "close", "bpselect")]
+        row += [f"{ops / k:.3f}" for ops in astuple(totals)]
         print("\t".join(row))
     return EXIT_OK
 

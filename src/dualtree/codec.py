@@ -160,10 +160,13 @@ def tree_to_text(t: OrdinalTree) -> str:
 
 def tree_from_text(text: str) -> OrdinalTree:
     """Inverse of tree_to_text. Without a label line, labels are depth-first
-    ranks; with one, labels are the whitespace-separated strings."""
+    ranks; with one, labels are the whitespace-separated strings. Blank
+    lines are skipped, and text after the label line is a ParseError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError("no parenthesis line", 1)
+    if len(lines) > 2:
+        raise ParseError("text after the label line")
     bits = _digits(lines[0].strip())
     depths = _bp_depths(bits)
     n = len(depths)

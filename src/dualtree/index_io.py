@@ -61,13 +61,13 @@ leaves a file whose header a load rejects.
 import os
 import struct
 from array import array
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import eq
 
 from .bitseq import from_le, le_bytes, le_view
 from .errors import ParseError, ValidationError
 from .minheap import heap_of_table
-from .mliq import intervals_from_arrays
+from .mliq import _first_breach, build_intervals, intervals_from_arrays
 from .parens import _BLOCK
 
 MAGIC = b"DTR1"
@@ -93,7 +93,8 @@ def read_array_text(path):
                 v = _decimal(tok)
             except ValueError:
                 raise ValidationError(f"{path}:{lineno}: not an integer: {tok!r}") from None
-            _check_i64(v, f"{path}:{lineno}")
+            if not _I64_MIN <= v <= _I64_MAX:
+                raise ValidationError(f"{path}:{lineno}: value {v} outside the signed 64-bit range")
             values.append(v)
     if not values:
         raise ValidationError(f"{path}: empty array file")
@@ -113,7 +114,7 @@ def read_array_binary(path):
         raise ValidationError(f"{path}: trailing bytes after {n} values")
     if n == 0:
         raise ValidationError(f"{path}: empty array file")
-    return from_le(payload).tolist()
+    return from_le(payload)
 
 
 def write_array_binary(path, values):
@@ -121,7 +122,23 @@ def write_array_binary(path, values):
 
 
 def read_intervals_text(path):
-    pairs = []
+    """The interval index of the file's 'a b' lines, blank lines skipped.
+    The file's text is checked here; the family's rules and their messages
+    are those of ``mliq.build_intervals``, with ``interval K`` read as the
+    file and the line of the K-th pair."""
+    pairs = [pair for _, pair in _interval_lines(path)]
+    if not pairs:
+        raise ValidationError(f"{path}: empty interval file")
+    try:
+        return build_intervals(pairs)
+    except ValidationError:
+        k, rule = _first_breach(*zip(*pairs))
+        lineno, _ = next(islice(_interval_lines(path), k - 1, None))  # the file again, on this path only
+        raise ValidationError(f"{path}:{lineno}: {rule}") from None
+
+
+def _interval_lines(path):
+    """(line number, (a, b)) of each non-blank line of an interval file."""
     for lineno, line in _ascii_lines(path):
         toks = line.split()
         if not toks:
@@ -129,22 +146,10 @@ def read_intervals_text(path):
         if len(toks) != 2:
             raise ValidationError(f"{path}:{lineno}: expected 'a b', got {line.strip()!r}")
         try:
-            a, b = _decimal(toks[0]), _decimal(toks[1])
+            pair = _decimal(toks[0]), _decimal(toks[1])
         except ValueError:
             raise ValidationError(f"{path}:{lineno}: not integers: {line.strip()!r}") from None
-        if a < 0 or b < 0:
-            raise ValidationError(f"{path}:{lineno}: endpoints must be non-negative")
-        _check_i64(b, f"{path}:{lineno}")
-        if a > b:
-            raise ValidationError(f"{path}:{lineno}: left endpoint {a} exceeds right endpoint {b}")
-        if pairs and a <= pairs[-1][0]:
-            raise ValidationError(f"{path}:{lineno}: left endpoints not strictly increasing")
-        if pairs and b <= pairs[-1][1]:
-            raise ValidationError(f"{path}:{lineno}: right endpoints not strictly increasing")
-        pairs.append((a, b))
-    if not pairs:
-        raise ValidationError(f"{path}: empty interval file")
-    return pairs
+        yield lineno, pair
 
 
 def _decimal(tok):
@@ -163,11 +168,6 @@ def _ascii_lines(path):
                 byte = next(ord(c) for c in line if not c.isascii()) - 0xDC00  # the escaped byte
                 raise ValidationError(f"{path}:{lineno}: non-ASCII byte 0x{byte:02x}")
             yield lineno, line
-
-
-def _check_i64(v, where):
-    if not _I64_MIN <= v <= _I64_MAX:
-        raise ValidationError(f"{where}: value {v} outside the signed 64-bit range")
 
 
 # -- section plumbing ------------------------------------------------------------

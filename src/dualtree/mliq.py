@@ -148,7 +148,7 @@ def build_intervals(pairs) -> IntervalSet:
     try:
         a, b = array("q", map(left, pairs)), array("q", map(right, pairs))
     except (TypeError, OverflowError):  # an endpoint that is not an int, or not an i64
-        raise _first_breach(list(map(left, pairs)), list(map(right, pairs))) from None
+        raise _breach_error(list(map(left, pairs)), list(map(right, pairs))) from None
     return intervals_from_arrays(a, b)
 
 
@@ -159,15 +159,24 @@ def intervals_from_arrays(a, b) -> IntervalSet:
         a[0] >= 0 and all(map(le, a, b)) and all(map(lt, a, islice(a, 1, None)))
         and all(map(lt, b, islice(b, 1, None)))
     ):
-        raise _first_breach(a, b)
+        raise _breach_error(a, b)
     # b - a orders the intervals as their lengths do
     return IntervalSet(a, b, heap_without_values(map(sub, reversed(b), reversed(a))))
 
 
+def _breach_error(a, b):
+    """The ValidationError of ``build_intervals`` for the endpoints ``a``,
+    ``b`` of a family that breaks a rule: ``interval K: rule``."""
+    if not a:
+        return ValidationError("interval family must not be empty")
+    return ValidationError("interval %d: %s" % _first_breach(a, b))
+
+
 def _first_breach(a, b):
-    """The ValidationError of the first interval in ``a``, ``b`` (sequences
-    of any objects) that breaks a rule of ``build_intervals``, naming the
-    first rule it breaks.
+    """(K, rule): the first interval K (counted from 1) in ``a``, ``b``, two
+    non-empty sequences of any objects, that breaks a rule of
+    ``build_intervals``, and the first rule it breaks, in the words of the
+    rule's message.
 
     The rules are searched in their order, each in bulk among the intervals
     before the earliest breach found so far, so a later rule wins only on an
@@ -175,8 +184,6 @@ def _first_breach(a, b):
     endpoint that is not an int.
     """
     n = len(a)
-    if not n:
-        return ValidationError("interval family must not be empty")
     error = None
     end = _first(map(not_, map(isinstance, a, repeat(int))), n)
     end = _first(map(not_, map(isinstance, b, repeat(int))), end)
@@ -198,7 +205,7 @@ def _first_breach(a, b):
         end, error = right, "right endpoints not strictly increasing"
     if error is None:
         raise ContractError("the interval family breaks no rule")
-    return ValidationError(f"interval {end + 1}: {error}")
+    return end + 1, error
 
 
 def _first(flags, end):

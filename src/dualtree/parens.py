@@ -361,17 +361,9 @@ class WeightedBits:
 
     def bpselect(self, budget: int) -> int:
         """Largest position whose weight prefix sum stays within budget."""
-        return self.bpselect_with_count(budget)[0]
-
-    def bpselect_with_count(self, budget: int):
-        """As ``bpselect`` but also reports how many weighted positions fit.
-
-        The count comes out of the same binary search, so callers that need
-        the ordinal of the boundary weight pay for a single query.
-        """
         if budget < 0:
             raise ContractError(f"budget must be non-negative, got {budget}")
         k = bisect_right(self.cum, budget)
         if k == len(self.positions):
-            return self.n, k
-        return self.positions[k] - 1, k
+            return self.n
+        return self.positions[k] - 1

@@ -27,7 +27,7 @@ budget, as rank_0 is, which the kernel reads off the excess with no rank
 call.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 from .errors import ContractError
 from .parens import CLOSE
@@ -45,17 +45,10 @@ class OpCounters:
     bpselect: int = 0
 
     def as_dict(self):
-        return {
-            "rank": self.rank,
-            "select": self.select,
-            "rmq": self.rmq,
-            "open": self.open,
-            "close": self.close,
-            "bpselect": self.bpselect,
-        }
+        return asdict(self)
 
     def total(self):
-        return sum(self.as_dict().values())
+        return sum(astuple(self))
 
 
 def rmq_checked(h, i, j, counters=None):

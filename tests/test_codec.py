@@ -344,6 +344,8 @@ def oracle_tree_from_text(text):
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError("no parenthesis line", 1)
+    if len(lines) > 2:
+        raise ParseError("text after the label line")
     t = oracle_bp_decode(lines[0].strip())
     if len(lines) == 1:
         return t
@@ -446,8 +448,9 @@ def test_short_sequences_give_the_oracle_outcome(text):
 def test_damaged_tree_text_gives_the_oracle_parse_error(data, t):
     bp_line, label_line = codec.tree_to_text(t).splitlines()
     labels = label_line.split()
-    how = data.draw(st.sampled_from(["bp", "drop", "extra", "repeat", "blank"]))
+    how = data.draw(st.sampled_from(["bp", "drop", "extra", "repeat", "blank", "trailing"]))
     k = data.draw(st.integers(0, len(labels) - 1))
+    tail = ""
     if how == "bp":
         bp_line = data.draw(damaged(bp_line))
     elif how == "drop":
@@ -456,10 +459,15 @@ def test_damaged_tree_text_gives_the_oracle_parse_error(data, t):
         labels.insert(k, "new")
     elif how == "repeat":
         labels[k] = labels[data.draw(st.integers(0, len(labels) - 1))]
-    else:
+    elif how == "blank":
         labels = []
-    text = bp_line + "\n" + " ".join(labels) + "\n"
+    else:
+        tail = data.draw(st.sampled_from(["GARBAGE", "x y", label_line, bp_line])) + "\n"
+    text = bp_line + "\n" + " ".join(labels) + "\n" + tail
     assert outcome(codec.tree_from_text, text) == outcome(oracle_tree_from_text, text)
+    if how == "trailing":
+        with pytest.raises(ParseError, match="^text after the label line$"):
+            codec.tree_from_text(text)
 
 
 def test_codecs_build_no_paren_seq_or_checked_tree_they_do_not_return(monkeypatch):

@@ -1,5 +1,7 @@
+import contextlib
 import gc
 import hashlib
+import io
 import itertools
 import os
 import random
@@ -204,8 +206,9 @@ def test_interval_text_errors_exit_2_naming_the_file_and_line(tmp_path, capsys):
     cases = [
         ("1 4\n5\n", ":2: expected 'a b', got '5'"),
         ("1 4 7\n", ":1: expected 'a b', got '1 4 7'"),
-        ("\n1 4\n-1 6\n", ":3: endpoints must be non-negative"),
-        ("1 4\n2 -6\n", ":2: endpoints must be non-negative"),
+        ("\n1 4\n-1 6\n", ":3: endpoints must be non-negative integers"),
+        ("1 4\n2 -6\n", ":2: endpoints must be non-negative integers"),
+        ("1 4\n\n5 9223372036854775808\n", ":3: endpoint 9223372036854775808 outside the signed 64-bit range"),
         ("5 4\n", ":1: left endpoint 5 exceeds right endpoint 4"),
         ("1 6\n1 7\n", ":2: left endpoints not strictly increasing"),
         ("1 6\n\n2 6\n", ":3: right endpoints not strictly increasing"),
@@ -217,8 +220,38 @@ def test_interval_text_errors_exit_2_naming_the_file_and_line(tmp_path, capsys):
         code, out = cli.main(["build", "intervals", str(src), "-o", str(tmp_path / "x.idx")]), capsys.readouterr()
         assert (code, out.out, out.err) == (2, "", f"error: {src}{message}\n"), text
     src.write_text("1 4\n\n   \n3 6\n")  # blank lines are skipped
-    assert index_io.read_intervals_text(str(src)) == [(1, 4), (3, 6)]
+    s = index_io.read_intervals_text(str(src))
+    assert (s.a, s.b) == (array("q", [1, 3]), array("q", [4, 6]))
     assert cli.main(["build", "intervals", str(src), "-o", str(tmp_path / "x.idx")]) == 0
+
+
+@pytest.fixture(scope="module")
+def text_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("texts")
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=breached_families(("negative", "wide", "left", "right", "beyond")), data=st.data())
+def test_interval_file_breaches_are_worded_as_build_intervals_words_them(text_dir, case, data):
+    _, pairs = case
+    want = raised(check_pairs, pairs)
+    assume(want is not None)
+    k, rule = mliq._first_breach(*zip(*pairs))
+    assert raised(mliq.build_intervals, pairs) == want == (ValidationError, f"interval {k}: {rule}")
+    blanks = data.draw(st.lists(st.sampled_from(["", "  ", " \t"]), max_size=len(pairs) + 1))
+    before = data.draw(st.lists(st.integers(0, len(pairs)), min_size=len(blanks), max_size=len(blanks)))
+    lines = []
+    for i, (a, b) in enumerate(pairs):
+        lines += [blank for blank, at in zip(blanks, before) if at == i]
+        lines.append(f"{a} {b}")
+    lines += [blank for blank, at in zip(blanks, before) if at == len(pairs)]
+    path = fresh_path(text_dir)
+    path.write_text("\n".join(lines) + "\n")
+    line = k + sum(at < k for at in before)  # the K-th pair's line, after the blank lines before it
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["build", "intervals", str(path), "-o", str(fresh_path(text_dir))])
+    assert (code, err.getvalue()) == (2, f"error: {path}:{line}: {rule}\n")
 
 
 def test_malformed_blobs_exit_2_with_one_line(tmp_path, capsys):
@@ -341,7 +374,7 @@ def test_array_blob_and_binary_file_bytes_are_unchanged(tmp_path):
         assert hashlib.sha256(data).hexdigest() == blob_digest
         index_io.write_array_binary(str(binary), values)
         assert hashlib.sha256(binary.read_bytes()).hexdigest() == file_digest
-        assert index_io.read_array_binary(str(binary)) == values
+        assert index_io.read_array_binary(str(binary)).tolist() == values
 
 
 # sha256 of each version-2 fixture, as the version-2 blob tests pinned it

@@ -160,20 +160,17 @@ def test_bpselect_prefix_examples():
     assert p.bpselect(2) == 3  # largest position before the weight-3 open
     assert p.bpselect(5) == 8  # total weight affordable -> n
     assert p.bpselect(0) == 1  # first weighted position is 2
-    assert p.bpselect_with_count(4) == (3, 1)
-    assert p.bpselect_with_count(5) == (8, 2)
+    assert p.bpselect(4) == 3
     assert [weight_prefix(p, x) for x in range(9)] == [0, 0, 2, 2, 5, 5, 5, 5, 5]
     p2 = weighted("()", {2: 1})  # on the closer
     assert p2.bpselect(0) == 1
-    assert p2.bpselect_with_count(1) == (2, 1)
+    assert p2.bpselect(1) == 2
 
 
 def test_bpselect_requires_weights_and_budget():
     p = weighted("()", {1: 1})
     with pytest.raises(ContractError, match="budget must be non-negative, got -1"):
         p.bpselect(-1)
-    with pytest.raises(ContractError, match="budget must be non-negative, got -1"):
-        p.bpselect_with_count(-1)
 
 
 def test_tables_answer_as_the_mapping_they_hold():
@@ -189,7 +186,7 @@ def test_tables_answer_as_the_mapping_they_hold():
         assert [weight_prefix(p, x) for x in range(n + 1)] == prefix
         for budget in range(cum[-1] + 2):
             q = max(x for x in range(n + 1) if prefix[x] <= budget)
-            assert p.bpselect_with_count(budget) == (q, sum(x <= q for x in weights))
+            assert p.bpselect(budget) == q
     with pytest.raises(ValidationError, match="^2 weighted positions but 1 cumulative weights$"):
         WeightedBits(4, array("q", [1, 3]), array("q", [1]))
 

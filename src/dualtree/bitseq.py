@@ -18,6 +18,11 @@ Construction runs in bulk steps: the bits become one big integer, whose
 little-endian bytes are read straight into the words, and the cumulative
 counts come from ``accumulate``.
 
+``text_of`` is the one reader of bit input: it turns a BitSeq, a string of
+'0'/'1' digits or parentheses, or an iterable of 0/1 symbols into '0'/'1'
+text, for the constructors here and in ``parens`` and for the decoders of
+``codec``. A symbol that is no bit is a ParseError at its position.
+
 The tables are typed arrays, so a sequence's size is fixed bytes per bit:
 the words are an ``array('Q')``, the cumulative one- and zero-counts and
 the select directories ``array('q')``, and the in-word offsets ``bytes``.
@@ -36,7 +41,7 @@ from bisect import bisect_left
 from itertools import accumulate, cycle, repeat
 from operator import getitem, sub
 
-from .errors import NotFoundError, RangeError
+from .errors import NotFoundError, ParseError, RangeError
 
 WORD = 64
 _MASKS = [(1 << (r + 1)) - 1 for r in range(WORD)]
@@ -179,7 +184,8 @@ def _select_at(cum, sel, off, i):
 
 def text_of(bits) -> str:
     """The '0'/'1' text of a BitSeq, a string of bits or parentheses, or an
-    iterable of 0/1 symbols; RangeError names the first symbol that is none."""
+    iterable of 0/1 symbols: the one reader of bit input. ParseError names
+    the first symbol that is none, and its ``position``."""
     if isinstance(bits, BitSeq):
         return bits.to_text()
     if isinstance(bits, str):
@@ -220,7 +226,7 @@ def _text_of_chars(s: str) -> str:
         if not raw.translate(None, b"01()"):
             return raw.translate(_CHAR_TO_DIGIT).decode("ascii")
     bad = _NOT_A_BIT.search(s)
-    raise RangeError(f"character {bad.group()!r} at position {bad.start() + 1} is not a bit or parenthesis")
+    raise ParseError(f"unexpected character {bad.group()!r}", bad.start() + 1)
 
 
 def _text_of_symbols(bits) -> str:
@@ -233,6 +239,6 @@ def _text_of_symbols(bits) -> str:
     if raw is None or raw.translate(None, b"\0\1"):
         for i, b in enumerate(bits, start=1):
             if b not in (0, 1):
-                raise RangeError(f"bit at position {i} is {b!r}, expected 0 or 1")
+                raise ParseError(f"unexpected bit {b!r}", i)
         raw = bytes(1 if b else 0 for b in bits)  # 0/1 given as floats
     return raw.translate(_BYTE_TO_DIGIT).decode("ascii")

@@ -8,14 +8,17 @@ opening parenthesis up front to balance the sequence.
 Both encodings are fixed by an OrdinalTree's preorder arrays, so the
 encoders write them in bulk: BP from the depths (before each opener come
 depth(prev) + 1 - depth(v) closers, and depth(last) + 1 closers end the
-text), DFUDS from the degrees. The decoders read the depths and hand them to
-the tree's one constructor pass. A BP text is checked by its excess, and a
-node's depth is the excess just before its opener. A DFUDS is the BP of a
-tree (the reversed dual's), so the same check accepts exactly the DFUDS
-texts; its blocks give the degrees and one stack pass their depths. A
-decoder's labels are depth-first ranks, which cannot repeat, and
-``tree_from_text`` checks the labels it reads are distinct, so no decoder
-makes the tree's label -> rank map.
+text), DFUDS from the degrees. The decoders read their input, and
+``mirror_string`` checks its own, through ``bitseq.text_of``, the one reader
+of bit input; they read the depths and hand them to the tree's one
+constructor pass. A BP text is checked by its excess, and a node's depth is
+the excess just before its opener. A DFUDS is the BP of a tree (the reversed
+dual's), so the same check accepts exactly the DFUDS texts; its blocks give
+the degrees and one stack pass their depths, in ``_dfuds_depths``, the one
+reader of DFUDS blocks, which ``mliq`` calls too. A decoder's labels are
+depth-first ranks, which cannot repeat, and ``tree_from_text`` checks the
+labels it reads are distinct, so no decoder makes the tree's label -> rank
+map.
 
 Node anchors: in BP a node owns its opening/closing pair. In DFUDS a node is
 anchored at the parenthesis preceding its block of child openers — a closing
@@ -27,12 +30,11 @@ open + 2·size − 1, and the DFUDS closes are the prefix sums of degree + 1,
 starting at 1.
 """
 
-import re
 from array import array
 from itertools import accumulate, chain, compress, islice
 from operator import add, sub
 
-from .bitseq import BitSeq
+from .bitseq import text_of
 from .errors import ParseError, ValidationError
 from .parens import _DIGIT_TO_PAREN, _STEPS, ParenSeq
 from .tree import OrdinalTree, _depths_of_degrees
@@ -41,8 +43,6 @@ BP = "bp"
 DFUDS = "dfuds"
 
 _FLIP = str.maketrans("()01", ")(10")
-_NOT_PAREN = re.compile(r"[^()01]")
-_PAREN_TO_DIGIT = str.maketrans("()", "10")
 _OPENERS = bytes.maketrans(b"01", b"\0\1")  # 0/1 text -> its openers as 0/1 bytes
 _TEXT_CHUNK = 1 << 10  # nodes whose DFUDS text is joined at a time
 
@@ -119,13 +119,13 @@ def dfuds_encode(t: OrdinalTree):
 
 def bp_decode(p) -> OrdinalTree:
     """Inverse of bp_encode up to relabeling; labels are depth-first ranks."""
-    depths = _bp_depths(_digits(p))
+    depths = _bp_depths(text_of(p))
     return OrdinalTree._from_depths(list(range(1, len(depths) + 1)), depths)
 
 
 def dfuds_decode(p) -> OrdinalTree:
     """Inverse of dfuds_encode up to relabeling; labels are depth-first ranks."""
-    return _dfuds_tree(_digits(p), 1)
+    return _dfuds_tree(text_of(p), 1)
 
 
 def mirror(p: ParenSeq) -> ParenSeq:
@@ -134,8 +134,9 @@ def mirror(p: ParenSeq) -> ParenSeq:
 
 
 def mirror_string(s: str) -> str:
-    """``mirror`` on a parenthesis or 0/1 string, kept as text."""
-    _check_chars(s)
+    """``mirror`` on a parenthesis or 0/1 string, kept as text; ``text_of``
+    checks its characters."""
+    text_of(s)
     return s[::-1].translate(_FLIP)
 
 
@@ -167,11 +168,10 @@ def tree_from_text(text: str) -> OrdinalTree:
         raise ParseError("no parenthesis line", 1)
     if len(lines) > 2:
         raise ParseError("text after the label line")
-    bits = _digits(lines[0].strip())
-    depths = _bp_depths(bits)
-    n = len(depths)
     if len(lines) == 1:
-        return OrdinalTree._from_depths(list(range(1, n + 1)), depths)
+        return bp_decode(lines[0].strip())
+    depths = _bp_depths(text_of(lines[0].strip()))
+    n = len(depths)
     labels = lines[1].split()
     if len(labels) != n:
         raise ParseError(f"label line has {len(labels)} entries for {n} nodes")
@@ -212,27 +212,6 @@ def _dfuds_of_degrees(degrees):
 # -- decoding --------------------------------------------------------------------
 
 
-def _check_chars(s):
-    bad = _NOT_PAREN.search(s)
-    if bad:
-        raise ParseError(f"unexpected character {bad.group()!r}", bad.start() + 1)
-
-
-def _digits(p):
-    """The sequence as 0/1 text, from a BitSeq (a ParenSeq is one), a string
-    of parentheses or digits, or an iterable of 0/1 entries."""
-    if isinstance(p, BitSeq):
-        return p.to_text()
-    if isinstance(p, str):
-        _check_chars(p)
-        return p.translate(_PAREN_TO_DIGIT)
-    bits = list(p)
-    for x, b in enumerate(bits, start=1):
-        if b not in (0, 1):
-            raise ParseError(f"unexpected bit {b!r}", x)
-    return "".join(["1" if b else "0" for b in bits])
-
-
 def _check_bp(text):
     """The excess before each position of ``text`` and after its last, or
     ParseError at the first position where ``text`` stops being the BP of
@@ -265,7 +244,15 @@ def _bp_depths(text):
 def _dfuds_tree(text, first):
     """The tree of a DFUDS text whose nodes in preorder are labelled
     ``first``, ``first + 1``, ... A DFUDS is the BP of a tree (the reversed
-    dual's), so ``_check_bp`` checks it; its blocks list the degrees."""
+    dual's), so ``_check_bp`` checks it."""
     _check_bp(text)
-    depths = _depths_of_degrees(map(len, text[1:-1].split("0")))
+    depths = _dfuds_depths(text)
     return OrdinalTree._from_depths(list(range(first, first + len(depths))), depths)
+
+
+def _dfuds_depths(text):
+    """The depths in preorder of the nodes of a DFUDS text, taken as valid:
+    its blocks list the degrees in preorder, and one stack pass makes them
+    depths. The one reader of DFUDS blocks, for the decoder here and the
+    weighted positions of ``mliq``."""
+    return _depths_of_degrees(map(len, text[1:-1].split("0")))

@@ -66,7 +66,7 @@ from operator import eq
 
 from .bitseq import from_le, le_bytes, le_view
 from .errors import ParseError, ValidationError
-from .minheap import heap_of_table
+from .minheap import MinHeapIndex, heap_dfuds
 from .mliq import _first_breach, build_intervals, intervals_from_arrays
 from .parens import _BLOCK
 
@@ -336,7 +336,7 @@ def load_array_index(path):
         raise ParseError(f"{path}: VALS section promises {n} values, holds {len(values)}")
     if not values:
         raise ParseError(f"{path}: VALS section holds no values")
-    h = heap_of_table(values)
+    h = MinHeapIndex(values, heap_dfuds(reversed(values)))
     _verify_derived(path, version, h.dfuds, sections)
     return h
 

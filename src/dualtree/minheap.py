@@ -15,7 +15,9 @@ values still waiting for a parent, largest on top: every pending value >= the
 current one has the current position as its nearest earlier smaller-or-equal
 position, so the number popped there is that position's degree, and what is
 left pending at the end hangs from the root. It allocates nothing per element
-but the degree count. The index stores that bit sequence and nothing else
+but the degree count. ``heap_dfuds`` runs the pass and writes the DFUDS,
+the one writer of it for ``build_minheap``, an array blob's load and the
+interval index. The index stores that bit sequence and nothing else
 besides the values; the explicit tree is decoded from it on first use. The
 interval index's heap of lengths holds the bit sequence alone: its values
 are a function of the endpoints, which the pass reads once, as they come.
@@ -45,7 +47,7 @@ class MinHeapIndex:
     labels are array positions with the root 0, so a node's depth-first rank
     is its label plus one and the engines need no explicit tree. ``values``
     is an ``array('q')`` for signed 64-bit ints and a list otherwise, or
-    None for a heap that holds its DFUDS alone (``heap_without_values``).
+    None for a heap that holds its DFUDS alone (the interval index's).
     ``n`` is read off the DFUDS, whose 2(n + 1) bits describe n + 1 nodes.
     """
 
@@ -63,11 +65,15 @@ class MinHeapIndex:
     def tree(self):
         """The heap as an OrdinalTree, decoded from the DFUDS on first use."""
         if self._tree is None:
-            self._tree = _decode_heap(self.dfuds)
+            self._tree = codec._dfuds_tree(self.dfuds.to_text(), ROOT_LABEL)
         return self._tree
 
     def value(self, i):
-        return self.values[i - 1]
+        """The value at array position i; ContractError for a heap that
+        holds no values."""
+        if self.values is None:
+            raise ContractError("the heap holds no values")
+        return self.values[self.node_of(i) - 1]
 
     def dft(self, v):
         """Depth-first rank of node v."""
@@ -95,7 +101,9 @@ def build_minheap(values) -> MinHeapIndex:
     int, else a list."""
     if not isinstance(values, (list, array)):
         values = list(values)
-    dfuds = _heap_dfuds(values)
+    if not values:
+        raise ContractError("array must hold at least one element")
+    dfuds = heap_dfuds(reversed(values))
     return MinHeapIndex(held_values(values), dfuds)
 
 
@@ -108,31 +116,12 @@ def held_values(values):
         return list(values)
 
 
-def heap_of_table(values) -> MinHeapIndex:
-    """The heap index holding ``values``, an ``array('q')``, as it is."""
-    return MinHeapIndex(values, _heap_dfuds(values))
-
-
-def heap_without_values(values_from_the_right) -> MinHeapIndex:
-    """The heap index of the values that ``values_from_the_right`` yields,
-    last to first, without the values: its DFUDS alone, for a caller that
-    keeps what they are derived from (``mliq`` keeps the interval
-    endpoints). The degree pass reads them once, so none need be held."""
-    return MinHeapIndex(None, _dfuds_from_the_right(values_from_the_right))
-
-
-def _heap_dfuds(values):
-    """The DFUDS of the heap of ``values``, from the degree pass."""
-    if not values:
-        raise ContractError("array must hold at least one element")
-    return _dfuds_from_the_right(reversed(values))
-
-
-def _dfuds_from_the_right(values):
-    """The DFUDS of the heap of the values that ``values`` yields last to
-    first. The degrees are dropped once their text is written, before the
-    bit sequence is packed."""
-    return ParenSeq(codec._dfuds_of_degrees(_degrees_from_the_right(values)))
+def heap_dfuds(values_from_the_right) -> ParenSeq:
+    """The DFUDS of the heap of the values that ``values_from_the_right``
+    yields, last to first, by the degree pass, which reads each value once,
+    so none need be held. The degrees are dropped once their text is
+    written, before the bit sequence is packed."""
+    return ParenSeq(codec._dfuds_of_degrees(_degrees_from_the_right(values_from_the_right)))
 
 
 def _degrees_from_the_right(values):
@@ -151,12 +140,6 @@ def _degrees_from_the_right(values):
     put(len(pending))
     degrees.reverse()
     return degrees
-
-
-def _decode_heap(dfuds):
-    """The heap tree from its DFUDS, by the DFUDS decoder of ``codec`` with
-    the array positions as labels."""
-    return codec._dfuds_tree(dfuds.to_text(), ROOT_LABEL)
 
 
 def reversal_dual_check(values) -> bool:

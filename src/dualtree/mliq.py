@@ -38,9 +38,10 @@ weighted parentheses in place of endpoint rank structures; here neither
 engine holds a structure of its own beyond the endpoints and the heap.
 
 The index holds the endpoints as two ``array('q')`` and the length heap's
-DFUDS, and nothing else. The lengths b - a + 1 are computed when the
-brute-force oracle asks for them: the heap is built from b - a, which
-orders the intervals the same way, read once and never held. The weighted
+DFUDS, which ``minheap.heap_dfuds`` writes, and nothing else. The lengths
+b - a + 1 are computed when the brute-force oracle asks for them: the heap
+is built from b - a, which orders the intervals the same way, read once and
+never held. The weighted
 positions, where the bpselects would land, are computed only when asked
 for (``IntervalSet.weighted_positions``, ``IntervalSet.weighted_bps``): by
 ``verify``, the tests, and the load of a version-1 or -2 blob, which
@@ -48,7 +49,8 @@ compares its stored WOPN/WCLS sections with them. A version-3 blob stores
 neither table, so no save and no version-3 load computes them.
 A node's opener in the heap's BP lies at a closed form of its preorder
 index and depth, and the BP of the reversed heap is the mirror of the
-heap's BP, so they are read off the DFUDS with one pass for the depths;
+heap's BP, so they are read off the DFUDS with one pass for the depths,
+``codec._dfuds_depths``, the DFUDS decoder's own reader of the blocks;
 neither the heap tree, nor its reversal, nor the bits of either BP are
 built. Building or loading checks the endpoints in bulk and names the
 first interval that breaks a rule, as a check of one pair at a time would.
@@ -64,11 +66,11 @@ from bisect import bisect_left, bisect_right
 from itertools import compress, islice, repeat
 from operator import add, ge, gt, itemgetter, le, lt, not_, sub
 
+from .codec import _dfuds_depths
 from .errors import ContractError, RangeError, ValidationError
-from .minheap import heap_without_values, held_values
+from .minheap import MinHeapIndex, heap_dfuds, held_values
 from .parens import WeightedBits
 from .rmq import OpCounters, pda_fast, rmq_direct
-from .tree import _depths_of_degrees
 
 # Read only by the benchmark, which reports it next to the interval domain;
 # no index structure depends on it.
@@ -161,7 +163,7 @@ def intervals_from_arrays(a, b) -> IntervalSet:
     ):
         raise _breach_error(a, b)
     # b - a orders the intervals as their lengths do
-    return IntervalSet(a, b, heap_without_values(map(sub, reversed(b), reversed(a))))
+    return IntervalSet(a, b, MinHeapIndex(None, heap_dfuds(map(sub, reversed(b), reversed(a)))))
 
 
 def _breach_error(a, b):
@@ -214,12 +216,6 @@ def _first(flags, end):
     return next(compress(range(end), flags), end)
 
 
-def _preorder_depths(dfuds):
-    """The depth of every node in preorder, from the degrees that the DFUDS
-    lists in preorder."""
-    return _depths_of_degrees(map(len, dfuds.to_text()[1:-1].split("0")))
-
-
 def _weighted_positions(dfuds):
     """The opener positions of the length heap's BP after the root's, and
     the closer positions of the BP of its reversal, two ``array('q')``.
@@ -231,7 +227,7 @@ def _weighted_positions(dfuds):
     heap's opener of node n+1-i, that is at 2i + depth(n+1-i), and the
     root's at N.
     """
-    depths = _preorder_depths(dfuds)
+    depths = _dfuds_depths(dfuds.to_text())
     n = len(depths) - 1
     n_bits = 2 * n + 2
     opens = array("q", map(sub, range(3, n_bits, 2), islice(depths, 1, None)))

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from dualtree import bitseq, codec
 from dualtree.bitseq import BitSeq, from_le, le_bytes
-from dualtree.errors import NotFoundError, RangeError
+from dualtree.errors import NotFoundError, ParseError, RangeError
 
 from conftest import FIX_DFUDS, Counted, chain, star
 
@@ -71,9 +71,9 @@ def test_parenthesis_and_list_inputs_agree():
 
 
 def test_rejects_non_bits():
-    with pytest.raises(RangeError):
+    with pytest.raises(ParseError):
         BitSeq([0, 2, 1])
-    with pytest.raises(RangeError):
+    with pytest.raises(ParseError):
         BitSeq("01x")
 
 
@@ -156,14 +156,12 @@ def test_empty_and_word_boundaries():
 
 
 def test_rejection_names_the_first_bad_position():
-    with pytest.raises(RangeError, match=r"bit at position 3 is 2, expected 0 or 1"):
-        BitSeq([0, 1, 2, 5])
-    with pytest.raises(RangeError, match=r"bit at position 2 is -1, expected 0 or 1"):
-        BitSeq([1, -1, 0])
-    with pytest.raises(RangeError, match=r"bit at position 1 is '1', expected 0 or 1"):
-        BitSeq(["1", 0])
-    with pytest.raises(RangeError, match=r"character 'x' at position 3 is not a bit or parenthesis"):
-        BitSeq("01x0y")
+    for bits, message, at in (([0, 1, 2, 5], "unexpected bit 2", 3), ([1, -1, 0], "unexpected bit -1", 2),
+                              (["1", 0], "unexpected bit '1'", 1), ("01x0y", "unexpected character 'x'", 3),
+                              (bytes([1, 0, 0, 9]), "unexpected bit 9", 4), ([1, 0.5], "unexpected bit 0.5", 2)):
+        with pytest.raises(ParseError) as err:
+            BitSeq(bits)
+        assert str(err.value) == f"{message} (position {at})" and err.value.position == at
 
 
 def test_digit_text_is_taken_as_given_and_parentheses_translated():
@@ -173,8 +171,9 @@ def test_digit_text_is_taken_as_given_and_parentheses_translated():
     assert bitseq.text_of(digits.translate(str.maketrans("10", "()"))) == digits
     assert bitseq.text_of("(0)1") == "1001"
     for bad, at in (("01\n", 3), ("0٠1", 2), ("10 ", 3)):
-        with pytest.raises(RangeError, match=rf"^character .* at position {at} is not a bit or parenthesis$"):
+        with pytest.raises(ParseError, match=rf"^unexpected character .* \(position {at}\)$") as err:
             bitseq.text_of(bad)
+        assert err.value.position == at
 
 
 FULL = (1 << 64) - 1

@@ -265,7 +265,7 @@ def test_inspect_builds_nothing(array_index, interval_index, capsys, monkeypatch
     def refuse(*args):
         raise AssertionError("inspect builds no index")
 
-    monkeypatch.setattr(index_io, "heap_of_table", refuse)
+    monkeypatch.setattr(index_io, "heap_dfuds", refuse)
     monkeypatch.setattr(index_io, "intervals_from_arrays", refuse)
     for path in (array_index, interval_index):
         code, out, _ = run_cli(capsys, "inspect", str(path))

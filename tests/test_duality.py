@@ -220,6 +220,28 @@ def test_quasi_subtree_examples(fix_t):
         duality.is_quasi_subtree(OrdinalTree.from_children("z", {"z": ()}), host)
 
 
+def test_quasi_subtree_holds_the_rightmost_child_below_the_root_only():
+    host = OrdinalTree.from_children("r", {"r": ("x", "y"), "x": ("p", "q")})
+    cut_below = OrdinalTree.from_children("r", {"r": ("x",), "x": ("p",)})
+    assert not duality.is_quasi_subtree(cut_below, host)  # x's rightmost child is q in the host
+    cut_at_root = OrdinalTree.from_children("r", {"r": ("x",), "x": ("p", "q")})
+    assert duality.is_quasi_subtree(cut_at_root, host)  # the root's rightmost child is exempt
+
+
+def test_dual_edge_violations_names_the_missing_edge():
+    t = OrdinalTree.from_children(0, {0: (1, 4), 1: (2, 3), 4: (5, 6)})
+    a = OrdinalTree.from_children(0, {0: (1,), 1: (2, 5), 5: (3,)})
+    assert duality.dual_edge_violations(a, t) == [(5, 2)]
+    assert duality.dual_edge_violations(t, t) == []
+
+
+def test_join_all_needs_a_tree():
+    with pytest.raises(ContractError, match=r"^need at least one tree to join$"):
+        duality.join_all([])
+    t = OrdinalTree.from_children("s", {"s": ("x",)})
+    assert duality.join_all([t]) is t
+
+
 def test_dual_involution_random():
     rng = random.Random(13)
     for _ in range(60):

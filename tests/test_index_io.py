@@ -436,7 +436,7 @@ def test_only_a_version_2_interval_load_runs_the_depth_pass(tmp_path, monkeypatc
     def refuse(dfuds):
         raise DepthPass
 
-    monkeypatch.setattr(mliq, "_preorder_depths", refuse)
+    monkeypatch.setattr(mliq, "_dfuds_depths", refuse)
     s = mliq.build_intervals(FIX_INTERVALS)
     path = str(tmp_path / "iv.idx")
     index_io.save_interval_index(path, s)

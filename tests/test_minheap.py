@@ -6,7 +6,7 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualtree import codec, duality, index_io, rmq
+from dualtree import codec, duality, index_io, mliq, rmq
 from dualtree.errors import ContractError
 from dualtree.minheap import ROOT_LABEL, build_minheap, reversal_dual_check
 from dualtree.randgen import random_array, random_distinct_array
@@ -119,6 +119,18 @@ def test_node_index_maps():
         h.node_of(9)
     with pytest.raises(ContractError):
         h.index_of(ROOT_LABEL)
+
+
+def test_value_takes_positions_1_to_n_and_needs_the_values():
+    h = build_minheap([5, 3, 8])
+    assert [h.value(i) for i in (1, 2, 3)] == [5, 3, 8]
+    for i in (0, -1, 4):
+        with pytest.raises(ContractError, match=rf"^position {i} outside 1\.\.3$"):
+            h.value(i)
+    without = mliq.build_intervals([(0, 4), (2, 5)]).heap
+    assert without.values is None and without.n == 2
+    with pytest.raises(ContractError, match=r"^the heap holds no values$"):
+        without.value(1)
 
 
 def heap_by_children(values):

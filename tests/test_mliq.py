@@ -10,7 +10,7 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualtree import cli, codec, duality, index_io, minheap, mliq
+from dualtree import cli, codec, duality, index_io, mliq
 from dualtree.bitseq import BitSeq
 from dualtree.errors import ContractError, RangeError, ValidationError
 from dualtree.parens import WeightedBits
@@ -302,7 +302,7 @@ def test_build_and_queries_never_compute_weighted_positions(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("no query reads a weighted position")
 
-    monkeypatch.setattr(mliq, "_preorder_depths", refuse)
+    monkeypatch.setattr(mliq, "_dfuds_depths", refuse)
     rng = random.Random(0x90DE)
     for _ in range(10):
         fam = mliq.build_intervals(random_intervals(rng, rng.randint(1, 200)))
@@ -396,7 +396,7 @@ def test_build_and_load_make_no_tree(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the interval index must be read off the DFUDS")
 
-    for owner, name in ((codec, "bp_encode"), (duality, "reverse"), (BitSeq, "select"), (minheap, "_decode_heap")):
+    for owner, name in ((codec, "bp_encode"), (duality, "reverse"), (BitSeq, "select"), (codec, "_dfuds_tree")):
         monkeypatch.setattr(owner, name, refuse)
     fam = mliq.build_intervals(pairs)
     index_io.save_interval_index(path, fam)

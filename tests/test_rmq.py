@@ -56,6 +56,9 @@ def test_contract_errors(fix_heap):
             fn(fix_heap, 1, 9)
     with pytest.raises(ContractError):
         rmq.range_min_index(fix_heap, 1, 2, engine="warp")
+    for i, j in ((1.0, 2), (1, "2")):
+        with pytest.raises(ContractError, match=r"^indices must be integers$"):
+            rmq.rmq_direct(fix_heap, i, j)
 
 
 def test_engines_agree_with_duplicates():

@@ -64,6 +64,23 @@ def test_build_rejects_missing_child_entry():
         OrdinalTree.build({"b": "a"}, {"a": []})
 
 
+def test_build_leaves_repeated_children_and_cycles_to_from_children():
+    with pytest.raises(ValidationError, match=r"^node 'a' has duplicate children$"):
+        OrdinalTree.build({"b": "a"}, {"a": ["b", "b"]})
+    with pytest.raises(ValidationError) as err:
+        OrdinalTree.build({"x": "y", "y": "x", "c": None}, {"c": [], "x": ["y"], "y": ["x"]})
+    assert str(err.value) == f"child lists given for unreachable nodes: {[repr('x'), repr('y')]}"
+
+
+def test_from_children_rejects_repeated_and_shared_children():
+    with pytest.raises(ValidationError, match=r"^node 'r' has duplicate children$"):
+        OrdinalTree.from_children("r", {"r": ("a", "a")})
+    with pytest.raises(ValidationError, match=r"^node 'b' appears twice \(cycle or shared child\)$"):
+        OrdinalTree.from_children("r", {"r": ("a", "b"), "a": ("b",)})
+    with pytest.raises(ValidationError, match=r"^node 'r' appears twice \(cycle or shared child\)$"):
+        OrdinalTree.from_children("r", {"r": ("a",), "a": ("r",)})
+
+
 def test_navigate_examples(fix_t):
     assert fix_t.navigate(4, "rmc") == 7
     assert fix_t.navigate(5, "ils") is None

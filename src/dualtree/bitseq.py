@@ -26,8 +26,12 @@ text, for the constructors here and in ``parens`` and for the decoders of
 The tables are typed arrays, so a sequence's size is fixed bytes per bit:
 the words are an ``array('Q')``, the cumulative one- and zero-counts and
 the select directories ``array('q')``, and the in-word offsets ``bytes``.
-``le_bytes`` and ``from_le`` move such a table to and from little-endian
-bytes on any host.
+``le_buffer`` and ``le_bytes`` give such a table's little-endian bytes on
+any host, and ``from_le`` reads them back; on a little-endian host
+``le_buffer`` is the table itself and ``read_le`` reads a file's integers
+straight into the ``array('q')`` that ``le_table`` returns, so neither way
+copies them. ``_BIG_ENDIAN`` is read when they run, so each byteswap can be
+tested on any host.
 
 A balanced parenthesis sequence is a BitSeq too: ``parens.ParenSeq``
 subclasses it, packs its text the same way and adds the excess tables. A
@@ -195,10 +199,18 @@ def text_of(bits) -> str:
 
 def le_bytes(table):
     """An array of 64-bit integers as little-endian bytes on any host."""
-    if _BIG_ENDIAN:
-        table = array(table.typecode, table)
-        table.byteswap()
-    return table.tobytes()
+    return bytes(le_buffer(table))
+
+
+def le_buffer(table):
+    """An array of 64-bit integers as a buffer of its little-endian bytes:
+    the array itself on a little-endian host, which a file writes from
+    uncopied, and a byteswapped copy on a big-endian one."""
+    if not _BIG_ENDIAN:
+        return table
+    table = array(table.typecode, table)
+    table.byteswap()
+    return table
 
 
 def from_le(payload, typecode="q"):
@@ -208,6 +220,33 @@ def from_le(payload, typecode="q"):
     table.frombytes(payload)
     if _BIG_ENDIAN:
         table.byteswap()
+    return table
+
+
+def read_le(fh, nbytes):
+    """``nbytes`` bytes of the binary file ``fh``, fewer if it ends first, as
+    a memoryview. On a little-endian host, when ``nbytes`` is a multiple of
+    8, they are read straight into an ``array('q')`` of that size, the
+    view's ``obj``, which ``le_table`` hands over uncopied; otherwise, and on
+    a big-endian host, into ``bytes``."""
+    if _BIG_ENDIAN or nbytes % 8:
+        return memoryview(fh.read(nbytes))
+    table = array("q", bytes(8)) * (nbytes // 8)
+    return memoryview(table).cast("B")[: fh.readinto(table)]
+
+
+def le_table(payload, skip=0):
+    """The little-endian signed 64-bit integers of ``payload``, a memoryview,
+    past its first ``skip`` bytes (a multiple of 8), as an ``array('q')``.
+    A view of all of an array that ``read_le`` filled gives that array
+    itself, the skipped integers deleted in place (the view is released
+    first, since an array a view holds cannot shrink); any other is copied
+    by ``from_le``."""
+    table = payload.obj
+    if type(table) is not array or len(payload) != 8 * len(table):
+        return from_le(payload[skip:])
+    payload.release()
+    del table[: skip // 8]
     return table
 
 

@@ -193,20 +193,43 @@ def _bp_of_depths(depths):
     return "1".join(map(zeros.__getitem__, drops))
 
 
+class _Pieces(dict):
+    """The DFUDS piece of a degree d, its run of d ones and a zero, made on
+    first use: once per distinct degree (a tree of n nodes has fewer than
+    sqrt(2n) + 1 of them), not once per node."""
+
+    def __missing__(self, d):
+        self[d] = piece = "1" * d + "0"
+        return piece
+
+
 def _dfuds_of_degrees(degrees):
     """DFUDS as 0/1 text of the tree whose preorder degrees are ``degrees``.
 
-    Each distinct degree's piece, its run of ones and a zero, is made once (a
-    tree of n nodes has fewer than sqrt(2n) + 1 distinct degrees), not once
-    per node. The pieces are joined ``_TEXT_CHUNK`` nodes at a time: one join
-    over all nodes would hold a pointer per node next to the degrees, while
-    the chunks are joined after the degrees are read to their end, which
-    frees them when the caller holds them no more."""
-    pieces = {d: "1" * d + "0" for d in set(degrees)}
+    The pieces are joined ``_TEXT_CHUNK`` nodes at a time: one join over all
+    nodes would hold a pointer per node next to the degrees, while the
+    chunks are joined after the degrees are read to their end, which frees
+    them when the caller holds them no more."""
     chunks = range(0, len(degrees), _TEXT_CHUNK)
-    steps = map(pieces.__getitem__, degrees)
+    steps = map(_Pieces().__getitem__, degrees)
     del degrees  # steps holds them until it is read to the end
     return "".join(["1"] + ["".join(islice(steps, _TEXT_CHUNK)) for _ in chunks])
+
+
+def _dfuds_of_reversed_degrees(degrees):
+    """DFUDS as 0/1 text of the tree whose degrees in reverse preorder, the
+    root's last, ``degrees`` yields: the pieces of each ``_TEXT_CHUNK``
+    nodes are joined in preorder as they come, and the chunks from the last
+    at the end, so no list of one entry per node is held."""
+    pieces = _Pieces()
+    degrees = iter(degrees)
+    chunks = []
+    while chunk := list(islice(degrees, _TEXT_CHUNK)):
+        chunk.reverse()
+        chunks.append("".join(map(pieces.__getitem__, chunk)))
+    chunks.append("1")
+    chunks.reverse()
+    return "".join(chunks)
 
 
 # -- decoding --------------------------------------------------------------------

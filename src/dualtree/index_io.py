@@ -34,24 +34,31 @@ index answers exactly like a freshly built one, and every stored byte is
 either checked input or compared against the rebuild. The file is opened
 once and each section read on its own, after its promised length has been
 measured against the file's size; a section is dropped, and its bytes
-freed, as soon as it is read or compared. An array blob's VALS is copied
-once, into an ``array('q')``, which the rebuilt index keeps as its values,
-and an interval blob's INTA and INTB into two more, which the rebuild
-checks in bulk with the rules and messages of ``mliq.build_intervals`` and
-then keeps as the index's endpoints. A version-1 or -2 interval load
+freed, as soon as it is read or compared. A version-1 or -2 interval load
 takes the weighted BPs of the rebuilt index (``weighted_bps``) and
 compares WOPN and WCLS where they lie, as 64-bit integers read from the
 stored bytes: the count, the positions, and the running sums of the
 weights against each side's cumulative weights; a version-3 load computes
-no position. Every 64-bit section, like the binary array file, is written
-from a typed array in one step (the index's own values, endpoints and bit
-words, uncopied), little-endian on any host, and read back as one. A blob
-that is truncated, corrupt or missing a section raises ParseError. Values
-and endpoints must be signed 64-bit integers; others raise ValidationError
-when read, built or saved.
+no position. A blob that is truncated, corrupt or missing a section raises
+ParseError. Values and endpoints must be signed 64-bit integers; others
+raise ValidationError when read, built or saved.
 
-A save, like ``write_array_binary``, makes every byte first and then writes
-over the file in place: opened without truncating it, cut to the new
+No 64-bit table is copied between the file and memory on a little-endian
+host (``bitseq.le_buffer``, ``read_le``, ``le_table``); a big-endian one
+byteswaps a copy each way. A section is made as a list of buffers: a
+save writes a length prefix and then the index's own values, endpoints,
+bit words and block minima from their arrays, with no bytes made of
+them, and a load compares the BITS and EMIN it reads with the rebuilt
+index's buffers where both lie, 8 bytes at a time. An array blob's VALS
+is read straight into an ``array('q')``, the length prefix first, which
+is then deleted in place, and that array becomes the rebuilt index's
+values; an interval blob's INTA and INTB are read into two more, which
+the rebuild checks in bulk with the rules and messages of
+``mliq.build_intervals`` and then keeps as the index's endpoints. The
+binary array file is read and written the same way.
+
+A save, like ``write_array_binary``, has every buffer in hand first and then
+writes over the file in place: opened without truncating it, cut to the new
 length after the write, its header written as zeros first and for real
 last. Truncating a just-written file to length 0 would make the next save
 wait for the writeback of the old bytes, and a save that stops part way
@@ -59,12 +66,13 @@ leaves a file whose header a load rejects.
 """
 
 import os
+import stat
 import struct
 from array import array
 from itertools import accumulate, islice
 from operator import eq
 
-from .bitseq import from_le, le_bytes, le_view
+from .bitseq import le_buffer, le_table, le_view, read_le
 from .errors import ParseError, ValidationError
 from .minheap import MinHeapIndex, heap_dfuds
 from .mliq import _first_breach, build_intervals, intervals_from_arrays
@@ -78,6 +86,7 @@ KIND_INTERVALS = 2
 KIND_NAMES = {KIND_ARRAY: "array", KIND_INTERVALS: "intervals"}
 
 _HEADER = struct.Struct("<4sHHI")
+_INPUTS = ("VALS", "INTA", "INTB")  # read into the arrays a load keeps
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
@@ -107,18 +116,25 @@ def read_array_binary(path):
         if len(head) != 8:
             raise ValidationError(f"{path}: truncated length prefix")
         (n,) = struct.unpack("<Q", head)
-        payload = fh.read()  # the rest of the file, measured before n sizes anything
-    if len(payload) < 8 * n:
+        # the rest of the file is measured before n sizes anything; a pipe's
+        # length is known only once it is read
+        st = os.fstat(fh.fileno())
+        payload = None if stat.S_ISREG(st.st_mode) else memoryview(fh.read())
+        rest = st.st_size - len(head) if payload is None else len(payload)
+        if rest < 8 * n:
+            raise ValidationError(f"{path}: expected {n} values, file too short")
+        if rest > 8 * n:
+            raise ValidationError(f"{path}: trailing bytes after {n} values")
+        if n == 0:
+            raise ValidationError(f"{path}: empty array file")
+        values = le_table(read_le(fh, 8 * n) if payload is None else payload)
+    if len(values) != n:  # the file shrank while it was read
         raise ValidationError(f"{path}: expected {n} values, file too short")
-    if len(payload) > 8 * n:
-        raise ValidationError(f"{path}: trailing bytes after {n} values")
-    if n == 0:
-        raise ValidationError(f"{path}: empty array file")
-    return from_le(payload)
+    return values
 
 
 def write_array_binary(path, values):
-    _write_in_place(path, struct.pack("<Q", len(values)), [_i64_bytes(values)])
+    _write_in_place(path, struct.pack("<Q", len(values)), [_i64_buffer(values)])
 
 
 def read_intervals_text(path):
@@ -173,30 +189,34 @@ def _ascii_lines(path):
 # -- section plumbing ------------------------------------------------------------
 
 
-def _i64_bytes(values):
-    """``values`` as little-endian i64 bytes. An ``array('q')``, as the
-    index's own values are, is written as it is, anything else converted
-    first; ValidationError names the first value that is not a signed
-    64-bit integer."""
+def _i64_buffer(values):
+    """``values`` as a buffer of little-endian i64 bytes (``le_buffer``). An
+    ``array('q')``, as the index's own values are, is taken as it is,
+    anything else converted once; ValidationError names the first value
+    that is not a signed 64-bit integer."""
     if not (isinstance(values, array) and values.typecode == "q"):
         try:
             values = array("q", values)
         except (TypeError, OverflowError):
             bad = next(v for v in values if not (isinstance(v, int) and _I64_MIN <= v <= _I64_MAX))
             raise ValidationError(f"cannot save {bad!r}: blobs hold signed 64-bit integers") from None
-    return le_bytes(values)
+    return le_buffer(values)
+
+
+# A section is made as a list of buffers, written one after another by a
+# save and compared one after another by a load.
 
 
 def _bits_section(parenseq):
-    return struct.pack("<Q", parenseq.n) + le_bytes(parenseq._words)
+    return [struct.pack("<Q", parenseq.n), le_buffer(parenseq._words)]
 
 
 def _rank_section(parenseq):
-    return le_bytes(parenseq._cum1)
+    return [le_buffer(parenseq._cum1)]
 
 
 def _emin_section(parenseq):
-    return struct.pack("<Q", _BLOCK) + _i64_bytes(parenseq.block_minima())
+    return [struct.pack("<Q", _BLOCK), _i64_buffer(parenseq.block_minima())]
 
 
 def _check_weights(path, sections, tag, side, what):
@@ -215,22 +235,27 @@ def _check_weights(path, sections, tag, side, what):
         raise ParseError(f"{path}: stored {what}")
 
 
-def _i64_table(path, tag, payload):
-    if len(payload) % 8:
-        raise ParseError(f"{path}: {tag} section length {len(payload)} is not a multiple of 8")
-    return from_le(payload)
+def _i64_table(path, tag, payload, skip=0):
+    """The i64 values of section ``tag`` past its first ``skip`` bytes, as an
+    ``array('q')``: on a little-endian host the array ``_read_blob`` read
+    the section into (``le_table``), on a big-endian one a copy."""
+    if (len(payload) - skip) % 8:
+        raise ParseError(f"{path}: {tag} section length {len(payload) - skip} is not a multiple of 8")
+    return le_table(payload, skip)
 
 
 def _write_blob(path, kind, sections):
     chunks = []
     for tag, payload in sections:
-        chunks += [tag.encode("ascii") + struct.pack("<Q", len(payload)), payload]
+        length = sum(memoryview(buf).nbytes for buf in payload)
+        chunks += [tag.encode("ascii") + struct.pack("<Q", length), *payload]
     _write_in_place(path, MAGIC + struct.pack("<HHI", VERSION, kind, len(sections)), chunks)
 
 
 def _write_in_place(path, head, chunks):
-    """Write ``head`` and then ``chunks`` over the file at ``path`` (through
-    a symlink, to its target), every byte already made.
+    """Write ``head`` and then ``chunks``, bytes or typed arrays, over the
+    file at ``path`` (through a symlink, to its target), every buffer
+    already made.
 
     The file is opened without O_TRUNC and cut to its new length after the
     write: truncating a file that was just written to length 0 makes the
@@ -268,9 +293,11 @@ def _parse_header(path, data):
 
 def _read_blob(path):
     """(version, kind, {tag: payload}); each payload is a memoryview of its
-    own read, so a section is freed once ``_section`` drops it. A promised
-    length is measured against the file's size before anything is read for
-    it."""
+    own read, so a section is freed once ``_section`` drops it. An input
+    section (VALS, INTA, INTB) is read by ``read_le``, so on a little-endian
+    host its view is backed by the ``array('q')`` that a load keeps. A
+    promised length is measured against the file's size before anything is
+    read for it."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         version, kind, count = _parse_header(path, fh.read(_HEADER.size))
@@ -287,7 +314,7 @@ def _read_blob(path):
                 raise ParseError(f"{path}: section {tag!r} promises {length} bytes, {size - off} remain")
             if tag in sections:
                 raise ParseError(f"{path}: section {tag!r} appears twice")
-            sections[tag] = memoryview(fh.read(length))
+            sections[tag] = read_le(fh, length) if tag in _INPUTS else memoryview(fh.read(length))
             off += length
     if off != size:
         raise ParseError(f"{path}: {size - off} trailing bytes")
@@ -304,9 +331,18 @@ def _section(path, sections, tag):
 
 
 def _check_section(path, sections, tag, rebuilt, what):
-    """ParseError ``what ...`` unless section ``tag`` holds the bytes ``rebuilt``."""
-    if bytes(_section(path, sections, tag)) != rebuilt:
+    """ParseError ``what ...`` unless section ``tag`` holds the bytes of the
+    buffers ``rebuilt``, one after another. Both sides are compared where
+    they lie, as 64-bit words: every buffer of a section is whole words."""
+    stored = _section(path, sections, tag)
+    words = [memoryview(buf).cast("B").cast("Q") for buf in rebuilt]
+    if len(stored) != 8 * sum(map(len, words)):
         raise ParseError(f"{path}: stored {what}")
+    stored, at = stored.cast("Q"), 0
+    for w in words:
+        if stored[at : at + len(w)] != w:
+            raise ParseError(f"{path}: stored {what}")
+        at += len(w)
 
 
 # -- array indexes -----------------------------------------------------------------
@@ -314,7 +350,7 @@ def _check_section(path, sections, tag, rebuilt, what):
 
 def save_array_index(path, h):
     sections = [
-        ("VALS", struct.pack("<Q", h.n) + _i64_bytes(h.values)),
+        ("VALS", [struct.pack("<Q", h.n), _i64_buffer(h.values)]),
         ("BITS", _bits_section(h.dfuds)),
         ("EMIN", _emin_section(h.dfuds)),
     ]
@@ -330,8 +366,8 @@ def load_array_index(path):
     if len(payload) < 8:
         raise ParseError(f"{path}: VALS section too short for its length prefix")
     (n,) = struct.unpack_from("<Q", payload, 0)
-    values = _i64_table(path, "VALS", payload[8:])
-    del payload  # the array holds the values now
+    values = _i64_table(path, "VALS", payload, 8)
+    del payload  # the values are the array it viewed, or a copy of its bytes
     if len(values) != n:
         raise ParseError(f"{path}: VALS section promises {n} values, holds {len(values)}")
     if not values:
@@ -346,8 +382,8 @@ def load_array_index(path):
 
 def save_interval_index(path, s):
     sections = [
-        ("INTA", le_bytes(s.a)),
-        ("INTB", le_bytes(s.b)),
+        ("INTA", [le_buffer(s.a)]),
+        ("INTB", [le_buffer(s.b)]),
         ("BITS", _bits_section(s.heap.dfuds)),
         ("EMIN", _emin_section(s.heap.dfuds)),
     ]

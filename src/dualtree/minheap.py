@@ -14,13 +14,14 @@ SIAM J. Comput. 40(2), 2011). The pass runs right to left and keeps only the
 values still waiting for a parent, largest on top: every pending value >= the
 current one has the current position as its nearest earlier smaller-or-equal
 position, so the number popped there is that position's degree, and what is
-left pending at the end hangs from the root. It allocates nothing per element
-but the degree count. ``heap_dfuds`` runs the pass and writes the DFUDS,
-the one writer of it for ``build_minheap``, an array blob's load and the
-interval index. The index stores that bit sequence and nothing else
-besides the values; the explicit tree is decoded from it on first use. The
-interval index's heap of lengths holds the bit sequence alone: its values
-are a function of the endpoints, which the pass reads once, as they come.
+left pending at the end hangs from the root. It holds nothing per element
+but the pending values and the text written so far. ``heap_dfuds`` runs the
+pass and writes the DFUDS, the one writer of it for ``build_minheap``, an
+array blob's load and the interval index. The index stores that bit
+sequence and nothing else besides the values; the explicit tree is decoded
+from it on first use. The interval index's heap of lengths holds the bit
+sequence alone: its values are a function of the endpoints, which the pass
+reads once, as they come.
 
 The values are held as an ``array('q')`` when every one is an int within
 signed 64 bits, and as a list otherwise (floats, strings, larger ints), so
@@ -119,27 +120,25 @@ def held_values(values):
 def heap_dfuds(values_from_the_right) -> ParenSeq:
     """The DFUDS of the heap of the values that ``values_from_the_right``
     yields, last to first, by the degree pass, which reads each value once,
-    so none need be held. The degrees are dropped once their text is
-    written, before the bit sequence is packed."""
-    return ParenSeq(codec._dfuds_of_degrees(_degrees_from_the_right(values_from_the_right)))
+    so none need be held. Each degree is written into the text as the pass
+    yields it (``codec._dfuds_of_reversed_degrees``), so no degree list is
+    held either."""
+    return ParenSeq(codec._dfuds_of_reversed_degrees(_degrees_from_the_right(values_from_the_right)))
 
 
 def _degrees_from_the_right(values):
-    """The heap's degrees in preorder, by the degree pass over the values
-    that ``values`` yields last to first."""
-    degrees = []  # right to left; the root's count is appended last
+    """The heap's degrees in reverse preorder, the root's last, yielded by
+    the degree pass over the values that ``values`` yields last to first."""
     pending = []  # values still waiting for a parent, increasing to the top
-    pop, push, put = pending.pop, pending.append, degrees.append
+    pop, push = pending.pop, pending.append
     for val in values:
         d = 0
         while pending and pending[-1] >= val:
             pop()
             d += 1
-        put(d)
+        yield d
         push(val)
-    put(len(pending))
-    degrees.reverse()
-    return degrees
+    yield len(pending)
 
 
 def reversal_dual_check(values) -> bool:

@@ -85,7 +85,7 @@ class OrdinalTree:
             degree.append(len(kids))
         extra = set(children).difference(seen)
         if extra:
-            raise ValidationError(f"child lists given for unreachable nodes: {sorted(map(repr, extra))}")
+            raise ValidationError(f"child lists given for unreachable nodes: {sorted(extra, key=repr)}")
         return cls._from_depths(order, _depths_of_degrees(degree))
 
     @classmethod

@@ -100,10 +100,14 @@ def weight_prefix(w, x):
 
 
 def write_blob(path, version, kind, sections):
-    """Write a blob of ``version`` holding the (tag, payload) ``sections``."""
+    """Write a blob of ``version`` holding the (tag, payload) ``sections``;
+    a payload is bytes or, as ``index_io`` makes a section, a list of
+    buffers."""
     with open(path, "wb") as fh:
         fh.write(index_io.MAGIC + struct.pack("<HHI", version, kind, len(sections)))
         for tag, payload in sections:
+            if isinstance(payload, list):
+                payload = b"".join(payload)
             fh.write(tag.encode("ascii") + struct.pack("<Q", len(payload)) + payload)
 
 

@@ -47,7 +47,7 @@ class DictTree:
                 stack.append(c)
         extra = set(children) - set(norm)
         if extra:
-            raise ValidationError(f"child lists given for unreachable nodes: {sorted(map(repr, extra))}")
+            raise ValidationError(f"child lists given for unreachable nodes: {sorted(extra, key=repr)}")
         return cls(root, norm, parent)
 
     def _index(self):

@@ -6,6 +6,7 @@ import itertools
 import os
 import random
 import struct
+import sys
 import tempfile
 import tracemalloc
 from array import array
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dualtree import cli, index_io, mliq, rmq
+from dualtree import bitseq, cli, index_io, mliq, rmq
 from dualtree.errors import ParseError, ValidationError
 from dualtree.minheap import build_minheap
 from dualtree.randgen import random_array, random_intervals
@@ -140,6 +141,145 @@ def test_load_frees_each_section_once_read(tmp_path, kind, n, bound):
         tracemalloc.stop()
     assert index.n == n
     assert peak - held <= bound * n, ((peak - held) / n, (held - before) / n)
+
+
+def traced(make):
+    """(what ``make()`` returns, bytes it left held, its peak), by tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        made = make()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return made, held - before, peak - before
+
+
+def test_save_and_load_peak_near_the_index_they_hold(tmp_path):
+    # Tracemalloc at 10^5 random values, in bytes per value. A save made each
+    # section's bytes, the values twice (their bytes, then those joined to
+    # the length prefix): it peaked 15.73 above the index it held. Written
+    # from the index's own arrays, 0.3. A load read VALS as bytes and copied
+    # them into an array that frombytes over-allocates: it peaked 7.56 above
+    # what it held and held 0.5 more than a build. Read straight into the
+    # array it keeps, it peaks 4.8 above and holds no more than a build.
+    n = 100_000
+    path = str(tmp_path / "a.idx")
+    values = random_array(random.Random(0x5A7E), n)
+    h, built, _ = traced(lambda: build_minheap(values))
+    _, saved, save_peak = traced(lambda: index_io.save_array_index(path, h))
+    assert save_peak - saved <= 2 * n, (save_peak - saved) / n
+    loaded, held, load_peak = traced(lambda: index_io.load_array_index(path))
+    assert loaded.values == h.values and loaded.dfuds == h.dfuds
+    assert load_peak - held <= 6 * n, (load_peak - held) / n
+    # a save builds the block minima, which a load builds to compare EMIN
+    assert held <= built + saved, (held - built - saved) / n
+
+
+def test_load_keeps_the_arrays_its_input_sections_were_read_into(tmp_path, monkeypatch):
+    # On a little-endian host VALS, INTA and INTB are read straight into
+    # arrays, which back their views and become the index's tables uncopied.
+    read_blob = index_io._read_blob
+    backing = {}
+
+    def recording(path):
+        version, kind, sections = read_blob(path)
+        backing.update((tag, view.obj) for tag, view in sections.items() if tag in ("VALS", "INTA", "INTB"))
+        return version, kind, sections
+
+    if sys.byteorder != "little":
+        pytest.skip("a big-endian host reads these sections as bytes, then byteswaps a copy")
+    monkeypatch.setattr(index_io, "_read_blob", recording)
+    path = str(tmp_path / "a.idx")
+    h = build_minheap(ARRAY)
+    index_io.save_array_index(path, h)
+    loaded = index_io.load_array_index(path)
+    assert loaded.values is backing["VALS"] and loaded.values == h.values
+    path = str(tmp_path / "iv.idx")
+    s = mliq.build_intervals(FIX_INTERVALS)
+    index_io.save_interval_index(path, s)
+    loaded = index_io.load_interval_index(path)
+    assert loaded.a is backing["INTA"] and loaded.b is backing["INTB"]
+    assert (loaded.a, loaded.b) == (s.a, s.b)
+
+
+def test_binary_array_file_is_read_and_written_without_a_copy(tmp_path):
+    # Tracemalloc at 10^5 values, in bytes per value. A read took the file's
+    # bytes and copied them into an array that frombytes over-allocates: it
+    # held 8.51 and peaked 8.0 above that. Read straight into an exactly
+    # sized array, it holds 8.0 and peaks 0.06 above. Writing a list made
+    # its array and then the array's bytes: it peaked at 16.0; now at 8.05,
+    # the array alone.
+    n = 100_000
+    path = str(tmp_path / "a.bin")
+    values = random_array(random.Random(0xB1), n)
+    _, _, write_peak = traced(lambda: index_io.write_array_binary(path, values))
+    assert write_peak <= 9 * n, write_peak / n
+    read, held, read_peak = traced(lambda: index_io.read_array_binary(path))
+    assert read.tolist() == values
+    assert held <= 8 * n + 1000 and read_peak - held <= n, (held / n, (read_peak - held) / n)
+
+
+def swapped8(data):
+    """``data`` with each 8 bytes reversed: little-endian 64-bit words as a
+    big-endian host stores them."""
+    return b"".join(data[k : k + 8][::-1] for k in range(0, len(data), 8))
+
+
+def test_byteswap_branches_write_and_read_big_endian_tables(tmp_path, monkeypatch):
+    # Forcing the big-endian branches on a little-endian host, every writer
+    # must write each 64-bit table as its little-endian bytes reversed 8 at a
+    # time, and every reader must read those bytes back to the same tables.
+    h = build_minheap(ARRAY)
+    s = mliq.build_intervals(FIX_INTERVALS)
+    p = h.dfuds
+    tables = [h.values, p._words, p._cum1, array("q", p.block_minima()), s.a, s.b]
+    little = [struct.pack(f"<{len(t)}{t.typecode}", *t) for t in tables]
+    header = struct.Struct("<Q").pack
+    sections = {
+        "array": [("VALS", header(h.n) + swapped8(little[0])), ("BITS", header(p.n) + swapped8(little[1])),
+                  ("EMIN", header(64) + swapped8(little[3]))],
+        "intervals": [("INTA", swapped8(little[4])), ("INTB", swapped8(little[5])),
+                      ("BITS", header(s.heap.dfuds.n) + swapped8(b"".join(index_io._bits_section(s.heap.dfuds))[8:])),
+                      ("EMIN", header(64) + swapped8(b"".join(index_io._emin_section(s.heap.dfuds))[8:]))],
+    }
+    expected = {}
+    for kind, code in (("array", index_io.KIND_ARRAY), ("intervals", index_io.KIND_INTERVALS)):
+        expected[kind] = tmp_path / f"{kind}.expected"
+        write_blob(expected[kind], index_io.VERSION, code, sections[kind])
+    monkeypatch.setattr(bitseq, "_BIG_ENDIAN", True)
+    for table, data in zip(tables, little):
+        assert bitseq.le_bytes(table) == bytes(bitseq.le_buffer(table)) == swapped8(data)
+        assert bitseq.from_le(swapped8(data), table.typecode) == table
+        if table.typecode == "q":
+            assert bitseq.le_view(swapped8(data)) == table
+    with open(expected["array"], "rb") as fh:
+        view = bitseq.read_le(fh, 16)
+        assert type(view.obj) is bytes  # read as bytes, then copied and swapped
+        assert bitseq.le_table(view).tolist() == list(struct.unpack(">2q", bytes(view)))
+    # The blobs as a save writes them, and a load's reads of them: its input
+    # tables, and the stored DFUDS tables compared with the index's. (A whole
+    # load cannot run here: its rebuild packs bits on the host's real order.)
+    path = str(tmp_path / "a.idx")
+    index_io.save_array_index(path, h)
+    assert Path(path).read_bytes() == expected["array"].read_bytes()
+    _, _, stored = index_io._read_blob(path)
+    assert index_io._i64_table(path, "VALS", stored.pop("VALS"), 8) == h.values
+    index_io._verify_derived(path, index_io.VERSION, p, stored)
+    path = str(tmp_path / "iv.idx")
+    index_io.save_interval_index(path, s)
+    assert Path(path).read_bytes() == expected["intervals"].read_bytes()
+    _, _, stored = index_io._read_blob(path)
+    assert index_io._i64_table(path, "INTA", stored.pop("INTA")) == s.a
+    assert index_io._i64_table(path, "INTB", stored.pop("INTB")) == s.b
+    index_io._verify_derived(path, index_io.VERSION, s.heap.dfuds, stored)
+    # the binary array file
+    path = tmp_path / "a.bin"
+    index_io.write_array_binary(str(path), ARRAY)
+    assert path.read_bytes() == header(len(ARRAY)) + swapped8(little[0])
+    assert index_io.read_array_binary(str(path)) == h.values
 
 
 def test_missing_section_is_a_parse_error(tmp_path):

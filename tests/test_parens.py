@@ -309,7 +309,7 @@ def test_index_io_builds_the_tables_it_reads():
         bits = random_balanced(rng, pairs)
         _, bmin, table = block_oracle(bits)
         p = ParenSeq(bits)
-        assert index_io._emin_section(p) == struct.pack(f"<Q{len(bmin)}q", 64, *bmin)
+        assert b"".join(index_io._emin_section(p)) == struct.pack(f"<Q{len(bmin)}q", 64, *bmin)
         assert p._bmin == bmin and p._table is None  # EMIN stores the minima alone
         p = ParenSeq(bits)
         stats = index_io.stats_for(p)

@@ -69,7 +69,10 @@ def test_build_leaves_repeated_children_and_cycles_to_from_children():
         OrdinalTree.build({"b": "a"}, {"a": ["b", "b"]})
     with pytest.raises(ValidationError) as err:
         OrdinalTree.build({"x": "y", "y": "x", "c": None}, {"c": [], "x": ["y"], "y": ["x"]})
-    assert str(err.value) == f"child lists given for unreachable nodes: {[repr('x'), repr('y')]}"
+    assert str(err.value) == "child lists given for unreachable nodes: ['x', 'y']"
+    with pytest.raises(ValidationError) as err:
+        OrdinalTree.from_children(0, {0: [], 2: [1], 1: [2]})
+    assert str(err.value) == "child lists given for unreachable nodes: [1, 2]"
 
 
 def test_from_children_rejects_repeated_and_shared_children():

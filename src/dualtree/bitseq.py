@@ -14,9 +14,10 @@ Each symbol's directory, about one entry per 256 occurrences, and its
 offsets are built in bulk by its first select, so a sequence that is never
 searched never holds them. The tables are derived from the bits alone;
 rebuilding a sequence always reproduces them.
-Construction runs in bulk steps: the bits become one big integer, whose
-little-endian bytes are read straight into the words, and the cumulative
-counts come from ``accumulate``.
+Construction runs in bulk steps: the text is packed ``_PACK`` digits at a
+time, each piece read reversed as one big integer whose little-endian bytes
+join the words, so no reversed copy of the whole text is ever held, and the
+cumulative counts come from ``accumulate``.
 
 ``text_of`` is the one reader of bit input: it turns a BitSeq, a string of
 '0'/'1' digits or parentheses, or an iterable of 0/1 symbols into '0'/'1'
@@ -70,6 +71,7 @@ def _offset_tables():
 _OFFSETS = _offset_tables()
 _COMPLEMENT = bytes(range(255, -1, -1))  # a byte's bits flipped, by translate
 _JOIN = 1 << 10  # word bytes mapped and joined at a time: a join holds about 88 B per piece it joins
+_PACK = 1 << 14  # digits packed into words at a time, a multiple of WORD
 
 
 class BitSeq:
@@ -81,14 +83,19 @@ class BitSeq:
         self._fill(text_of(bits))
 
     def _fill(self, text):
-        """Pack a text of '0'/'1' digits, taken as it is, and count its ranks."""
-        self.n = len(text)
-        nwords = (self.n + WORD - 1) // WORD
-        packed = (int(text[::-1], 2) if text else 0).to_bytes(8 * nwords, "little")
-        self._words = from_le(packed, "Q")
+        """Pack a text of '0'/'1' digits, taken as it is, ``_PACK`` digits at a
+        time, and count its ranks."""
+        self.n = n = len(text)
+        nwords = (n + WORD - 1) // WORD
+        packed = []
+        for lo in range(0, n, _PACK):
+            digits = text[lo : lo + _PACK]
+            packed.append(int(digits[::-1], 2).to_bytes((len(digits) + WORD - 1) // WORD * 8, "little"))
+        self._words = from_le(b"".join(packed), "Q")
+        del packed
         self._cum1 = array("q", accumulate(map(int.bit_count, self._words), initial=0))
         self._cum0 = array("q", map(sub, range(0, WORD * nwords + 1, WORD), self._cum1))
-        self._cum0[-1] = self.n - self._cum1[-1]
+        self._cum0[-1] = n - self._cum1[-1]
         # select directories and in-word offsets, built by the first select of each symbol
         self._sel1 = self._sel0 = self._off1 = self._off0 = None
 

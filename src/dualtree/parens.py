@@ -17,13 +17,11 @@ closing, of a sequence of n bits; it holds only the weight tables, not the
 bits.
 
 The excess RMQ uses fixed-size block minima plus a sparse table over blocks.
-Each table entry is one Python int, ``(block minimum << shift) | block`` with
-``shift = blocks.bit_length()``, so ``min`` of two entries is the smaller
-minimum together with its leftmost block. Level 0 packs the block minima and
-each next level is ``map(min, row, row shifted by 2^j)``, which returns one of
-its arguments: building the table allocates no tuple per entry and no list
-per block (the block minima come from one slice at a time), so the first
-search neither holds every slice at once nor wakes the garbage collector.
+Each table entry is ``(block minimum << shift) | block`` with ``shift =
+blocks.bit_length()``, so the smaller of two entries is the smaller minimum
+together with its leftmost block. Each level is an ``array('q')``: level 0
+packs the block minima, and each next level is the lane-wise minimum of the
+level below and that level shifted by 2^j entries.
 Inside a block every step is one C-level operation on the excess bytes:
 ``min`` of a translated slice and ``index`` of its value. The range minimum
 is one body, ``_range_min``, shared by ``rmq_excess`` and ``rmq_closers``:
@@ -44,38 +42,94 @@ from the two residues; the in-block searches of open/close and the placement
 of ``rmq_excess``'s answer are ``bytes.index``/``rindex`` (memchr) of the
 target's residue; and a range minimum translates the slice by one of 256
 order-preserving tables, ``(v - start + 128) & 255``, before ``min`` and
-``index``. The constructor sums the excess from the text it was given, a
-chunk at a time, and checks the balance. The block minima are built when
-``block_minima`` is first asked for them, as a save or a load does for the
+``index``.
+
+The excess, the block minima and the table are built by broadword
+arithmetic ("SIMD within a register", as in Vigna, "Broadword
+implementation of rank/select queries", WEA 2008) on Python ints,
+``_CHUNK`` bits at a time: an int holds one 8-bit lane per byte of the
+packed words, or one 64-bit lane per table entry, and a lane-wise sum or
+minimum is a few operations on the whole int that carry nothing from one
+lane into the next. Byte tables of 256 entries, applied by
+``bytes.translate``, give each byte's steps, and the rank table each
+word's start. The constructor reads the excess off the words this way and
+checks the balance from the exact word minima and the final excess,
+keeping neither. The block minima are built when ``block_minima`` is
+first asked for them, as a save or a load does for the
 blob's EMIN section, and the sparse table on the first search (a range
 minimum, open or close) or ``block_tables``, so a sequence that is only
 compared, decoded or stored as bits never pays for either, and one that is
 only saved or loaded never pays for the table.
 """
 
+import struct
 import sys
 from array import array
 from bisect import bisect_right
-from itertools import accumulate, islice, repeat
+from itertools import islice, repeat
 from operator import add, lshift, sub
 
-from .bitseq import WORD, BitSeq, _select_at, text_of
+from .bitseq import WORD, BitSeq, _select_at, from_le, le_bytes, text_of
 from .errors import ContractError, RangeError, ValidationError
 
 OPEN = 1
 CLOSE = 0
 
 _BLOCK = WORD  # one block per word, so _cum1[k] is the rank at block k's start
-_CHUNK = 1 << 11  # excess steps summed into one list at a time; few, so a deep excess holds few ints
+_CHUNK = 1 << 15  # bits in one lane integer: few, so a lane pass holds few bytes at a time
+_RAW = _CHUNK // 8  # bytes of words, one 8-bit lane each, in a lane pass
+_LANES = _CHUNK // 64  # table entries, one 64-bit lane each, in a lane pass
 
 _STEPS = bytes.maketrans(b"01", b"\xff\x01")  # '0' -> -1, '1' -> +1 as signed bytes
 _DIGIT_TO_PAREN = str.maketrans("10", "()")
-_LOW_BYTES = slice(7 if sys.byteorder == "big" else 0, None, 8)  # of an array('Q')'s bytes
+_LOW_BYTES = slice(7 if sys.byteorder == "big" else 0, None, 8)  # of an array('q')'s bytes
 
 # _ORDER[b] maps a residue v to (v - b + 128) & 255. Inside a block the excess
 # lies within 64 of its value at the block's start, whose residue is b, so
 # this map preserves the order of the block's excess values.
 _ORDER = [bytes((v - b + 128) & 255 for v in range(256)) for b in range(256)]
+
+
+def _byte_tables():
+    """Three maps of a byte to bytes, its bits read lowest first as steps of
+    +1 (a one) and -1 (a zero), each value plus 8 so that none is negative:
+    for each bit b, the excess after bits 0..b; the byte's total step; and
+    its lowest excess after a bit."""
+    after = [bytearray(256) for _ in range(8)]
+    total = bytearray(256)
+    lowest = bytearray(256)
+    for v in range(256):
+        e = 0
+        low = 8
+        for b in range(8):
+            e += 1 if v >> b & 1 else -1
+            after[b][v] = e + 8
+            low = min(low, e)
+        total[v] = e + 8
+        lowest[v] = low + 8
+    return [bytes(t) for t in after], bytes(total), bytes(lowest)
+
+
+_AFTER_BIT, _BYTE_STEP, _BYTE_LOW = _byte_tables()
+
+
+def _repeated(pattern):
+    """The int whose little-endian bytes repeat ``pattern`` over one lane pass."""
+    return int.from_bytes(pattern * (_RAW // len(pattern)), "little")
+
+
+# Lane constants over a whole pass. A mask needs no cutting to fewer bytes,
+# as ``&`` keeps no more bytes than its operand; a pattern of whole words is
+# shifted down to them.
+_H8 = _repeated(b"\x80")  # each 8-bit lane's top bit
+_L7 = _repeated(b"\x7f")  # each 8-bit lane's low seven bits
+_FROM = [_repeated(bytes(s) + b"\xff" * (8 - s)) for s in (1, 2, 4)]  # each word's lanes j >= s
+_REL0 = _repeated(bytes(range(56, -1, -8)))  # 56 - 8j in each word's lane j
+_H64 = _repeated(bytes(7) + b"\x80")  # each 64-bit lane's top bit
+_ONES64 = (1 << 64) - 1
+_SPREAD = 0x0101010101010101  # times a word's first lane copies it to all eight
+# (96 - 32k) mod 128 in the first lane of word k, whose period is four words
+_WORD_START = b"".join(bytes([96 - 32 * k, 0, 0, 0, 0, 0, 0, 0]) for k in range(4)) * (_RAW // 32)
 
 
 class ParenSeq(BitSeq):
@@ -84,40 +138,117 @@ class ParenSeq(BitSeq):
     __slots__ = ("_exc", "_bmin", "_table", "_shift")
 
     def __init__(self, bits):
-        text = text_of(bits)
-        self._fill(text)
-        self._exc = _excess(text)
+        self._fill(text_of(bits))
+        self._exc = self._excess()
         self._bmin = self._table = self._shift = None  # built by the first search
 
     # -- construction helpers -------------------------------------------------
 
+    def _passes(self):
+        """(first word, bytes) of each lane pass: the little-endian bytes of
+        ``_CHUNK`` bits of words at a time. The last word's padding is set to
+        ones, so the excess past n rises and every word's lowest excess is
+        its lowest at positions up to n."""
+        words = self._words
+        step = _RAW // 8
+        r = self.n % WORD  # bits of the last word, if it is not full
+        for k0 in range(0, len(words), step):
+            raw = le_bytes(words[k0 : k0 + step])
+            if r and k0 + step >= len(words):
+                raw = raw[:-8] + (int.from_bytes(raw[-8:], "little") | (_ONES64 >> r << r)).to_bytes(8, "little")
+            yield k0, raw
+
+    def _excess(self):
+        """The excess mod 256, one byte per position 0..n, checked for balance.
+
+        Each lane pass (``_passes``, ``_word_lanes``) gives, in one 8-bit lane
+        per byte of the words, the excess before that byte less the excess
+        at its word's start. Each word's start excess, ``2 * _cum1[k] - 64k``
+        mod 256, copied to its eight lanes, makes that the excess before
+        each byte; adding the bytes translated by bit b's table gives the
+        excess after bit b of every byte, positions 8 apart, which one
+        extended slice writes. The pass's exact word minima then check that
+        the excess never drops below zero: the first word whose minimum is
+        negative starts at an excess below 64, so its excess lies in
+        -64..127 and its first -1 is its first byte 255."""
+        n = self.n
+        out = bytearray(n + 1 + -n % WORD)  # positions 0..64 * words
+        cum1 = self._cum1
+        ranks = cum1.tobytes()[_LOW_BYTES]  # each word's rank at its start, mod 256
+        for k0, raw in self._passes():
+            nb = len(raw)
+            rel, minima = _word_lanes(raw)
+            # each word's start excess less 64, 2 * (rank - 32k - 32) mod 256,
+            # in its first lane, then in all eight: c + (96 - 32k) mod 128 carries
+            # out of no lane once c is cut to its low seven bits
+            first = bytearray(nb)
+            first[::8] = ranks[k0 : k0 + nb // 8]
+            start = (((int.from_bytes(first, "little") & _L7) + int.from_bytes(_WORD_START[:nb], "little")) & _L7) << 1
+            start *= _SPREAD
+            # rel's lanes are below 128, so a lane sum carries out only from
+            # the top bits, which join by xor
+            before = (rel + (start & _L7)) ^ (start & _H8)  # the excess before each byte, less 8
+            low7, top = before & _L7, before & _H8
+            lo = WORD * k0 + 1
+            for b, after in enumerate(_AFTER_BIT):
+                lanes = (low7 + int.from_bytes(raw.translate(after), "little")) ^ top
+                out[lo + b : lo + 8 * nb : 8] = lanes.to_bytes(nb, "little")
+            if min(_exact_minima(cum1, k0, minima)) < 0:
+                k = k0 + next(i for i, v in enumerate(_exact_minima(cum1, k0, minima)) if v < 0)
+                raise ValidationError(
+                    f"unbalanced sequence: excess drops below zero at position {out.index(255, WORD * k + 1)}"
+                )
+        depth = 2 * cum1[-1] - n
+        if depth:
+            raise ValidationError(f"unbalanced sequence: {depth} unmatched opening parentheses")
+        del out[n + 1 :]
+        return bytes(out)
+
     def block_minima(self):
-        """The excess minimum of each 64-bit block, a list built on first use;
-        the sparse table over them is not built."""
+        """The excess minimum of each 64-bit block, a list built on first use
+        from the words' lanes (``_word_lanes``); the sparse table over them
+        is not built."""
         if self._bmin is None:
-            exc = self._exc
-            n = self.n
-            nblocks = (n + _BLOCK - 1) // _BLOCK
-            # block k's minimum is its start's excess, 2 * _cum1[k] - 64k, plus
-            # the minimum of its translated residues less 128
-            cum1 = self._cum1
-            starts = map(sub, map(add, cum1, cum1), range(128, 128 + _BLOCK * nblocks, _BLOCK))
-            blocks = (exc[lo : lo + _BLOCK] for lo in range(1, n + 1, _BLOCK))
-            orders = map(_ORDER.__getitem__, exc[0:n:_BLOCK])
-            self._bmin = list(map(add, starts, map(min, map(bytes.translate, blocks, orders))))
+            bmin = []
+            for k0, raw in self._passes():
+                bmin += _exact_minima(self._cum1, k0, _word_lanes(raw)[1])
+            self._bmin = bmin
         return self._bmin
 
     def _build_table(self):
-        """The sparse table of packed entries over the block minima."""
+        """The sparse table of packed entries over the block minima, one
+        ``array('q')`` per level.
+
+        Level 0 packs the block minima; level j + 1 is the lane-wise minimum
+        (``_lane_min``) of level j and level j shifted by 2^j entries, over
+        ``_LANES`` entries at a time. Every row, level 0 too, is written and
+        read as its little-endian bytes (``from_le``, ``le_bytes``), as the
+        words are. An entry is below 2^63, as a lane must be, while n is
+        below 2^34: the minima are at most n / 2."""
         bmin = self.block_minima()
         nblocks = len(bmin)
         # table[j][k] = (min << shift) | leftmost block, over blocks [k, k + 2^j)
         self._shift = shift = nblocks.bit_length()
-        table = [list(map(add, map(lshift, bmin, repeat(shift)), range(nblocks)))]
+        entries = map(add, map(lshift, bmin, repeat(shift)), range(nblocks))
+        row = _row(nblocks)
+        for lo in range(0, nblocks, _LANES):
+            part = tuple(islice(entries, _LANES))
+            row[lo : lo + len(part)] = from_le(struct.pack(f"<{len(part)}q", *part))
+        table = [row]
         span = 1
         while 2 * span <= nblocks:
-            prev = table[-1]
-            table.append(list(map(min, prev, islice(prev, span, None))))
+            prev = row
+            row = _row(len(prev) - span)
+            for lo in range(0, len(row), _LANES):
+                hi = min(lo + _LANES, len(row))
+                mins = _lane_min(
+                    int.from_bytes(le_bytes(prev[lo:hi]), "little"),
+                    int.from_bytes(le_bytes(prev[lo + span : hi + span]), "little"),
+                    _H64 >> 64 * (_LANES - (hi - lo)),
+                    64,
+                )
+                row[lo:hi] = from_le(mins.to_bytes(8 * (hi - lo), "little"))
+            table.append(row)
             span *= 2
         self._table = table
 
@@ -302,38 +433,53 @@ class ParenSeq(BitSeq):
         return f"ParenSeq({s})"
 
 
-def _excess(text):
-    """The excess of a 0/1 text mod 256, one byte per position 0..n,
-    checked for balance.
+def _lane_min(x, y, high, bits):
+    """Lane-wise minimum of two ints of lanes of ``bits`` bits, each lane
+    below 2^(bits - 1); ``high`` holds each lane's top bit, over as many
+    lanes as ``x``. A lane of ``(x | high) - y`` borrows nothing, and its
+    top bit is set where x >= y."""
+    ge = (((x | high) - y) & high) >> (bits - 1)
+    return x ^ ((x ^ y) & (ge * ((1 << bits) - 1)))
 
-    It is summed ``_CHUNK`` steps at a time into a list, which joins an
-    ``array('Q')`` in one ``fromlist``, whose low bytes are the chunk's
-    residues: an array filled from ``accumulate`` directly converts one int
-    at a time, several times slower, and unsigned entries convert about four
-    times faster than signed ones. A negative excess cannot join them, so the
-    OverflowError is the check that the excess never drops below zero. Only
-    one chunk's ints and entries are alive at a time."""
-    steps = memoryview(text.encode("ascii").translate(_STEPS)).cast("b")
-    pieces = [b"\0"]  # excess(0) = 0
-    depth = 0
-    for lo in range(0, len(steps), _CHUNK):
-        part = list(accumulate(steps[lo : lo + _CHUNK], initial=depth))
-        del part[0]  # depth, already in
-        chunk = array("Q")
-        try:
-            chunk.fromlist(part)
-        except OverflowError:
-            # steps are +-1, so the first negative excess is the first -1
-            raise ValidationError(
-                f"unbalanced sequence: excess drops below zero at position {lo + 1 + part.index(-1)}"
-            ) from None
-        depth = part[-1]
-        pieces.append(chunk.tobytes()[_LOW_BYTES])
-        del part, chunk
-    if depth != 0:
-        raise ValidationError(f"unbalanced sequence: {depth} unmatched opening parentheses")
-    del steps
-    return b"".join(pieces)
+
+def _word_lanes(raw):
+    """The lanes of whole words, given as their little-endian bytes ``raw``:
+    (rel, minima). Lane 8k + j of ``rel`` (8-bit lanes, in the bytes' order)
+    is the excess before byte j of word k less the excess at the word's
+    start, plus 56. ``minima`` holds each word's lowest excess less the
+    excess at its start, plus 64: one byte per word.
+
+    ``rel`` is an exclusive prefix sum, inside each word, of the bytes'
+    total steps plus 8, in three doubling steps, then less 8j. No lane
+    carries into the next: every sum lies in 0..112. A lane's lowest
+    excess is ``rel`` plus its byte's lowest plus 8, at most 121, and three
+    lane minima with the lanes 4, 2 and 1 higher bring each word's lowest
+    into its first lane."""
+    nb = len(raw)
+    top = 8 * (_RAW - nb)  # bits that cut a pattern of whole words to nb bytes
+    rel = (int.from_bytes(raw.translate(_BYTE_STEP), "little") << 8) & _FROM[0]
+    for s, mask in zip((8, 16, 32), _FROM):
+        rel += (rel << s) & mask
+    rel += _REL0 >> top
+    low = rel + int.from_bytes(raw.translate(_BYTE_LOW), "little")
+    high = _H8 >> top
+    for s in (32, 16, 8):
+        low = _lane_min(low, low >> s, high, 8)
+    return rel, low.to_bytes(nb, "little")[::8]
+
+
+def _exact_minima(cum1, k0, minima):
+    """The lowest excess of words k0, k0 + 1, ... from their ``minima``
+    bytes (``_word_lanes``): the excess at each word's start, ``2 * _cum1[k]
+    - 64k``, plus its byte less 64."""
+    k1 = k0 + len(minima)
+    cum = cum1[k0:k1]
+    return map(add, map(sub, map(add, cum, cum), range(WORD * k0 + 64, WORD * k1 + 64, WORD)), minima)
+
+
+def _row(m):
+    """A table row of m entries, allocated at its exact size."""
+    return array("q", bytes(8)) * m
 
 
 class WeightedBits:

@@ -407,3 +407,17 @@ def test_select_reads_few_counts_and_logarithmically_many_on_long_runs():
     sparse = BitSeq([0 if x % 3000 == 0 else 1 for x in range(100_000)])
     worst, words = counted_select_reads(sparse, 0, range(1, sparse.count(0) + 1))
     assert worst <= math.ceil(math.log2(words)) + 3, worst
+
+
+def test_packing_is_exact_across_pack_seams():
+    # The text is packed _PACK digits at a time: each word, and the last
+    # partial one, must hold the bits that one big integer over the whole
+    # text gives, with a piece ending on either side of the text's end.
+    c = bitseq._PACK
+    rng = random.Random(0x9AC)
+    for n in (1, 63, 64, 65, c - 1, c, c + 1, c + 63, c + 64, 2 * c, 3 * c + 17):
+        text = "".join(rng.choice("01") for _ in range(n))
+        words = struct.unpack(f"<{(n + 63) // 64}Q", int(text[::-1], 2).to_bytes(8 * ((n + 63) // 64), "little"))
+        b = BitSeq(text)
+        assert b._words.tolist() == list(words) and b.to_text() == text, n
+        assert b._cum1[-1] == text.count("1") and b._cum0[-1] == text.count("0")

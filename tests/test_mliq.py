@@ -445,7 +445,8 @@ def test_interval_index_holds_typed_tables_and_no_dict(tmp_path):
         assert held == {id(o) for o in reachable(s) if isinstance(o, (array, bytes))}
         # a query whose range holds two intervals or more selects closes,
         # which builds that symbol's select directory and in-word offsets,
-        # and no table of the opening symbol
+        # and no table of the opening symbol; its range minimum builds the
+        # sparse table, one array('q') per level
         k = next(k for k in range(s.n - 1) if s.a[k + 1] <= s.b[k])
         point = s.a[k + 1]  # inside intervals k and k + 1
         assert sum(x <= point <= y for x, y in zip(s.a, s.b)) >= 2
@@ -454,7 +455,7 @@ def test_interval_index_holds_typed_tables_and_no_dict(tmp_path):
         held = {id(o) for o in reachable(s) if isinstance(o, (array, bytes))}
         assert dfuds._sel1 is None and dfuds._sel0.typecode == "q"
         assert dfuds._off1 is None and type(dfuds._off0) is bytes and len(dfuds._off0) == dfuds.count(0)
-        assert held == {id(t) for t in (*tables, dfuds._exc, dfuds._sel0, dfuds._off0)}
+        assert held == {id(t) for t in (*tables, dfuds._exc, dfuds._sel0, dfuds._off0, *dfuds._table)}
         lengths = s.lengths
         assert lengths.typecode == "q" and lengths.tolist() == [y - x + 1 for x, y in zip(s.a, s.b)]
         bp_open, bp_close = s.weighted_bps()

@@ -4,12 +4,12 @@ import random
 import struct
 import tracemalloc
 from array import array
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualtree import codec, index_io, parens
+from dualtree import bitseq, codec, index_io, parens
 from dualtree.bitseq import BitSeq
 from dualtree.errors import ContractError, RangeError, ValidationError
 from dualtree.minheap import build_minheap
@@ -657,3 +657,114 @@ def test_excess_residues_wrap_inside_a_block():
                 assert p.open(x) == partner[x] == walk_bwd(exc, x - 1, exc[x]) + 1, x
         for l, r in rmq_ranges(p.n, rng, 300):
             assert p.rmq_excess(l, r) == rmq_oracle(exc, l, r), (l, r)
+
+
+# -- the lane kernels that build the excess, the block minima and the table ----------
+
+
+@pytest.fixture(params=["host order", "forced big-endian"])
+def byte_order(request, monkeypatch):
+    """Each kernel test runs twice: on the host's byte order, then as a
+    big-endian host would run it, every table read and written through
+    ``le_bytes``/``from_le`` byteswapped."""
+    if request.param == "forced big-endian":
+        monkeypatch.setattr(bitseq, "_BIG_ENDIAN", True)
+
+
+def min_table(bmin):
+    """The sparse table as packed-entry lists, each level built by the
+    ``map(min, row, row shifted by 2^j)`` that the lane minima replace."""
+    shift = len(bmin).bit_length()
+    table = [[(m << shift) | k for k, m in enumerate(bmin)]]
+    span = 1
+    while 2 * span <= len(bmin):
+        prev = table[-1]
+        table.append(list(map(min, prev, islice(prev, span, None))))
+        span *= 2
+    return table
+
+
+def assert_kernels_match(bits):
+    """The excess bytes, block minima and table rows of ``ParenSeq(bits)``
+    equal the oracles'; the rows are compared as their little-endian bytes,
+    which a forced byte order keeps."""
+    p = ParenSeq(bits)
+    exc = excess_oracle(bits)
+    assert type(p._exc) is bytes and p._exc == residues(exc)
+    bmin = [min(exc[lo : lo + 64]) for lo in range(1, len(bits) + 1, 64)]
+    assert p.block_minima() == bmin and p._table is None
+    _, table = p.block_tables()
+    assert all(type(row) is array and row.typecode == "q" for row in table)
+    assert [bitseq.le_bytes(row) for row in table] == [struct.pack(f"<{len(row)}q", *row) for row in min_table(bmin)]
+
+
+WORDS_PER_PASS = parens._CHUNK // 64
+
+
+def test_lane_kernels_match_the_oracles_at_every_word_end(byte_order):
+    # n mod 64 in {0, 1, 7, 8, 9, 63} (and the even 2, 6, 62), over one word,
+    # several, and more than one lane pass. A balanced sequence has even n, so
+    # an odd one is given an unmatched opener or a closer too many and must
+    # be refused with the count or the position.
+    rng = random.Random(0x1A4E)
+    for words in (1, 2, 5, WORDS_PER_PASS, WORDS_PER_PASS + 3):
+        for r in (0, 1, 2, 6, 7, 8, 9, 62, 63):
+            n = 64 * words if r == 0 else 64 * (words - 1) + r
+            if n % 2 == 0:
+                for bits in (random_balanced(rng, n // 2), [1] * (n // 2) + [0] * (n // 2), [1, 0] * (n // 2)):
+                    assert_kernels_match(bits)
+                continue
+            bits = random_balanced(rng, n // 2)
+            with pytest.raises(ValidationError, match="^unbalanced sequence: 1 unmatched opening parentheses$"):
+                ParenSeq(bits + [1])
+            with pytest.raises(ValidationError, match=rf"^unbalanced sequence: excess drops below zero at position {n}$"):
+                ParenSeq(bits + [0])
+
+
+def test_lane_kernels_match_the_oracles_past_255_and_64k_deep(byte_order):
+    # The residues wrap every 256 and the word minima are exact however deep:
+    # the exact minima past 2^16 come from the rank table, not from a lane.
+    rng = random.Random(0xDEE9)
+    for depth in (255, 256, 300, 65_535, 65_536, 70_001):
+        assert_kernels_match([1] * depth + [0] * depth)
+    climb = 70_000
+    assert_kernels_match([1] * climb + random_balanced(rng, 3000) + [0] * climb)
+    assert_kernels_match([1] * 300 + [1, 0] * 500 + [0] * 300 + random_balanced(rng, 700))
+
+
+def test_first_negative_excess_is_found_at_every_offset_of_a_word(byte_order):
+    # The first -1 can only sit at an odd position, an even offset of its
+    # word. It is looked for there, before the text ends inside a byte, at
+    # the end of one, or with more bits after it, and past a deep excess.
+    rng = random.Random(0xF1E5)
+    for words_before in (0, 1, 3, WORDS_PER_PASS):
+        for offset in range(0, 64, 2):
+            before = 64 * words_before + offset
+            for prefix in (random_balanced(rng, before // 2), [1] * (before // 2) + [0] * (before // 2)):
+                for tail in ([], [1] * 5, [0], random_balanced(rng, 40)):
+                    with pytest.raises(ValidationError, match=rf"excess drops below zero at position {before + 1}$"):
+                        ParenSeq(prefix + [0] + tail)
+    with pytest.raises(ValidationError, match=r"excess drops below zero at position 140001$"):
+        ParenSeq([1] * 70_000 + [0] * 70_000 + [0, 1])
+
+
+def test_construction_holds_and_peaks_near_the_excess_bytes():
+    # Tracemalloc at 10^5 random values, in bytes per value, the text given.
+    # The excess bytes (one per bit, about two bits per value) are written
+    # into a bytearray and copied once into the bytes that are kept, which
+    # sets the peak: 4.9 above the text. Packing the whole text reversed set
+    # it at 5.35, and held 2.80 as now.
+    n = 100_000
+    text = build_minheap(random_array(random.Random(0x5A7E), n)).dfuds.to_text()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        p = ParenSeq(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert p.n == len(text) and p._bmin is None
+    assert held - before <= 3.0 * n, (held - before) / n
+    assert peak - before <= 5.2 * n, (peak - before) / n

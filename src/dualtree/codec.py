@@ -216,22 +216,6 @@ def _dfuds_of_degrees(degrees):
     return "".join(["1"] + ["".join(islice(steps, _TEXT_CHUNK)) for _ in chunks])
 
 
-def _dfuds_of_reversed_degrees(degrees):
-    """DFUDS as 0/1 text of the tree whose degrees in reverse preorder, the
-    root's last, ``degrees`` yields: the pieces of each ``_TEXT_CHUNK``
-    nodes are joined in preorder as they come, and the chunks from the last
-    at the end, so no list of one entry per node is held."""
-    pieces = _Pieces()
-    degrees = iter(degrees)
-    chunks = []
-    while chunk := list(islice(degrees, _TEXT_CHUNK)):
-        chunk.reverse()
-        chunks.append("".join(map(pieces.__getitem__, chunk)))
-    chunks.append("1")
-    chunks.reverse()
-    return "".join(chunks)
-
-
 # -- decoding --------------------------------------------------------------------
 
 

@@ -9,29 +9,31 @@ Ties attach to the *rightmost* qualifying predecessor (non-strict rule), so
 every range-minimum engine over the heap reports the leftmost minimum.
 
 Because preorder is array order, the DFUDS of the heap is fixed by the node
-degrees alone, and one stack pass over the array counts them (Fischer & Heun,
+degrees alone, and one stack pass over the array writes it (Fischer & Heun,
 SIAM J. Comput. 40(2), 2011). The pass runs right to left and keeps only the
 values still waiting for a parent, largest on top: every pending value >= the
 current one has the current position as its nearest earlier smaller-or-equal
 position, so the number popped there is that position's degree, and what is
-left pending at the end hangs from the root. It holds nothing per element
-but the pending values and the text written so far. ``heap_dfuds`` runs the
-pass and writes the DFUDS, the one writer of it for ``build_minheap``, an
-array blob's load and the interval index. The index stores that bit
-sequence and nothing else besides the values; the explicit tree is decoded
-from it on first use. The interval index's heap of lengths holds the bit
-sequence alone: its values are a function of the endpoints, which the pass
-reads once, as they come.
+left pending at the end hangs from the root. Each pop writes a '1' and each
+position then a '0', so the pass writes the DFUDS back to front, and it
+holds nothing per element but the pending values and the text written so
+far. ``heap_dfuds`` runs the pass and reverses its bytes, the one writer of
+the DFUDS for ``build_minheap``, an array blob's load and the interval
+index. The index stores that bit sequence and nothing else besides the
+values; the explicit tree is decoded from it on first use. The interval
+index's heap of lengths holds the bit sequence alone: its values are a
+function of the endpoints, which the pass reads once, as they come.
 
 The values are held as an ``array('q')`` when every one is an int within
 signed 64 bits, and as a list otherwise (floats, strings, larger ints), so
-an index of integers takes fixed bytes per value. The degree pass runs over
+an index of integers takes fixed bytes per value. The stack pass runs over
 the values as given, before they are converted: iterating the array would
 make a new int for every value that waits on the stack.
 """
 
 from array import array
-from itertools import islice
+from itertools import compress, count, islice
+from operator import ne
 
 from . import codec, duality
 from .errors import ContractError
@@ -99,13 +101,17 @@ class MinHeapIndex:
 def build_minheap(values) -> MinHeapIndex:
     """Build the heap index for a non-empty array of comparable values. The
     index holds a copy: an ``array('q')`` if every value is a signed 64-bit
-    int, else a list."""
+    int, else a list. A value not equal to itself, such as a float NaN,
+    orders against no other, so it is a ContractError."""
     if not isinstance(values, (list, array)):
         values = list(values)
     if not values:
         raise ContractError("array must hold at least one element")
     dfuds = heap_dfuds(reversed(values))
-    return MinHeapIndex(held_values(values), dfuds)
+    held = held_values(values)
+    if type(held) is list and (i := next(compress(count(1), map(ne, held, held)), 0)):
+        raise ContractError(f"value at position {i} is not equal to itself: {held[i - 1]!r}")
+    return MinHeapIndex(held, dfuds)
 
 
 def held_values(values):
@@ -119,26 +125,35 @@ def held_values(values):
 
 def heap_dfuds(values_from_the_right) -> ParenSeq:
     """The DFUDS of the heap of the values that ``values_from_the_right``
-    yields, last to first, by the degree pass, which reads each value once,
-    so none need be held. Each degree is written into the text as the pass
-    yields it (``codec._dfuds_of_reversed_degrees``), so no degree list is
-    held either."""
-    return ParenSeq(codec._dfuds_of_reversed_degrees(_degrees_from_the_right(values_from_the_right)))
+    yields, last to first. The stack pass reads each value once, so none
+    need be held, and writes the DFUDS reversed into one bytearray, which is
+    reversed in place and freed once decoded."""
+    text = _reversed_dfuds(values_from_the_right)
+    text.reverse()
+    text = text.decode("ascii")
+    return ParenSeq(text)
 
 
-def _degrees_from_the_right(values):
-    """The heap's degrees in reverse preorder, the root's last, yielded by
-    the degree pass over the values that ``values`` yields last to first."""
+def _reversed_dfuds(values):
+    """The heap's DFUDS back to front as ASCII bytes, written by the stack
+    pass over the values that ``values`` yields last to first: the last
+    node's '0' first, then per value a '1' for each pending value it pops
+    and the '0' of the node before it, and last the root's '1's and the
+    balancing '1'."""
+    out = bytearray(b"0")
+    put = out.append
     pending = []  # values still waiting for a parent, increasing to the top
     pop, push = pending.pop, pending.append
     for val in values:
-        d = 0
         while pending and pending[-1] >= val:
             pop()
-            d += 1
-        yield d
+            put(49)  # '1'
+        put(48)  # '0'
         push(val)
-    yield len(pending)
+    root_degree = len(pending)
+    pending.clear()
+    out += b"1" * (root_degree + 1)
+    return out
 
 
 def reversal_dual_check(values) -> bool:

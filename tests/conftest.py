@@ -5,9 +5,11 @@ parenthesis strings were derived independently by hand from the definitions
 and are frozen here; encoder/decoder tests must reproduce them byte for byte.
 """
 
+import gc
 import os
 import random
 import struct
+import tracemalloc
 from bisect import bisect_right
 from pathlib import Path
 
@@ -119,6 +121,20 @@ class Counted(list):
     def __getitem__(self, k):
         Counted.reads += 1
         return super().__getitem__(k)
+
+
+def traced(make):
+    """(what ``make()`` returns, bytes it left held, its peak), by tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        made = make()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return made, held - before, peak - before
 
 
 def pytest_terminal_summary(terminalreporter):

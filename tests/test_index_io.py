@@ -21,7 +21,7 @@ from dualtree.minheap import build_minheap
 from dualtree.randgen import random_array, random_intervals
 
 from conftest import (FIX_A, FIX_INTERVALS, V2_ARRAY_600, V2_FIX_A, V2_FIX_INTERVALS, V2_INTERVALS_12,
-                      V2_INTERVALS_600, write_blob)
+                      V2_INTERVALS_600, traced, write_blob)
 from interval_oracle import I64_MAX, STORABLE, breached_families, check_pairs, raised
 
 I64_MIN = -(1 << 63)
@@ -141,20 +141,6 @@ def test_load_frees_each_section_once_read(tmp_path, kind, n, bound):
         tracemalloc.stop()
     assert index.n == n
     assert peak - held <= bound * n, ((peak - held) / n, (held - before) / n)
-
-
-def traced(make):
-    """(what ``make()`` returns, bytes it left held, its peak), by tracemalloc."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        made = make()
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return made, held - before, peak - before
 
 
 def test_save_and_load_peak_near_the_index_they_hold(tmp_path):

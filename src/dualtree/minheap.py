@@ -102,16 +102,26 @@ def build_minheap(values) -> MinHeapIndex:
     """Build the heap index for a non-empty array of comparable values. The
     index holds a copy: an ``array('q')`` if every value is a signed 64-bit
     int, else a list. A value not equal to itself, such as a float NaN,
-    orders against no other, so it is a ContractError."""
+    orders against no other, so it is a ContractError, and so is a pair of
+    values whose comparison raises."""
     if not isinstance(values, (list, array)):
         values = list(values)
     if not values:
         raise ContractError("array must hold at least one element")
-    dfuds = heap_dfuds(reversed(values))
+    try:
+        dfuds = heap_dfuds(reversed(values))
+    except (TypeError, ArithmeticError) as exc:  # decimal.InvalidOperation is an ArithmeticError
+        raise _not_self_equal(values) or ContractError(f"values do not order: {type(exc).__name__}: {exc}") from exc
     held = held_values(values)
-    if type(held) is list and (i := next(compress(count(1), map(ne, held, held)), 0)):
-        raise ContractError(f"value at position {i} is not equal to itself: {held[i - 1]!r}")
+    if type(held) is list and (error := _not_self_equal(held)):
+        raise error
     return MinHeapIndex(held, dfuds)
+
+
+def _not_self_equal(values):
+    """The ContractError naming the first value not equal to itself, or None."""
+    i = next(compress(count(1), map(ne, values, values)), 0)
+    return ContractError(f"value at position {i} is not equal to itself: {values[i - 1]!r}") if i else None
 
 
 def held_values(values):

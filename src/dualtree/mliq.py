@@ -52,8 +52,14 @@ index and depth, and the BP of the reversed heap is the mirror of the
 heap's BP, so they are read off the DFUDS with one pass for the depths,
 ``codec._dfuds_depths``, the DFUDS decoder's own reader of the blocks;
 neither the heap tree, nor its reversal, nor the bits of either BP are
-built. Building or loading checks the endpoints in bulk and names the
-first interval that breaks a rule, as a check of one pair at a time would.
+built. Building or loading checks the endpoints in bulk, with 64-bit lane
+arithmetic (``_rules_hold``): each chunk of ``parens._LANES`` entries of
+both tables, overlapping the next chunk by one entry, is read as one int of
+lanes, its sign bits are checked first, and then one borrow-free
+subtraction per rule decides a_i <= b_i and the increase of a and of b in
+every lane at once. Only a family that fails is searched for its breach
+(``_first_breach``), which names the first interval that breaks a rule, as
+a check of one pair at a time would.
 
 Containment conventions: CLOSED (default) answers with intervals satisfying
 a_i <= a <= b <= b_i; STRICT requires a_i < a and b_i > b. On integer
@@ -64,12 +70,13 @@ and both are held to the brute-force oracle.
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import compress, islice, repeat
-from operator import add, ge, gt, itemgetter, le, lt, not_, sub
+from operator import add, ge, gt, itemgetter, lt, not_, sub
 
+from .bitseq import le_buffer
 from .codec import _dfuds_depths
 from .errors import ContractError, RangeError, ValidationError
 from .minheap import MinHeapIndex, heap_dfuds, held_values
-from .parens import WeightedBits
+from .parens import _H64, _LANES, WeightedBits
 from .rmq import OpCounters, pda_fast, rmq_direct
 
 # Read only by the benchmark, which reports it next to the interval domain;
@@ -155,15 +162,44 @@ def build_intervals(pairs) -> IntervalSet:
 
 
 def intervals_from_arrays(a, b) -> IntervalSet:
-    """The index of the endpoints held in two ``array('q')``, which it keeps;
-    the rules and messages are those of ``build_intervals``."""
-    if not a or not (
-        a[0] >= 0 and all(map(le, a, b)) and all(map(lt, a, islice(a, 1, None)))
-        and all(map(lt, b, islice(b, 1, None)))
-    ):
+    """The index of the endpoints held in two ``array('q')`` of one length,
+    which it keeps; the rules and messages are those of
+    ``build_intervals``. Tables of other types or of unequal lengths are a
+    ContractError."""
+    if not (type(a) is type(b) is array and a.typecode == b.typecode == "q"):
+        raise ContractError("endpoints must be given as two array('q')")
+    if len(a) != len(b):
+        raise ContractError(f"{len(a)} left endpoints but {len(b)} right endpoints")
+    if not a or not _rules_hold(a, b):
         raise _breach_error(a, b)
     # b - a orders the intervals as their lengths do
     return IntervalSet(a, b, MinHeapIndex(None, heap_dfuds(map(sub, reversed(b), reversed(a)))))
+
+
+def _rules_hold(a, b):
+    """Whether the endpoints ``a``, ``b``, two non-empty ``array('q')`` of
+    one length, break no rule of ``build_intervals``.
+
+    Both tables are read as little-endian bytes (``le_buffer``), one int of
+    64-bit lanes per chunk of ``_LANES`` entries, each chunk overlapping the
+    next by one lane, so that every endpoint meets its successor. A chunk
+    with a lane's sign bit set holds a negative endpoint. Past that check
+    every lane is below 2^63, so ``(x | high) - y`` borrows across no lane
+    and its lane's top bit is set where x >= y: it must be set for b >= a
+    in every lane, and clear for a_i >= a_{i+1} and b_i >= b_{i+1} in every
+    lane but the last. Only chunk-sized ints are made (and, on a big-endian
+    host, a byteswapped copy of each table)."""
+    n = len(a)
+    with memoryview(le_buffer(a)).cast("B") as la, memoryview(le_buffer(b)).cast("B") as lb:
+        for lo in range(0, max(n - 1, 1), _LANES - 1):
+            span = slice(8 * lo, 8 * min(lo + _LANES, n))
+            x = int.from_bytes(la[span], "little")
+            y = int.from_bytes(lb[span], "little")
+            high = _H64 if n - lo >= _LANES else _H64 >> 64 * (_LANES - n + lo)
+            yh = y | high
+            if (x | y) & high or (yh - x) & high != high or ((x | high) - (x >> 64) | yh - (y >> 64)) & (high >> 64):
+                return False
+    return True
 
 
 def _breach_error(a, b):

@@ -429,3 +429,18 @@ def test_build_intervals_rejects_digit_group_underscores(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err == f"error: {src}:2: not integers: '3 1_0'\n"
     assert not idx.exists()
+
+
+def test_build_intervals_names_a_breach_past_the_first_lane_chunk(tmp_path, capsys):
+    # line 3000 repeats line 2999's right endpoint, a chunk of the lane check after the first
+    lines = [f"{2 * i} {2 * i + 5}" for i in range(1, 5001)]
+    lines[2999] = f"{2 * 3000} {2 * 2999 + 5}"
+    src = tmp_path / "seam.txt"
+    src.write_text("\n".join(lines) + "\n")
+    idx = tmp_path / "seam.idx"
+    code, out, err = run_cli(capsys, "build", "intervals", str(src), "-o", str(idx))
+    assert (code, out, err) == (2, "", f"error: {src}:3000: right endpoints not strictly increasing\n")
+    assert not idx.exists()
+    src.write_text("\n".join(lines[:2999]) + "\n")
+    assert run_cli(capsys, "build", "intervals", str(src), "-o", str(idx))[0] == 0
+    assert run_cli(capsys, "query", str(idx), "mliq", "10", "12") == (0, "4\n", "")

@@ -2,6 +2,7 @@ import gc
 import random
 import tracemalloc
 from array import array
+from decimal import Decimal, InvalidOperation
 from itertools import islice
 from operator import sub
 
@@ -61,6 +62,20 @@ NAN = float("nan")
 def test_a_value_not_equal_to_itself_is_rejected_by_position(values, position):
     with pytest.raises(ContractError, match=rf"^value at position {position} is not equal to itself: nan$"):
         build_minheap(values)
+
+
+@pytest.mark.parametrize("values, message, cause", [
+    ([1, "a"], "values do not order: TypeError: '>=' not supported between instances of 'str' and 'int'", TypeError),
+    ([object(), object()], "values do not order: TypeError: '>=' not supported between instances of 'object' and "
+                           "'object'", TypeError),
+    ([Decimal(1), Decimal("NaN"), Decimal(0)], "value at position 2 is not equal to itself: Decimal('NaN')",
+     InvalidOperation),
+])
+def test_a_comparison_that_raises_is_a_contract_error(values, message, cause):
+    with pytest.raises(ContractError) as info:
+        build_minheap(values)
+    assert str(info.value) == message
+    assert type(info.value.__cause__) is cause
 
 
 def test_infinities_and_signed_zeros_are_ordered_values():

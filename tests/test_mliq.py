@@ -1,23 +1,26 @@
 import gc
+import os
 import random
 import re
+import tempfile
 import tracemalloc
 import types
 from array import array
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, islice
+from operator import le, lt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualtree import cli, codec, duality, index_io, mliq
-from dualtree.bitseq import BitSeq
+from dualtree import bitseq, cli, codec, duality, index_io, mliq
+from dualtree.bitseq import BitSeq, le_bytes
 from dualtree.errors import ContractError, RangeError, ValidationError
-from dualtree.parens import WeightedBits
+from dualtree.parens import _LANES, WeightedBits
 from dualtree.randgen import random_intervals
 from dualtree.rmq import OpCounters
 
-from conftest import FIX_INTERVALS, weight_prefix
+from conftest import FIX_INTERVALS, traced, weight_prefix, write_blob
 from interval_oracle import I64_MAX, breached_families, check_pairs, raised
 
 
@@ -499,3 +502,90 @@ def test_interval_build_holds_few_bytes_and_peaks_near_them():
     assert s.n == len(pairs)
     assert held <= 39 * len(pairs), held / len(pairs)
     assert peak <= 1.4 * held, (peak, held)
+
+
+# -- the lane check of the endpoint rules ---------------------------------------
+
+def rules_by_endpoint(a, b):
+    """The endpoint test that ``mliq._rules_hold`` replaced, one endpoint at a
+    time, kept as its oracle."""
+    return a[0] >= 0 and all(map(le, a, b)) and all(map(lt, a, islice(a, 1, None))) and all(
+        map(lt, b, islice(b, 1, None)))
+
+
+STEP = _LANES - 1  # a chunk of the lane check starts this many entries after the one before
+I64_MIN = -(1 << 63)
+
+
+@st.composite
+def lane_families(draw):
+    """(a, b): a valid family of one lane to three chunks plus one, from 0 or
+    up against 2^63 - 1, with up to two endpoints then set to 0, an i64
+    extreme, -1, a neighbour's value or one off it, mostly next to a seam
+    between chunks."""
+    n = draw(st.one_of(st.integers(1, 3 * STEP + 2),
+                       st.sampled_from([1, 2, STEP, _LANES, _LANES + 1, 2 * STEP + 1, 3 * STEP + 1, 3 * STEP + 2])))
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    pairs = random_intervals(rng, n, draw(st.sampled_from([1, 16, 1 << 40])))
+    a, b = (list(side) for side in zip(*pairs))
+    if draw(st.booleans()):
+        lift = I64_MAX - b[-1]
+        a, b = [x + lift for x in a], [y + lift for y in b]
+    for _ in range(draw(st.integers(0, 2))):
+        seam = draw(st.integers(1, 3)) * STEP + draw(st.integers(-1, 1))
+        k = min(seam, n - 1) if draw(st.booleans()) else draw(st.integers(0, n - 1))
+        ends, other = (a, b) if draw(st.booleans()) else (b, a)
+        k2 = min(max(k + draw(st.sampled_from([-1, 1])), 0), n - 1)
+        ends[k] = draw(st.sampled_from([0, I64_MAX, I64_MIN, -1, ends[k2], ends[k2] + 1, ends[k2] - 1, other[k]]))
+        ends[k] = min(max(ends[k], I64_MIN), I64_MAX)
+    return array("q", a), array("q", b)
+
+
+def swapped(table):
+    copy = array("q", table)
+    copy.byteswap()
+    return copy
+
+
+@settings(max_examples=300, deadline=None)
+@given(lane_families())
+def test_lane_check_decides_as_the_endpoint_oracle(tmp_path_factory, family):
+    a, b = family
+    want = rules_by_endpoint(a, b)
+    assert mliq._rules_hold(a, b) == want
+    with pytest.MonkeyPatch.context() as mp:
+        # a big-endian host holds the bytes of each value swapped
+        mp.setattr(bitseq, "_BIG_ENDIAN", True)
+        assert mliq._rules_hold(swapped(a), swapped(b)) == want
+    pairs = list(zip(a, b))
+    built = raised(mliq.build_intervals, pairs)
+    assert built == raised(check_pairs, pairs)
+    fd, path = tempfile.mkstemp(suffix=".idx", dir=tmp_path_factory.getbasetemp())
+    os.close(fd)
+    if want:
+        assert built is None
+        index_io.save_interval_index(path, mliq.build_intervals(pairs))
+        loaded = index_io.load_interval_index(path)
+        assert (loaded.a, loaded.b) == (a, b)
+    else:
+        assert built[0] is ValidationError
+        sections = [("INTA", le_bytes(a)), ("INTB", le_bytes(b)), ("BITS", b""), ("EMIN", b"")]
+        write_blob(path, index_io.VERSION, index_io.KIND_INTERVALS, sections)
+        assert raised(index_io.load_interval_index, path) == built
+
+
+def test_lane_check_peaks_at_chunk_sized_ints():
+    pairs = random_intervals(random.Random(0x1A9E), 100_000)
+    a, b = (array("q", side) for side in zip(*pairs))
+    holds, _, peak = traced(lambda: mliq._rules_hold(a, b))
+    assert holds is True
+    assert peak < 64 << 10, peak
+
+
+def test_endpoint_tables_of_unequal_lengths_or_other_types_are_a_contract_error():
+    with pytest.raises(ContractError, match="^3 left endpoints but 2 right endpoints$"):
+        mliq.intervals_from_arrays(array("q", [0, 1, 2]), array("q", [5, 6]))
+    for a, b in (([0, 1], [5, 6]), (array("q", [0, 1]), [5, 6]), (array("q", [0, 1]), array("Q", [5, 6])),
+                 (array("l", [0, 1]), array("q", [5, 6])), (memoryview(array("q", [0, 1])), array("q", [5, 6]))):
+        with pytest.raises(ContractError, match=r"^endpoints must be given as two array\('q'\)$"):
+            mliq.intervals_from_arrays(a, b)

@@ -23,7 +23,7 @@ together with its leftmost block. Each level is an ``array('q')``: level 0
 packs the block minima, and each next level is the lane-wise minimum of the
 level below and that level shifted by 2^j entries.
 Inside a block every step is one C-level operation on the excess bytes:
-``min`` of a translated slice and ``index`` of its value. The range minimum
+``min`` of a slice and ``index`` of its value. The range minimum
 is one body, ``_range_min``, shared by ``rmq_excess`` and ``rmq_closers``:
 it takes the minimum of the whole blocks from the table and scans an end
 block only when its block minimum could beat or tie that. Adjacent excess
@@ -33,16 +33,18 @@ descend the same sparse table from its top level, skipping each window of
 2^j blocks whose entries are above ``((target + 1) << shift) - 1``, which
 reads at most log2(blocks) + 1 table entries, and finish with one ``index``
 inside that block.
-The excess is held as ``bytes`` of its values mod 256, one byte per bit,
-however deep the sequence nests. A block is one 64-bit word, so the excess
-at block k's start is ``2 * _cum1[k] - 64k``, from the rank table, and
-inside the block the excess lies within 64 of it: 129 values, whose residues
-are distinct. ``excess(x)`` adds x's offset from its block's start, read
-from the two residues; the in-block searches of open/close and the placement
-of ``rmq_excess``'s answer are ``bytes.index``/``rindex`` (memchr) of the
-target's residue; and a range minimum translates the slice by one of 256
-order-preserving tables, ``(v - start + 128) & 255``, before ``min`` and
-``index``.
+The excess is held relative to its block's start, one byte per bit,
+however deep the sequence nests, as the range min-max tree of Navarro and
+Sadakane ("Fully functional static and dynamic succinct trees", ACM TALG
+2014) holds it. A block is one 64-bit word, so the excess at block k's
+start is ``2 * _cum1[k] - 64k``, from the rank table, and inside the block
+the excess lies within 64 of it: position x of block k holds ``excess(x)``
+less that, plus 64, a byte in 0..128 (position 0 holds 64). ``excess(x)``
+adds x's byte less 64 to its block's start; the in-block searches of
+open/close and the placement of ``rmq_excess``'s answer are
+``bytes.index``/``rindex`` (memchr) of the target's byte; and a range
+minimum is ``min`` and ``index`` of a slice, whose bytes order as its excess
+does.
 
 The excess, the block minima and the table are built by broadword
 arithmetic ("SIMD within a register", as in Vigna, "Broadword
@@ -63,7 +65,6 @@ only saved or loaded never pays for the table.
 """
 
 import struct
-import sys
 from array import array
 from bisect import bisect_right
 from itertools import islice, repeat
@@ -82,12 +83,6 @@ _LANES = _CHUNK // 64  # table entries, one 64-bit lane each, in a lane pass
 
 _STEPS = bytes.maketrans(b"01", b"\xff\x01")  # '0' -> -1, '1' -> +1 as signed bytes
 _DIGIT_TO_PAREN = str.maketrans("10", "()")
-_LOW_BYTES = slice(7 if sys.byteorder == "big" else 0, None, 8)  # of an array('q')'s bytes
-
-# _ORDER[b] maps a residue v to (v - b + 128) & 255. Inside a block the excess
-# lies within 64 of its value at the block's start, whose residue is b, so
-# this map preserves the order of the block's excess values.
-_ORDER = [bytes((v - b + 128) & 255 for v in range(256)) for b in range(256)]
 
 
 def _byte_tables():
@@ -122,14 +117,10 @@ def _repeated(pattern):
 # as ``&`` keeps no more bytes than its operand; a pattern of whole words is
 # shifted down to them.
 _H8 = _repeated(b"\x80")  # each 8-bit lane's top bit
-_L7 = _repeated(b"\x7f")  # each 8-bit lane's low seven bits
 _FROM = [_repeated(bytes(s) + b"\xff" * (8 - s)) for s in (1, 2, 4)]  # each word's lanes j >= s
 _REL0 = _repeated(bytes(range(56, -1, -8)))  # 56 - 8j in each word's lane j
 _H64 = _repeated(bytes(7) + b"\x80")  # each 64-bit lane's top bit
 _ONES64 = (1 << 64) - 1
-_SPREAD = 0x0101010101010101  # times a word's first lane copies it to all eight
-# (96 - 32k) mod 128 in the first lane of word k, whose period is four words
-_WORD_START = b"".join(bytes([96 - 32 * k, 0, 0, 0, 0, 0, 0, 0]) for k in range(4)) * (_RAW // 32)
 
 
 class ParenSeq(BitSeq):
@@ -159,50 +150,40 @@ class ParenSeq(BitSeq):
             yield k0, raw
 
     def _excess(self):
-        """The excess mod 256, one byte per position 0..n, checked for balance.
+        """The excess at each position 0..n less the excess at its 64-bit
+        block's start, plus 64, one byte per position, checked for balance.
 
-        Each lane pass (``_passes``, ``_word_lanes``) gives, in one 8-bit lane
-        per byte of the words, the excess before that byte less the excess
-        at its word's start. Each word's start excess, ``2 * _cum1[k] - 64k``
-        mod 256, copied to its eight lanes, makes that the excess before
-        each byte; adding the bytes translated by bit b's table gives the
-        excess after bit b of every byte, positions 8 apart, which one
-        extended slice writes. The pass's exact word minima then check that
-        the excess never drops below zero: the first word whose minimum is
-        negative starts at an excess below 64, so its excess lies in
-        -64..127 and its first -1 is its first byte 255."""
+        Block k holds positions 64k + 1..64k + 64; position 0 holds 64. Each
+        lane pass (``_passes``, ``_word_lanes``) gives, in one 8-bit lane per
+        byte of the words, the excess before that byte less the excess at
+        its word's start, plus 56; adding the bytes translated by bit b's
+        table gives the excess after bit b of every byte less its word's
+        start, plus 64, positions 8 apart, which one extended slice writes.
+        Every lane lies in 0..128, so none carries into the next. The pass's
+        exact word minima then check that the excess never drops below
+        zero: the first word k whose minimum is negative starts at an excess
+        ``2 * _cum1[k] - 64k`` below 64, and its first -1 is its first byte
+        63 less that."""
         n = self.n
         out = bytearray(n + 1 + -n % WORD)  # positions 0..64 * words
+        out[0] = 64
         cum1 = self._cum1
-        ranks = cum1.tobytes()[_LOW_BYTES]  # each word's rank at its start, mod 256
         for k0, raw in self._passes():
             nb = len(raw)
             rel, minima = _word_lanes(raw)
-            # each word's start excess less 64, 2 * (rank - 32k - 32) mod 256,
-            # in its first lane, then in all eight: c + (96 - 32k) mod 128 carries
-            # out of no lane once c is cut to its low seven bits
-            first = bytearray(nb)
-            first[::8] = ranks[k0 : k0 + nb // 8]
-            start = (((int.from_bytes(first, "little") & _L7) + int.from_bytes(_WORD_START[:nb], "little")) & _L7) << 1
-            start *= _SPREAD
-            # rel's lanes are below 128, so a lane sum carries out only from
-            # the top bits, which join by xor
-            before = (rel + (start & _L7)) ^ (start & _H8)  # the excess before each byte, less 8
-            low7, top = before & _L7, before & _H8
             lo = WORD * k0 + 1
             for b, after in enumerate(_AFTER_BIT):
-                lanes = (low7 + int.from_bytes(raw.translate(after), "little")) ^ top
+                lanes = rel + int.from_bytes(raw.translate(after), "little")
                 out[lo + b : lo + 8 * nb : 8] = lanes.to_bytes(nb, "little")
             if min(_exact_minima(cum1, k0, minima)) < 0:
                 k = k0 + next(i for i, v in enumerate(_exact_minima(cum1, k0, minima)) if v < 0)
-                raise ValidationError(
-                    f"unbalanced sequence: excess drops below zero at position {out.index(255, WORD * k + 1)}"
-                )
+                first = out.index(63 - 2 * cum1[k] + WORD * k, WORD * k + 1)
+                raise ValidationError(f"unbalanced sequence: excess drops below zero at position {first}")
         depth = 2 * cum1[-1] - n
         if depth:
             raise ValidationError(f"unbalanced sequence: {depth} unmatched opening parentheses")
         del out[n + 1 :]
-        return bytes(out)
+        return out
 
     def block_minima(self):
         """The excess minimum of each 64-bit block, a list built on first use
@@ -271,11 +252,9 @@ class ParenSeq(BitSeq):
 
     def _depth(self, x):
         """excess(x) for 1 <= x <= n: the excess at the start of x's block
-        plus x's offset from it, read from the two residues."""
+        plus x's byte less 64."""
         k = (x - 1) // _BLOCK
-        lo = k * _BLOCK
-        exc = self._exc
-        return 2 * self._cum1[k] - lo + ((exc[x] - exc[lo] + 128) & 255) - 128
+        return 2 * self._cum1[k] - k * _BLOCK + self._exc[x] - 64
 
     # -- matching --------------------------------------------------------------
 
@@ -298,14 +277,14 @@ class ParenSeq(BitSeq):
     def _fwd_to(self, start: int, target: int) -> int:
         """Smallest y >= start with excess(y) == target; target < excess(start-1).
 
-        Each searched range lies in one block, where the excess takes at
-        most 129 values around target's, so their residues are distinct and
-        the first byte equal to target's residue is the match."""
+        Each searched range lies in one block k, whose bytes are the excess
+        less ``2 * _cum1[k] - 64k``, plus 64, so the first byte equal to
+        target's is the match."""
         exc = self._exc
-        low = target & 255
+        cum1 = self._cum1
         kb = (start - 1) // _BLOCK
         try:
-            return exc.index(low, start, (kb + 1) * _BLOCK + 1)
+            return exc.index(target - 2 * cum1[kb] + kb * _BLOCK + 64, start, (kb + 1) * _BLOCK + 1)
         except ValueError:
             pass
         # The excess stays above target up to the end of block kb and moves
@@ -321,17 +300,19 @@ class ParenSeq(BitSeq):
                 k += 1 << j
         if k == nb:
             raise ContractError(f"no matching excess {target} forward of position {start}")
-        return exc.index(low, k * _BLOCK + 1, (k + 1) * _BLOCK + 1)
+        return exc.index(target - 2 * cum1[k] + k * _BLOCK + 64, k * _BLOCK + 1, (k + 1) * _BLOCK + 1)
 
     def _bwd_to(self, start: int, target: int) -> int:
         """Largest y <= start (possibly 0) with excess(y) == target; target <
         excess(start) and start >= 1, as position 1 of a balanced sequence
-        opens."""
+        opens. Block kb's byte of target is below 0 when the block does not
+        reach down to it: -1 for open(x) at the closer after a block of 64
+        closers. rindex raises ValueError for it, as for a miss."""
         exc = self._exc
-        low = target & 255
+        cum1 = self._cum1
         kb = (start - 1) // _BLOCK
         try:
-            return exc.rindex(low, kb * _BLOCK + 1, start + 1)
+            return exc.rindex(target - 2 * cum1[kb] + kb * _BLOCK + 64, kb * _BLOCK + 1, start + 1)
         except ValueError:
             pass
         # Mirror of _fwd_to: the last earlier block whose minimum is <= target
@@ -346,7 +327,7 @@ class ParenSeq(BitSeq):
             if target == 0:
                 return 0
             raise ContractError(f"no matching excess {target} backward of position {start}")
-        return exc.rindex(low, (k - 1) * _BLOCK + 1, k * _BLOCK + 1)
+        return exc.rindex(target - 2 * cum1[k - 1] + (k - 1) * _BLOCK + 64, (k - 1) * _BLOCK + 1, k * _BLOCK + 1)
 
     # -- range minimum over the excess array ------------------------------------
 
@@ -378,8 +359,8 @@ class ParenSeq(BitSeq):
     def _range_min(self, l, r):
         """(minimal excess over [l, r], its leftmost position), 1 <= l <= r <= n.
 
-        An end block is scanned by min and index on its residues, translated
-        by the order of the block's start. The whole blocks between the ends
+        An end block is scanned by min and index on its bytes, which order
+        as its excess does. The whole blocks between the ends
         take their minimum from two entries of one table row; an end block is
         then scanned only if its block minimum could win against it, and the
         winning whole block only to place it."""
@@ -393,9 +374,9 @@ class ParenSeq(BitSeq):
         kr = (r - 1) // _BLOCK
         lo = kl * _BLOCK
         if kl == kr:
-            seg = exc[l : r + 1].translate(_ORDER[exc[lo]])
+            seg = exc[l : r + 1]
             m = min(seg)
-            return 2 * cum1[kl] - lo + m - 128, l + seg.index(m)
+            return 2 * cum1[kl] - lo + m - 64, l + seg.index(m)
         bmin = self._bmin
         best_v = best_p = None  # best_p stays None while best_v is a whole block's
         if kr - kl > 1:
@@ -409,21 +390,22 @@ class ParenSeq(BitSeq):
             best_v = best >> shift
             mk = best - (best_v << shift)
         if best_v is None or bmin[kl] <= best_v:
-            seg = exc[l : lo + _BLOCK + 1].translate(_ORDER[exc[lo]])
+            seg = exc[l : lo + _BLOCK + 1]
             m = min(seg)
-            v = 2 * cum1[kl] - lo + m - 128
+            v = 2 * cum1[kl] - lo + m - 64
             if best_v is None or v <= best_v:
                 best_v, best_p = v, l + seg.index(m)
         if bmin[kr] < best_v:
             hi = kr * _BLOCK
-            seg = exc[hi + 1 : r + 1].translate(_ORDER[exc[hi]])
+            seg = exc[hi + 1 : r + 1]
             m = min(seg)
-            v = 2 * cum1[kr] - hi + m - 128
+            v = 2 * cum1[kr] - hi + m - 64
             if v < best_v:
                 return v, hi + 1 + seg.index(m)
         if best_p is None:
-            lo = mk * _BLOCK + 1
-            return best_v, exc.index(best_v & 255, lo, lo + _BLOCK)
+            # block mk holds its minimum, so the first match past its start is in it
+            lo = mk * _BLOCK
+            return best_v, exc.index(best_v - 2 * cum1[mk] + lo + 64, lo + 1)
         return best_v, best_p
 
     def __repr__(self):

@@ -112,9 +112,12 @@ def rmq_ancestor(h, i, j, counters=None):
 
 
 def rmq_scan(h, i, j, counters=None):
-    """Leftmost position of the minimum by linear scan; the oracle."""
+    """Leftmost position of the minimum by linear scan; the oracle.
+    ContractError for a heap that holds no values."""
     _check_range(h, i, j)
     values = h.values
+    if values is None:
+        raise ContractError("the heap holds no values")
     return min(range(i, j + 1), key=lambda k: values[k - 1])
 
 

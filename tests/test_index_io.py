@@ -107,8 +107,9 @@ def test_load_reads_sections_as_views_and_holds_typed_tables(tmp_path):
     loaded = index_io.load_array_index(path)
     assert type(loaded.values) is array and loaded.values.typecode == "q" and loaded.values == h.values
     p = loaded.dfuds
-    exc = itertools.accumulate((1 if bit else -1 for bit in p.iter_bits()), initial=0)
-    assert type(p._exc) is bytes and p._exc == h.dfuds._exc == bytes(e & 255 for e in exc)
+    exc = list(itertools.accumulate((1 if bit else -1 for bit in p.iter_bits()), initial=0))
+    held = bytes([64]) + bytes(e - exc[(x - 1) // 64 * 64] + 64 for x, e in enumerate(exc[1:], 1))
+    assert type(p._exc) is bytearray and p._exc == h.dfuds._exc == held
     assert (p._words.typecode, p._cum1.typecode, p._cum0.typecode) == ("Q", "q", "q")
 
 

@@ -410,9 +410,10 @@ def test_values_a_typed_table_cannot_hold_keep_a_list():
 @pytest.mark.parametrize("shape", ["random", "increasing", "decreasing"])
 @pytest.mark.parametrize("made_by", ["build", "load"])
 def test_index_holds_fixed_bytes_per_value_at_any_depth(tmp_path, made_by, shape):
-    # The values (array('q'), 8 B), the excess (bytes of its residues mod
-    # 256, 2 entries of 1 B each), the bits with their rank tables and the
-    # block tables hold about 15-16.5 B per value whatever the heap's depth.
+    # The values (array('q'), 8 B), the excess (a bytearray of its values
+    # relative to each 64-bit block's start, 2 entries of 1 B each), the
+    # bits with their rank tables and the block tables hold about 15-16.5 B
+    # per value whatever the heap's depth.
     # With the excess an array('I') they held 21-22 B; with list-held values
     # and excess a build held 32 B on random and increasing input and 95 B on
     # a decreasing one, whose excess entries are each an int object; a load

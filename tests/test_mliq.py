@@ -439,13 +439,13 @@ def test_interval_index_holds_typed_tables_and_no_dict(tmp_path):
         assert s.heap.values is None and s.heap.n == s.n
         dfuds = s.heap.dfuds
         tables = (s.a, s.b, dfuds._words, dfuds._cum1, dfuds._cum0)
-        held = {id(o) for o in reachable(s) if isinstance(o, (array, bytes))}
-        assert type(dfuds._exc) is bytes and held == {id(t) for t in (*tables, dfuds._exc)}
+        held = {id(o) for o in reachable(s) if isinstance(o, (array, bytes, bytearray))}
+        assert type(dfuds._exc) is bytearray and held == {id(t) for t in (*tables, dfuds._exc)}
         # a query with one qualifying interval answers by arithmetic: it
         # selects nothing, so it builds no select table
         assert mliq.mliq_naive(s, s.a[0], s.b[0]) == mliq.mliq_weighted(s, s.a[0], s.b[0]) == 1
         assert (dfuds._sel1, dfuds._off1, dfuds._sel0, dfuds._off0) == (None,) * 4
-        assert held == {id(o) for o in reachable(s) if isinstance(o, (array, bytes))}
+        assert held == {id(o) for o in reachable(s) if isinstance(o, (array, bytes, bytearray))}
         # a query whose range holds two intervals or more selects closes,
         # which builds that symbol's select directory and in-word offsets,
         # and no table of the opening symbol; its range minimum builds the
@@ -455,7 +455,7 @@ def test_interval_index_holds_typed_tables_and_no_dict(tmp_path):
         assert sum(x <= point <= y for x, y in zip(s.a, s.b)) >= 2
         mliq.mliq_naive(s, point, point)
         mliq.mliq_weighted(s, point, point)
-        held = {id(o) for o in reachable(s) if isinstance(o, (array, bytes))}
+        held = {id(o) for o in reachable(s) if isinstance(o, (array, bytes, bytearray))}
         assert dfuds._sel1 is None and dfuds._sel0.typecode == "q"
         assert dfuds._off1 is None and type(dfuds._off0) is bytes and len(dfuds._off0) == dfuds.count(0)
         assert held == {id(t) for t in (*tables, dfuds._exc, dfuds._sel0, dfuds._off0, *dfuds._table)}

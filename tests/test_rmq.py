@@ -61,6 +61,19 @@ def test_contract_errors(fix_heap):
             rmq.rmq_direct(fix_heap, i, j)
 
 
+def test_scan_on_a_heap_without_values_is_a_contract_error():
+    # An interval index's length heap holds no values: the scan refuses it
+    # as MinHeapIndex.value does, and the engines that read only the DFUDS
+    # answer on it, with the position of the shortest interval.
+    s = mliq.build_intervals([(0, 4), (2, 5), (3, 9)])
+    assert s.heap.values is None and s.lengths.tolist() == [5, 4, 7]
+    with pytest.raises(ContractError, match=r"^the heap holds no values$"):
+        rmq.range_min_index(s.heap, 1, 3, engine="scan")
+    with pytest.raises(ContractError, match=r"^indices \(1, 4\) outside 1\.\.3$"):
+        rmq.rmq_scan(s.heap, 1, 4)
+    assert {rmq.range_min_index(s.heap, 1, 3, engine=e) for e in ("checked", "direct", "ancestor")} == {2}
+
+
 def test_engines_agree_with_duplicates():
     rng = random.Random(0x77)
     for _ in range(40):

@@ -14,7 +14,7 @@ of bit input; they read the depths and hand them to the tree's one
 constructor pass. A BP text is checked by its excess, and a node's depth is
 the excess just before its opener. A DFUDS is the BP of a tree (the reversed
 dual's), so the same check accepts exactly the DFUDS texts; its blocks give
-the degrees and one stack pass their depths, in ``_dfuds_depths``, the one
+the degrees and the one stack pass their depths, in ``_dfuds_depths``, the one
 reader of DFUDS blocks, which ``mliq`` calls too. A decoder's labels are
 depth-first ranks, which cannot repeat, and ``tree_from_text`` checks the
 labels it reads are distinct, so no decoder makes the tree's label -> rank
@@ -37,7 +37,7 @@ from operator import add, sub
 from .bitseq import text_of
 from .errors import ParseError, ValidationError
 from .parens import _DIGIT_TO_PAREN, _STEPS, ParenSeq
-from .tree import OrdinalTree, _depths_of_degrees
+from .tree import OrdinalTree
 
 BP = "bp"
 DFUDS = "dfuds"
@@ -262,4 +262,12 @@ def _dfuds_depths(text):
     its blocks list the degrees in preorder, and one stack pass makes them
     depths. The one reader of DFUDS blocks, for the decoder here and the
     weighted positions of ``mliq``."""
-    return _depths_of_degrees(map(len, text[1:-1].split("0")))
+    depths = []
+    waiting = [0]  # a node's depth + 1 once per child still to attach
+    pop, put, wait = waiting.pop, depths.append, waiting.extend
+    for d in map(len, text[1:-1].split("0")):
+        depth = pop()
+        put(depth)
+        if d:
+            wait([depth + 1] * d)
+    return depths

@@ -9,6 +9,7 @@ reverse. BP of the dual is the reversed DFUDS of the primal, so ``dual``
 reads each of its arrays off the primal's sizes, parents and degrees by
 arithmetic, with no pass over a stack. ``reverse`` permutes the primal's
 arrays: a node keeps its depth and size and moves to its mirrored rank.
+``join`` and ``root_prepend`` are arithmetic on the preorder arrays too.
 ``reversed_dual`` lists the nodes in its preorder with the depths they have
 in the dual, which reversing keeps (a node's dual depth is the count of
 children the DFUDS still awaits before the node's block), and the tree
@@ -187,20 +188,21 @@ def primal_dual_ancestor(t: OrdinalTree, v1, v2) -> object:
 def join(t1: OrdinalTree, t2: OrdinalTree) -> OrdinalTree:
     """Insert the children of t1's root as children of the rightmost child
     of t2's root, which must exist and be a leaf."""
-    attach = t2.navigate(t2.root, "rmc")
-    if attach is None:
+    # t1's root becomes t2's last rank n2 - 1, the leaf; its other nodes follow
+    n1, n2 = t1.n_nodes, t2.n_nodes
+    if n2 == 1:
         raise ContractError("second tree's root has no rightmost child")
-    if t2.children(attach):
+    if t2._parent[-1] != 0:
+        attach = t2._order[max(r for r, p in enumerate(t2._parent) if p == 0)]
         raise ContractError(f"rightmost child {attach!r} of the second tree's root is not a leaf")
-    moved = [v for v in t1.nodes() if v != t1.root]
-    overlap = set(moved) & set(t2.nodes())
+    moved = t1._order[1:]
+    overlap = set(moved).intersection(t2._order)
     if overlap:
         raise ContractError(f"label collision between joined trees: {sorted(map(repr, overlap))}")
-    children = t2.children_map()
-    for v in moved:
-        children[v] = t1.children(v)
-    children[attach] = t1.children(t1.root)
-    return OrdinalTree.from_children(t2.root, children)
+    return OrdinalTree(t2._order + moved,
+                       [*t2._parent, *map((n2 - 1).__add__, islice(t1._parent, 1, None))],
+                       [*t2._depth, *map((1).__add__, islice(t1._depth, 1, None))],
+                       [t2._size[0] + n1 - 1, *t2._size[1:-1], n1, *islice(t1._size, 1, None)])
 
 
 def join_all(trees) -> OrdinalTree:
@@ -216,11 +218,11 @@ def join_all(trees) -> OrdinalTree:
 
 def root_prepend(label, t: OrdinalTree) -> OrdinalTree:
     """New root with the old root as its single child."""
-    if t.has_node(label):
+    # every rank and depth grows by one; the old root's parent -1 becomes 0
+    if label in t._order:
         raise ContractError(f"label {label!r} already used in the tree")
-    children = t.children_map()
-    children[label] = (t.root,)
-    return OrdinalTree.from_children(label, children)
+    return OrdinalTree([label, *t._order], [-1, *map((1).__add__, t._parent)],
+                       [0, *map((1).__add__, t._depth)], [t.n_nodes + 1, *t._size])
 
 
 def is_quasi_subtree(a: OrdinalTree, t: OrdinalTree) -> bool:

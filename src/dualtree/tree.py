@@ -5,8 +5,8 @@ against. A tree is fixed by its preorder and subtree sizes, as BP and DFUDS
 show, and it holds the labels in depth-first order and rank-indexed int
 arrays of size, depth and parent rank (an O(1) ``parent``). Every
 constructor fills those arrays in one pass from the labels and depths in
-preorder (``_from_depths``), and ``_depths_of_degrees`` turns child counts
-in preorder, as a DFS or a DFUDS gives them, into depths. The label ->
+preorder (``_from_depths``; ``from_children`` walks its map once to list
+them) or by arithmetic on other trees' arrays. The label ->
 rank dict that every lookup by label reads is made by the first such
 lookup and kept, so a tree that is only built, encoded or dualized holds no
 per-node container but its preorder. The rest is arithmetic (Navarro,
@@ -33,21 +33,6 @@ _NAV_KINDS = (PARENT, RMC, LMC, ILS, IRS)
 _INT = "i"  # typecode of the rank-indexed arrays; C ints hold any rank a process can reach
 
 
-def _depths_of_degrees(degrees):
-    """The depth of every node in preorder, from the child counts in preorder
-    of a tree: a stack that holds each node's depth + 1 once per child still
-    to attach gives every depth."""
-    depths = []
-    waiting = [0]
-    pop, put, wait = waiting.pop, depths.append, waiting.extend
-    for d in degrees:
-        depth = pop()
-        put(depth)
-        if d:
-            wait([depth + 1] * d)
-    return depths
-
-
 class OrdinalTree:
     __slots__ = ("root", "_order", "_rank", "_parent", "_depth", "_size")
 
@@ -68,25 +53,29 @@ class OrdinalTree:
     def from_children(cls, root, children):
         """Build from a root label and a label -> ordered child tuple map."""
         order = []
-        degree = []
+        depths = []
         seen = {root}
-        stack = [root]
+        stack = [0, root]  # each label above its depth
         while stack:
-            v = stack.pop()
+            v, d = stack.pop(), stack.pop()
             order.append(v)
+            depths.append(d)
             kids = tuple(children.get(v, ()))
-            if len(set(kids)) != len(kids):
-                raise ValidationError(f"node {v!r} has duplicate children")
             for c in kids:
                 if c in seen:
+                    # a label repeated in the list is met again here at the latest
+                    if len(set(kids)) < len(kids):
+                        raise ValidationError(f"node {v!r} has duplicate children")
                     raise ValidationError(f"node {c!r} appears twice (cycle or shared child)")
                 seen.add(c)
-            stack.extend(reversed(kids))
-            degree.append(len(kids))
+            d += 1
+            for c in reversed(kids):
+                stack.append(d)
+                stack.append(c)
         extra = set(children).difference(seen)
         if extra:
             raise ValidationError(f"child lists given for unreachable nodes: {sorted(extra, key=repr)}")
-        return cls._from_depths(order, _depths_of_degrees(degree))
+        return cls._from_depths(order, depths)
 
     @classmethod
     def _from_depths(cls, order, depths):

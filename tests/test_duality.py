@@ -4,6 +4,7 @@ from operator import sub
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dict_tree
 from dualtree import codec, duality
@@ -207,6 +208,89 @@ def test_root_prepend():
         d = duality.dual(duality.root_prepend(0, base))
         rmc = d.navigate(d.root, "rmc")
         assert rmc is not None and d.children(rmc) == ()
+
+
+def join_by_children_map(t1, t2):
+    """``join`` as it was built before the array arithmetic: t2's children
+    map with t1's non-root child lists added and t1's root children under
+    the rightmost child of t2's root, walked again by ``from_children``."""
+    attach = t2.navigate(t2.root, "rmc")
+    if attach is None:
+        raise ContractError("second tree's root has no rightmost child")
+    if t2.children(attach):
+        raise ContractError(f"rightmost child {attach!r} of the second tree's root is not a leaf")
+    moved = [v for v in t1.nodes() if v != t1.root]
+    overlap = set(moved) & set(t2.nodes())
+    if overlap:
+        raise ContractError(f"label collision between joined trees: {sorted(map(repr, overlap))}")
+    children = t2.children_map()
+    for v in moved:
+        children[v] = t1.children(v)
+    children[attach] = t1.children(t1.root)
+    return OrdinalTree.from_children(t2.root, children)
+
+
+def root_prepend_by_children_map(label, t):
+    """``root_prepend`` as it was built before the array arithmetic."""
+    if t.has_node(label):
+        raise ContractError(f"label {label!r} already used in the tree")
+    children = t.children_map()
+    children[label] = (t.root,)
+    return OrdinalTree.from_children(label, children)
+
+
+def outcome(make, *args):
+    """The arrays of the tree ``make(*args)`` returns, or the text of the
+    ContractError it raises."""
+    try:
+        return arrays(make(*args))
+    except ContractError as err:
+        return f"ContractError: {err}"
+
+
+@st.composite
+def join_cases(draw):
+    """(t1, t2) for ``join``. t1 is a tree of ``shapes`` (a single node
+    among them) with its labels moved apart from t2's, or, when a collision
+    is drawn, with one of them renamed to a label of t2. t2's root has no
+    child, or a rightmost child that is a leaf or an inner node."""
+    r1, k1 = draw(shapes())
+    r2, k2 = draw(shapes())
+    fresh = ("x", "y") if isinstance(r2, str) else (-1, -2)
+    rightmost = draw(st.sampled_from(["leaf", "as drawn", "inner", "none"]))
+    if rightmost == "none":
+        k2 = {}
+    elif rightmost == "leaf":
+        k2 = {**k2, r2: (*k2.get(r2, ()), fresh[0])}
+    elif rightmost == "inner":
+        k2 = {**k2, r2: (*k2.get(r2, ()), fresh[0]), fresh[0]: (fresh[1],)}
+    t2 = OrdinalTree.from_children(r2, k2)
+    labels1 = [r1, *(c for kids in k1.values() for c in kids)]
+    name = {v: v + 1000 if isinstance(v, int) else f"t1{v}" for v in labels1}
+    if draw(st.booleans()):
+        name[draw(st.sampled_from(labels1))] = draw(st.sampled_from(list(t2.nodes())))
+    t1 = OrdinalTree.from_children(name[r1], {name[v]: tuple(map(name.get, kids)) for v, kids in k1.items()})
+    return t1, t2
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=join_cases())
+def test_join_matches_the_children_map_oracle(case):
+    # equal arrays or the same error, and no label map made on either input
+    t1, t2 = case
+    got = outcome(duality.join, t1, t2)
+    assert t1._rank is None and t2._rank is None
+    assert got == outcome(join_by_children_map, t1, t2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=shapes(), data=st.data())
+def test_root_prepend_matches_the_children_map_oracle(shape, data):
+    t = OrdinalTree.from_children(*shape)
+    label = data.draw(st.sampled_from([0, "r", *t.nodes()]))  # 0 and "r" are never a node of shapes
+    got = outcome(duality.root_prepend, label, t)
+    assert t._rank is None
+    assert got == outcome(root_prepend_by_children_map, label, t)
 
 
 def test_quasi_subtree_examples(fix_t):

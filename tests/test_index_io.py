@@ -151,7 +151,8 @@ def test_save_and_load_peak_near_the_index_they_hold(tmp_path):
     # from the index's own arrays, 0.3. A load read VALS as bytes and copied
     # them into an array that frombytes over-allocates: it peaked 7.56 above
     # what it held and held 0.5 more than a build. Read straight into the
-    # array it keeps, it peaks 4.8 above and holds no more than a build.
+    # array it keeps, it peaks 2.74 above and holds no more than a build, so
+    # a copy of the excess (2 per value) or of VALS brought back fails here.
     n = 100_000
     path = str(tmp_path / "a.idx")
     values = random_array(random.Random(0x5A7E), n)
@@ -160,7 +161,7 @@ def test_save_and_load_peak_near_the_index_they_hold(tmp_path):
     assert save_peak - saved <= 2 * n, (save_peak - saved) / n
     loaded, held, load_peak = traced(lambda: index_io.load_array_index(path))
     assert loaded.values == h.values and loaded.dfuds == h.dfuds
-    assert load_peak - held <= 6 * n, (load_peak - held) / n
+    assert load_peak - held <= 4 * n, (load_peak - held) / n
     # a save builds the block minima, which a load builds to compare EMIN
     assert held <= built + saved, (held - built - saved) / n
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import dict_tree
 from dualtree import codec, duality
+from dualtree.errors import ValidationError
 from dualtree.minheap import ROOT_LABEL, build_minheap
 from dualtree.randgen import random_tree
 from dualtree.tree import _NAV_KINDS, OrdinalTree
@@ -52,6 +53,63 @@ def test_accessors_and_constructions_match_the_dict_oracle(shape):
     for array_form, dict_form in ((duality.dual, dict_tree.dual), (duality.reversed_dual, dict_tree.reversed_dual),
                                   (duality.reverse, dict_tree.reverse)):
         assert_same(array_form(t), dict_form(o))
+
+
+# faults a child map can hold, and what the message for each one says
+FAULTS = {
+    "repeated child": "has duplicate children",
+    "shared child": "appears twice (cycle or shared child)",
+    "cycle to the root": "appears twice (cycle or shared child)",
+    "unreachable list": "child lists given for unreachable nodes",
+    "seen node before a repeat": "has duplicate children",
+}
+
+
+@st.composite
+def malformed_maps(draw):
+    """(root, label -> child list map, fault): a tree of ``shapes`` with one
+    of ``FAULTS`` put in its map. One only: the dict oracle checks the child
+    lists right to left, so of two faults in two lists it may name the other."""
+    root, kids = draw(shapes())
+    fresh = ("x", "y", "z") if isinstance(root, str) else (0, -1, -2)
+    kids = {v: list(c) for v, c in kids.items()} or {root: [fresh[2]]}
+    order = list(OrdinalTree.from_children(root, kids).nodes())
+    inner = [v for v in order if kids.get(v)]
+    fault = draw(st.sampled_from(sorted(FAULTS)))
+    v = draw(st.sampled_from(inner))
+    c = draw(st.sampled_from(kids[v]))
+    if fault == "repeated child":
+        kids[v].insert(draw(st.integers(0, len(kids[v]))), c)
+    elif fault == "shared child":
+        w = kids.setdefault(draw(st.sampled_from([u for u in order if u != v])), [])
+        w.insert(draw(st.integers(0, len(w))), c)
+    elif fault == "cycle to the root":
+        w = kids.setdefault(draw(st.sampled_from(order)), [])
+        w.insert(draw(st.integers(0, len(w))), root)
+    elif fault == "unreachable list":
+        kids[fresh[0]] = [fresh[1]]
+    else:  # a node met before v, or v itself, then a repeat of c
+        k = draw(st.integers(0, len(kids[v])))
+        kids[v][k:] = [draw(st.sampled_from(order[:order.index(v) + 1])), *kids[v][k:], c]
+    return root, kids, fault
+
+
+def rejection(build, root, kids):
+    """The text of the ValidationError ``build(root, kids)`` raises."""
+    try:
+        build(root, kids)
+    except ValidationError as err:
+        return str(err)
+    raise AssertionError("a malformed map was accepted")
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=malformed_maps())
+def test_from_children_rejects_malformed_maps_as_the_dict_oracle_does(case):
+    root, kids, fault = case
+    got = rejection(OrdinalTree.from_children, root, kids)
+    assert got == rejection(dict_tree.DictTree.from_children, root, kids)
+    assert FAULTS[fault] in got
 
 
 @settings(max_examples=150, deadline=None)

@@ -5,10 +5,14 @@ leaving it. DFUDS writes, per node in depth-first order, one opening
 parenthesis per child followed by a single closing one, with an extra
 opening parenthesis up front to balance the sequence.
 
-Both encodings are fixed by an OrdinalTree's preorder arrays, so the
-encoders write them in bulk: BP from the depths (before each opener come
+Both encodings are fixed by an OrdinalTree's preorder arrays, and both are
+runs of one parenthesis, so the encoders write them one way: a run per
+node, mapped lazily over the tree's own array, each distinct run made once
+in a ``_Runs`` table, and the whole text made by one join. BP is runs of
+closers joined by openers, read off the depths (before each opener come
 depth(prev) + 1 - depth(v) closers, and depth(last) + 1 closers end the
-text), DFUDS from the degrees. The decoders read their input, and
+text); DFUDS is a leading opener, then per node a run of degree openers
+ended by a closer. The decoders read their input, and
 ``mirror_string`` checks its own, through ``bitseq.text_of``, the one reader
 of bit input; they read the depths and hand them to the tree's one
 constructor pass. A BP text is checked by its excess, and a node's depth is
@@ -36,7 +40,7 @@ from operator import add, sub
 
 from .bitseq import text_of
 from .errors import ParseError, ValidationError
-from .parens import _DIGIT_TO_PAREN, _STEPS, ParenSeq
+from .parens import _DIGIT_TO_PAREN, ParenSeq
 from .tree import OrdinalTree
 
 BP = "bp"
@@ -44,7 +48,7 @@ DFUDS = "dfuds"
 
 _FLIP = str.maketrans("()01", ")(10")
 _OPENERS = bytes.maketrans(b"01", b"\0\1")  # 0/1 text -> its openers as 0/1 bytes
-_TEXT_CHUNK = 1 << 10  # nodes whose DFUDS text is joined at a time
+_STEPS = bytes.maketrans(b"01", b"\xff\x01")  # '0' -> -1, '1' -> +1 as signed bytes
 
 
 class NodeParenMap:
@@ -109,7 +113,7 @@ class NodeParenMap:
 
 def bp_encode(t: OrdinalTree):
     """Balanced-parenthesis encoding; length is twice the node count."""
-    return ParenSeq(_bp_of_depths(t._depth.tolist())), NodeParenMap(BP, t)
+    return ParenSeq(_bp_of_depths(t._depth)), NodeParenMap(BP, t)
 
 
 def dfuds_encode(t: OrdinalTree):
@@ -156,7 +160,7 @@ def tree_to_text(t: OrdinalTree) -> str:
             if s in seen:
                 raise ValidationError(f"label {v!r} cannot be written as text: an earlier label is also written {s!r}")
             seen.add(s)
-    return _bp_of_depths(t._depth.tolist()).translate(_DIGIT_TO_PAREN) + "\n" + line + "\n"
+    return _bp_of_depths(t._depth).translate(_DIGIT_TO_PAREN) + "\n" + line + "\n"
 
 
 def tree_from_text(text: str) -> OrdinalTree:
@@ -183,37 +187,31 @@ def tree_from_text(text: str) -> OrdinalTree:
 # -- text of the encodings -------------------------------------------------------
 
 
+class _Runs(dict):
+    """The run ``make(k)`` of each key k, made the first time k is met: once
+    per distinct key, not once per node (a tree of n nodes has fewer than
+    sqrt(2n) + 1 distinct degrees, and as few distinct depth drops)."""
+
+    def __init__(self, make):
+        self._make = make
+
+    def __missing__(self, k):
+        self[k] = run = self._make(k)
+        return run
+
+
 def _bp_of_depths(depths):
-    """BP as 0/1 text of the tree whose preorder depths are ``depths``.
-
-    Before each opener come depth(previous) + 1 - depth closers, and each
-    distinct run of them is made once, as in ``_dfuds_of_degrees``."""
-    drops = list(map(sub, chain((-1,), depths), chain(depths, (0,))))
-    zeros = {d: "0" * (d + 1) for d in set(drops)}
-    return "1".join(map(zeros.__getitem__, drops))
-
-
-class _Pieces(dict):
-    """The DFUDS piece of a degree d, its run of d ones and a zero, made on
-    first use: once per distinct degree (a tree of n nodes has fewer than
-    sqrt(2n) + 1 of them), not once per node."""
-
-    def __missing__(self, d):
-        self[d] = piece = "1" * d + "0"
-        return piece
+    """BP as 0/1 text of the tree whose preorder depths are ``depths``:
+    before each opener come depth(previous) + 1 - depth closers, and
+    depth(last) + 1 closers end the text."""
+    drops = map(sub, chain((-1,), depths), chain(depths, (0,)))
+    return "1".join(map(_Runs(lambda d: "0" * (d + 1)).__getitem__, drops))
 
 
 def _dfuds_of_degrees(degrees):
-    """DFUDS as 0/1 text of the tree whose preorder degrees are ``degrees``.
-
-    The pieces are joined ``_TEXT_CHUNK`` nodes at a time: one join over all
-    nodes would hold a pointer per node next to the degrees, while the
-    chunks are joined after the degrees are read to their end, which frees
-    them when the caller holds them no more."""
-    chunks = range(0, len(degrees), _TEXT_CHUNK)
-    steps = map(_Pieces().__getitem__, degrees)
-    del degrees  # steps holds them until it is read to the end
-    return "".join(["1"] + ["".join(islice(steps, _TEXT_CHUNK)) for _ in chunks])
+    """DFUDS as 0/1 text of the tree whose preorder degrees are ``degrees``:
+    a leading opener, then per node its degree's openers and a closer."""
+    return "".join(chain("1", map(_Runs(lambda d: "1" * d + "0").__getitem__, degrees)))
 
 
 # -- decoding --------------------------------------------------------------------

@@ -61,8 +61,9 @@ every lane at once. Only a family that fails is searched for its breach
 (``_first_breach``), which names the first interval that breaks a rule, as
 a check of one pair at a time would.
 
-Containment conventions: CLOSED (default) answers with intervals satisfying
-a_i <= a <= b <= b_i; STRICT requires a_i < a and b_i > b. On integer
+Containment conventions: closed (the default) answers with intervals
+satisfying a_i <= a <= b <= b_i; strict (``strict=True``) requires a_i < a
+and b_i > b. On integer
 endpoints the two differ only by a unit shift of the query; both are exposed
 and both are held to the brute-force oracle.
 """
@@ -279,10 +280,6 @@ def _close_count(b, budget):
     b_n + 1 in all."""
     sentinel = b[-1] + 1
     return len(b) - bisect_left(b, sentinel - budget) + (budget >= sentinel)
-
-
-STRICT = "strict"
-CLOSED = "closed"
 
 
 def mliq_bruteforce(s, a, b, strict=False, counters=None):

@@ -81,7 +81,6 @@ _CHUNK = 1 << 15  # bits in one lane integer: few, so a lane pass holds few byte
 _RAW = _CHUNK // 8  # bytes of words, one 8-bit lane each, in a lane pass
 _LANES = _CHUNK // 64  # table entries, one 64-bit lane each, in a lane pass
 
-_STEPS = bytes.maketrans(b"01", b"\xff\x01")  # '0' -> -1, '1' -> +1 as signed bytes
 _DIGIT_TO_PAREN = str.maketrans("10", "()")
 
 

@@ -186,9 +186,9 @@ def _check_encodings(s, t, d):
     hat, _ = codec.bp_encode(rd)
     s.check("dfuds_equals_bp_of_reversed_dual", hat == df and rd == duality.reverse(d), f"n={t.n_nodes}")
 
-    shape = _shape_of(t)
-    s.check("bp_roundtrip", _shape_of(codec.bp_decode(bp)) == shape, f"n={t.n_nodes}")
-    s.check("dfuds_roundtrip", _shape_of(codec.dfuds_decode(df)) == shape, f"n={t.n_nodes}")
+    # the subtree sizes in preorder fix an ordered tree's shape
+    s.check("bp_roundtrip", codec.bp_decode(bp)._size == t._size, f"n={t.n_nodes}")
+    s.check("dfuds_roundtrip", codec.dfuds_decode(df)._size == t._size, f"n={t.n_nodes}")
 
     # Excess relations at designated closes: a rightmost child keeps its
     # parent's value, an immediate right sibling sits one below its left one.
@@ -209,11 +209,6 @@ def _check_encodings(s, t, d):
     s.check("dfuds_close_is_select", ok_anchor, f"n={t.n_nodes}")
     s.check("dfuds_rightmost_child_excess", ok_rmc, f"n={t.n_nodes}")
     s.check("dfuds_right_sibling_excess", ok_irs, f"n={t.n_nodes}")
-
-
-def _shape_of(t):
-    """The subtree sizes in preorder, which fix an ordered tree's shape."""
-    return t._size
 
 
 # ---------------------------------------------------------------------------

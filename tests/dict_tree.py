@@ -33,7 +33,7 @@ class DictTree:
         parent = {}
         seen = {root}
         stack = [root]
-        while stack:
+        while stack:  # in preorder, so of two faults the one met first is named
             v = stack.pop()
             kids = tuple(children.get(v, ()))
             if len(set(kids)) != len(kids):
@@ -44,7 +44,7 @@ class DictTree:
                     raise ValidationError(f"node {c!r} appears twice (cycle or shared child)")
                 seen.add(c)
                 parent[c] = v
-                stack.append(c)
+            stack.extend(reversed(kids))
         extra = set(children) - set(norm)
         if extra:
             raise ValidationError(f"child lists given for unreachable nodes: {sorted(extra, key=repr)}")

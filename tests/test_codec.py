@@ -11,7 +11,7 @@ from dualtree.parens import ParenSeq
 from dualtree.randgen import random_tree
 from dualtree.tree import OrdinalTree
 
-from conftest import FIX_BP, FIX_DFUDS, FIX_DFUDS_TSTAR, ROOT, relabel, trees
+from conftest import FIX_BP, FIX_DFUDS, FIX_DFUDS_TSTAR, ROOT, relabel, traced, trees
 
 
 def shape(t):
@@ -402,6 +402,37 @@ def test_bulk_codecs_match_the_stack_oracle(t):
     if all(isinstance(v, str) for v in t.nodes()):
         back = codec.tree_from_text(text)
         assert back == t and back.parent_map() == t.parent_map()
+
+
+def long_runs():
+    """Trees of 3000 nodes whose runs are long: a star (one run of 2999
+    openers in its DFUDS, of 3000 closers at the end of its BP), a chain, a
+    broom (a chain of 1500 nodes ending in a star of 1500 leaves) and a
+    random tree."""
+    n = 3000
+    half = n // 2
+    broom = {v: (v + 1,) for v in range(1, half)}
+    broom[half] = tuple(range(half + 1, n + 1))
+    return [OrdinalTree.from_children(1, {1: tuple(range(2, n + 1))}),
+            OrdinalTree.from_children(1, {v: (v + 1,) for v in range(1, n)}),
+            OrdinalTree.from_children(1, broom),
+            random_tree(random.Random(3000), n)]
+
+
+@pytest.mark.parametrize("t", long_runs(), ids=["star", "chain", "broom", "random"])
+def test_bulk_writers_match_the_stack_oracle_on_long_runs(t):
+    assert codec.bp_encode(t)[0] == oracle_bp_encode(t)[0]
+    assert codec.dfuds_encode(t)[0] == oracle_dfuds_encode(t)[0]
+    assert codec.tree_to_text(t) == oracle_tree_to_text(t)
+
+
+def test_bp_writer_holds_no_list_of_its_own():
+    # the text's 2 B per node, and the one join's pointer per node
+    n = 10**5
+    t = OrdinalTree.from_children(1, {v: (v + 1,) for v in range(1, n)})
+    text, _, peak = traced(lambda: codec._bp_of_depths(t._depth))
+    assert text == "1" * n + "0" * n
+    assert peak <= 16 * n
 
 
 @st.composite

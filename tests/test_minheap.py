@@ -271,6 +271,15 @@ def test_right_to_left_pass_gives_the_dfuds_of_the_left_to_right_pass(values):
 TEXT_CHUNK = 1 << 10
 
 
+class Pieces(dict):
+    """The DFUDS piece of a degree d, its run of d ones and a zero, made on
+    first use."""
+
+    def __missing__(self, d):
+        self[d] = piece = "1" * d + "0"
+        return piece
+
+
 def degrees_from_the_right(values):
     """The heap's degrees in reverse preorder, the root's last, by the
     right-to-left pass over the values that ``values`` yields last to first:
@@ -291,7 +300,7 @@ def degrees_from_the_right(values):
 def dfuds_of_reversed_degrees(degrees):
     """DFUDS text of the tree whose degrees in reverse preorder ``degrees``
     yields, the pieces of ``TEXT_CHUNK`` nodes joined at a time."""
-    pieces = codec._Pieces()
+    pieces = Pieces()
     degrees = iter(degrees)
     chunks = []
     while chunk := list(islice(degrees, TEXT_CHUNK)):

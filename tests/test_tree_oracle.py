@@ -67,31 +67,52 @@ FAULTS = {
 
 @st.composite
 def malformed_maps(draw):
-    """(root, label -> child list map, fault): a tree of ``shapes`` with one
-    of ``FAULTS`` put in its map. One only: the dict oracle checks the child
-    lists right to left, so of two faults in two lists it may name the other."""
+    """(root, label -> child list map, faults): a tree of ``shapes`` with one
+    to three of ``FAULTS`` put in its map, each in a list of its own, so that
+    no two add up to a third kind: two children shared into one list would
+    repeat a child there."""
     root, kids = draw(shapes())
     fresh = ("x", "y", "z") if isinstance(root, str) else (0, -1, -2)
     kids = {v: list(c) for v, c in kids.items()} or {root: [fresh[2]]}
+    given = {v: tuple(c) for v, c in kids.items()}  # the children to share or repeat
     order = list(OrdinalTree.from_children(root, kids).nodes())
-    inner = [v for v in order if kids.get(v)]
-    fault = draw(st.sampled_from(sorted(FAULTS)))
-    v = draw(st.sampled_from(inner))
-    c = draw(st.sampled_from(kids[v]))
-    if fault == "repeated child":
-        kids[v].insert(draw(st.integers(0, len(kids[v]))), c)
-    elif fault == "shared child":
-        w = kids.setdefault(draw(st.sampled_from([u for u in order if u != v])), [])
-        w.insert(draw(st.integers(0, len(w))), c)
-    elif fault == "cycle to the root":
-        w = kids.setdefault(draw(st.sampled_from(order)), [])
-        w.insert(draw(st.integers(0, len(w))), root)
-    elif fault == "unreachable list":
-        kids[fresh[0]] = [fresh[1]]
-    else:  # a node met before v, or v itself, then a repeat of c
-        k = draw(st.integers(0, len(kids[v])))
-        kids[v][k:] = [draw(st.sampled_from(order[:order.index(v) + 1])), *kids[v][k:], c]
-    return root, kids, fault
+    used = set()  # the lists a fault went into
+    faults = []
+    for _ in range(draw(st.integers(1, 3))):
+        fault = draw(st.sampled_from(sorted(FAULTS)))
+        free = [v for v in order if v not in used]
+        if fault == "unreachable list":
+            kids[fresh[0]] = [fresh[1]]
+        elif fault == "cycle to the root":
+            if not free:
+                continue
+            w = draw(st.sampled_from(free))
+            into = kids.setdefault(w, [])
+            into.insert(draw(st.integers(0, len(into))), root)
+            used.add(w)
+        elif fault == "shared child":
+            inner = [v for v in order if given.get(v) and [u for u in free if u != v]]
+            if not inner:
+                continue
+            v = draw(st.sampled_from(inner))
+            w = draw(st.sampled_from([u for u in free if u != v]))
+            into = kids.setdefault(w, [])
+            into.insert(draw(st.integers(0, len(into))), draw(st.sampled_from(given[v])))
+            used.add(w)
+        else:  # a repeat of one of v's children, after a node met before v or v itself, or not
+            inner = [v for v in free if given.get(v)]
+            if not inner:
+                continue
+            v = draw(st.sampled_from(inner))
+            c = draw(st.sampled_from(given[v]))
+            k = draw(st.integers(0, len(kids[v])))
+            if fault == "repeated child":
+                kids[v].insert(k, c)
+            else:
+                kids[v][k:] = [draw(st.sampled_from(order[:order.index(v) + 1])), *kids[v][k:], c]
+            used.add(v)
+        faults.append(fault)
+    return root, kids, faults
 
 
 def rejection(build, root, kids):
@@ -106,10 +127,10 @@ def rejection(build, root, kids):
 @settings(max_examples=300, deadline=None)
 @given(case=malformed_maps())
 def test_from_children_rejects_malformed_maps_as_the_dict_oracle_does(case):
-    root, kids, fault = case
+    root, kids, faults = case
     got = rejection(OrdinalTree.from_children, root, kids)
     assert got == rejection(dict_tree.DictTree.from_children, root, kids)
-    assert FAULTS[fault] in got
+    assert any(FAULTS[fault] in got for fault in faults)
 
 
 @settings(max_examples=150, deadline=None)

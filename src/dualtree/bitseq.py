@@ -30,9 +30,10 @@ the select directories ``array('q')``, and the in-word offsets ``bytes``.
 ``le_buffer`` and ``le_bytes`` give such a table's little-endian bytes on
 any host, and ``from_le`` reads them back; on a little-endian host
 ``le_buffer`` is the table itself and ``read_le`` reads a file's integers
-straight into the ``array('q')`` that ``le_table`` returns, so neither way
-copies them. ``_BIG_ENDIAN`` is read when they run, so each byteswap can be
-tested on any host.
+straight into the typed array that ``le_table`` returns, so neither way
+copies them. The four take integers of any item size: an index's input
+tables are 4 or 8 bytes each. ``_BIG_ENDIAN`` is read when they run, so
+each byteswap can be tested on any host.
 
 A balanced parenthesis sequence is a BitSeq too: ``parens.ParenSeq``
 subclasses it, packs its text the same way and adds the excess tables. A
@@ -205,14 +206,14 @@ def text_of(bits) -> str:
 
 
 def le_bytes(table):
-    """An array of 64-bit integers as little-endian bytes on any host."""
+    """A typed array of integers as little-endian bytes on any host."""
     return bytes(le_buffer(table))
 
 
 def le_buffer(table):
-    """An array of 64-bit integers as a buffer of its little-endian bytes:
-    the array itself on a little-endian host, which a file writes from
-    uncopied, and a byteswapped copy on a big-endian one."""
+    """A typed array of integers as a buffer of its little-endian bytes: the
+    array itself on a little-endian host, which a file writes from uncopied,
+    and a byteswapped copy on a big-endian one."""
     if not _BIG_ENDIAN:
         return table
     table = array(table.typecode, table)
@@ -221,8 +222,9 @@ def le_buffer(table):
 
 
 def from_le(payload, typecode="q"):
-    """Little-endian 64-bit integers, any bytes-like object, as an
-    ``array(typecode)``; the bytes are copied in one step, not iterated."""
+    """Little-endian integers of ``typecode``'s item size, any bytes-like
+    object, as an ``array(typecode)``; the bytes are copied in one step, not
+    iterated."""
     table = array(typecode)
     table.frombytes(payload)
     if _BIG_ENDIAN:
@@ -230,30 +232,34 @@ def from_le(payload, typecode="q"):
     return table
 
 
-def read_le(fh, nbytes):
-    """``nbytes`` bytes of the binary file ``fh``, fewer if it ends first, as
-    a memoryview. On a little-endian host, when ``nbytes`` is a multiple of
-    8, they are read straight into an ``array('q')`` of that size, the
-    view's ``obj``, which ``le_table`` hands over uncopied; otherwise, and on
-    a big-endian host, into ``bytes``."""
-    if _BIG_ENDIAN or nbytes % 8:
-        return memoryview(fh.read(nbytes))
-    table = array("q", bytes(8)) * (nbytes // 8)
-    return memoryview(table).cast("B")[: fh.readinto(table)]
+def read_le(fh, nbytes, typecode="q", head=b""):
+    """``head``, bytes already read, and then the next ``nbytes - len(head)``
+    bytes of the binary file ``fh``, fewer if it ends first, as a memoryview.
+    On a little-endian host, when ``nbytes`` is a multiple of ``typecode``'s
+    item size, they are read straight into an ``array(typecode)`` of that
+    size, the view's ``obj``, which ``le_table`` hands over uncopied;
+    otherwise, and on a big-endian host, into ``bytes``."""
+    size = array(typecode).itemsize
+    if _BIG_ENDIAN or nbytes % size:
+        return memoryview(head + fh.read(nbytes - len(head)))
+    table = array(typecode, bytes(size)) * (nbytes // size)
+    view = memoryview(table).cast("B")
+    view[: len(head)] = head
+    return view[: len(head) + fh.readinto(view[len(head) :])]
 
 
-def le_table(payload, skip=0):
-    """The little-endian signed 64-bit integers of ``payload``, a memoryview,
-    past its first ``skip`` bytes (a multiple of 8), as an ``array('q')``.
-    A view of all of an array that ``read_le`` filled gives that array
-    itself, the skipped integers deleted in place (the view is released
-    first, since an array a view holds cannot shrink); any other is copied
-    by ``from_le``."""
+def le_table(payload, skip=0, typecode="q"):
+    """The little-endian integers of ``payload``, a memoryview, past its
+    first ``skip`` bytes (a multiple of ``typecode``'s item size), as an
+    ``array(typecode)``. A view of all of an array of that typecode that
+    ``read_le`` filled gives that array itself, the skipped integers deleted
+    in place (the view is released first, since an array a view holds cannot
+    shrink); any other is copied by ``from_le``."""
     table = payload.obj
-    if type(table) is not array or len(payload) != 8 * len(table):
-        return from_le(payload[skip:])
+    if type(table) is not array or table.typecode != typecode or len(payload) != table.itemsize * len(table):
+        return from_le(payload[skip:], typecode)
     payload.release()
-    del table[: skip // 8]
+    del table[: skip // table.itemsize]
     return table
 
 

@@ -114,7 +114,11 @@ def cmd_inspect(args):
     print(f"version: {version}")
     print(f"kind: {index_io.KIND_NAMES[kind]}")
     for tag, payload in sections.items():
-        print(f"{tag}: {len(payload)} bytes")
+        line = f"{tag}: {len(payload)} bytes"
+        if version >= 4 and tag in index_io._INPUTS:
+            width, start = index_io._input_layout(args.index, version, tag, payload)
+            line += f", {(len(payload) - start) // width} entries of {width} bytes"
+        print(line)
     return EXIT_OK
 
 

@@ -3,22 +3,30 @@
 Blob layout (everything little-endian):
 
     magic   4 bytes  b"DTR1"
-    version u16      3
+    version u16      4
     kind    u16      1 = array index, 2 = interval index
     count   u32      number of sections
     section tag (4 ascii bytes), u64 payload length, payload
 
-Version 3, the one a save writes, stores the input and the two tables a
+Version 4, the one a save writes, stores the input and the two tables a
 rebuild is checked against, nothing that can be derived more cheaply:
 
-    array blob     VALS (u64 n + i64 values), BITS, EMIN
-    interval blob  INTA, INTB (i64 left and right endpoints), BITS, EMIN
+    array blob     VALS (u64 width w, u64 n, n values of w bytes), BITS, EMIN
+    interval blob  INTA, INTB (u64 width w, then the left or right
+                   endpoints, w bytes each), BITS, EMIN
 
-BITS is the u64 bit length and the packed words of the DFUDS of the heap
-of the values, or of the interval lengths; EMIN is the u64 block size and
-the i64 per-block excess minima.
+The width w of an input section is 4 or 8, its entries signed integers of
+that many bytes: a save writes each table at the width the index holds it,
+4 bytes when every entry fits signed 32 bits (``minheap.held_values``,
+``mliq.build_intervals``) and 8 otherwise. A width other than 4 or 8, an
+interval blob whose two tables differ in width, or entries that do not
+fill whole widths raise ParseError. BITS is the u64 bit length and the
+packed words of the DFUDS of the heap of the values, or of the interval
+lengths; EMIN is the u64 block size and the i64 per-block excess minima.
 
-Versions 1 and 2 also load. Both store RK64 (the u64 word-level cumulative
+Versions 1 to 3 also load. Their input sections record no width and hold
+8-byte entries: VALS is u64 n and n i64 values, INTA and INTB the i64
+endpoints. Versions 1 and 2 also store RK64 (the u64 word-level cumulative
 one-counts, one ``accumulate`` over BITS) after BITS, and their interval
 blobs store the weighted-position tables WOPN and WCLS after EMIN (u64
 count, then u64 position and i64 weight per entry), which are closed forms
@@ -26,7 +34,7 @@ of the endpoints and the DFUDS. Version 1 array blobs carry one more
 section, PMAP (u64 parent per position, 0 = root); it is a function of
 BITS, which is compared, so it is skipped. Which derived sections a blob
 must carry follows from its version, not from the tags present: a missing
-one raises ParseError, and so does a version-3 section no load reads.
+one raises ParseError, and so does a version-3 or -4 section no load reads.
 
 Loading rebuilds the structures from the raw inputs and verifies that every
 stored derived section matches the rebuilt one byte for byte, so a loaded
@@ -38,24 +46,26 @@ freed, as soon as it is read or compared. A version-1 or -2 interval load
 takes the weighted BPs of the rebuilt index (``weighted_bps``) and
 compares WOPN and WCLS where they lie, as 64-bit integers read from the
 stored bytes: the count, the positions, and the running sums of the
-weights against each side's cumulative weights; a version-3 load computes
-no position. A blob that is truncated, corrupt or missing a section raises
-ParseError. Values and endpoints must be signed 64-bit integers; others
-raise ValidationError when read, built or saved.
+weights against each side's cumulative weights; a version-3 or -4 load
+computes no position. A blob that is truncated, corrupt or missing a
+section raises ParseError. Values and endpoints must be signed 64-bit
+integers; others raise ValidationError when read, built or saved.
 
-No 64-bit table is copied between the file and memory on a little-endian
-host (``bitseq.le_buffer``, ``read_le``, ``le_table``); a big-endian one
+No table is copied between the file and memory on a little-endian host
+(``bitseq.le_buffer``, ``read_le``, ``le_table``); a big-endian one
 byteswaps a copy each way. A section is made as a list of buffers: a
-save writes a length prefix and then the index's own values, endpoints,
+save writes a short prefix and then the index's own values, endpoints,
 bit words and block minima from their arrays, with no bytes made of
 them, and a load compares the BITS and EMIN it reads with the rebuilt
-index's buffers where both lie, 8 bytes at a time. An array blob's VALS
-is read straight into an ``array('q')``, the length prefix first, which
-is then deleted in place, and that array becomes the rebuilt index's
-values; an interval blob's INTA and INTB are read into two more, which
-the rebuild checks in bulk with the rules and messages of
-``mliq.build_intervals`` and then keeps as the index's endpoints. The
-binary array file is read and written the same way.
+index's buffers where both lie, 8 bytes at a time. An input section is
+read straight into an array of its width, ``array('i')`` or
+``array('q')``, its prefix first, which is then deleted in place: an
+array blob's VALS becomes the rebuilt index's values, and an interval
+blob's INTA and INTB are checked in bulk by the rebuild with the rules and
+messages of ``mliq.build_intervals`` and kept as the index's endpoints.
+Either kind keeps the width its blob stores, so a version-1 to -3 blob
+loads to 8-byte tables. The binary array file, whose values are always
+i64, is read and written the same way.
 
 A save, like ``write_array_binary``, has every buffer in hand first and then
 writes over the file in place: opened without truncating it, cut to the new
@@ -74,19 +84,20 @@ from operator import eq
 
 from .bitseq import le_buffer, le_table, le_view, read_le
 from .errors import ParseError, ValidationError
-from .minheap import MinHeapIndex, heap_dfuds
+from .minheap import MinHeapIndex, heap_dfuds, held_values
 from .mliq import _first_breach, build_intervals, intervals_from_arrays
 from .parens import _BLOCK
 
 MAGIC = b"DTR1"
-VERSION = 3
-READABLE_VERSIONS = (1, 2, 3)
+VERSION = 4
+READABLE_VERSIONS = (1, 2, 3, 4)
 KIND_ARRAY = 1
 KIND_INTERVALS = 2
 KIND_NAMES = {KIND_ARRAY: "array", KIND_INTERVALS: "intervals"}
 
 _HEADER = struct.Struct("<4sHHI")
 _INPUTS = ("VALS", "INTA", "INTB")  # read into the arrays a load keeps
+_TYPECODES = {4: "i", 8: "q"}  # an input table's typecode by its item width
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
@@ -191,16 +202,34 @@ def _ascii_lines(path):
 
 def _i64_buffer(values):
     """``values`` as a buffer of little-endian i64 bytes (``le_buffer``). An
-    ``array('q')``, as the index's own values are, is taken as it is,
-    anything else converted once; ValidationError names the first value
-    that is not a signed 64-bit integer."""
+    ``array('q')`` is taken as it is, anything else converted once;
+    ValidationError names the first value that is not a signed 64-bit
+    integer."""
     if not (isinstance(values, array) and values.typecode == "q"):
         try:
             values = array("q", values)
         except (TypeError, OverflowError):
-            bad = next(v for v in values if not (isinstance(v, int) and _I64_MIN <= v <= _I64_MAX))
-            raise ValidationError(f"cannot save {bad!r}: blobs hold signed 64-bit integers") from None
+            raise _unsaveable(values) from None
     return le_buffer(values)
+
+
+def _input_section(table, prefix=b""):
+    """A version-4 input section: the u64 item width of ``table``, then
+    ``prefix``, then the entries, written from the table itself on a
+    little-endian host (``le_buffer``). An ``array('i')`` or ``array('q')``,
+    as an index holds its values and endpoints, is taken as it is, anything
+    else converted once by ``held_values``; ValidationError names the first
+    value that is not a signed 64-bit integer."""
+    if not (isinstance(table, array) and table.typecode in "iq"):
+        table = held_values(table)
+        if type(table) is list:
+            raise _unsaveable(table)
+    return [struct.pack("<Q", table.itemsize) + prefix, le_buffer(table)]
+
+
+def _unsaveable(values):
+    bad = next(v for v in values if not (isinstance(v, int) and _I64_MIN <= v <= _I64_MAX))
+    return ValidationError(f"cannot save {bad!r}: blobs hold signed 64-bit integers")
 
 
 # A section is made as a list of buffers, written one after another by a
@@ -235,13 +264,39 @@ def _check_weights(path, sections, tag, side, what):
         raise ParseError(f"{path}: stored {what}")
 
 
-def _i64_table(path, tag, payload, skip=0):
-    """The i64 values of section ``tag`` past its first ``skip`` bytes, as an
-    ``array('q')``: on a little-endian host the array ``_read_blob`` read
-    the section into (``le_table``), on a big-endian one a copy."""
-    if (len(payload) - skip) % 8:
-        raise ParseError(f"{path}: {tag} section length {len(payload) - skip} is not a multiple of 8")
-    return le_table(payload, skip)
+def _input_layout(path, version, tag, payload):
+    """(item width, offset of the first entry) of input section ``tag`` of a
+    blob of ``version``, as ``_read_blob`` read it: 8 and VALS's u64 count
+    before version 4; from version 4 the u64 width the section starts with,
+    past which VALS has its count. ParseError unless the entries fill whole
+    widths."""
+    width, start = (_width(path, tag, payload), 8) if version >= 4 else (8, 0)
+    if tag == "VALS":
+        start += 8
+        if len(payload) < start:
+            raise ParseError(f"{path}: VALS section too short for its length prefix")
+    if (len(payload) - start) % width:
+        raise ParseError(f"{path}: {tag} section length {len(payload) - start} is not a multiple of {width}")
+    return width, start
+
+
+def _width(path, tag, head):
+    """The item width that the first 8 bytes of a version-4 input section,
+    ``head``, record; ParseError unless it is 4 or 8."""
+    if len(head) < 8:
+        raise ParseError(f"{path}: {tag} section too short for its item width")
+    (width,) = struct.unpack_from("<Q", head)
+    if width not in _TYPECODES:
+        raise ParseError(f"{path}: {tag} item width {width} is neither 4 nor 8")
+    return width
+
+
+def _input_table(path, version, tag, payload):
+    """The entries of input section ``tag``, as an array of its width: on a
+    little-endian host the array ``_read_blob`` read the section into
+    (``le_table``), on a big-endian one a copy."""
+    width, start = _input_layout(path, version, tag, payload)
+    return le_table(payload, start, _TYPECODES[width])
 
 
 def _write_blob(path, kind, sections):
@@ -295,9 +350,11 @@ def _read_blob(path):
     """(version, kind, {tag: payload}); each payload is a memoryview of its
     own read, so a section is freed once ``_section`` drops it. An input
     section (VALS, INTA, INTB) is read by ``read_le``, so on a little-endian
-    host its view is backed by the ``array('q')`` that a load keeps. A
-    promised length is measured against the file's size before anything is
-    read for it."""
+    host its view is backed by the array that a load keeps: an
+    ``array('q')`` before version 4, and from version 4 an array of the
+    width its first 8 bytes record, which are read first and checked
+    (``_width``). A promised length is measured against the file's size
+    before anything is read for it."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         version, kind, count = _parse_header(path, fh.read(_HEADER.size))
@@ -314,7 +371,13 @@ def _read_blob(path):
                 raise ParseError(f"{path}: section {tag!r} promises {length} bytes, {size - off} remain")
             if tag in sections:
                 raise ParseError(f"{path}: section {tag!r} appears twice")
-            sections[tag] = read_le(fh, length) if tag in _INPUTS else memoryview(fh.read(length))
+            if tag not in _INPUTS:
+                sections[tag] = memoryview(fh.read(length))
+            elif version < 4:
+                sections[tag] = read_le(fh, length)
+            else:
+                head = fh.read(min(length, 8))
+                sections[tag] = read_le(fh, length, _TYPECODES[_width(path, tag, head)], head)
             off += length
     if off != size:
         raise ParseError(f"{path}: {size - off} trailing bytes")
@@ -350,7 +413,7 @@ def _check_section(path, sections, tag, rebuilt, what):
 
 def save_array_index(path, h):
     sections = [
-        ("VALS", [struct.pack("<Q", h.n), _i64_buffer(h.values)]),
+        ("VALS", _input_section(h.values, struct.pack("<Q", h.n))),
         ("BITS", _bits_section(h.dfuds)),
         ("EMIN", _emin_section(h.dfuds)),
     ]
@@ -363,10 +426,9 @@ def load_array_index(path):
     if kind != KIND_ARRAY:
         raise ParseError(f"{path}: blob holds an interval index, not an array index")
     payload = _section(path, sections, "VALS")
-    if len(payload) < 8:
-        raise ParseError(f"{path}: VALS section too short for its length prefix")
-    (n,) = struct.unpack_from("<Q", payload, 0)
-    values = _i64_table(path, "VALS", payload, 8)
+    width, start = _input_layout(path, version, "VALS", payload)
+    (n,) = struct.unpack_from("<Q", payload, start - 8)
+    values = le_table(payload, start, _TYPECODES[width])
     del payload  # the values are the array it viewed, or a copy of its bytes
     if len(values) != n:
         raise ParseError(f"{path}: VALS section promises {n} values, holds {len(values)}")
@@ -382,8 +444,8 @@ def load_array_index(path):
 
 def save_interval_index(path, s):
     sections = [
-        ("INTA", [le_buffer(s.a)]),
-        ("INTB", [le_buffer(s.b)]),
+        ("INTA", _input_section(s.a)),
+        ("INTB", _input_section(s.b)),
         ("BITS", _bits_section(s.heap.dfuds)),
         ("EMIN", _emin_section(s.heap.dfuds)),
     ]
@@ -395,8 +457,10 @@ def load_interval_index(path):
     version, kind, sections = _read_blob(path)
     if kind != KIND_INTERVALS:
         raise ParseError(f"{path}: blob holds an array index, not an interval index")
-    a = _i64_table(path, "INTA", _section(path, sections, "INTA"))
-    b = _i64_table(path, "INTB", _section(path, sections, "INTB"))
+    a = _input_table(path, version, "INTA", _section(path, sections, "INTA"))
+    b = _input_table(path, version, "INTB", _section(path, sections, "INTB"))
+    if a.itemsize != b.itemsize:
+        raise ParseError(f"{path}: INTA holds {a.itemsize}-byte endpoints but INTB {b.itemsize}-byte ones")
     if len(a) != len(b):
         raise ParseError(f"{path}: {len(a)} left endpoints but {len(b)} right endpoints")
     s = intervals_from_arrays(a, b)
@@ -411,7 +475,7 @@ def load_interval_index(path):
 
 def _verify_derived(path, version, parenseq, sections):
     """Compare the DFUDS tables a blob of ``version`` stores with the rebuilt
-    ones; a version-3 blob must then hold nothing else."""
+    ones; a version-3 or -4 blob must then hold nothing else."""
     _check_section(path, sections, "BITS", _bits_section(parenseq), "bits do not match the rebuilt structure")
     if version < 3:
         _check_section(path, sections, "RK64", _rank_section(parenseq),

@@ -24,11 +24,12 @@ values; the explicit tree is decoded from it on first use. The interval
 index's heap of lengths holds the bit sequence alone: its values are a
 function of the endpoints, which the pass reads once, as they come.
 
-The values are held as an ``array('q')`` when every one is an int within
-signed 64 bits, and as a list otherwise (floats, strings, larger ints), so
-an index of integers takes fixed bytes per value. The stack pass runs over
-the values as given, before they are converted: iterating the array would
-make a new int for every value that waits on the stack.
+The values are held as an ``array('i')`` when every one is an int within
+signed 32 bits, as an ``array('q')`` when every one is within signed 64
+bits, and as a list otherwise (floats, strings, larger ints), so an index of
+integers takes fixed bytes per value: 4 where they fit, else 8. The stack
+pass runs over the values as given, before they are converted: iterating the
+array would make a new int for every value that waits on the stack.
 """
 
 from array import array
@@ -49,8 +50,9 @@ class MinHeapIndex:
     simultaneously the BP of its reversed dual; all engines share it. Node
     labels are array positions with the root 0, so a node's depth-first rank
     is its label plus one and the engines need no explicit tree. ``values``
-    is an ``array('q')`` for signed 64-bit ints and a list otherwise, or
-    None for a heap that holds its DFUDS alone (the interval index's).
+    is an ``array('i')`` for signed 32-bit ints, an ``array('q')`` for
+    signed 64-bit ones and a list otherwise, or None for a heap that holds
+    its DFUDS alone (the interval index's).
     ``n`` is read off the DFUDS, whose 2(n + 1) bits describe n + 1 nodes.
     """
 
@@ -100,10 +102,9 @@ class MinHeapIndex:
 
 def build_minheap(values) -> MinHeapIndex:
     """Build the heap index for a non-empty array of comparable values. The
-    index holds a copy: an ``array('q')`` if every value is a signed 64-bit
-    int, else a list. A value not equal to itself, such as a float NaN,
-    orders against no other, so it is a ContractError, and so is a pair of
-    values whose comparison raises."""
+    index holds a copy, as ``held_values`` makes it. A value not equal to
+    itself, such as a float NaN, orders against no other, so it is a
+    ContractError, and so is a pair of values whose comparison raises."""
     if not isinstance(values, (list, array)):
         values = list(values)
     if not values:
@@ -125,12 +126,16 @@ def _not_self_equal(values):
 
 
 def held_values(values):
-    """``values`` as an index holds them: an ``array('q')`` if every value is
-    a signed 64-bit int, else a list."""
-    try:
-        return array("q", values)
-    except (TypeError, OverflowError):
-        return list(values)
+    """``values`` as an index holds them: an ``array('i')`` if every value is
+    a signed 32-bit int, else an ``array('q')`` if every one is a signed
+    64-bit int, else a list. The narrower array is tried first, so values
+    that do not fit it are read a second time."""
+    for typecode in "iq":
+        try:
+            return array(typecode, values)
+        except (TypeError, OverflowError):
+            pass
+    return list(values)
 
 
 def heap_dfuds(values_from_the_right) -> ParenSeq:

@@ -37,29 +37,32 @@ counts. The paper frames the weighted engine's gain as bpselect over
 weighted parentheses in place of endpoint rank structures; here neither
 engine holds a structure of its own beyond the endpoints and the heap.
 
-The index holds the endpoints as two ``array('q')`` and the length heap's
-DFUDS, which ``minheap.heap_dfuds`` writes, and nothing else. The lengths
+The index holds the endpoints as two typed arrays of one width and the
+length heap's DFUDS, which ``minheap.heap_dfuds`` writes, and nothing else.
+A build takes the width from the data: ``array('i')``, 4 bytes an
+endpoint, when b_n < 2^31, which bounds every endpoint, and ``array('q')``
+otherwise; a load keeps the width its blob stores. The lengths
 b - a + 1 are computed when the brute-force oracle asks for them: the heap
 is built from b - a, which orders the intervals the same way, read once and
 never held. The weighted
 positions, where the bpselects would land, are computed only when asked
 for (``IntervalSet.weighted_positions``, ``IntervalSet.weighted_bps``): by
 ``verify``, the tests, and the load of a version-1 or -2 blob, which
-compares its stored WOPN/WCLS sections with them. A version-3 blob stores
-neither table, so no save and no version-3 load computes them.
+compares its stored WOPN/WCLS sections with them. A version-3 or -4 blob
+stores neither table, so no save and no such load computes them.
 A node's opener in the heap's BP lies at a closed form of its preorder
 index and depth, and the BP of the reversed heap is the mirror of the
 heap's BP, so they are read off the DFUDS with one pass for the depths,
 ``codec._dfuds_depths``, the DFUDS decoder's own reader of the blocks;
 neither the heap tree, nor its reversal, nor the bits of either BP are
-built. Building or loading checks the endpoints in bulk, with 64-bit lane
-arithmetic (``_rules_hold``): each chunk of ``parens._LANES`` entries of
-both tables, overlapping the next chunk by one entry, is read as one int of
-lanes, its sign bits are checked first, and then one borrow-free
-subtraction per rule decides a_i <= b_i and the increase of a and of b in
-every lane at once. Only a family that fails is searched for its breach
-(``_first_breach``), which names the first interval that breaks a rule, as
-a check of one pair at a time would.
+built. Building or loading checks the endpoints in bulk, with lane
+arithmetic at the tables' own width (``_rules_hold``): each chunk of both
+tables, ``parens._CHUNK`` bits of 32- or 64-bit lanes overlapping the next
+chunk by one entry, is read as one int of lanes, its sign bits are checked
+first, and then one borrow-free subtraction per rule decides a_i <= b_i and
+the increase of a and of b in every lane at once. Only a family that fails
+is searched for its breach (``_first_breach``), which names the first
+interval that breaks a rule, as a check of one pair at a time would.
 
 Containment conventions: closed (the default) answers with intervals
 satisfying a_i <= a <= b <= b_i; strict (``strict=True``) requires a_i < a
@@ -77,7 +80,7 @@ from .bitseq import le_buffer
 from .codec import _dfuds_depths
 from .errors import ContractError, RangeError, ValidationError
 from .minheap import MinHeapIndex, heap_dfuds, held_values
-from .parens import _H64, _LANES, WeightedBits
+from .parens import _CHUNK, _H64, WeightedBits, _repeated
 from .rmq import OpCounters, pda_fast, rmq_direct
 
 # Read only by the benchmark, which reports it next to the interval domain;
@@ -86,11 +89,15 @@ DENSE_DOMAIN_LIMIT = 1 << 22
 
 _I64_MAX = (1 << 63) - 1
 
+# each lane's top bit over one lane pass, by the lane's width in bytes
+_TOP_BITS = {4: _repeated(bytes(3) + b"\x80"), 8: _H64}
+
 
 class IntervalSet:
     """Sorted interval family: the endpoints ``a`` and ``b``, two
-    ``array('q')``, and the 2D-Min-Heap of the interval lengths, which holds
-    its DFUDS alone. Both engines search ``a`` and ``b``; everything else is
+    ``array('i')`` or two ``array('q')`` (a build picks ``'i'`` when b_n <
+    2^31), and the 2D-Min-Heap of the interval lengths, which holds its
+    DFUDS alone. Both engines search ``a`` and ``b``; everything else is
     computed when asked for."""
 
     __slots__ = ("a", "b", "heap")
@@ -110,7 +117,8 @@ class IntervalSet:
 
     @property
     def lengths(self):
-        """b_i - a_i + 1 per interval, computed on each read: an
+        """b_i - a_i + 1 per interval, computed on each read and held as
+        ``minheap.held_values`` holds values: an ``array('i')`` or
         ``array('q')``, or a list for the lone interval [0, 2^63 - 1]."""
         return held_values([y - x + 1 for x, y in zip(self.a, self.b)])
 
@@ -125,9 +133,10 @@ class IntervalSet:
         sentinel b_n + 1, (open side, close side), each a WeightedBits of its
         positions and cumulative weights, computed on each call.
 
-        The open side's cumulative weights are ``a`` itself; the close
-        side's, b_n + 1 - b read in reverse and then b_n + 1, are unsigned,
-        since b_n + 1 may be 2^63."""
+        The open side's cumulative weights are ``a`` itself, an
+        ``array('i')`` or ``array('q')`` as the index holds it; the close
+        side's, b_n + 1 - b read in reverse and then b_n + 1, are an
+        ``array('Q')``, unsigned since b_n + 1 may be 2^63."""
         opens, closes = self.weighted_positions()
         n_bits = 2 * self.n + 2
         sentinel = self.b[-1] + 1
@@ -145,6 +154,11 @@ def build_intervals(pairs) -> IntervalSet:
     and a breach raises ValidationError naming the first interval that
     breaks a rule and the first rule it breaks. Before any rule, the first
     item that is not a sequence of two endpoints raises ValidationError.
+
+    The endpoints are read into two ``array('i')`` when every one fits, else
+    into two ``array('q')``, as ``minheap.held_values`` reads values: a
+    family that fits 32 bits never holds its 8-byte tables, which would
+    double a build's peak.
     """
     pairs = pairs if isinstance(pairs, (list, tuple)) else list(pairs)
     try:
@@ -155,20 +169,22 @@ def build_intervals(pairs) -> IntervalSet:
         k, pair = next((k, p) for k, p in enumerate(pairs, start=1) if not hasattr(p, "__len__") or len(p) != 2)
         raise ValidationError(f"interval {k}: expected a pair of endpoints, got {pair!r}")
     left, right = itemgetter(0), itemgetter(1)
-    try:
-        a, b = array("q", map(left, pairs)), array("q", map(right, pairs))
-    except (TypeError, OverflowError):  # an endpoint that is not an int, or not an i64
-        raise _breach_error(list(map(left, pairs)), list(map(right, pairs))) from None
-    return intervals_from_arrays(a, b)
+    for typecode in "iq":
+        try:
+            a, b = array(typecode, map(left, pairs)), array(typecode, map(right, pairs))
+        except (TypeError, OverflowError):  # an endpoint that is not an int, or does not fit
+            continue
+        return intervals_from_arrays(a, b)
+    raise _breach_error(list(map(left, pairs)), list(map(right, pairs)))
 
 
 def intervals_from_arrays(a, b) -> IntervalSet:
-    """The index of the endpoints held in two ``array('q')`` of one length,
-    which it keeps; the rules and messages are those of
-    ``build_intervals``. Tables of other types or of unequal lengths are a
-    ContractError."""
-    if not (type(a) is type(b) is array and a.typecode == b.typecode == "q"):
-        raise ContractError("endpoints must be given as two array('q')")
+    """The index of the endpoints held in two arrays of one length and one
+    typecode, ``'i'`` or ``'q'``, which it keeps; the rules and messages are
+    those of ``build_intervals``. Tables of other types or of unequal
+    lengths are a ContractError."""
+    if not (type(a) is type(b) is array and a.typecode == b.typecode and a.typecode in "iq"):
+        raise ContractError("endpoints must be given as two array('i') or two array('q')")
     if len(a) != len(b):
         raise ContractError(f"{len(a)} left endpoints but {len(b)} right endpoints")
     if not a or not _rules_hold(a, b):
@@ -178,27 +194,32 @@ def intervals_from_arrays(a, b) -> IntervalSet:
 
 
 def _rules_hold(a, b):
-    """Whether the endpoints ``a``, ``b``, two non-empty ``array('q')`` of
-    one length, break no rule of ``build_intervals``.
+    """Whether the endpoints ``a``, ``b``, two non-empty arrays of one
+    length and one item size, 4 or 8 bytes, break no rule of
+    ``build_intervals``.
 
     Both tables are read as little-endian bytes (``le_buffer``), one int of
-    64-bit lanes per chunk of ``_LANES`` entries, each chunk overlapping the
-    next by one lane, so that every endpoint meets its successor. A chunk
-    with a lane's sign bit set holds a negative endpoint. Past that check
-    every lane is below 2^63, so ``(x | high) - y`` borrows across no lane
-    and its lane's top bit is set where x >= y: it must be set for b >= a
-    in every lane, and clear for a_i >= a_{i+1} and b_i >= b_{i+1} in every
-    lane but the last. Only chunk-sized ints are made (and, on a big-endian
-    host, a byteswapped copy of each table)."""
+    lanes of their item size per chunk of ``_CHUNK`` bits, each chunk
+    overlapping the next by one lane, so that every endpoint meets its
+    successor. A chunk with a lane's sign bit set holds a negative endpoint.
+    Past that check every lane is below its top bit, so ``(x | high) - y``
+    borrows across no lane and its lane's top bit is set where x >= y: it
+    must be set for b >= a in every lane, and clear for a_i >= a_{i+1} and
+    b_i >= b_{i+1} in every lane but the last. Only chunk-sized ints are
+    made (and, on a big-endian host, a byteswapped copy of each table)."""
     n = len(a)
+    width = a.itemsize
+    bits = 8 * width
+    lanes = _CHUNK // bits
+    top = _TOP_BITS[width]
     with memoryview(le_buffer(a)).cast("B") as la, memoryview(le_buffer(b)).cast("B") as lb:
-        for lo in range(0, max(n - 1, 1), _LANES - 1):
-            span = slice(8 * lo, 8 * min(lo + _LANES, n))
+        for lo in range(0, max(n - 1, 1), lanes - 1):
+            span = slice(width * lo, width * min(lo + lanes, n))
             x = int.from_bytes(la[span], "little")
             y = int.from_bytes(lb[span], "little")
-            high = _H64 if n - lo >= _LANES else _H64 >> 64 * (_LANES - n + lo)
+            high = top if n - lo >= lanes else top >> bits * (lanes - n + lo)
             yh = y | high
-            if (x | y) & high or (yh - x) & high != high or ((x | high) - (x >> 64) | yh - (y >> 64)) & (high >> 64):
+            if (x | y) & high or (yh - x) & high != high or ((x | high) - (x >> bits) | yh - (y >> bits)) & (high >> bits):
                 return False
     return True
 

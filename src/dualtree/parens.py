@@ -470,8 +470,9 @@ class WeightedBits:
     The weights sit on one kind of parenthesis, opening or closing; which
     kind is the caller's to know. The tables are two typed arrays of equal
     length: the weighted positions in increasing order, an ``array('q')``,
-    and the cumulative weight up to and including each, an array of 64-bit
-    integers (``'q'``, or ``'Q'`` where the total may reach 2^63). They are
+    and the cumulative weight up to and including each, an array of
+    integers (``'i'`` or ``'q'``, as ``mliq`` holds the left endpoints, or
+    ``'Q'`` where the total may reach 2^63). They are
     kept as given (not copied): their order and their symbols are the
     caller's to vouch for, as ``mliq`` does for the tables it reads off the
     length heap.

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import strategies as st
 
 import dualtree
-from dualtree import index_io
+from dualtree import bitseq, index_io
 from dualtree.tree import OrdinalTree
 
 # Tests that run `python -m dualtree.cli` in a subprocess need the package
@@ -49,7 +49,21 @@ V2_FIX_INTERVALS = DATA / "v2-fix-intervals.idx"
 V2_INTERVALS_600 = DATA / "v2-intervals-600.idx"
 V2_INTERVALS_12 = DATA / "v2-intervals-12.idx"
 
+# Blobs as version-3 saves wrote them, whose input sections hold 8-byte
+# entries and record no width; the inputs are in test_index_io.V3_FIXTURES.
+V3_ARRAY_600 = DATA / "v3-array-600.idx"
+V3_INTERVALS_600 = DATA / "v3-intervals-600.idx"
+
 CRITERION_LINES = []
+
+
+@pytest.fixture(params=["host order", "forced big-endian"])
+def byte_order(request, monkeypatch):
+    """Each test that takes it runs twice: on the host's byte order, then as
+    a big-endian host would run it, every table read and written through
+    ``le_bytes``/``from_le`` byteswapped."""
+    if request.param == "forced big-endian":
+        monkeypatch.setattr(bitseq, "_BIG_ENDIAN", True)
 
 
 def star(leaves):

@@ -2,7 +2,9 @@ import gc
 import math
 import random
 import struct
+import sys
 import tracemalloc
+from array import array
 from bisect import bisect_left
 
 import pytest
@@ -234,6 +236,36 @@ def test_tables_are_typed_and_round_trip_through_little_endian_bytes():
         assert from_le(le_bytes(b._words), "Q") == b._words
         assert from_le(memoryview(le_bytes(b._cum1))) == b._cum1
         assert BitSeq(b.to_text()) == b and hash(BitSeq(b.to_text())) == hash(b)
+
+
+@pytest.mark.parametrize("typecode", ["i", "q"])
+def test_byte_order_helpers_round_trip_tables_of_4_and_8_bytes(byte_order, tmp_path, typecode):
+    # le_buffer/le_bytes write a table's little-endian bytes (on a forced
+    # big-endian run, the host's bytes reversed item by item), from_le reads
+    # them back, and read_le then le_table read them from a file past a
+    # prefix already read, straight into an array of the typecode on the
+    # host's order and through a byteswapped copy otherwise
+    size = array(typecode).itemsize
+    least, greatest = -(1 << (8 * size - 1)), (1 << (8 * size - 1)) - 1
+    table = array(typecode, [0, 1, -1, least, greatest, least + 1, greatest - 1, 0x1234567])
+    little = struct.pack(f"<{len(table)}{typecode}", *table)
+    forced = bitseq._BIG_ENDIAN != (sys.byteorder == "big")
+    want = b"".join(little[k : k + size][::-1] for k in range(0, len(little), size)) if forced else little
+    assert bitseq.le_bytes(table) == bytes(bitseq.le_buffer(table)) == want
+    assert bitseq.from_le(want, typecode) == table
+    path = tmp_path / "table.bin"
+    prefix = struct.pack("<QQ", size, len(table))
+    path.write_bytes(prefix + want)
+    for head in (b"", prefix[:8]):
+        with open(path, "rb") as fh:
+            fh.read(len(head))
+            view = bitseq.read_le(fh, len(prefix) + len(want), typecode, head)
+        assert view[: len(head)] == head and type(view.obj) is (bytes if bitseq._BIG_ENDIAN else array)
+        read = bitseq.le_table(view, len(prefix), typecode)
+        assert read == table and read.typecode == typecode
+    # a length that is no multiple of the item size is read as bytes
+    with open(path, "rb") as fh:
+        assert type(bitseq.read_le(fh, len(prefix) + len(want) - 1, typecode).obj) is bytes
 
 
 # -- the select directory ----------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from dualtree import cli, index_io, mliq, rmq
 from dualtree.minheap import build_minheap
 
-from conftest import FIX_A, FIX_DFUDS, FIX_INTERVALS, V2_FIX_INTERVALS, write_blob
+from conftest import FIX_A, FIX_DFUDS, FIX_INTERVALS, V2_FIX_INTERVALS, V3_ARRAY_600, V3_INTERVALS_600, write_blob
 
 
 def run_cli(capsys, *argv):
@@ -54,13 +54,13 @@ def test_build_stats_lines_are_pinned(tmp_path, capsys):
     # 64 bits per packed table entry.
     cases = [
         ("array", " ".join(map(str, FIX_A)) + "\n",
-         "array 8 18 256 64 64 8 152"),
+         "array 8 18 256 64 64 8 128"),
         ("array", " ".join(str(37 * i % 1000) for i in range(1, 400)) + "\n",
-         "array 399 800 1792 832 2624 399 3472"),
+         "array 399 800 1792 832 2624 399 1884"),
         ("intervals", "".join(f"{a} {b}\n" for a, b in FIX_INTERVALS),
-         "intervals 4 10 256 64 64 8 156"),
+         "intervals 4 10 256 64 64 8 140"),
         ("intervals", "".join(f"{3 * i} {3 * i + 2 + i % 3}\n" for i in range(300)),
-         "intervals 300 602 1408 640 1856 600 5036"),
+         "intervals 300 602 1408 640 1856 600 2652"),
     ]
     for kind, text, want in cases:
         src = tmp_path / "in.txt"
@@ -80,7 +80,7 @@ def test_build_binary_format(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "build", "array", str(src), "-o", str(idx), "--format", "binary")
     assert code == 0
     values = index_io.load_array_index(str(idx)).values
-    assert values.typecode == "q" and values.tolist() == FIX_A
+    assert values.typecode == "i" and values.tolist() == FIX_A  # the file's i64 values, held at 4 bytes
 
 
 def test_binary_length_prefix_beyond_the_file_exits_2(tmp_path, capsys):
@@ -253,9 +253,9 @@ def test_inspect_prints_the_version_kind_and_sections(array_index, interval_inde
              "PMAP: 64 bytes\n"),
         (V2_FIX_INTERVALS, "version: 2\nkind: intervals\nINTA: 32 bytes\nINTB: 32 bytes\nBITS: 16 bytes\n"
                            "RK64: 16 bytes\nEMIN: 16 bytes\nWOPN: 72 bytes\nWCLS: 88 bytes\n"),
-        (array_index, "version: 3\nkind: array\nVALS: 72 bytes\nBITS: 16 bytes\nEMIN: 16 bytes\n"),
-        (interval_index, "version: 3\nkind: intervals\nINTA: 32 bytes\nINTB: 32 bytes\nBITS: 16 bytes\n"
-                         "EMIN: 16 bytes\n"),
+        (V3_ARRAY_600, "version: 3\nkind: array\nVALS: 4808 bytes\nBITS: 160 bytes\nEMIN: 160 bytes\n"),
+        (V3_INTERVALS_600, "version: 3\nkind: intervals\nINTA: 4800 bytes\nINTB: 4800 bytes\n"
+                           "BITS: 160 bytes\nEMIN: 160 bytes\n"),
     ]
     for path, want in cases:
         assert run_cli(capsys, "inspect", str(path)) == (0, want, "")
@@ -269,7 +269,39 @@ def test_inspect_builds_nothing(array_index, interval_index, capsys, monkeypatch
     monkeypatch.setattr(index_io, "intervals_from_arrays", refuse)
     for path in (array_index, interval_index):
         code, out, _ = run_cli(capsys, "inspect", str(path))
-        assert code == 0 and out.startswith("version: 3\n")
+        assert code == 0 and out.startswith("version: 4\n")
+
+
+def test_inspect_prints_each_input_section_s_width_and_entries(array_index, interval_index, tmp_path, capsys):
+    # a version-4 input section records its item width, 4 bytes where every
+    # entry fits signed 32 bits and 8 otherwise, before its entries (and
+    # VALS its count)
+    wide = tmp_path / "wide.txt"
+    wide.write_text("5 1099511627776 -3\n")
+    wide_index = tmp_path / "wide.idx"
+    assert run_cli(capsys, "build", "array", str(wide), "-o", str(wide_index))[0] == 0
+    far = tmp_path / "far.txt"
+    far.write_text("1 4\n3 2147483648\n")
+    far_index = tmp_path / "far.idx"
+    assert run_cli(capsys, "build", "intervals", str(far), "-o", str(far_index))[0] == 0
+    cases = [
+        (array_index, "version: 4\nkind: array\nVALS: 48 bytes, 8 entries of 4 bytes\nBITS: 16 bytes\n"
+                      "EMIN: 16 bytes\n"),
+        (interval_index, "version: 4\nkind: intervals\nINTA: 24 bytes, 4 entries of 4 bytes\n"
+                         "INTB: 24 bytes, 4 entries of 4 bytes\nBITS: 16 bytes\nEMIN: 16 bytes\n"),
+        (wide_index, "version: 4\nkind: array\nVALS: 40 bytes, 3 entries of 8 bytes\nBITS: 16 bytes\n"
+                     "EMIN: 16 bytes\n"),
+        (far_index, "version: 4\nkind: intervals\nINTA: 24 bytes, 2 entries of 8 bytes\n"
+                    "INTB: 24 bytes, 2 entries of 8 bytes\nBITS: 16 bytes\nEMIN: 16 bytes\n"),
+    ]
+    for path, want in cases:
+        assert run_cli(capsys, "inspect", str(path)) == (0, want, "")
+    # a width that is neither 4 nor 8 exits 2 with one line, as a load does
+    _, _, sections = index_io._read_blob(str(interval_index))
+    bad = tmp_path / "bad.idx"
+    write_blob(bad, 4, index_io.KIND_INTERVALS,
+               [("INTA", struct.pack("<Q", 2) + bytes(sections["INTA"])[8:]), *list(sections.items())[1:]])
+    assert run_cli(capsys, "inspect", str(bad)) == (2, "", f"error: {bad}: INTA item width 2 is neither 4 nor 8\n")
 
 
 def test_inspect_truncated_blob_exits_2(interval_index, tmp_path, capsys):

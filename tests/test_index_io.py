@@ -21,12 +21,15 @@ from dualtree.minheap import build_minheap
 from dualtree.randgen import random_array, random_intervals
 
 from conftest import (FIX_A, FIX_INTERVALS, V2_ARRAY_600, V2_FIX_A, V2_FIX_INTERVALS, V2_INTERVALS_12,
-                      V2_INTERVALS_600, traced, write_blob)
+                      V2_INTERVALS_600, V3_ARRAY_600, V3_INTERVALS_600, traced, write_blob)
 from interval_oracle import I64_MAX, STORABLE, breached_families, check_pairs, raised
 
 I64_MIN = -(1 << 63)
 
 ARRAY = random_array(random.Random(0x10B), 40, span=12)
+# inputs whose tables are held and stored at 8 bytes an entry
+ARRAY_WIDE = [*ARRAY[:20], 1 << 40, *ARRAY[20:]]
+INTERVALS_WIDE = [*FIX_INTERVALS[:-1], (8, 1 << 31)]
 
 
 def blob_bytes(tmp_path, build, save, data):
@@ -47,17 +50,29 @@ def test_array_blob_holds_the_values_and_the_dfuds_tables(tmp_path):
     path = tmp_path / "a.idx"
     index_io.save_array_index(str(path), build_minheap(FIX_A))
     data = path.read_bytes()
-    assert struct.unpack_from("<HH", data, 4) == (index_io.VERSION, index_io.KIND_ARRAY) == (3, 1)
+    assert struct.unpack_from("<HH", data, 4) == (index_io.VERSION, index_io.KIND_ARRAY) == (4, 1)
     _, _, sections = index_io._read_blob(str(path))
     assert list(sections) == ["VALS", "BITS", "EMIN"]
+    # the item width, the count, then each value in 4 bytes: every one fits
+    assert bytes(sections["VALS"]) == struct.pack("<QQ8i", 4, 8, *FIX_A)
+    index_io.save_array_index(str(path), build_minheap(ARRAY_WIDE))
+    _, _, sections = index_io._read_blob(str(path))
+    assert bytes(sections["VALS"]) == struct.pack(f"<QQ{len(ARRAY_WIDE)}q", 8, len(ARRAY_WIDE), *ARRAY_WIDE)
 
 
 def test_interval_blob_holds_the_endpoints_and_the_dfuds_tables(tmp_path):
     path = tmp_path / "iv.idx"
     index_io.save_interval_index(str(path), mliq.build_intervals(FIX_INTERVALS))
     version, kind, sections = index_io._read_blob(str(path))
-    assert (version, kind) == (3, index_io.KIND_INTERVALS)
+    assert (version, kind) == (4, index_io.KIND_INTERVALS)
     assert list(sections) == ["INTA", "INTB", "BITS", "EMIN"]
+    # the item width, then each endpoint in 4 bytes while b_n < 2^31, else 8
+    a, b = zip(*FIX_INTERVALS)
+    assert (bytes(sections["INTA"]), bytes(sections["INTB"])) == (struct.pack("<Q4i", 4, *a), struct.pack("<Q4i", 4, *b))
+    index_io.save_interval_index(str(path), mliq.build_intervals(INTERVALS_WIDE))
+    _, _, sections = index_io._read_blob(str(path))
+    a, b = zip(*INTERVALS_WIDE)
+    assert (bytes(sections["INTA"]), bytes(sections["INTB"])) == (struct.pack("<Q4q", 8, *a), struct.pack("<Q4q", 8, *b))
 
 
 @pytest.mark.parametrize("kind", ["array", "intervals"])
@@ -105,7 +120,7 @@ def test_load_reads_sections_as_views_and_holds_typed_tables(tmp_path):
     _, _, sections = index_io._read_blob(path)
     assert {type(payload) for payload in sections.values()} == {memoryview}
     loaded = index_io.load_array_index(path)
-    assert type(loaded.values) is array and loaded.values.typecode == "q" and loaded.values == h.values
+    assert type(loaded.values) is array and loaded.values.typecode == "i" and loaded.values == h.values
     p = loaded.dfuds
     exc = list(itertools.accumulate((1 if bit else -1 for bit in p.iter_bits()), initial=0))
     held = bytes([64]) + bytes(e - exc[(x - 1) // 64 * 64] + 64 for x, e in enumerate(exc[1:], 1))
@@ -153,6 +168,9 @@ def test_save_and_load_peak_near_the_index_they_hold(tmp_path):
     # what it held and held 0.5 more than a build. Read straight into the
     # array it keeps, it peaks 2.74 above and holds no more than a build, so
     # a copy of the excess (2 per value) or of VALS brought back fails here.
+    # With the values an array('q') a build held 10.81 and a load 11.07;
+    # an array('i'), as every value fits, 6.81 and 7.07, so the bound of 8
+    # on both fails a return to 8-byte values.
     n = 100_000
     path = str(tmp_path / "a.idx")
     values = random_array(random.Random(0x5A7E), n)
@@ -161,9 +179,11 @@ def test_save_and_load_peak_near_the_index_they_hold(tmp_path):
     assert save_peak - saved <= 2 * n, (save_peak - saved) / n
     loaded, held, load_peak = traced(lambda: index_io.load_array_index(path))
     assert loaded.values == h.values and loaded.dfuds == h.dfuds
+    assert loaded.values.typecode == h.values.typecode == "i"
     assert load_peak - held <= 4 * n, (load_peak - held) / n
     # a save builds the block minima, which a load builds to compare EMIN
     assert held <= built + saved, (held - built - saved) / n
+    assert built <= 8 * n and held <= 8 * n, (built / n, held / n)
 
 
 def test_load_keeps_the_arrays_its_input_sections_were_read_into(tmp_path, monkeypatch):
@@ -210,28 +230,30 @@ def test_binary_array_file_is_read_and_written_without_a_copy(tmp_path):
     assert held <= 8 * n + 1000 and read_peak - held <= n, (held / n, (read_peak - held) / n)
 
 
-def swapped8(data):
-    """``data`` with each 8 bytes reversed: little-endian 64-bit words as a
-    big-endian host stores them."""
-    return b"".join(data[k : k + 8][::-1] for k in range(0, len(data), 8))
+def swapped(data, size=8):
+    """``data`` with each ``size`` bytes reversed: little-endian integers of
+    that size as a big-endian host stores them."""
+    return b"".join(data[k : k + size][::-1] for k in range(0, len(data), size))
 
 
 def test_byteswap_branches_write_and_read_big_endian_tables(tmp_path, monkeypatch):
     # Forcing the big-endian branches on a little-endian host, every writer
-    # must write each 64-bit table as its little-endian bytes reversed 8 at a
-    # time, and every reader must read those bytes back to the same tables.
+    # must write each table as its little-endian bytes reversed item by item,
+    # 4 or 8 bytes at a time, and every reader must read those bytes back to
+    # the same tables; the prefixes a save packs are little-endian as ever.
     h = build_minheap(ARRAY)
     s = mliq.build_intervals(FIX_INTERVALS)
     p = h.dfuds
     tables = [h.values, p._words, p._cum1, array("q", p.block_minima()), s.a, s.b]
+    assert [t.typecode for t in tables] == ["i", "Q", "q", "q", "i", "i"]
     little = [struct.pack(f"<{len(t)}{t.typecode}", *t) for t in tables]
     header = struct.Struct("<Q").pack
     sections = {
-        "array": [("VALS", header(h.n) + swapped8(little[0])), ("BITS", header(p.n) + swapped8(little[1])),
-                  ("EMIN", header(64) + swapped8(little[3]))],
-        "intervals": [("INTA", swapped8(little[4])), ("INTB", swapped8(little[5])),
-                      ("BITS", header(s.heap.dfuds.n) + swapped8(b"".join(index_io._bits_section(s.heap.dfuds))[8:])),
-                      ("EMIN", header(64) + swapped8(b"".join(index_io._emin_section(s.heap.dfuds))[8:]))],
+        "array": [("VALS", header(4) + header(h.n) + swapped(little[0], 4)),
+                  ("BITS", header(p.n) + swapped(little[1])), ("EMIN", header(64) + swapped(little[3]))],
+        "intervals": [("INTA", header(4) + swapped(little[4], 4)), ("INTB", header(4) + swapped(little[5], 4)),
+                      ("BITS", header(s.heap.dfuds.n) + swapped(b"".join(index_io._bits_section(s.heap.dfuds))[8:])),
+                      ("EMIN", header(64) + swapped(b"".join(index_io._emin_section(s.heap.dfuds))[8:]))],
     }
     expected = {}
     for kind, code in (("array", index_io.KIND_ARRAY), ("intervals", index_io.KIND_INTERVALS)):
@@ -239,10 +261,10 @@ def test_byteswap_branches_write_and_read_big_endian_tables(tmp_path, monkeypatc
         write_blob(expected[kind], index_io.VERSION, code, sections[kind])
     monkeypatch.setattr(bitseq, "_BIG_ENDIAN", True)
     for table, data in zip(tables, little):
-        assert bitseq.le_bytes(table) == bytes(bitseq.le_buffer(table)) == swapped8(data)
-        assert bitseq.from_le(swapped8(data), table.typecode) == table
+        assert bitseq.le_bytes(table) == bytes(bitseq.le_buffer(table)) == swapped(data, table.itemsize)
+        assert bitseq.from_le(swapped(data, table.itemsize), table.typecode) == table
         if table.typecode == "q":
-            assert bitseq.le_view(swapped8(data)) == table
+            assert bitseq.le_view(swapped(data)) == table
     with open(expected["array"], "rb") as fh:
         view = bitseq.read_le(fh, 16)
         assert type(view.obj) is bytes  # read as bytes, then copied and swapped
@@ -253,21 +275,23 @@ def test_byteswap_branches_write_and_read_big_endian_tables(tmp_path, monkeypatc
     path = str(tmp_path / "a.idx")
     index_io.save_array_index(path, h)
     assert Path(path).read_bytes() == expected["array"].read_bytes()
-    _, _, stored = index_io._read_blob(path)
-    assert index_io._i64_table(path, "VALS", stored.pop("VALS"), 8) == h.values
-    index_io._verify_derived(path, index_io.VERSION, p, stored)
+    version, _, stored = index_io._read_blob(path)
+    values = index_io._input_table(path, version, "VALS", stored.pop("VALS"))
+    assert values == h.values and values.typecode == "i"
+    index_io._verify_derived(path, version, p, stored)
     path = str(tmp_path / "iv.idx")
     index_io.save_interval_index(path, s)
     assert Path(path).read_bytes() == expected["intervals"].read_bytes()
-    _, _, stored = index_io._read_blob(path)
-    assert index_io._i64_table(path, "INTA", stored.pop("INTA")) == s.a
-    assert index_io._i64_table(path, "INTB", stored.pop("INTB")) == s.b
-    index_io._verify_derived(path, index_io.VERSION, s.heap.dfuds, stored)
-    # the binary array file
+    version, _, stored = index_io._read_blob(path)
+    assert index_io._input_table(path, version, "INTA", stored.pop("INTA")) == s.a
+    assert index_io._input_table(path, version, "INTB", stored.pop("INTB")) == s.b
+    index_io._verify_derived(path, version, s.heap.dfuds, stored)
+    # the binary array file, whose values are i64 whatever the index holds
     path = tmp_path / "a.bin"
-    index_io.write_array_binary(str(path), ARRAY)
-    assert path.read_bytes() == header(len(ARRAY)) + swapped8(little[0])
-    assert index_io.read_array_binary(str(path)) == h.values
+    index_io.write_array_binary(str(path), h.values)
+    assert path.read_bytes() == header(len(ARRAY)) + swapped(struct.pack(f"<{len(ARRAY)}q", *ARRAY))
+    read = index_io.read_array_binary(str(path))
+    assert read == h.values and read.typecode == "q"
 
 
 def test_missing_section_is_a_parse_error(tmp_path):
@@ -288,15 +312,17 @@ def test_missing_section_is_a_parse_error(tmp_path):
 
 
 def test_version_3_blob_holds_no_section_a_load_does_not_read(tmp_path):
-    # every stored byte is checked input or compared against the rebuild
+    # every stored byte of a version-3 or -4 blob is checked input or
+    # compared against the rebuild
     path = tmp_path / "iv.idx"
     index_io.save_interval_index(str(path), mliq.build_intervals(FIX_INTERVALS))
-    _, _, sections = index_io._read_blob(str(path))
     _, _, v2_sections = index_io._read_blob(str(V2_FIX_INTERVALS))
-    for tag in ("RK64", "WOPN", "PMAP"):
-        write_blob(path, 3, index_io.KIND_INTERVALS, [*sections.items(), (tag, v2_sections.get(tag, b""))])
-        with pytest.raises(ParseError, match=f"unexpected section {tag}"):
-            index_io.load_interval_index(str(path))
+    for blob in (path, V3_INTERVALS_600):
+        version, _, sections = index_io._read_blob(str(blob))
+        for tag in ("RK64", "WOPN", "PMAP"):
+            write_blob(path, version, index_io.KIND_INTERVALS, [*sections.items(), (tag, v2_sections.get(tag, b""))])
+            with pytest.raises(ParseError, match=f"unexpected section {tag}"):
+                index_io.load_interval_index(str(path))
 
 
 DERIVED = {"BITS": "bits do not match the rebuilt structure",
@@ -308,14 +334,14 @@ DERIVED = {"BITS": "bits do not match the rebuilt structure",
 def test_load_rejects_every_changed_byte_of_a_stored_dfuds_table(tmp_path, kind):
     # a load rebuilds BITS, RK64 and EMIN and no query reads the stored
     # ones, so only its comparison can catch a change
-    v3 = tmp_path / "v3.idx"
+    saved = tmp_path / "saved.idx"
     if kind == "array":
-        index_io.save_array_index(str(v3), build_minheap(FIX_A))
+        index_io.save_array_index(str(saved), build_minheap(FIX_A))
         load, v2 = index_io.load_array_index, V2_FIX_A
     else:
-        index_io.save_interval_index(str(v3), mliq.build_intervals(FIX_INTERVALS))
+        index_io.save_interval_index(str(saved), mliq.build_intervals(FIX_INTERVALS))
         load, v2 = index_io.load_interval_index, V2_FIX_INTERVALS
-    for path in (v3, v2):
+    for path in (saved, v2):
         version, blob_kind, sections = index_io._read_blob(str(path))
         for tag in DERIVED.keys() & sections.keys():
             good = bytes(sections[tag])
@@ -392,17 +418,40 @@ def test_malformed_blobs_exit_2_with_one_line(tmp_path, capsys):
     _, _, ivs = index_io._read_blob(str(interval_path))
     array_sections = [(tag, bytes(payload)) for tag, payload in vals.items()]
     interval_sections = [(tag, bytes(payload)) for tag, payload in ivs.items()]
-    A, IV = index_io.KIND_ARRAY, index_io.KIND_INTERVALS
+    vals, inta, intb = array_sections[0][1], interval_sections[0][1], interval_sections[1][1]
+    # the version-3 input sections: 8-byte entries, no width
+    v3_vals = struct.pack(f"<Q{h.n}q", h.n, *h.values)
+    v3_inta, v3_intb = struct.pack("<4q", *s.a), struct.pack("<4q", *s.b)
+    width = struct.Struct("<Q").pack
+    A, IV, V = index_io.KIND_ARRAY, index_io.KIND_INTERVALS, index_io.VERSION
     cases = [
-        (A, 3, [("VALS", array_sections[0][1] + b"\0" * 4), *array_sections[1:]],
+        (A, 3, [("VALS", v3_vals + b"\0" * 4), *array_sections[1:]],
          "VALS section length 68 is not a multiple of 8"),
-        (IV, 3, [("INTA", interval_sections[0][1][:-4]), *interval_sections[1:]],
+        (IV, 3, [("INTA", v3_inta[:-4]), ("INTB", v3_intb), *interval_sections[2:]],
          "INTA section length 28 is not a multiple of 8"),
+        (A, V, [("VALS", vals + b"\0" * 2), *array_sections[1:]], "VALS section length 34 is not a multiple of 4"),
+        (IV, V, [("INTA", inta[:-2]), *interval_sections[1:]], "INTA section length 14 is not a multiple of 4"),
+        (IV, V, [("INTA", width(8) + v3_inta + b"\0" * 4), *interval_sections[1:]],
+         "INTA section length 36 is not a multiple of 8"),
+        (A, V, [("VALS", width(3) + vals[8:]), *array_sections[1:]], "VALS item width 3 is neither 4 nor 8"),
+        (IV, V, [interval_sections[0], ("INTB", width(0) + intb[8:]), *interval_sections[2:]],
+         "INTB item width 0 is neither 4 nor 8"),
+        (IV, V, [("INTA", width(1 << 40) + inta[8:]), *interval_sections[1:]],
+         f"INTA item width {1 << 40} is neither 4 nor 8"),
+        (A, V, [("VALS", vals[:3]), *array_sections[1:]], "VALS section too short for its item width"),
+        (IV, V, [("INTA", b""), *interval_sections[1:]], "INTA section too short for its item width"),
+        (IV, V, [interval_sections[0], ("INTB", width(8) + v3_intb), *interval_sections[2:]],
+         "INTA holds 4-byte endpoints but INTB 8-byte ones"),
         (A, 9, array_sections, "unsupported version 9"),
-        (A, 3, [*array_sections, array_sections[1]], "section 'BITS' appears twice"),
+        (A, V, [*array_sections, array_sections[1]], "section 'BITS' appears twice"),
         (A, 3, [("VALS", b"\1\0\0\0"), *array_sections[1:]], "VALS section too short for its length prefix"),
+        (A, V, [("VALS", width(4) + b"\1\0\0\0"), *array_sections[1:]], "VALS section too short for its length prefix"),
         (A, 3, [("VALS", bytes(8)), *array_sections[1:]], "VALS section holds no values"),
-        (IV, 3, [interval_sections[0], ("INTB", interval_sections[1][1][:-8]), *interval_sections[2:]],
+        (A, V, [("VALS", width(4) + bytes(8)), *array_sections[1:]], "VALS section holds no values"),
+        (A, V, [("VALS", width(4) + width(9) + vals[16:]), *array_sections[1:]], "VALS section promises 9 values, holds 8"),
+        (IV, 3, [("INTA", v3_inta), ("INTB", v3_intb[:-8]), *interval_sections[2:]],
+         "4 left endpoints but 3 right endpoints"),
+        (IV, V, [interval_sections[0], ("INTB", intb[:-4]), *interval_sections[2:]],
          "4 left endpoints but 3 right endpoints"),
     ]
     path = tmp_path / "bad.idx"
@@ -450,6 +499,56 @@ def test_save_rejects_values_a_blob_cannot_hold(tmp_path):
     assert values.typecode == "q" and values.tolist() == [(1 << 63) - 1, -(1 << 63)]
 
 
+@pytest.mark.parametrize("extreme, typecode", [(-(1 << 31), "i"), ((1 << 31) - 1, "i"), (1 << 31, "q"),
+                                               (-(1 << 31) - 1, "q")])
+def test_values_at_the_width_switch_points_round_trip(tmp_path, extreme, typecode):
+    # the least and greatest 4-byte values, and one past each: the index
+    # holds them, and the blob stores them, at 4 bytes when all fit, else 8
+    rng = random.Random(extreme)
+    values = random_array(rng, 300, span=1000)
+    for at in (0, 150, 299):
+        values[at] = extreme
+    h = build_minheap(values)
+    path = str(tmp_path / "a.idx")
+    index_io.save_array_index(path, h)
+    _, _, sections = index_io._read_blob(path)
+    assert struct.unpack_from("<QQ", sections["VALS"]) == (struct.calcsize(typecode), 300)
+    loaded = index_io.load_array_index(path)
+    assert h.values.typecode == loaded.values.typecode == typecode and loaded.values.tolist() == values
+    for _ in range(300):
+        i = rng.randint(1, h.n)
+        j = rng.randint(i, h.n)
+        want = rmq.rmq_scan(h, i, j)
+        for engine in rmq.ENGINES:
+            assert rmq.range_min_index(loaded, i, j, engine=engine) == rmq.range_min_index(h, i, j, engine=engine) == want
+
+
+@pytest.mark.parametrize("last, typecode", [((1 << 31) - 1, "i"), (1 << 31, "q")])
+def test_endpoints_at_the_width_switch_point_round_trip(tmp_path, last, typecode):
+    # b_n bounds every endpoint once the rules hold, so it alone decides
+    rng = random.Random(last)
+    pairs = random_intervals(rng, 300)
+    lift = last - pairs[-1][1]
+    pairs = [(0, pairs[0][1] + lift)] + [(a + lift, b + lift) for a, b in pairs[1:]]  # from 0 to b_n
+    s = mliq.build_intervals(pairs)
+    path = str(tmp_path / "iv.idx")
+    index_io.save_interval_index(path, s)
+    _, _, sections = index_io._read_blob(path)
+    assert struct.unpack_from("<Q", sections["INTA"]) == struct.unpack_from("<Q", sections["INTB"]) == (
+        struct.calcsize(typecode),)
+    loaded = index_io.load_interval_index(path)
+    for index in (s, loaded):
+        assert index.a.typecode == index.b.typecode == typecode and list(zip(index.a, index.b)) == pairs
+    points = query_points(s)
+    for _ in range(300):
+        a = rng.choice(points)
+        b = rng.choice(points[points.index(a):])
+        strict = rng.random() < 0.5
+        want = mliq.mliq_bruteforce(s, a, b, strict)
+        for engine in (mliq.mliq_naive, mliq.mliq_weighted):
+            assert engine(loaded, a, b, strict) == engine(s, a, b, strict) == want
+
+
 def test_query_reads_the_blob_once(tmp_path, monkeypatch):
     path = tmp_path / "a.idx"
     index_io.save_array_index(str(path), build_minheap(FIX_A))
@@ -472,12 +571,13 @@ def test_rmq_round_trip_never_decodes_the_tree(tmp_path):
 
 
 def test_interval_blob_bytes_are_unchanged(tmp_path):
-    # sha256 of the version-3 blobs; those of the version-2 blobs, which a
-    # decoded heap tree first wrote (tree_construction in test_mliq.py), are
+    # sha256 of the version-4 blobs, whose endpoints are 4 bytes each; those
+    # of the version-2 blobs, which a decoded heap tree first wrote
+    # (tree_construction in test_mliq.py), and of a version-3 blob are
     # pinned on the fixtures in tests/data
     families = {
-        "1a5123e81639406ce8e52845c7a72936700b5e3eda4901005ff5c84cbd9e36d3": FIX_INTERVALS,
-        "107f9476141ead5d95f0a7bedfd7addb382f45445093a8cbe1790122cc25a854": random_intervals(random.Random(0xB10B), 600),
+        "4a2ecdd4dcc7f7f765da84cdf6d35d5a94eb03dd1bf954df1d06f9aadd6c6beb": FIX_INTERVALS,
+        "7328b7cbe6c94096dcd6e670aecfcc14c0ddddbf4d8add3554af5c7522286c7d": random_intervals(random.Random(0xB10B), 600),
     }
     for digest, pairs in families.items():
         data = blob_bytes(tmp_path, mliq.build_intervals, index_io.save_interval_index, pairs)
@@ -485,14 +585,15 @@ def test_interval_blob_bytes_are_unchanged(tmp_path):
 
 
 def test_array_blob_and_binary_file_bytes_are_unchanged(tmp_path):
-    # sha256 of the version-3 array blob, and of the binary array file as
-    # written with one struct argument per value, which the typed-array
-    # writer must write byte for byte; the version-2 blobs are pinned on the
-    # fixtures in tests/data
+    # sha256 of the version-4 array blob, its values 4 bytes each for FIX_A
+    # and 8 for the wide array, and of the binary array file as written with
+    # one struct argument per value, which the typed-array writer must write
+    # byte for byte; the version-2 and -3 blobs are pinned on the fixtures
+    # in tests/data
     arrays = {
-        ("73b8e73efee79b5b999c01981edb55fa5b76b28daac8d07535e20857dbecca64",
+        ("a8b7447644a66fe8ce24505cf5676ea28eeaf081466612ededdb33587aa99cc4",
          "b12b069f68aba9776f997f914a30bc6d46f02756ab875bf0940b0bc6ddf291ed"): FIX_A,
-        ("1b57b052af9af3d3ea56c683f496d1debdbadbd3f7e336d29f79ff6a27d7c981",
+        ("60ca96e7e714720c7ccc424646ddb3f577211d8df7ee3342e92371bbb5fd9d65",
          "7175f408689fc4cde448688b17650886cf9698b7d1cc891643d95d1fc6b74853"):
             random_array(random.Random(0xB10B), 600, span=1 << 62),
     }
@@ -520,20 +621,27 @@ V2_FIXTURES = {
 }
 
 
-@pytest.mark.parametrize("path", V2_FIXTURES, ids=lambda path: path.name)
-def test_version_2_blob_loads_to_the_index_a_build_gives(tmp_path, path):
-    digest, data = V2_FIXTURES[path]
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-    version, kind, sections = index_io._read_blob(str(path))
-    assert version == 2
-    # a version-3 save writes the same sections but RK64, WOPN and WCLS
-    stripped, saved = tmp_path / "stripped.idx", tmp_path / "saved.idx"
-    write_blob(stripped, 3, kind, [(tag, p) for tag, p in sections.items() if tag not in ("RK64", "WOPN", "WCLS")])
+# sha256 of each version-3 fixture, written by the last version-3 save,
+# and the input a build makes the same index of; the array's values fit 4
+# bytes, which that save stored at 8
+V3_FIXTURES = {
+    V3_ARRAY_600: ("669fd6b611455510e131272ed1aa579a1776147960ea4b9fb5f33a6d697f6771",
+                   random_array(random.Random(0xB10B), 600)),
+    V3_INTERVALS_600: ("107f9476141ead5d95f0a7bedfd7addb382f45445093a8cbe1790122cc25a854",
+                       random_intervals(random.Random(0xB10B), 600)),
+}
+
+
+def assert_loads_as_built(path, kind, data):
+    """The blob at ``path`` loads to the index a build of ``data`` gives: its
+    tables, and the answers of every engine to 300 random queries. The blob
+    is of version 2 or 3, whose 8-byte input tables a load keeps at 8 bytes,
+    though a build of ``data`` holds 4 where every entry fits."""
     rng = random.Random(0x2B10B)
     if kind == index_io.KIND_INTERVALS:
         built, loaded = mliq.build_intervals(data), index_io.load_interval_index(str(path))
-        index_io.save_interval_index(str(saved), built)
         assert (loaded.a, loaded.b, loaded.heap.dfuds) == (built.a, built.b, built.heap.dfuds)
+        assert loaded.a.typecode == loaded.b.typecode == "q"
         for _ in range(300):
             a = rng.randint(0, built.domain_max)
             b = rng.randint(a, built.domain_max)
@@ -543,15 +651,65 @@ def test_version_2_blob_loads_to_the_index_a_build_gives(tmp_path, path):
                 assert engine(loaded, a, b, strict) == engine(built, a, b, strict) == want
     else:
         built, loaded = build_minheap(data), index_io.load_array_index(str(path))
-        index_io.save_array_index(str(saved), built)
         assert (loaded.values, loaded.dfuds) == (built.values, built.dfuds)
+        assert loaded.values.typecode == "q"
         for _ in range(300):
             i = rng.randint(1, built.n)
             j = rng.randint(i, built.n)
             want = rmq.rmq_scan(built, i, j)
             for engine in rmq.ENGINES:
                 assert rmq.range_min_index(loaded, i, j, engine=engine) == want
-    assert saved.read_bytes() == stripped.read_bytes()
+
+
+def assert_same_index_stored(path, other):
+    """The blobs at ``path`` and ``other`` store the same index: the same
+    input entries, whatever their width and version, and the same BITS and
+    EMIN bytes."""
+    tables = []
+    for blob in (path, other):
+        version, _, sections = index_io._read_blob(str(blob))
+        tables.append({tag: index_io._input_table(str(blob), version, tag, sections.pop(tag)).tolist()
+                       if tag in index_io._INPUTS else bytes(sections[tag])
+                       for tag in list(sections) if tag in (*index_io._INPUTS, "BITS", "EMIN")})
+    assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("path", V2_FIXTURES, ids=lambda path: path.name)
+def test_version_2_blob_loads_to_the_index_a_build_gives(tmp_path, path):
+    digest, data = V2_FIXTURES[path]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    version, kind, sections = index_io._read_blob(str(path))
+    assert version == 2
+    # without RK64, WOPN and WCLS it is a version-3 blob of the same index
+    stripped, saved = tmp_path / "stripped.idx", tmp_path / "saved.idx"
+    write_blob(stripped, 3, kind, [(tag, p) for tag, p in sections.items() if tag not in ("RK64", "WOPN", "WCLS")])
+    for blob in (path, stripped):
+        assert_loads_as_built(blob, kind, data)
+    save = index_io.save_interval_index if kind == index_io.KIND_INTERVALS else index_io.save_array_index
+    save(str(saved), (mliq.build_intervals if kind == index_io.KIND_INTERVALS else build_minheap)(data))
+    assert_same_index_stored(saved, stripped)
+
+
+@pytest.mark.parametrize("path", V3_FIXTURES, ids=lambda path: path.name)
+def test_version_3_blob_loads_to_the_index_a_build_gives(tmp_path, path):
+    # a version-3 blob, written before input sections recorded their width,
+    # loads and answers as a build does; a save of that build stores the
+    # same index in half the bytes per entry
+    digest, data = V3_FIXTURES[path]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    version, kind, sections = index_io._read_blob(str(path))
+    assert version == 3 and all(len(sections[tag]) % 8 == 0 for tag in index_io._INPUTS if tag in sections)
+    assert_loads_as_built(path, kind, data)
+    saved = tmp_path / "saved.idx"
+    if kind == index_io.KIND_INTERVALS:
+        index_io.save_interval_index(str(saved), mliq.build_intervals(data))
+    else:
+        index_io.save_array_index(str(saved), build_minheap(data))
+    assert_same_index_stored(saved, path)
+    _, _, resaved = index_io._read_blob(str(saved))
+    for tag in index_io._INPUTS:
+        if tag in sections:
+            assert len(resaved[tag]) - 8 == (len(sections[tag]) + (8 if tag == "VALS" else 0)) // 2
 
 
 class DepthPass(Exception):
@@ -729,8 +887,10 @@ def test_load_checks_stored_endpoints_as_the_per_pair_oracle(valid_blobs, case):
     _, _, sections = index_io._read_blob(str(source))
     a = [ai for ai, _ in pairs]
     b = [bi for _, bi in pairs]
-    sections["INTA"] = struct.pack(f"<{len(a)}q", *a)
-    sections["INTB"] = struct.pack(f"<{len(b)}q", *b)
+    # 4-byte endpoints where every one fits, as a save stores them, else 8
+    code = "i" if all(-(1 << 31) <= v < 1 << 31 for v in a + b) else "q"
+    sections["INTA"] = struct.pack(f"<Q{len(a)}{code}", struct.calcsize(code), *a)
+    sections["INTB"] = struct.pack(f"<Q{len(b)}{code}", struct.calcsize(code), *b)
     path = fresh_path(tmp)
     write_blob(path, index_io.VERSION, index_io.KIND_INTERVALS, list(sections.items()))
     assert raised(index_io.load_interval_index, str(path)) == want
@@ -742,22 +902,36 @@ def test_load_checks_stored_endpoints_as_the_per_pair_oracle(valid_blobs, case):
 
 @pytest.fixture(scope="module")
 def valid_blobs(tmp_path_factory):
+    # version-4 blobs of 4-byte entries, and of 8-byte ones ("-wide")
     tmp = tmp_path_factory.mktemp("blobs")
     return {
         "array": blob_bytes(tmp, build_minheap, index_io.save_array_index, ARRAY),
+        "array-wide": blob_bytes(tmp, build_minheap, index_io.save_array_index, ARRAY_WIDE),
         "intervals": blob_bytes(tmp, mliq.build_intervals, index_io.save_interval_index, FIX_INTERVALS),
+        "intervals-wide": blob_bytes(tmp, mliq.build_intervals, index_io.save_interval_index, INTERVALS_WIDE),
     }, tmp
+
+
+BLOB_KINDS = ["array", "array-wide", "intervals", "intervals-wide"]
+
+
+def query_points(s):
+    """Every point of a small domain; on a large one, each endpoint, its
+    neighbours and 0, between which no answer changes."""
+    if s.domain_max <= 64:
+        return range(s.domain_max + 1)
+    return sorted({0} | {min(max(x + d, 0), s.domain_max) for x in (*s.a, *s.b) for d in (-1, 0, 1)})
 
 
 def check_damaged(data, kind, tmp):
     path = fresh_path(tmp)
     path.write_bytes(data)
-    query = ["rmq", "1", "1"] if kind == "array" else ["mliq", "0", "0"]
+    query = ["rmq", "1", "1"] if kind.startswith("array") else ["mliq", "0", "0"]
     code = cli.main(["query", str(path), *query])
     assert code in (0, 2)
     if code:
         return
-    if kind == "array":
+    if kind.startswith("array"):
         h = index_io.load_array_index(str(path))
         for i in range(1, h.n + 1):
             for j in range(i, h.n + 1):
@@ -765,15 +939,16 @@ def check_damaged(data, kind, tmp):
                 assert rmq.rmq_direct(h, i, j) == rmq.rmq_checked(h, i, j) == rmq.rmq_ancestor(h, i, j) == want
     else:
         s = index_io.load_interval_index(str(path))
-        for a in range(0, s.domain_max + 1):
-            for b in range(a, s.domain_max + 1):
+        points = query_points(s)
+        for a in points:
+            for b in points[points.index(a):]:
                 for strict in (False, True):
                     want = mliq.mliq_bruteforce(s, a, b, strict)
                     assert mliq.mliq_naive(s, a, b, strict) == mliq.mliq_weighted(s, a, b, strict) == want
 
 
-@settings(max_examples=150, deadline=None)
-@given(kind=st.sampled_from(["array", "intervals"]), data=st.data())
+@settings(max_examples=75 * len(BLOB_KINDS), deadline=None)
+@given(kind=st.sampled_from(BLOB_KINDS), data=st.data())
 def test_truncated_blob_exits_2_or_loads_correctly(valid_blobs, kind, data):
     blobs, tmp = valid_blobs
     blob = blobs[kind]
@@ -781,8 +956,8 @@ def test_truncated_blob_exits_2_or_loads_correctly(valid_blobs, kind, data):
     check_damaged(blob[:cut], kind, tmp)
 
 
-@settings(max_examples=300, deadline=None)
-@given(kind=st.sampled_from(["array", "intervals"]), data=st.data())
+@settings(max_examples=150 * len(BLOB_KINDS), deadline=None)
+@given(kind=st.sampled_from(BLOB_KINDS), data=st.data())
 def test_flipped_blob_exits_2_or_loads_correctly(valid_blobs, kind, data):
     blobs, tmp = valid_blobs
     blob = bytearray(blobs[kind])

@@ -378,11 +378,14 @@ I64_MAX = (1 << 63) - 1
 
 
 def test_signed_64_bit_ints_are_held_in_a_typed_copy():
-    extremes = [I64_MAX, -I64_MAX - 1]
-    for values, want in ((FIX_A, FIX_A), (array("q", FIX_A), FIX_A), (iter(FIX_A), FIX_A),
-                         (tuple(FIX_A), FIX_A), (extremes, extremes)):
+    # 4 bytes a value when every one fits signed 32 bits, else 8
+    extremes, fit = [I64_MAX, -I64_MAX - 1], [(1 << 31) - 1, -(1 << 31)]
+    for values, want, typecode in ((FIX_A, FIX_A, "i"), (array("q", FIX_A), FIX_A, "i"), (iter(FIX_A), FIX_A, "i"),
+                                   (tuple(FIX_A), FIX_A, "i"), (array("i", FIX_A), FIX_A, "i"),
+                                   (array("q", fit), fit, "i"), (array("q", extremes), extremes, "q"),
+                                   ([1 << 31, *FIX_A], [1 << 31, *FIX_A], "q"), (extremes, extremes, "q")):
         h = build_minheap(values)
-        assert type(h.values) is array and h.values.typecode == "q"
+        assert type(h.values) is array and h.values.typecode == typecode
         assert h.values.tolist() == want
     caller = array("q", FIX_A)
     h = build_minheap(caller)
@@ -392,7 +395,7 @@ def test_signed_64_bit_ints_are_held_in_a_typed_copy():
 
 def test_bools_are_held_as_ints():
     h = build_minheap([True, False, True])
-    assert h.values.typecode == "q"
+    assert h.values.typecode == "i"
     assert h.value(1) == 1 and type(h.value(1)) is int
     assert h.value(2) == 0 and type(h.value(2)) is int
     assert rmq.rmq_direct(h, 1, 3) == 2
@@ -419,10 +422,12 @@ def test_values_a_typed_table_cannot_hold_keep_a_list():
 @pytest.mark.parametrize("shape", ["random", "increasing", "decreasing"])
 @pytest.mark.parametrize("made_by", ["build", "load"])
 def test_index_holds_fixed_bytes_per_value_at_any_depth(tmp_path, made_by, shape):
-    # The values (array('q'), 8 B), the excess (a bytearray of its values
-    # relative to each 64-bit block's start, 2 entries of 1 B each), the
-    # bits with their rank tables and the block tables hold about 15-16.5 B
-    # per value whatever the heap's depth.
+    # The values (array('i'), 4 B: each fits signed 32 bits), the excess (a
+    # bytearray of its values relative to each 64-bit block's start, 2
+    # entries of 1 B each), the bits with their rank tables and the block
+    # tables hold 9.76 B per value on random and increasing input and 10.76
+    # on decreasing input. With the values an array('q') they held 13.76 and
+    # 14.76 (bound 18); the bound of 12.5 fails a return to 8-byte values.
     # With the excess an array('I') they held 21-22 B; with list-held values
     # and excess a build held 32 B on random and increasing input and 95 B on
     # a decreasing one, whose excess entries are each an int object; a load
@@ -445,5 +450,5 @@ def test_index_holds_fixed_bytes_per_value_at_any_depth(tmp_path, made_by, shape
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert h.n == n
-    assert held <= 18 * n, held / n
+    assert h.n == n and h.values.typecode == "i"
+    assert held <= 12.5 * n, held / n

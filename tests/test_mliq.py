@@ -2,6 +2,7 @@ import gc
 import os
 import random
 import re
+import struct
 import tempfile
 import tracemalloc
 import types
@@ -30,11 +31,11 @@ def fam():
 
 
 def test_build_examples(fam):
-    assert fam.lengths.typecode == "q" and fam.lengths.tolist() == [4, 4, 5, 3]
+    assert fam.lengths.typecode == "i" and fam.lengths.tolist() == [4, 4, 5, 3]
     assert fam.n == 4
     assert fam.domain_max == 10
     single = mliq.build_intervals([(1, 2)])
-    assert single.n == 1 and single.lengths.typecode == "q" and single.lengths.tolist() == [2]
+    assert single.n == 1 and single.lengths.typecode == "i" and single.lengths.tolist() == [2]
 
 
 def test_build_validation_errors():
@@ -53,7 +54,7 @@ def test_build_validation_errors():
         with pytest.raises(ValidationError, match=rf"^interval {len(items)}: expected a pair of endpoints, got {bad}$"):
             mliq.build_intervals(items)
     lengths = mliq.build_intervals(iter([[1, 2], [3, 5]])).lengths
-    assert lengths.typecode == "q" and lengths.tolist() == [2, 3]
+    assert lengths.typecode == "i" and lengths.tolist() == [2, 3]
 
 
 def test_endpoints_beyond_signed_64_bits_are_a_validation_error(tmp_path, capsys):
@@ -188,7 +189,7 @@ def test_index_level_none_detection():
     # positions between the boundary opens still exist. The index-level test
     # must report None here.
     fam = mliq.build_intervals([(1, 2), (3, 3)])
-    assert fam.lengths.typecode == "q" and fam.lengths.tolist() == [2, 1]
+    assert fam.lengths.typecode == "i" and fam.lengths.tolist() == [2, 1]
     assert mliq.mliq_bruteforce(fam, 2, 3) is None
     assert mliq.mliq_naive(fam, 2, 3) is None
     assert mliq.mliq_weighted(fam, 2, 3) is None
@@ -433,7 +434,7 @@ def test_interval_index_holds_typed_tables_and_no_dict(tmp_path):
     index_io.save_interval_index(path, built)
     for s in (built, index_io.load_interval_index(path)):
         assert [type(o) for o in reachable(s) if isinstance(o, dict)] == []
-        assert type(s.a) is type(s.b) is array and s.a.typecode == s.b.typecode == "q"
+        assert type(s.a) is type(s.b) is array and s.a.typecode == s.b.typecode == "i"  # b_n < 2^31
         # the endpoints and the length heap's DFUDS, and nothing else: the
         # lengths and the weighted positions are computed when asked for
         assert s.heap.values is None and s.heap.n == s.n
@@ -460,7 +461,7 @@ def test_interval_index_holds_typed_tables_and_no_dict(tmp_path):
         assert dfuds._off1 is None and type(dfuds._off0) is bytes and len(dfuds._off0) == dfuds.count(0)
         assert held == {id(t) for t in (*tables, dfuds._exc, dfuds._sel0, dfuds._off0, *dfuds._table)}
         lengths = s.lengths
-        assert lengths.typecode == "q" and lengths.tolist() == [y - x + 1 for x, y in zip(s.a, s.b)]
+        assert lengths.typecode == "i" and lengths.tolist() == [y - x + 1 for x, y in zip(s.a, s.b)]
         bp_open, bp_close = s.weighted_bps()
         assert type(bp_open.positions) is array and bp_open.positions.typecode == "q" and bp_open.cum is s.a
         # unsigned: the close side's total is b_n + 1, which reaches 2^63 when b_n is the largest i64
@@ -485,8 +486,12 @@ def test_interval_build_holds_few_bytes_and_peaks_near_them():
     # 1.42x (28 bytes): the DFUDS text is joined a chunk of nodes at a time,
     # so no list of one pointer per node is held next to the degrees. With
     # the degree pass writing each chunk of the text as it goes, so that no
-    # degree list is held either, it peaks at 1.335x (26.4 bytes). The
-    # bounds leave 19 bytes per interval and 0.065x of margin.
+    # degree list is held either, it peaks at 1.335x (26.4 bytes); with the
+    # DFUDS written back to front into one bytearray, it held 19.65 and
+    # peaked at 1.20x (23.7 bytes). With the endpoints two array('i'), made
+    # straight from the pairs, it holds 11.25 and peaks at 1.36x (15.3
+    # bytes). The bounds of 15 held and 19 peak bytes fail a return to
+    # 8-byte endpoints, or a build that makes them and then narrows them.
     pairs = random_intervals(random.Random(0x1EAF), 20_000)
     gc.collect()
     tracemalloc.start()
@@ -499,9 +504,9 @@ def test_interval_build_holds_few_bytes_and_peaks_near_them():
         tracemalloc.stop()
     held -= before
     peak -= before
-    assert s.n == len(pairs)
-    assert held <= 39 * len(pairs), held / len(pairs)
-    assert peak <= 1.4 * held, (peak, held)
+    assert s.n == len(pairs) and s.a.typecode == s.b.typecode == "i"
+    assert held <= 15 * len(pairs), held / len(pairs)
+    assert peak <= 1.4 * held and peak <= 19 * len(pairs), (peak / held, peak / len(pairs))
 
 
 # -- the lane check of the endpoint rules ---------------------------------------
@@ -513,43 +518,48 @@ def rules_by_endpoint(a, b):
         map(lt, b, islice(b, 1, None)))
 
 
-STEP = _LANES - 1  # a chunk of the lane check starts this many entries after the one before
-I64_MIN = -(1 << 63)
+# by item width: the entries after which a chunk of the lane check starts
+# the next, and the least and greatest entry
+STEP = {8: _LANES - 1, 4: 2 * _LANES - 1}
+EXTREMES = {8: (-(1 << 63), I64_MAX), 4: (-(1 << 31), (1 << 31) - 1)}
+TYPECODES = {8: "q", 4: "i"}
 
 
 @st.composite
-def lane_families(draw):
-    """(a, b): a valid family of one lane to three chunks plus one, from 0 or
-    up against 2^63 - 1, with up to two endpoints then set to 0, an i64
-    extreme, -1, a neighbour's value or one off it, mostly next to a seam
-    between chunks."""
-    n = draw(st.one_of(st.integers(1, 3 * STEP + 2),
-                       st.sampled_from([1, 2, STEP, _LANES, _LANES + 1, 2 * STEP + 1, 3 * STEP + 1, 3 * STEP + 2])))
+def lane_families(draw, width):
+    """(a, b): a valid family of ``width``-byte entries, of one lane to three
+    chunks plus one, from 0 or up against the greatest entry, with up to two
+    endpoints then set to 0, an extreme, -1, a neighbour's value or one off
+    it, mostly next to a seam between chunks."""
+    step, (least, greatest) = STEP[width], EXTREMES[width]
+    n = draw(st.one_of(st.integers(1, 3 * step + 2),
+                       st.sampled_from([1, 2, step, step + 1, step + 2, 2 * step + 1, 3 * step + 1, 3 * step + 2])))
     rng = random.Random(draw(st.integers(0, 1 << 32)))
-    pairs = random_intervals(rng, n, draw(st.sampled_from([1, 16, 1 << 40])))
+    pairs = random_intervals(rng, n, draw(st.sampled_from([1, 16, 1 << (40 if width == 8 else 12)])))
     a, b = (list(side) for side in zip(*pairs))
     if draw(st.booleans()):
-        lift = I64_MAX - b[-1]
+        lift = greatest - b[-1]
         a, b = [x + lift for x in a], [y + lift for y in b]
     for _ in range(draw(st.integers(0, 2))):
-        seam = draw(st.integers(1, 3)) * STEP + draw(st.integers(-1, 1))
+        seam = draw(st.integers(1, 3)) * step + draw(st.integers(-1, 1))
         k = min(seam, n - 1) if draw(st.booleans()) else draw(st.integers(0, n - 1))
         ends, other = (a, b) if draw(st.booleans()) else (b, a)
         k2 = min(max(k + draw(st.sampled_from([-1, 1])), 0), n - 1)
-        ends[k] = draw(st.sampled_from([0, I64_MAX, I64_MIN, -1, ends[k2], ends[k2] + 1, ends[k2] - 1, other[k]]))
-        ends[k] = min(max(ends[k], I64_MIN), I64_MAX)
-    return array("q", a), array("q", b)
+        ends[k] = draw(st.sampled_from([0, greatest, least, -1, ends[k2], ends[k2] + 1, ends[k2] - 1, other[k]]))
+        ends[k] = min(max(ends[k], least), greatest)
+    return array(TYPECODES[width], a), array(TYPECODES[width], b)
 
 
 def swapped(table):
-    copy = array("q", table)
+    copy = array(table.typecode, table)
     copy.byteswap()
     return copy
 
 
 @settings(max_examples=300, deadline=None)
-@given(lane_families())
+@given(st.sampled_from([4, 8]).flatmap(lane_families))
 def test_lane_check_decides_as_the_endpoint_oracle(tmp_path_factory, family):
+    # 64-bit lanes over array('q') tables, 32-bit lanes over array('i') ones
     a, b = family
     want = rules_by_endpoint(a, b)
     assert mliq._rules_hold(a, b) == want
@@ -560,6 +570,7 @@ def test_lane_check_decides_as_the_endpoint_oracle(tmp_path_factory, family):
     pairs = list(zip(a, b))
     built = raised(mliq.build_intervals, pairs)
     assert built == raised(check_pairs, pairs)
+    assert raised(mliq.intervals_from_arrays, a, b) == built
     fd, path = tempfile.mkstemp(suffix=".idx", dir=tmp_path_factory.getbasetemp())
     os.close(fd)
     if want:
@@ -567,25 +578,29 @@ def test_lane_check_decides_as_the_endpoint_oracle(tmp_path_factory, family):
         index_io.save_interval_index(path, mliq.build_intervals(pairs))
         loaded = index_io.load_interval_index(path)
         assert (loaded.a, loaded.b) == (a, b)
+        assert loaded.a.typecode == loaded.b.typecode == ("i" if b[-1] < 1 << 31 else "q")
     else:
         assert built[0] is ValidationError
-        sections = [("INTA", le_bytes(a)), ("INTB", le_bytes(b)), ("BITS", b""), ("EMIN", b"")]
+        width = struct.pack("<Q", a.itemsize)
+        sections = [("INTA", width + le_bytes(a)), ("INTB", width + le_bytes(b)), ("BITS", b""), ("EMIN", b"")]
         write_blob(path, index_io.VERSION, index_io.KIND_INTERVALS, sections)
         assert raised(index_io.load_interval_index, path) == built
 
 
 def test_lane_check_peaks_at_chunk_sized_ints():
     pairs = random_intervals(random.Random(0x1A9E), 100_000)
-    a, b = (array("q", side) for side in zip(*pairs))
-    holds, _, peak = traced(lambda: mliq._rules_hold(a, b))
-    assert holds is True
-    assert peak < 64 << 10, peak
+    for typecode in "iq":
+        a, b = (array(typecode, side) for side in zip(*pairs))
+        holds, _, peak = traced(lambda: mliq._rules_hold(a, b))
+        assert holds is True
+        assert peak < 64 << 10, (typecode, peak)
 
 
 def test_endpoint_tables_of_unequal_lengths_or_other_types_are_a_contract_error():
     with pytest.raises(ContractError, match="^3 left endpoints but 2 right endpoints$"):
         mliq.intervals_from_arrays(array("q", [0, 1, 2]), array("q", [5, 6]))
     for a, b in (([0, 1], [5, 6]), (array("q", [0, 1]), [5, 6]), (array("q", [0, 1]), array("Q", [5, 6])),
-                 (array("l", [0, 1]), array("q", [5, 6])), (memoryview(array("q", [0, 1])), array("q", [5, 6]))):
-        with pytest.raises(ContractError, match=r"^endpoints must be given as two array\('q'\)$"):
+                 (array("l", [0, 1]), array("q", [5, 6])), (memoryview(array("q", [0, 1])), array("q", [5, 6])),
+                 (array("i", [0, 1]), array("q", [5, 6])), (array("q", [0, 1]), array("i", [5, 6]))):
+        with pytest.raises(ContractError, match=r"^endpoints must be given as two array\('i'\) or two array\('q'\)$"):
             mliq.intervals_from_arrays(a, b)

@@ -677,15 +677,6 @@ def test_excess_bytes_lie_in_0_to_128_however_deep():
 # -- the lane kernels that build the excess, the block minima and the table ----------
 
 
-@pytest.fixture(params=["host order", "forced big-endian"])
-def byte_order(request, monkeypatch):
-    """Each kernel test runs twice: on the host's byte order, then as a
-    big-endian host would run it, every table read and written through
-    ``le_bytes``/``from_le`` byteswapped."""
-    if request.param == "forced big-endian":
-        monkeypatch.setattr(bitseq, "_BIG_ENDIAN", True)
-
-
 def min_table(bmin):
     """The sparse table as packed-entry lists, each level built by the
     ``map(min, row, row shifted by 2^j)`` that the lane minima replace."""
